@@ -375,6 +375,8 @@ class Filter:
                 raise ValueError("all node ensembles must share the node count m")
             if not np.isfinite(e.intensity).all() or (e.intensity < 0).any():
                 raise ValueError("intensity members must be finite and non-negative")
+            if not np.isfinite(e.params).all() or (e.params < 0).any():
+                raise ValueError("parameter members must be finite and non-negative")
         self.cfg = cfg
         self.node_indices = [e.node_index for e in ensembles]
         self.m = m
@@ -721,5 +723,9 @@ def load_ensemble_snapshots(out_dir: str | Path) -> list[NodeEnsemble]:
     for path in paths:
         node = int(path.stem.split("_")[1])
         table = np.loadtxt(path, delimiter=",", ndmin=2)
+        if not np.isfinite(table).all():
+            raise ValueError(f"{path}: ensemble snapshot holds non-finite values")
+        if (table < 0).any():
+            raise ValueError(f"{path}: ensemble snapshot holds negative values")
         out.append(NodeEnsemble(node, table[:, 0], table[:, 1:]))
     return out

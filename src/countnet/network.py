@@ -9,7 +9,6 @@ treated as self-excitation and reported separately; all edge analytics
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -133,7 +132,9 @@ def centrality(net: InfluenceNetwork, measure: str) -> np.ndarray:
     out_degree(j) sums the influence node j exerts (column j), in_degree(i)
     the influence node i receives (row i). Betweenness runs shortest-path
     search with edge distance 1/weight, so stronger influence means shorter
-    distance, and accumulates unnormalized pair dependencies.
+    distance, and accumulates unnormalized pair dependencies; edges at or
+    below BETWEENNESS_WEIGHT_FLOOR are dropped, and paths tie only when
+    their float64 lengths are equal.
     """
     if net.m == 0:
         raise ValueError(f"{measure} is undefined on an empty network")
@@ -141,64 +142,89 @@ def centrality(net: InfluenceNetwork, measure: str) -> np.ndarray:
         raise ValueError(f"unknown measure {measure!r}")
     off = net.adjacency.copy()
     np.fill_diagonal(off, 0.0)
+    return _scores(off[None], measure)[0]
+
+
+def _scores(off: np.ndarray, measure: str) -> np.ndarray:
+    """Scores of a batch of graphs; off[b] has a zero diagonal."""
     if measure == OUT_DEGREE:
-        return off.sum(axis=0)
-    if measure == IN_DEGREE:
         return off.sum(axis=1)
+    if measure == IN_DEGREE:
+        return off.sum(axis=2)
     return _betweenness(off)
 
 
 def _betweenness(off: np.ndarray) -> np.ndarray:
-    """Brandes accumulation over Dijkstra trees; edge j->i has weight off[i, j]."""
-    m = off.shape[0]
-    out_edges: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            w = off[i, j]
-            if i != j and w > BETWEENNESS_WEIGHT_FLOOR:
-                out_edges[j].append((i, 1.0 / w))
-    scores = np.zeros(m)
+    """Brandes betweenness of B graphs at once; edge j->i of graph b weighs off[b, i, j].
+
+    Dijkstra runs for every (graph, source) pair together, one finalized
+    node per iteration. Ties in distance finalize in the order a binary heap
+    keyed by (distance, push counter) would pop them: earliest strict
+    improvement first, then lowest node index. That order fixes the order in
+    which dependencies are summed, so scores are reproducible to the bit.
+    """
+    B, m, _ = off.shape
+    # length[b, i, j]: distance of edge j -> i; inf where there is no edge
+    length = np.full_like(off, np.inf)
+    np.divide(1.0, off, out=length, where=off > BETWEENNESS_WEIGHT_FLOOR)
+    out_len = np.ascontiguousarray(length.transpose(0, 2, 1))  # row u: edges leaving u
+    bi = np.arange(B)[:, None]
+    nodes = np.arange(m)
+
+    dist = np.full((B, m, m), np.inf)  # [graph, source, node]
+    dist[:, nodes, nodes] = 0.0
+    open_dist = dist.copy()  # inf once finalized
+    sigma = np.zeros((B, m, m))
+    sigma[:, nodes, nodes] = 1.0
+    # heap position of a node's current best entry: improvement step * m + node
+    no_entry = np.iinfo(np.int64).max
+    pushed = np.full((B, m, m), no_entry, dtype=np.int64)
+    pushed[:, nodes, nodes] = -1
+    order = np.empty((B, m, m), dtype=np.intp)
+    reached = np.empty((B, m, m), dtype=bool)
+    for t in range(m):
+        d = open_dist.min(axis=2)
+        u = np.where(open_dist == d[..., None], pushed, no_entry).argmin(axis=2)
+        ok = np.isfinite(d)
+        order[:, :, t] = u
+        reached[:, :, t] = ok
+        open_dist[bi, nodes, u] = np.inf
+        cand = d[..., None] + out_len[bi, u]
+        # finalized nodes have dist <= d < cand, so only open nodes improve
+        better = cand < dist
+        su = np.where(ok, sigma[bi, nodes, u], 0.0)[..., None]
+        sigma += np.where(cand == dist, su, 0.0)
+        np.copyto(sigma, su, where=better)
+        np.copyto(dist, cand, where=better)
+        np.copyto(open_dist, cand, where=better)
+        np.copyto(pushed, t * m + nodes, where=better)
+
+    delta = np.zeros((B, m, m))
+    for t in range(m - 1, -1, -1):
+        w = order[:, :, t]
+        ok = reached[:, :, t]
+        coeff = np.zeros((B, m))
+        np.divide(1.0 + delta[bi, nodes, w], sigma[bi, nodes, w], out=coeff, where=ok)
+        # predecessors of w: nodes v with dist[v] + length(v -> w) == dist[w]
+        pred = dist + length[bi, w] == dist[bi, nodes, w][..., None]
+        pred &= ok[..., None]
+        np.add(delta, sigma * coeff[..., None], out=delta, where=pred)
+
+    delta[:, nodes, nodes] = 0.0  # a source lies on none of its own paths
+    scores = np.zeros((B, m))
     for s in range(m):
-        stack: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(m)]
-        sigma = np.zeros(m)
-        sigma[s] = 1.0
-        dist = np.full(m, np.inf)
-        seen = {s: 0.0}
-        counter = 0
-        heap: list[tuple[float, int, int, int]] = [(0.0, counter, s, s)]
-        while heap:
-            d, _, pred, v = heapq.heappop(heap)
-            if np.isfinite(dist[v]):
-                continue
-            sigma[v] += sigma[pred]
-            stack.append(v)
-            dist[v] = d
-            for w, length in out_edges[v]:
-                vw = d + length
-                if not np.isfinite(dist[w]) and (w not in seen or vw < seen[w]):
-                    seen[w] = vw
-                    counter += 1
-                    heapq.heappush(heap, (vw, counter, v, w))
-                    sigma[w] = 0.0
-                    preds[w] = [v]
-                elif vw == seen.get(w):
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = np.zeros(m)
-        while stack:
-            w = stack.pop()
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                scores[w] += delta[w]
+        scores += delta[:, s]
     return scores
 
 
 def rank_nodes(scores: np.ndarray) -> np.ndarray:
     """Node indices in rank order: descending score, ties by node index."""
     return np.lexsort((np.arange(scores.shape[0]), -scores))
+
+
+# members per scoring batch are sized so one (members, m, m) array holds
+# about this many elements, which bounds the betweenness working set
+_BATCH_ELEMENTS = 1 << 16
 
 
 def rank_distribution(
@@ -210,21 +236,26 @@ def rank_distribution(
 
     Member s of every node ensemble together forms one network sample; the
     chosen measure is computed on each sample and the resulting rank of
-    every node tallied.
+    every node tallied. Samples are scored in batches by one kernel.
     """
     if not ensembles:
         raise ValueError("need at least one node ensemble")
     m = ensembles[0].m
     if len(ensembles) != m:
         raise ValueError("need one ensemble per receiving node")
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
     M = ensembles[0].ensemble_size
-    excitation = np.stack([e.excitation for e in ensembles])  # (m, M, m)
-    counts = np.zeros((m, m), dtype=np.int64)
-    for s in range(M):
-        member = InfluenceNetwork(excitation[:, s, :])
-        order = rank_nodes(centrality(member, measure))
-        counts[np.arange(m), order] += 1
-    return RankDistribution(counts, measure, node_labels)
+    batch = max(1, _BATCH_ELEMENTS // (m * m))
+    nodes = np.arange(m)
+    tally = np.zeros(m * m, dtype=np.int64)
+    for lo in range(0, M, batch):
+        off = np.stack([e.excitation[lo : lo + batch] for e in ensembles], axis=1)
+        off[:, nodes, nodes] = 0.0
+        # stable, so ties keep node order as in rank_nodes
+        order = np.argsort(-_scores(off, measure), axis=1, kind="stable")
+        tally += np.bincount((nodes * m + order).ravel(), minlength=m * m)
+    return RankDistribution(tally.reshape(m, m), measure, node_labels)
 
 
 def error_metrics(

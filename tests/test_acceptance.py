@@ -34,7 +34,7 @@ from countnet.hawkes import simulate
 from countnet.ingest import EventLog, aggregate, clean
 from countnet.network import InfluenceNetwork, centrality
 
-from test_network import brute_betweenness
+from oracles import brute_betweenness
 
 
 def verdict(name: str, ok: bool, detail: str) -> bool:

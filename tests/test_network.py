@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from countnet import network
 from countnet.filtering import NodeEnsemble
 from countnet.hawkes import HawkesParams
 from countnet.network import (
@@ -18,45 +19,7 @@ from countnet.network import (
     threshold_subnetwork,
     top_edges,
 )
-
-
-def brute_betweenness(adjacency: np.ndarray) -> np.ndarray:
-    """Exhaustive-enumeration oracle: all simple paths, prefix-sum lengths."""
-    m = adjacency.shape[0]
-    off = adjacency.copy()
-    np.fill_diagonal(off, 0.0)
-    edges = {
-        (j, i): 1.0 / off[i, j]
-        for i in range(m)
-        for j in range(m)
-        if i != j and off[i, j] > BETWEENNESS_WEIGHT_FLOOR
-    }
-    out = {j: [i for (jj, i) in edges if jj == j] for j in range(m)}
-    scores = np.zeros(m)
-    for s in range(m):
-        for t in range(m):
-            if s == t:
-                continue
-            paths = []
-
-            def walk(node, dist, visited, trail):
-                if node == t:
-                    paths.append((dist, tuple(trail)))
-                    return
-                for nxt in out[node]:
-                    if nxt not in visited:
-                        walk(nxt, dist + edges[(node, nxt)], visited | {nxt}, trail + [nxt])
-
-            walk(s, 0.0, {s}, [s])
-            if not paths:
-                continue
-            best = min(d for d, _ in paths)
-            shortest = [trail for d, trail in paths if d == best]
-            sigma = len(shortest)
-            for trail in shortest:
-                for v in trail[1:-1]:
-                    scores[v] += 1.0 / sigma
-    return scores
+from oracles import brute_betweenness, heapq_betweenness
 
 
 def ensembles_from_members(alpha_members: np.ndarray) -> list[NodeEnsemble]:
@@ -224,9 +187,112 @@ class TestRankDistribution:
             assert (dist.counts.sum(axis=0) == 40).all()
             assert (dist.counts.sum(axis=1) == 40).all()
 
+    def test_matches_per_member_loop(self):
+        gen = np.random.default_rng(29)
+        for m, M in ((3, 300), (12, 48)):
+            alpha = gen.gamma(0.6, 0.5, size=(M, m, m))
+            alpha[gen.random((M, m, m)) < 0.3] = 0.0
+            # tied zero scores: nodes 0, 1 exert nothing, nodes 1, 2 receive nothing
+            alpha[: M // 3, :, :2] = 0.0
+            alpha[: M // 3, 1:3, :] = 0.0
+            ensembles = ensembles_from_members(alpha)
+            for measure in network.MEASURES:
+                counts = rank_distribution(ensembles, measure).counts
+                assert np.array_equal(counts, per_member_ranks(alpha, measure))
+
     def test_tie_break_by_node_index(self):
         scores = np.array([1.0, 2.0, 2.0, 0.5])
         assert list(rank_nodes(scores)) == [1, 2, 0, 3]
+
+
+def zero_diagonal(members: np.ndarray) -> np.ndarray:
+    """(M, m, m) member excitation matrices with self-loops removed."""
+    off = members.copy()
+    idx = np.arange(off.shape[1])
+    off[:, idx, idx] = 0.0
+    return off
+
+
+def per_member_ranks(alpha_members: np.ndarray, measure: str) -> np.ndarray:
+    """Rank counts from one scalar scoring and ranking per member."""
+    M, m, _ = alpha_members.shape
+    counts = np.zeros((m, m), dtype=np.int64)
+    for off in zero_diagonal(alpha_members):
+        if measure == "out_degree":
+            scores = off.sum(axis=0)
+        elif measure == "in_degree":
+            scores = off.sum(axis=1)
+        else:
+            scores = heapq_betweenness(off)
+        counts[np.arange(m), rank_nodes(scores)] += 1
+    return counts
+
+
+class TestBatchedBetweenness:
+    """The batched kernel reproduces the scalar heap-based Brandes bit for bit."""
+
+    def assert_matches_oracle(self, alpha_members):
+        off = zero_diagonal(alpha_members)
+        expected = np.stack([heapq_betweenness(g) for g in off])
+        assert np.array_equal(network._betweenness(off), expected)
+        for g, row in zip(off, expected):
+            assert np.array_equal(centrality(InfluenceNetwork(g), "betweenness"), row)
+
+    def test_tie_heavy_weights(self):
+        # dyadic distances make equal-length paths common, so the
+        # finalization order of tied nodes decides the summation order
+        gen = np.random.default_rng(101)
+        for m in range(2, 10):
+            weights = gen.choice([0.5, 1.0, 2.0], (50, m, m))
+            self.assert_matches_oracle(np.where(gen.random((50, m, m)) < 0.5, weights, 0.0))
+
+    def test_gamma_ensemble(self):
+        gen = np.random.default_rng(102)
+        self.assert_matches_oracle(gen.gamma(0.5, 0.4, (64, 26, 26)))
+
+    def test_unreachable_nodes_and_sub_floor_edges(self):
+        gen = np.random.default_rng(103)
+        m = 9
+        alpha = np.where(gen.random((40, m, m)) < 0.2, gen.uniform(0.1, 2.0, (40, m, m)), 0.0)
+        tiny = gen.random((40, m, m)) < 0.2
+        alpha[tiny] = gen.choice([1e-9, 0.5e-6, BETWEENNESS_WEIGHT_FLOOR], tiny.sum())
+        alpha[:, :, 4] = 0.0  # node 4 reaches nobody
+        alpha[:, 6, :] = 0.0  # node 6 is reached by nobody
+        self.assert_matches_oracle(alpha)
+        off = zero_diagonal(alpha)
+        # an edge at or below the floor is dropped: same scores as without it
+        assert np.array_equal(
+            network._betweenness(off),
+            network._betweenness(np.where(off > BETWEENNESS_WEIGHT_FLOOR, off, 0.0)),
+        )
+
+    def test_batch_not_dividing_the_ensemble(self, monkeypatch):
+        gen = np.random.default_rng(104)
+        m, M = 8, 10
+        alpha = np.where(gen.random((M, m, m)) < 0.4, gen.choice([0.5, 1.0, 2.0], (M, m, m)), 0.0)
+        ensembles = ensembles_from_members(alpha)
+        whole = {meas: rank_distribution(ensembles, meas).counts for meas in network.MEASURES}
+        monkeypatch.setattr(network, "_BATCH_ELEMENTS", 3 * m * m)  # batches of 3, 3, 3, 1
+        for measure in network.MEASURES:
+            counts = rank_distribution(ensembles, measure).counts
+            assert np.array_equal(counts, whole[measure])
+            assert np.array_equal(counts, per_member_ranks(alpha, measure))
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        gen = np.random.default_rng(105)
+        for _ in range(25):
+            m = int(gen.integers(2, 31))
+            adj = np.where(gen.random((m, m)) < 0.3, gen.uniform(0.05, 2.0, (m, m)), 0.0)
+            adj[gen.random((m, m)) < 0.05] = 0.5e-6
+            np.fill_diagonal(adj, 0.0)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(m))
+            for i, j in zip(*np.nonzero(adj > BETWEENNESS_WEIGHT_FLOOR)):
+                graph.add_edge(int(j), int(i), length=1.0 / adj[i, j])
+            ref = nx.betweenness_centrality(graph, weight="length", normalized=False)
+            ours = centrality(InfluenceNetwork(adj), "betweenness")
+            assert np.allclose(ours, [ref[v] for v in range(m)], rtol=1e-12, atol=1e-12)
 
 
 class TestErrorMetrics:

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from countnet.cli import main
-from countnet.filtering import Filter, FilterConfig, GammaSpec, init_ensemble, run_filter
+from countnet.filtering import (
+    Filter,
+    FilterConfig,
+    GammaSpec,
+    init_ensemble,
+    load_ensemble_snapshots,
+    run_filter,
+    save_filter_result,
+)
 from countnet.hawkes import CountSeries, load_count_series
 from test_filtering import toy_filter_setup
 
@@ -40,6 +48,13 @@ class TestFilterEdges:
             Filter(init[:2], cfg)  # subset without column mapping
         with pytest.raises(ValueError, match="observed_columns"):
             Filter(init[:2], cfg, observed_columns=np.array([0, 5]))
+
+    def test_non_finite_or_negative_parameters_rejected(self):
+        for bad in (np.nan, np.inf, -0.5):
+            _, _, init, cfg = toy_filter_setup(m=3, M=20)
+            init[1].params[4, 2] = bad
+            with pytest.raises(ValueError, match="parameter members"):
+                Filter(init, cfg)
 
     def test_localization_reserved(self):
         with pytest.raises(ValueError, match="localization"):
@@ -94,8 +109,6 @@ class TestCliEdges:
 
     def test_analyze_absolute_threshold(self, tmp_path):
         _, data, init, cfg = toy_filter_setup(m=3, M=20, n_steps=10)
-        from countnet.filtering import save_filter_result
-
         result = run_filter(data, init, cfg)
         save_filter_result(result, tmp_path / "res")
         ana = tmp_path / "ana.json"
@@ -113,6 +126,29 @@ class TestCliEdges:
         assert (out / "rank_betweenness.csv").exists()
         payload = json.loads((out / "subnetwork.json").read_text())
         assert all(w == 0 or w > 0.01 for row in payload["adjacency"] for w in row)
+
+    def test_non_finite_snapshot_rejected(self, tmp_path, capsys):
+        _, data, init, cfg = toy_filter_setup(m=3, M=20, n_steps=10)
+        save_filter_result(run_filter(data, init, cfg), tmp_path / "res")
+        snapshot = tmp_path / "res" / "ensembles" / "node_0002.csv"
+        rows = snapshot.read_text().splitlines()
+
+        def write_excitation_cell(value):
+            cells = rows[5].split(",")
+            cells[3] = value
+            snapshot.write_text("\n".join(rows[:5] + [",".join(cells)] + rows[6:]) + "\n")
+
+        for bad, reason in (("nan", "non-finite"), ("inf", "non-finite"), ("-0.25", "negative")):
+            write_excitation_cell(bad)
+            with pytest.raises(ValueError, match=f"node_0002.csv.*{reason}"):
+                load_ensemble_snapshots(tmp_path / "res")
+        write_excitation_cell("nan")
+        ana = tmp_path / "ana.json"
+        ana.write_text(json.dumps({"result_dir": str(tmp_path / "res"), "measure": "betweenness"}))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
+        assert "node_0002.csv" in capsys.readouterr().err
+        assert not (out / "network.json").exists()
 
     def test_negative_seed_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
