@@ -27,7 +27,6 @@ from .filtering import (  # noqa: F401
     GammaSpec,
     NodeEnsemble,
     analytic_posterior,
-    assimilate_step,
     enkf_regress,
     init_ensemble,
     perturbed_observations,

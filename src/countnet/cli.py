@@ -213,7 +213,6 @@ def _run_filter_mode(cfg: dict, seed: int, workers: int, out_dir: Path) -> None:
         dt=data.dt,
         seed=seed,
         positivity_floor=float(cfg.get("positivity_floor", 1e-8)),
-        decoupled_regression=bool(cfg.get("decoupled_regression", False)),
         record_param_history=bool(cfg.get("record_param_history", False)),
         record_intensity_history=bool(cfg.get("record_intensity_history", False)),
     )

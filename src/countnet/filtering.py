@@ -21,10 +21,9 @@ ordering and worker count.
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -133,10 +132,8 @@ class FilterConfig:
     dt: float
     seed: int
     positivity_floor: float = 1e-8
-    decoupled_regression: bool = False
     record_param_history: bool = False
     record_intensity_history: bool = False
-    localization: None = None  # reserved; no localization is applied
 
     def __post_init__(self) -> None:
         if self.ensemble_size < 2:
@@ -147,19 +144,9 @@ class FilterConfig:
             raise ValueError("positivity_floor must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.localization is not None:
-            raise ValueError("localization is reserved and must be None")
 
     def to_json(self) -> dict:
-        return {
-            "ensemble_size": self.ensemble_size,
-            "dt": self.dt,
-            "seed": self.seed,
-            "positivity_floor": self.positivity_floor,
-            "decoupled_regression": self.decoupled_regression,
-            "record_param_history": self.record_param_history,
-            "record_intensity_history": self.record_intensity_history,
-        }
+        return asdict(self)
 
 
 def analytic_posterior(
@@ -266,41 +253,64 @@ def pg_analysis(
     )
 
 
+def _regress_rows(q, lam_f, lam_a, floor, tmp) -> None:
+    """Parameter regression for a board of rows, in place.
+
+    ``q`` is (n_rows, M, p), each row's members by parameters, and ``tmp``
+    is scratch of the same shape. A row's gain is the cross-covariance
+    between its parameter members and the forecast-intensity deviations,
+    divided by the sum of the forecast and analysis intensity variances;
+    each member moves by gain * (lam_a - lam_f) and is clamped at
+    ``floor``. A row without intensity spread gets gain 0.
+    """
+    M = q.shape[1]
+    ydev = lam_f - lam_f.mean(axis=1)[:, None]
+    yadev = lam_a - lam_a.mean(axis=1)[:, None]
+    denom = (np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)) / (M - 1)
+    safe = denom > 0
+    scale = np.zeros_like(denom)
+    scale[safe] = 1.0 / denom[safe]
+    # ydev has zero member mean, so cov(q, y) = sum_m q_m * ydev_m / (M-1)
+    # and the parameter members need no centring pass
+    gain = np.einsum("imj,im->ij", q, ydev) / (M - 1) * scale[:, None]
+    # per-row outer products; einsum writes them faster than a broadcast
+    np.einsum("im,ij->imj", lam_a - lam_f, gain, out=tmp)
+    q += tmp
+    np.maximum(q, floor, out=q)
+
+
 def enkf_regress(
     q: np.ndarray,
     lam_f: np.ndarray,
     lam_a: np.ndarray,
-    decoupled: bool = False,
+    floor: float = 1e-8,
 ) -> np.ndarray:
-    """Regress parameter members on the member-wise intensity innovation.
+    """Regress one node's parameter members on its intensity innovation.
 
-    ``q`` is M x p (members by parameters). The gain is the cross-covariance
-    between parameter and forecast-intensity deviations divided by the sum
-    of forecast and analysis intensity variances; each member moves by
-    gain * (lam_a - lam_f). Negative parameters are clamped to zero. The
-    update direction lies in the span of the parameter deviations, so a
-    zero-spread ensemble is a fixed point.
+    ``q`` is M x p (members by parameters). This is the regression kernel
+    ``Filter`` runs, applied to one row: the gain is the cross-covariance
+    between parameter members and forecast-intensity deviations divided by
+    the sum of forecast and analysis intensity variances, each member
+    moves by gain * (lam_a - lam_f), and results are clamped at ``floor``.
+    The parameter members are not centred: the covariance is taken against
+    the forecast deviations, whose member sum is zero only up to round-off.
+    So the update lies in the span of the parameter deviations, and a
+    zero-spread ensemble is a fixed point, only up to that round-off: a
+    constant column moves by a few ulps of its level times
+    mean(lam_f) * max|lam_a - lam_f| / (forecast + analysis variance), and
+    on many inputs not at all.
     """
     q = np.asarray(q, dtype=np.float64)
     lam_f = np.asarray(lam_f, dtype=np.float64)
     lam_a = np.asarray(lam_a, dtype=np.float64)
+    if q.ndim != 2:
+        raise ValueError("q must be members by parameters")
     M = q.shape[0]
     if lam_f.shape != (M,) or lam_a.shape != (M,):
         raise ValueError("q, lam_f and lam_a must share the member count")
-    ydev = lam_f - lam_f.mean()
-    yadev = lam_a - lam_a.mean()
-    denom = (ydev @ ydev + yadev @ yadev) / (M - 1)
-    if denom == 0.0:
-        return q.copy()
-    qdev = q - q.mean(axis=0)
-    if decoupled:
-        # per-parameter regression; identical to the joint gain because the
-        # observation space is scalar, kept as a distinct path for comparison
-        gain = np.array([(qdev[:, j] @ ydev) / (M - 1) / denom for j in range(q.shape[1])])
-    else:
-        gain = (qdev.T @ ydev) / (M - 1) / denom
-    q_a = q + np.outer(lam_a - lam_f, gain)
-    return np.maximum(q_a, 0.0)
+    board = q[None].copy()
+    _regress_rows(board, lam_f[None], lam_a[None], floor, np.empty_like(board))
+    return board[0]
 
 
 @dataclass
@@ -319,6 +329,17 @@ class FilterHistory:
     prior_rel_var: np.ndarray | None = None
     post_rel_var: np.ndarray | None = None
     innovation: np.ndarray | None = None
+
+    @staticmethod
+    def concat(parts: list[FilterHistory]) -> FilterHistory:
+        """Join histories of consecutive node ranges along the node axis."""
+        if len(parts) == 1:
+            return parts[0]
+        joined = {}
+        for f in fields(FilterHistory):
+            arrays = [getattr(h, f.name) for h in parts]
+            joined[f.name] = None if arrays[0] is None else np.concatenate(arrays, axis=1)
+        return FilterHistory(**joined)
 
 
 @dataclass
@@ -347,11 +368,12 @@ class FilterResult:
 class Filter:
     """Stateful assimilation over a set of nodes.
 
-    Holds the board representation of the node ensembles, the previous
-    bin's full count vector (the forecast needs every node's counts), the
-    step index, and one analysis stream per node. Streams are keyed by
-    ``node_index``, so a sub-filter over any subset of nodes reproduces
-    those nodes' results bit for bit.
+    Holds the board representation of the node ensembles (an (n_nodes, M)
+    intensity board and one (n_nodes, M, m+2) tensor of the stacked
+    ``NodeEnsemble.params``), the previous bin's full count vector (the
+    forecast needs every node's counts), the step index, and one analysis
+    stream per node. Streams are keyed by ``node_index``, so a sub-filter
+    over any subset of nodes reproduces those nodes' results bit for bit.
 
     ``observed_columns[i]`` is the data column assimilated by ensemble row
     i; it defaults to row order, which covers the full-network case.
@@ -395,9 +417,10 @@ class Filter:
             np.stack([e.intensity for e in ensembles]).astype(np.float64),
             cfg.positivity_floor,
         )
-        self._mu = np.stack([e.baseline for e in ensembles]).astype(np.float64)
-        self._beta = np.stack([e.decay for e in ensembles]).astype(np.float64)
-        self._alpha = np.stack([e.excitation for e in ensembles]).astype(np.float64)
+        self._params = np.stack([e.params for e in ensembles])
+        self._mu = self._params[:, :, 0]
+        self._beta = self._params[:, :, 1]
+        self._alpha = self._params[:, :, 2:]
         if prev_counts is None:
             prev_counts = np.zeros(m)
         self._prev = np.asarray(prev_counts, dtype=np.float64).copy()
@@ -405,7 +428,7 @@ class Filter:
             raise ValueError("prev_counts must hold the full m-node count vector")
         self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.node_indices)
         self.k = 0
-        self._tmp = np.empty_like(self._alpha)
+        self._tmp = np.empty_like(self._params)
 
     @property
     def n_nodes(self) -> int:
@@ -414,21 +437,15 @@ class Filter:
     def param_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Current per-node parameter means and variances, (n_nodes, m+2) each.
 
-        Each group's mean is taken once and its variance is formed from the
-        deviations about that mean (ddof=1).
+        The mean is taken once and the variance is formed from the
+        deviations about it (ddof=1).
         """
         M = self.cfg.ensemble_size
-        mean = np.empty((self.n_nodes, self.m + 2))
-        var = np.empty_like(mean)
-        for col, x in ((0, self._mu), (1, self._beta)):
-            mean[:, col] = x.mean(axis=1)
-            dev = x - mean[:, col, None]
-            var[:, col] = (dev * dev).sum(axis=1) / (M - 1)
         # einsum adds the members in order in one pass; a reduce over the
-        # middle axis of the (n, M, m) tensor is several times slower
-        mean[:, 2:] = np.einsum("imj->ij", self._alpha) / M
-        np.subtract(self._alpha, mean[:, None, 2:], out=self._tmp)
-        var[:, 2:] = np.einsum("imj,imj->ij", self._tmp, self._tmp) / (M - 1)
+        # middle axis of the (n, M, p) tensor is several times slower
+        mean = np.einsum("imj->ij", self._params) / M
+        np.subtract(self._params, mean[:, None, :], out=self._tmp)
+        var = np.einsum("imj,imj->ij", self._tmp, self._tmp) / (M - 1)
         return mean, var
 
     def assimilate_step(self, counts_next) -> AnalysisDiagnostics:
@@ -443,7 +460,6 @@ class Filter:
             raise ValueError("counts must be non-negative")
         cfg = self.cfg
         floor = cfg.positivity_floor
-        M = cfg.ensemble_size
         own_counts = counts_next[self._cols]
 
         # Stage 1: member-specific forecast from the previous bin's counts
@@ -460,37 +476,7 @@ class Filter:
             raise FilterDivergence(self.k, self.node_indices[bad])
 
         # Stage 3: regress parameter members on the intensity innovations
-        ydev = lam_f - diag.prior_mean[:, None]
-        yadev = lam_a - lam_a.mean(axis=1)[:, None]
-        denom = (
-            np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)
-        ) / (M - 1)
-        safe = denom > 0
-        scale = np.zeros_like(denom)
-        scale[safe] = 1.0 / denom[safe]
-        # ydev has zero member mean, so cov(q, y) = sum_m q_m * ydev_m / (M-1)
-        # and the parameter members need no centring pass
-        gain_mu = np.einsum("im,im->i", self._mu, ydev) / (M - 1) * scale
-        gain_beta = np.einsum("im,im->i", self._beta, ydev) / (M - 1) * scale
-        if cfg.decoupled_regression:
-            gain_alpha = np.empty((self.n_nodes, self.m))
-            for j in range(self.m):
-                gain_alpha[:, j] = (
-                    np.einsum("im,im->i", self._alpha[:, :, j], ydev) / (M - 1) * scale
-                )
-        else:
-            gain_alpha = (
-                np.einsum("imj,im->ij", self._alpha, ydev) / (M - 1) * scale[:, None]
-            )
-        innov = lam_a - lam_f
-        self._mu += gain_mu[:, None] * innov
-        self._beta += gain_beta[:, None] * innov
-        # per-node outer products; einsum writes them faster than a broadcast
-        np.einsum("im,ij->imj", innov, gain_alpha, out=self._tmp)
-        self._alpha += self._tmp
-        np.maximum(self._mu, floor, out=self._mu)
-        np.maximum(self._beta, floor, out=self._beta)
-        np.maximum(self._alpha, floor, out=self._alpha)
+        _regress_rows(self._params, lam_f, lam_a, floor, self._tmp)
 
         # Stage 4: roll forward
         self._lam = lam_a
@@ -499,30 +485,15 @@ class Filter:
         return diag
 
     def ensembles(self) -> list[NodeEnsemble]:
-        out = []
-        for i, node in enumerate(self.node_indices):
-            params = np.concatenate(
-                [self._mu[i][:, None], self._beta[i][:, None], self._alpha[i]], axis=1
-            )
-            out.append(NodeEnsemble(node, self._lam[i].copy(), params))
-        return out
+        """The node ensembles as row views of the board, without copies.
 
-
-def assimilate_step(
-    ensembles: list[NodeEnsemble],
-    counts_next,
-    cfg: FilterConfig,
-    prev_counts: np.ndarray | None = None,
-) -> tuple[list[NodeEnsemble], AnalysisDiagnostics]:
-    """One-shot assimilation step over the full list of node ensembles.
-
-    ``prev_counts`` is the previous bin's count vector held by the caller
-    (zeros if the window starts here). Analysis streams start at their
-    per-node origin, as in step 0 of a fresh run.
-    """
-    filt = Filter(ensembles, cfg, prev_counts)
-    diag = filt.assimilate_step(counts_next)
-    return filt.ensembles(), diag
+        The next step updates the parameter rows in place, so copy them to
+        keep this state.
+        """
+        return [
+            NodeEnsemble(node, self._lam[i], self._params[i])
+            for i, node in enumerate(self.node_indices)
+        ]
 
 
 def init_ensemble(
@@ -559,35 +530,32 @@ def _run_chunk(
     cfg: FilterConfig,
     positions: np.ndarray,
     progress=None,
-):
+) -> tuple[list[NodeEnsemble], FilterHistory | None]:
     """Full assimilation loop for a subset of nodes; used by the workers."""
     n_steps = counts.shape[0]
     filt = Filter(ensembles, cfg, observed_columns=positions)
     record_p = cfg.record_param_history
     record_i = cfg.record_intensity_history
-    p = filt.m + 2
-    n_nodes = filt.n_nodes
-    param_mean = np.empty((n_steps + 1, n_nodes, p)) if record_p else None
-    param_var = np.empty((n_steps + 1, n_nodes, p)) if record_p else None
+    history = FilterHistory() if record_p or record_i else None
     if record_p:
-        param_mean[0], param_var[0] = filt.param_moments()
-    intensity = (
-        {key: np.empty((n_steps, n_nodes)) for key in _INTENSITY_KEYS}
-        if record_i
-        else None
-    )
+        shape = (n_steps + 1, filt.n_nodes, filt.m + 2)
+        history.param_mean, history.param_var = np.empty(shape), np.empty(shape)
+        history.param_mean[0], history.param_var[0] = filt.param_moments()
+    if record_i:
+        for key in _INTENSITY_KEYS:
+            setattr(history, key, np.empty((n_steps, filt.n_nodes)))
     rows = counts.astype(np.float64)
     report_every = max(1, n_steps // 20)
     for k in range(n_steps):
         diag = filt.assimilate_step(rows[k])
         if record_p:
-            param_mean[k + 1], param_var[k + 1] = filt.param_moments()
+            history.param_mean[k + 1], history.param_var[k + 1] = filt.param_moments()
         if record_i:
             for key in _INTENSITY_KEYS:
-                intensity[key][k] = getattr(diag, key)
+                getattr(history, key)[k] = getattr(diag, key)
         if progress is not None and (k + 1) % report_every == 0:
             progress(k + 1, n_steps)
-    return filt.ensembles(), param_mean, param_var, intensity
+    return filt.ensembles(), history
 
 
 def run_filter(
@@ -609,52 +577,23 @@ def run_filter(
     if not np.isclose(cfg.dt, data.dt):
         raise ValueError(f"config dt {cfg.dt} disagrees with data dt {data.dt}")
     counts = data.counts
-    n_steps = data.n_steps
-    if n_steps == 0:
-        history = None
-        if cfg.record_param_history:
-            filt = Filter(init, cfg)
-            mean, var = filt.param_moments()
-            history = FilterHistory(param_mean=mean[None], param_var=var[None])
-        return FilterResult([_copy_ensemble(e) for e in init], cfg, 0, history)
-
     positions = np.arange(m)
     workers = max(1, min(workers, m))
     if workers == 1:
-        chunks = [(_run_chunk(counts, init, cfg, positions, progress), positions)]
+        chunks = [_run_chunk(counts, init, cfg, positions, progress)]
     else:
+        # contiguous node ranges in order, so the chunks concatenate
         splits = np.array_split(positions, workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_chunk, counts, [init[i] for i in part], cfg, part)
                 for part in splits
             ]
-            chunks = [(f.result(), part) for f, part in zip(futures, splits)]
-
-    ensembles: list[NodeEnsemble | None] = [None] * m
-    history = None
-    if cfg.record_param_history or cfg.record_intensity_history:
-        history = FilterHistory()
-        if cfg.record_param_history:
-            history.param_mean = np.empty((n_steps + 1, m, m + 2))
-            history.param_var = np.empty((n_steps + 1, m, m + 2))
-        if cfg.record_intensity_history:
-            for key in _INTENSITY_KEYS:
-                setattr(history, key, np.empty((n_steps, m)))
-    for (chunk_ens, pmean, pvar, intensity), part in chunks:
-        for local, pos in enumerate(part):
-            ensembles[pos] = chunk_ens[local]
-        if history is not None and cfg.record_param_history:
-            history.param_mean[:, part, :] = pmean
-            history.param_var[:, part, :] = pvar
-        if history is not None and cfg.record_intensity_history:
-            for key in _INTENSITY_KEYS:
-                getattr(history, key)[:, part] = intensity[key]
-    return FilterResult(ensembles, cfg, n_steps, history)
-
-
-def _copy_ensemble(e: NodeEnsemble) -> NodeEnsemble:
-    return NodeEnsemble(e.node_index, e.intensity.copy(), e.params.copy())
+            chunks = [f.result() for f in futures]
+    ensembles = [e for chunk_ens, _ in chunks for e in chunk_ens]
+    histories = [h for _, h in chunks]
+    history = None if histories[0] is None else FilterHistory.concat(histories)
+    return FilterResult(ensembles, cfg, data.n_steps, history)
 
 
 def save_filter_result(
@@ -691,21 +630,22 @@ def save_filter_result(
     np.savetxt(out_dir / "alpha_mean.csv", result.mean_excitation(), delimiter=",", fmt="%.17g")
     if result.history is not None and result.history.prior_mean is not None:
         h = result.history
-        with (out_dir / "diagnostics.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["step", "node"] + list(_INTENSITY_KEYS)
-            if rmse_norm is not None:
-                header.append("rmse_norm")
-            writer.writerow(header)
-            n_steps, m = h.prior_mean.shape
-            for k in range(n_steps):
-                for i in range(m):
-                    row = [k, i] + [
-                        f"{getattr(h, key)[k, i]:.17g}" for key in _INTENSITY_KEYS
-                    ]
-                    if rmse_norm is not None:
-                        row.append(f"{rmse_norm[k, i]:.17g}")
-                    writer.writerow(row)
+        n_steps, m = h.prior_mean.shape
+        header = ["step", "node"] + list(_INTENSITY_KEYS)
+        columns = [np.repeat(np.arange(n_steps), m), np.tile(np.arange(m), n_steps)]
+        columns += [getattr(h, key).ravel() for key in _INTENSITY_KEYS]
+        if rmse_norm is not None:
+            header.append("rmse_norm")
+            columns.append(np.asarray(rmse_norm).ravel())
+        np.savetxt(
+            out_dir / "diagnostics.csv",
+            np.column_stack(columns),
+            fmt=["%d", "%d"] + ["%.17g"] * (len(columns) - 2),
+            delimiter=",",
+            newline="\r\n",
+            header=",".join(header),
+            comments="",
+        )
     snap_dir = out_dir / "ensembles"
     snap_dir.mkdir(exist_ok=True)
     for e in result.ensembles:

@@ -40,6 +40,8 @@ class InfluenceNetwork:
         self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
         if self.adjacency.ndim != 2 or self.adjacency.shape[0] != self.adjacency.shape[1]:
             raise ValueError("adjacency must be square")
+        if not np.isfinite(self.adjacency).all():
+            raise ValueError("edge weights must be finite")
         if (self.adjacency < 0).any():
             raise ValueError("edge weights must be non-negative")
         if self.edge_sd is None:
@@ -48,6 +50,8 @@ class InfluenceNetwork:
             self.edge_sd = np.asarray(self.edge_sd, dtype=np.float64)
             if self.edge_sd.shape != self.adjacency.shape:
                 raise ValueError("edge_sd must match adjacency shape")
+            if not np.isfinite(self.edge_sd).all():
+                raise ValueError("edge_sd must be finite")
         if self.node_labels is not None and len(self.node_labels) != self.m:
             raise ValueError("node_labels length must match adjacency")
 

@@ -11,7 +11,6 @@ from countnet.filtering import (
     GammaSpec,
     NodeEnsemble,
     analytic_posterior,
-    assimilate_step,
     enkf_regress,
     init_ensemble,
     load_ensemble_snapshots,
@@ -191,13 +190,32 @@ class TestEnkfRegress:
         q_a = enkf_regress(q, lam_f, lam_a)
         assert (q_a >= 0).all()
 
-    def test_decoupled_matches_joint(self):
-        q = gen(5).gamma(2.0, 1.0, size=(64, 5))
-        lam_f = gen(6).gamma(3.0, 0.7, size=64) + 0.2
-        lam_a = lam_f + gen(7).normal(0, 0.2, size=64)
-        joint = enkf_regress(q, lam_f, lam_a, decoupled=False)
-        separate = enkf_regress(q, lam_f, lam_a, decoupled=True)
-        assert np.allclose(joint, separate, rtol=1e-12, atol=1e-14)
+    def test_zero_parameter_spread_drifts_by_round_off_only(self):
+        # the forecast deviations sum to zero only up to round-off, so a
+        # constant column moves by a few ulps of its level, scaled by
+        # kappa = mean(lam_f) * max|innovation| / (forecast + analysis var)
+        g = gen(11)
+        moved = kept = 0
+        for M in (2, 3, 5, 8, 32, 100, 500):
+            for level in (1e-6, 1e-3, 0.37, 1.7, 42.0, 3e4):
+                for _ in range(20):
+                    lam_f = g.gamma(2.0, 1.0, size=M) + 0.5
+                    for lam_a in (
+                        lam_f * g.uniform(0.8, 1.2),
+                        np.maximum(lam_f + g.normal(0, 0.5, size=M), 1e-8),
+                    ):
+                        q_a = enkf_regress(np.full((M, 3), level), lam_f, lam_a)
+                        drift = np.abs(q_a - level).max() / np.spacing(level)
+                        ydev, yadev = lam_f - lam_f.mean(), lam_a - lam_a.mean()
+                        denom = (ydev @ ydev + yadev @ yadev) / (M - 1)
+                        kappa = lam_f.mean() * np.abs(lam_a - lam_f).max() / denom
+                        assert drift <= 4 * max(1.0, kappa)
+                        if M >= 8:
+                            assert drift <= 8
+                        moved += drift > 0
+                        kept += drift == 0
+        # the fixed point is bitwise on some inputs only
+        assert moved > 0 and kept > 0
 
     def test_update_confined_to_deviation_subspace(self):
         M, p = 40, 5
@@ -258,33 +276,52 @@ def toy_filter_setup(m=3, M=60, n_steps=40, seed=2, **cfg_kw):
     return truth, data, init, cfg
 
 
+def one_step(init, counts, cfg):
+    filt = Filter(init, cfg)
+    diag = filt.assimilate_step(counts)
+    return filt.ensembles(), diag
+
+
+def public_op_step(e, count, cfg):
+    """One node's first step from the public single-node ops (zero previous counts)."""
+    lam_0 = np.maximum(e.intensity, cfg.positivity_floor)
+    lam_f = e.baseline + (lam_0 - e.baseline) * (1.0 - e.decay * cfg.dt) + e.excitation @ np.zeros(e.m)
+    lam_f = np.maximum(lam_f, cfg.positivity_floor)
+    stream = rng.node_stream(cfg.seed, rng.ANALYSIS, e.node_index)
+    lam_a, d = pg_analysis(lam_f, count, cfg.dt, stream, cfg.positivity_floor)
+    return lam_a, enkf_regress(e.params, lam_f, lam_a, cfg.positivity_floor), d
+
+
 class TestAssimilateStep:
     def test_zero_counts_keep_relative_variances(self):
         _, _, init, cfg = toy_filter_setup()
-        ens, diag = assimilate_step(init, np.zeros(3), cfg)
+        ens, diag = one_step(init, np.zeros(3), cfg)
         assert np.array_equal(diag.post_rel_var, diag.prior_rel_var)
         assert (diag.innovation <= 0).all()
 
     def test_matches_public_op_composition(self):
         # one board step equals stage-by-stage application of the public ops
-        m = 3
-        _, data, init, cfg = toy_filter_setup(m=m)
+        _, data, init, cfg = toy_filter_setup(m=3)
         counts = data.counts[0].astype(float)
-        ens_out, diag = assimilate_step(init, counts, cfg)
+        ens_out, diag = one_step(init, counts, cfg)
         for i, e in enumerate(init):
-            lam_f = (
-                e.baseline
-                + (e.intensity - e.baseline) * (1.0 - e.decay * cfg.dt)
-                + e.excitation @ np.zeros(m)
-            )
-            lam_f = np.maximum(lam_f, cfg.positivity_floor)
-            stream = rng.node_stream(cfg.seed, rng.ANALYSIS, e.node_index)
-            lam_a, d = pg_analysis(lam_f, int(counts[i]), cfg.dt, stream, cfg.positivity_floor)
-            q_a = enkf_regress(e.params, lam_f, lam_a)
-            q_a = np.maximum(q_a, cfg.positivity_floor)
+            lam_a, q_a, d = public_op_step(e, int(counts[i]), cfg)
             assert np.array_equal(ens_out[i].intensity, lam_a)
-            assert np.allclose(ens_out[i].params, q_a, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(ens_out[i].params, q_a)
             assert d.post_mean == pytest.approx(float(diag.post_mean[i]), rel=1e-15)
+
+    def test_wrapper_matches_board_row_with_raised_floor(self):
+        # a floor above many prior draws, so the clamp is active in the step
+        _, data, init, cfg = toy_filter_setup(m=3, positivity_floor=0.5)
+        counts = data.counts[0].astype(float)
+        ens_out, _ = one_step(init, counts, cfg)
+        clamped = 0
+        for i, e in enumerate(init):
+            lam_a, q_a, _ = public_op_step(e, int(counts[i]), cfg)
+            assert np.array_equal(ens_out[i].intensity, lam_a)
+            assert np.array_equal(ens_out[i].params, q_a)
+            clamped += int((q_a == cfg.positivity_floor).sum())
+        assert clamped > 0
 
     def test_single_node_least_squares_oracle(self):
         # posterior parameter mean equals the augmented least-squares estimate
@@ -298,7 +335,7 @@ class TestAssimilateStep:
         )
         stream = rng.node_stream(cfg.seed, rng.ANALYSIS, 0)
         lam_a, _ = pg_analysis(lam_f, 2, cfg.dt, stream, cfg.positivity_floor)
-        ens_out, _ = assimilate_step(init, np.array([2.0]), cfg)
+        ens_out, _ = one_step(init, np.array([2.0]), cfg)
         design = np.concatenate([lam_f - lam_f.mean(), lam_a - lam_a.mean()])[:, None]
         for j in range(3):
             target = np.concatenate([e.params[:, j] - e.params[:, j].mean(), np.zeros(M)])
@@ -309,7 +346,7 @@ class TestAssimilateStep:
     def test_dimension_mismatch(self):
         _, _, init, cfg = toy_filter_setup()
         with pytest.raises(ValueError):
-            assimilate_step(init, np.zeros(4), cfg)
+            Filter(init, cfg).assimilate_step(np.zeros(4))
 
 
 class TestRunFilter:
@@ -320,6 +357,18 @@ class TestRunFilter:
         for before, after in zip(init, res.ensembles):
             assert np.array_equal(before.intensity, after.intensity)
             assert np.array_equal(before.params, after.params)
+
+    def test_zero_length_data_history(self):
+        _, _, init, cfg = toy_filter_setup(
+            record_param_history=True, record_intensity_history=True
+        )
+        data = CountSeries(np.zeros((0, 3), dtype=np.uint64), 0.1)
+        mean, var = Filter(init, cfg).param_moments()
+        for workers in (1, 2):
+            h = run_filter(data, init, cfg, workers=workers).history
+            assert np.array_equal(h.param_mean, mean[None])
+            assert np.array_equal(h.param_var, var[None])
+            assert h.prior_mean.shape == (0, 3)
 
     def test_seed_determinism(self):
         _, data, init, cfg = toy_filter_setup()
@@ -425,6 +474,34 @@ class TestRunFilter:
         report = run.result.error_report(run.truth, excitation_scale=1.5)
         assert np.array_equal(report["frobenius"], run.report["frobenius"])
         assert report["baseline_error"].shape == (81, 6)
+
+    def test_diagnostics_cells_parse_to_history(self, tmp_path):
+        _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=6, record_intensity_history=True)
+        res = run_filter(data, init, cfg)
+        h = res.history
+        h.post_mean[1, 0], h.innovation[2, 1], h.prior_rel_var[3, 0] = np.nan, -0.0, np.inf
+        rmse_norm = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+        rmse_norm[0, 1] = np.nan
+        for extra in (None, rmse_norm):
+            save_filter_result(res, tmp_path, rmse_norm=extra)
+            text = (tmp_path / "diagnostics.csv").read_bytes().decode()
+            lines = text.split("\r\n")
+            assert lines.pop() == ""
+            keys = ["prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation"]
+            columns = [getattr(h, key) for key in keys]
+            if extra is not None:
+                keys.append("rmse_norm")
+                columns.append(extra)
+            assert lines[0] == ",".join(["step", "node"] + keys)
+            assert len(lines) == 1 + 6 * 2
+            for row, line in enumerate(lines[1:]):
+                cells = line.split(",")
+                k, i = divmod(row, 2)
+                assert cells[:2] == [str(k), str(i)]
+                parsed = np.array([float(c) for c in cells[2:]])
+                recorded = np.array([col[k, i] for col in columns])
+                assert np.array_equal(parsed, recorded, equal_nan=True)
+                assert np.array_equal(np.signbit(parsed), np.signbit(recorded))
 
     def test_snapshot_round_trip(self, tmp_path):
         _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=10)

@@ -50,6 +50,17 @@ class TestMeanNetwork:
         assert net.edge_sd[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
 
+class TestInfluenceNetwork:
+    def test_non_finite_weights_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            adjacency = np.ones((3, 3))
+            adjacency[0, 2] = bad
+            with pytest.raises(ValueError, match="edge weights must be finite"):
+                InfluenceNetwork(adjacency)
+            with pytest.raises(ValueError, match="edge_sd must be finite"):
+                InfluenceNetwork(np.ones((3, 3)), edge_sd=adjacency)
+
+
 class TestThreshold:
     def test_relative_rule_keeps_strong_edge(self):
         adj = np.zeros((3, 3))

@@ -16,7 +16,7 @@ from countnet.filtering import (
     run_filter,
     save_filter_result,
 )
-from countnet.hawkes import CountSeries, load_count_series
+from countnet.hawkes import CountSeries, load_count_series, save_count_series
 from test_filtering import toy_filter_setup
 
 
@@ -27,20 +27,6 @@ class TestFilterEdges:
         oversubscribed = run_filter(data, init, cfg, workers=16)
         for a, b in zip(reference.ensembles, oversubscribed.ensembles):
             assert np.array_equal(a.params, b.params)
-
-    def test_board_decoupled_regression_matches_joint(self):
-        _, data, init, cfg = toy_filter_setup(m=3, M=40, n_steps=25)
-        joint = run_filter(data, init, cfg)
-        decoupled_cfg = FilterConfig(
-            ensemble_size=cfg.ensemble_size,
-            dt=cfg.dt,
-            seed=cfg.seed,
-            decoupled_regression=True,
-        )
-        decoupled = run_filter(data, init, decoupled_cfg)
-        for a, b in zip(joint.ensembles, decoupled.ensembles):
-            assert np.allclose(a.params, b.params, rtol=1e-10, atol=1e-12)
-            assert np.allclose(a.intensity, b.intensity, rtol=1e-10, atol=1e-12)
 
     def test_observed_columns_validation(self):
         _, data, init, cfg = toy_filter_setup(m=3)
@@ -55,10 +41,6 @@ class TestFilterEdges:
             init[1].params[4, 2] = bad
             with pytest.raises(ValueError, match="parameter members"):
                 Filter(init, cfg)
-
-    def test_localization_reserved(self):
-        with pytest.raises(ValueError, match="localization"):
-            FilterConfig(ensemble_size=8, dt=0.1, seed=0, localization=object())
 
     def test_intensity_below_floor_is_lifted(self):
         # gamma shape < 1 priors legitimately draw near-zero baselines;
@@ -149,6 +131,32 @@ class TestCliEdges:
         assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
         assert "node_0002.csv" in capsys.readouterr().err
         assert not (out / "network.json").exists()
+
+    def test_retired_decoupled_regression_key_is_ignored(self, tmp_path):
+        # the per-parameter regression equalled the joint gain and is gone;
+        # configs that still carry the key run unchanged
+        _, data, _, _ = toy_filter_setup(m=2, n_steps=15)
+        counts = tmp_path / "counts.csv"
+        save_count_series(data, counts)
+        outs = []
+        for extra in ({}, {"decoupled_regression": True}):
+            cfg = tmp_path / f"f{len(outs)}.json"
+            cfg.write_text(json.dumps({
+                "counts_path": str(counts),
+                "ensemble_size": 12,
+                "priors": {
+                    "baseline": {"mean": 2.0, "variance": 1.0},
+                    "decay": {"mean": 5.0, "variance": 1.0},
+                    "excitation": {"mean": 1.0, "variance": 0.2},
+                },
+                **extra,
+            }))
+            outs.append(tmp_path / f"o{len(outs)}")
+            assert main(["filter", "--config", str(cfg), "--seed", "0", "--out-dir", str(outs[-1])]) == 0
+        for name in ("result.json", "alpha_mean.csv", "ensembles/node_0001.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        config = json.loads((outs[0] / "result.json").read_text())["config"]
+        assert "decoupled_regression" not in config
 
     def test_negative_seed_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
