@@ -106,6 +106,31 @@ def _gamma_spec(obj, where: str) -> GammaSpec:
         raise ConfigError(f"{where}: {err}") from err
 
 
+# per mode: the required keys, then the optional keys its run path reads;
+# "mode" and "seed" are accepted by every mode
+CONFIG_KEYS = {
+    "simulate-hawkes": (("params", "dt", "n_steps"), ("burn_in",)),
+    "simulate-abm": (("abm", "n_steps"), ("agent_trace",)),
+    "aggregate": (("events_path", "dt"), ("t0", "t1", "clean", "min_node_total", "dead_day_threshold")),
+    "filter": (
+        ("counts_path", "ensemble_size", "priors"),
+        ("positivity_floor", "record_param_history", "record_intensity_history",
+         "truth_path", "excitation_scale"),
+    ),
+    "analyze": (("result_dir",), ("measure", "threshold")),
+    "experiment-1": (("s1", "s2"), ("n_steps", "ensemble_size", "record_intensity_history")),
+    "experiment-2": ((), ("n_steps", "ensemble_size", "top_k")),
+    "sweep": (("s1_values", "s2_values"), ("seeds", "n_steps", "ensemble_size")),
+}
+
+
+def unknown_keys(mode: str, cfg: dict) -> list[str]:
+    """Warnings for config keys that ``mode`` does not read."""
+    required, optional = CONFIG_KEYS[mode]
+    known = {"mode", "seed", *required, *optional}
+    return [f"unknown key '{key}' for mode {mode}" for key in cfg if key not in known]
+
+
 def validate_config(mode: str, cfg: dict, seed: int | None) -> list[str]:
     """Schema and invariant checks without executing anything."""
     issues: list[str] = []
@@ -114,17 +139,7 @@ def validate_config(mode: str, cfg: dict, seed: int | None) -> list[str]:
     effective_seed = seed if seed is not None else cfg.get("seed")
     if effective_seed is not None and int(effective_seed) < 0:
         issues.append("seed: must be non-negative")
-    required = {
-        "simulate-hawkes": ["params", "dt", "n_steps"],
-        "simulate-abm": ["abm", "n_steps"],
-        "aggregate": ["events_path", "dt"],
-        "filter": ["counts_path", "ensemble_size", "priors"],
-        "analyze": ["result_dir"],
-        "experiment-1": ["s1", "s2"],
-        "experiment-2": [],
-        "sweep": ["s1_values", "s2_values"],
-    }
-    for key in required.get(mode, []):
+    for key in CONFIG_KEYS[mode][0]:
         if key not in cfg:
             issues.append(f"{key}: required for mode {mode}")
     if mode == "simulate-hawkes" and not issues:
@@ -314,13 +329,16 @@ def run(mode: str, cfg: dict, seed: int | None, workers: int, out_dir: Path) -> 
     if mode == "validate":
         declared = cfg.get("mode")
         if declared not in MODES or declared == "validate":
-            issues = [f"mode: config must declare one of {MODES[:-1]}"]
+            issues, warnings = [f"mode: config must declare one of {MODES[:-1]}"], []
         else:
-            issues = validate_config(declared, cfg, seed)
-        for issue in issues:
-            print(issue, file=sys.stderr)
-        print(f"{'invalid' if issues else 'ok'}: {len(issues)} issue(s)", file=sys.stderr)
+            issues, warnings = validate_config(declared, cfg, seed), unknown_keys(declared, cfg)
+        for line in [f"warning: {w}" for w in warnings] + issues:
+            print(line, file=sys.stderr)
+        verdict = "invalid" if issues else "ok"
+        print(f"{verdict}: {len(issues)} issue(s), {len(warnings)} warning(s)", file=sys.stderr)
         return 1 if issues else 0
+    for warning in unknown_keys(mode, cfg):
+        print(f"warning: {warning}", file=sys.stderr)
     issues = validate_config(mode, cfg, seed)
     if issues:
         raise ConfigError("; ".join(issues))

@@ -31,16 +31,21 @@ import numpy as np
 from . import rng
 from .hawkes import CountSeries, advance_intensity
 
+SNAPSHOT_ARCHIVE = "ensembles.npz"
 _INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
 
 
 class FilterDivergence(RuntimeError):
-    """A non-finite ensemble member was detected mid-run."""
+    """A non-finite ensemble member (``what``: intensity or parameter) was detected mid-run."""
 
-    def __init__(self, step: int, node: int):
-        super().__init__(f"non-finite intensity member at step {step}, node {node}")
+    def __init__(self, step: int, node: int, what: str = "intensity"):
+        super().__init__(f"non-finite {what} member at step {step}, node {node}")
         self.step = step
         self.node = node
+        self.what = what
+
+    def __reduce__(self):  # rebuilt from its fields when a worker raises it
+        return type(self), (self.step, self.node, self.what)
 
 
 @dataclass(frozen=True)
@@ -555,6 +560,10 @@ def _run_chunk(
                 getattr(history, key)[k] = getattr(diag, key)
         if progress is not None and (k + 1) % report_every == 0:
             progress(k + 1, n_steps)
+    # an earlier step's non-finite parameter fails the next forecast's check
+    bad = ~np.isfinite(filt._params)
+    if bad.any():
+        raise FilterDivergence(filt.k - 1, filt.node_indices[int(np.argwhere(bad)[0][0])], "parameter")
     return filt.ensembles(), history
 
 
@@ -648,24 +657,29 @@ def save_filter_result(
         )
     snap_dir = out_dir / "ensembles"
     snap_dir.mkdir(exist_ok=True)
-    for e in result.ensembles:
-        table = np.concatenate([e.intensity[:, None], e.params], axis=1)
-        np.savetxt(snap_dir / f"node_{e.node_index:04d}.csv", table, delimiter=",", fmt="%.17g")
+    tables = {f"node_{e.node_index:04d}": np.column_stack([e.intensity, e.params])
+              for e in result.ensembles}
+    np.savez(snap_dir / SNAPSHOT_ARCHIVE, **tables)
 
 
 def load_ensemble_snapshots(out_dir: str | Path) -> list[NodeEnsemble]:
-    """Rebuild node ensembles from the per-node snapshot CSVs."""
-    snap_dir = Path(out_dir) / "ensembles"
-    paths = sorted(snap_dir.glob("node_*.csv"))
-    if not paths:
-        raise FileNotFoundError(f"no ensemble snapshots under {snap_dir}")
-    out = []
-    for path in paths:
-        node = int(path.stem.split("_")[1])
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Rebuild node ensembles, in node order, from the snapshot archive."""
+    path = Path(out_dir) / "ensembles" / SNAPSHOT_ARCHIVE
+    if not path.is_file():
+        raise FileNotFoundError(f"no ensemble snapshot archive {path}")
+    with np.load(path, allow_pickle=False) as archive:
+        tables = {int(name.removeprefix("node_")): (name, archive[name]) for name in archive.files}
+    if not tables:
+        raise ValueError(f"{path}: the archive holds no ensemble snapshots")
+    out, shape = [], tables[min(tables)][1].shape
+    # sorted by parsed index, not by name: node_10000 sorts before node_1001
+    for node in sorted(tables):
+        name, table = tables[node]
+        if table.ndim != 2 or table.shape != shape:
+            raise ValueError(f"{path}[{name}]: ensemble snapshot has shape {table.shape}, not {shape}")
         if not np.isfinite(table).all():
-            raise ValueError(f"{path}: ensemble snapshot holds non-finite values")
+            raise ValueError(f"{path}[{name}]: ensemble snapshot holds non-finite values")
         if (table < 0).any():
-            raise ValueError(f"{path}: ensemble snapshot holds negative values")
+            raise ValueError(f"{path}[{name}]: ensemble snapshot holds negative values")
         out.append(NodeEnsemble(node, table[:, 0], table[:, 1:]))
     return out

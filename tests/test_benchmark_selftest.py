@@ -1,0 +1,33 @@
+"""The benchmark's own self-test, and its configs against the CLI's key table.
+
+The benchmark checks the artifacts of every workload (snapshot archive
+included), so a format break fails here rather than as failed benchmark ops.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from countnet.cli import unknown_keys
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def test_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_benchmark_configs_use_known_keys(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        inputs = workload.make_inputs(work, 0, workloads.TINY[name])
+        for op in workload.make_ops(inputs, work):
+            assert unknown_keys(op.mode, op.config) == [], (name, op.mode)

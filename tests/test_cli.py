@@ -50,6 +50,31 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg), "--seed", "0"]) == 1
         assert "oscillate" in capsys.readouterr().err
 
+    def test_unknown_key_warns(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        assert main(["simulate-hawkes", "--config", str(write_config(tmp_path, "s.json", hawkes_config())),
+                     "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+        flt = {
+            "counts_path": str(counts),
+            "ensemble_size": 8,
+            "priors": {
+                "baseline": {"mean": 2.0, "variance": 1.0},
+                "decay": {"mean": 5.0, "variance": 1.0},
+                "excitation": {"mean": 0.5, "variance": 0.1},
+            },
+            "record_param_hstory": True,
+        }
+        warning = "warning: unknown key 'record_param_hstory' for mode filter"
+        cfg = write_config(tmp_path, "f.json", {**flt, "mode": "filter", "seed": 0})
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        assert warning in err
+        assert "ok: 0 issue(s), 1 warning(s)" in err
+        assert main(["filter", "--config", str(cfg), "--out-dir", str(tmp_path / "flt")]) == 0
+        assert warning in capsys.readouterr().err
+        assert not (tmp_path / "flt" / "diagnostics.csv").exists()
+
     def test_missing_seed_flagged(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {**hawkes_config(), "mode": "simulate-hawkes"})
         assert main(["validate", "--config", str(cfg)]) == 1
@@ -115,7 +140,7 @@ class TestPipelines:
         assert main(["filter", "--config", str(flt_cfg), "--seed", "3", "--out-dir", str(flt_out)]) == 0
         for name in ("result.json", "alpha_mean.csv", "edges.csv", "network.json", "diagnostics.csv"):
             assert (flt_out / name).exists(), name
-        assert (flt_out / "ensembles" / "node_0000.csv").exists()
+        assert (flt_out / "ensembles" / "ensembles.npz").exists()
 
         ana_cfg = write_config(
             tmp_path,

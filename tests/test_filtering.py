@@ -1,13 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countnet import rng
+from countnet import filtering, rng
 from countnet.filtering import (
     Filter,
     FilterConfig,
     FilterDivergence,
+    FilterResult,
     GammaSpec,
     NodeEnsemble,
     analytic_posterior,
@@ -467,6 +470,25 @@ class TestRunFilter:
         assert err.value.node == 1
         assert err.value.step == 0
 
+    def test_final_step_parameter_divergence(self, monkeypatch):
+        # only the last regression can leave a non-finite parameter unseen
+        # by the next forecast's intensity check
+        _, data, init, cfg = toy_filter_setup(n_steps=12)
+        regress, calls = filtering._regress_rows, []
+
+        def poisoned(q, *args):
+            regress(q, *args)
+            calls.append(1)
+            if len(calls) == data.n_steps:
+                q[:, 0, 2] = np.nan
+
+        monkeypatch.setattr(filtering, "_regress_rows", poisoned)
+        for workers in (1, 2):
+            with pytest.raises(FilterDivergence, match="non-finite parameter") as err:
+                run_filter(data, init, cfg, workers=workers)
+            assert (err.value.step, err.value.node, err.value.what) == (11, 0, "parameter")
+            calls.clear()
+
     def test_error_report_delegation(self):
         from countnet.experiments import run_perfect_model
 
@@ -513,6 +535,42 @@ class TestRunFilter:
             assert np.array_equal(x.params, y.params)
         assert (tmp_path / "result.json").exists()
         assert (tmp_path / "alpha_mean.csv").exists()
+        with np.load(tmp_path / "ensembles" / "ensembles.npz") as archive:
+            assert archive.files == ["node_0000", "node_0001"]
+            assert archive["node_0001"].shape == (12, 2 + 3)
+
+    def test_snapshots_load_in_node_order_past_9999(self, tmp_path):
+        nodes = [999, 1000, 9999, 10000, 10001]
+        gen = np.random.default_rng(0)
+        ensembles = [NodeEnsemble(i, gen.gamma(2.0, size=2), gen.gamma(2.0, size=(2, 3))) for i in nodes]
+        cfg = FilterConfig(ensemble_size=2, dt=0.1, seed=0)
+        save_filter_result(FilterResult(ensembles, cfg, 0), tmp_path)
+        loaded = load_ensemble_snapshots(tmp_path)
+        assert [e.node_index for e in loaded] == nodes
+        for x, y in zip(ensembles, loaded):
+            assert np.array_equal(x.intensity, y.intensity)
+            assert np.array_equal(x.params, y.params)
+
+    def test_snapshot_entries_of_another_shape_rejected(self, tmp_path):
+        (tmp_path / "ensembles").mkdir()
+        np.savez(
+            tmp_path / "ensembles" / "ensembles.npz",
+            node_0000=np.ones((4, 5)), node_0001=np.ones((4, 6)), node_0002=np.ones((4, 5)),
+        )
+        with pytest.raises(ValueError, match=r"\[node_0001\].*shape \(4, 6\)"):
+            load_ensemble_snapshots(tmp_path)
+
+    def test_snapshot_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        import time
+
+        _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=10)
+        res = run_filter(data, init, cfg)
+        now = time.time()
+        for day, out in enumerate(("a", "b")):
+            monkeypatch.setattr(time, "time", lambda t=now + 86400.0 * day: t)
+            save_filter_result(res, tmp_path / out)
+        archive = Path("ensembles") / "ensembles.npz"
+        assert (tmp_path / "a" / archive).read_bytes() == (tmp_path / "b" / archive).read_bytes()
 
 
 class TestConfigValidation:

@@ -112,24 +112,39 @@ class TestCliEdges:
     def test_non_finite_snapshot_rejected(self, tmp_path, capsys):
         _, data, init, cfg = toy_filter_setup(m=3, M=20, n_steps=10)
         save_filter_result(run_filter(data, init, cfg), tmp_path / "res")
-        snapshot = tmp_path / "res" / "ensembles" / "node_0002.csv"
-        rows = snapshot.read_text().splitlines()
+        archive = tmp_path / "res" / "ensembles" / "ensembles.npz"
+        with np.load(archive) as npz:
+            tables = {name: npz[name] for name in npz.files}
 
         def write_excitation_cell(value):
-            cells = rows[5].split(",")
-            cells[3] = value
-            snapshot.write_text("\n".join(rows[:5] + [",".join(cells)] + rows[6:]) + "\n")
+            tampered = tables["node_0002"].copy()
+            tampered[5, 3] = value
+            np.savez(archive, **{**tables, "node_0002": tampered})
 
-        for bad, reason in (("nan", "non-finite"), ("inf", "non-finite"), ("-0.25", "negative")):
+        for bad, reason in ((np.nan, "non-finite"), (np.inf, "non-finite"), (-0.25, "negative")):
             write_excitation_cell(bad)
-            with pytest.raises(ValueError, match=f"node_0002.csv.*{reason}"):
+            with pytest.raises(ValueError, match=rf"\[node_0002\].*{reason}"):
                 load_ensemble_snapshots(tmp_path / "res")
-        write_excitation_cell("nan")
+        write_excitation_cell(np.nan)
         ana = tmp_path / "ana.json"
         ana.write_text(json.dumps({"result_dir": str(tmp_path / "res"), "measure": "betweenness"}))
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
-        assert "node_0002.csv" in capsys.readouterr().err
+        assert "node_0002" in capsys.readouterr().err
+        assert not (out / "network.json").exists()
+
+    def test_csv_snapshots_are_not_read(self, tmp_path, capsys):
+        # result directories from before the archive format need a re-run
+        snap_dir = tmp_path / "res" / "ensembles"
+        snap_dir.mkdir(parents=True)
+        np.savetxt(snap_dir / "node_0000.csv", np.ones((4, 4)), delimiter=",")
+        with pytest.raises(FileNotFoundError, match="ensembles.npz"):
+            load_ensemble_snapshots(tmp_path / "res")
+        ana = tmp_path / "ana.json"
+        ana.write_text(json.dumps({"result_dir": str(tmp_path / "res")}))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
+        assert "ensembles.npz" in capsys.readouterr().err
         assert not (out / "network.json").exists()
 
     def test_retired_decoupled_regression_key_is_ignored(self, tmp_path):
@@ -153,7 +168,7 @@ class TestCliEdges:
             }))
             outs.append(tmp_path / f"o{len(outs)}")
             assert main(["filter", "--config", str(cfg), "--seed", "0", "--out-dir", str(outs[-1])]) == 0
-        for name in ("result.json", "alpha_mean.csv", "ensembles/node_0001.csv"):
+        for name in ("result.json", "alpha_mean.csv", "ensembles/ensembles.npz"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         config = json.loads((outs[0] / "result.json").read_text())["config"]
         assert "decoupled_regression" not in config
