@@ -12,11 +12,8 @@ __version__ = "0.1.0"
 from .hawkes import (  # noqa: F401
     CountSeries,
     HawkesParams,
-    IntensityVector,
-    StabilityWarning,
     simulate,
     stationary_rate,
-    step_intensity,
 )
 from .filtering import (  # noqa: F401
     AnalysisDiagnostics,

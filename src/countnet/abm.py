@@ -35,8 +35,6 @@ import numpy as np
 from . import rng
 from .hawkes import CountSeries
 
-EVENT_PROB_RATE = "rate"  # p = 1 - exp(-A * dt)
-EVENT_PROB_SCALED = "scaled"  # p = (1 - exp(-A)) * dt, clamped to [0, 1]
 SPAWN_POISSON = "poisson"
 SPAWN_FIXED = "fixed"  # deterministic round(spawn_rate * dt) per location per step
 
@@ -51,7 +49,6 @@ class ABMConfig:
     spawn_rate: float
     excitation: np.ndarray
     dt: float
-    event_prob_form: str = EVENT_PROB_RATE
     spawn_law: str = SPAWN_POISSON
 
     def __post_init__(self) -> None:
@@ -74,8 +71,6 @@ class ABMConfig:
             raise ValueError("dt must be positive")
         if self.decay * self.dt >= 1.0:
             raise ValueError("decay * dt must be below 1")
-        if self.event_prob_form not in (EVENT_PROB_RATE, EVENT_PROB_SCALED):
-            raise ValueError(f"unknown event_prob_form {self.event_prob_form!r}")
         if self.spawn_law not in (SPAWN_POISSON, SPAWN_FIXED):
             raise ValueError(f"unknown spawn_law {self.spawn_law!r}")
 
@@ -98,12 +93,14 @@ class ABMConfig:
             "spawn_rate": self.spawn_rate,
             "excitation": self.excitation.tolist(),
             "dt": self.dt,
-            "event_prob_form": self.event_prob_form,
             "spawn_law": self.spawn_law,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ABMConfig":
+        # retired key: files saved with the only event-probability form still load
+        if obj.get("event_prob_form", "rate") != "rate":
+            raise ValueError(f"event_prob_form {obj['event_prob_form']!r} is not supported; only 'rate' is")
         return cls(
             np.asarray(obj["baseline"]),
             float(obj["decay"]),
@@ -111,7 +108,6 @@ class ABMConfig:
             float(obj["spawn_rate"]),
             np.asarray(obj["excitation"]),
             float(obj["dt"]),
-            obj.get("event_prob_form", EVENT_PROB_RATE),
             obj.get("spawn_law", SPAWN_POISSON),
         )
 
@@ -129,7 +125,6 @@ class ABMState:
 
     B: np.ndarray
     agents: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         self.B = np.asarray(self.B, dtype=np.float64)
@@ -144,18 +139,11 @@ class ABMState:
 
 def initial_state(cfg: ABMConfig) -> ABMState:
     """Empty start: no dynamic attractiveness, no agents."""
-    return ABMState(np.zeros(cfg.m), np.zeros(cfg.m, dtype=np.int64), 0.0)
+    return ABMState(np.zeros(cfg.m), np.zeros(cfg.m, dtype=np.int64))
 
 
 def attractiveness(state: ABMState, cfg: ABMConfig) -> np.ndarray:
     return cfg.baseline + state.B
-
-
-def event_probability(A: np.ndarray, cfg: ABMConfig) -> np.ndarray:
-    if cfg.event_prob_form == EVENT_PROB_RATE:
-        return 1.0 - np.exp(-A * cfg.dt)
-    # scaled variant can exceed 1 for dt > 1; clamp to stay a probability
-    return np.clip((1.0 - np.exp(-A)) * cfg.dt, 0.0, 1.0)
 
 
 def attractiveness_update(state: ABMState, events, cfg: ABMConfig) -> np.ndarray:
@@ -210,8 +198,7 @@ def step_agents(
     Each location draws from its own stream.
     """
     m = cfg.m
-    A = attractiveness(state, cfg)
-    p = event_probability(A, cfg)
+    p = 1.0 - np.exp(-attractiveness(state, cfg) * cfg.dt)
     events = np.zeros(m, dtype=np.int64)
     arrivals = np.zeros(m, dtype=np.int64)
     for s in range(m):
@@ -230,7 +217,7 @@ def step_agents(
             arrivals[s] += int(gen.poisson(cfg.spawn_rate * cfg.dt))
         else:
             arrivals[s] += int(round(cfg.spawn_rate * cfg.dt))
-    new_state = ABMState(state.B.copy(), arrivals, state.t + cfg.dt)
+    new_state = ABMState(state.B.copy(), arrivals)
     return events, new_state
 
 

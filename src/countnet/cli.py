@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .abm import ABMConfig, simulate_abm
 from .filtering import (
+    POSITIVITY_FLOOR,
     FilterConfig,
     GammaSpec,
     init_ensemble,
@@ -175,6 +176,14 @@ def validate_config(mode: str, cfg: dict, seed: int | None) -> list[str]:
                     issues.append(str(err))
     if mode == "analyze" and cfg.get("measure") not in (None, *MEASURES):
         issues.append(f"measure: must be one of {MEASURES}")
+    if mode == "analyze" and cfg.get("threshold"):
+        rule = cfg["threshold"]
+        if not isinstance(rule, dict) or len(rule) != 1 or not rule.keys() <= {"relative_factor", "absolute"}:
+            issues.append("threshold: must be an object with exactly one of relative_factor or absolute")
+        else:
+            (key, value), = rule.items()
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+                issues.append(f"threshold.{key}: must be a finite number")
     return issues
 
 
@@ -203,7 +212,15 @@ def _progress(prefix: str):
     return report
 
 
-def _write_error_curves(report: dict, out_dir: Path) -> None:
+def _save_filter_outputs(result, out_dir: Path, report: dict | None = None, node_labels=None) -> None:
+    """Write a filter run's result and mean network, plus its error curves given a truth report."""
+    # the excitation group's normalized error is the network-recovery track
+    rmse_norm = report["excitation_error"][1:] if report is not None else None
+    save_filter_result(result, out_dir, rmse_norm=rmse_norm)
+    net = mean_network(result.ensembles, node_labels=node_labels)
+    save_network(net, out_dir / "edges.csv", out_dir / "network.json")
+    if report is None:
+        return
     for key in ("baseline_error", "decay_error", "excitation_error",
                 "baseline_var_ratio", "decay_var_ratio", "excitation_var_ratio"):
         np.savetxt(out_dir / f"{key}.csv", report[key], delimiter=",", fmt="%.10g")
@@ -227,7 +244,7 @@ def _run_filter_mode(cfg: dict, seed: int, workers: int, out_dir: Path) -> None:
         ensemble_size=int(cfg["ensemble_size"]),
         dt=data.dt,
         seed=seed,
-        positivity_floor=float(cfg.get("positivity_floor", 1e-8)),
+        positivity_floor=float(cfg.get("positivity_floor", POSITIVITY_FLOOR)),
         record_param_history=bool(cfg.get("record_param_history", False)),
         record_intensity_history=bool(cfg.get("record_intensity_history", False)),
     )
@@ -237,12 +254,7 @@ def _run_filter_mode(cfg: dict, seed: int, workers: int, out_dir: Path) -> None:
     if truth_path and fcfg.record_param_history:
         truth = HawkesParams.load(Path(truth_path))
         report = error_metrics(result.history, truth, float(cfg.get("excitation_scale", 1.0)))
-    rmse_norm = report["excitation_error"][1:] if report is not None else None
-    save_filter_result(result, out_dir, rmse_norm=rmse_norm)
-    net = mean_network(result.ensembles, node_labels=data.node_labels)
-    save_network(net, out_dir / "edges.csv", out_dir / "network.json")
-    if report is not None:
-        _write_error_curves(report, out_dir)
+    _save_filter_outputs(result, out_dir, report, node_labels=data.node_labels)
 
 
 def _run_analyze_mode(cfg: dict, out_dir: Path) -> None:
@@ -274,11 +286,7 @@ def _run_experiment_1(cfg: dict, seed: int, workers: int, out_dir: Path) -> None
     )
     run.truth.save(out_dir / "truth.json")
     save_count_series(run.data, out_dir / "counts.csv", seed=seed, params=run.truth)
-    # the excitation group's normalized error is the network-recovery track
-    save_filter_result(run.result, out_dir, rmse_norm=run.report["excitation_error"][1:])
-    net = mean_network(run.result.ensembles)
-    save_network(net, out_dir / "edges.csv", out_dir / "network.json")
-    _write_error_curves(run.report, out_dir)
+    _save_filter_outputs(run.result, out_dir, run.report)
 
 
 def _run_experiment_2(cfg: dict, seed: int, workers: int, out_dir: Path) -> None:
@@ -291,9 +299,7 @@ def _run_experiment_2(cfg: dict, seed: int, workers: int, out_dir: Path) -> None
     )
     run.config.save(out_dir / "abm_config.json")
     save_count_series(run.data, out_dir / "counts.csv", seed=seed)
-    save_filter_result(run.result, out_dir)
-    net = mean_network(run.result.ensembles)
-    save_network(net, out_dir / "edges.csv", out_dir / "network.json")
+    _save_filter_outputs(run.result, out_dir)
     (out_dir / "structure.json").write_text(
         json.dumps(
             {

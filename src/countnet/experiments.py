@@ -51,6 +51,13 @@ _ABM_EXCITATION = np.array(
 
 ABM_STEPS = 39964
 
+# large-network benchmark: bin width, truth generator and baseline prior
+LARGE_DT = 0.1
+LARGE_DECAY = 7.0
+LARGE_DENSITY = 0.03
+LARGE_BRANCHING = 0.6
+LARGE_BASELINE = GammaSpec(20.0 / 3.0, 200.0 / 9.0)
+
 
 def toy_truth(s1: float, s2: float) -> HawkesParams:
     """Six-node ground truth: baselines 2*s1 except node 4 at 0.75*s1,
@@ -85,28 +92,22 @@ def abm_test_config() -> ABMConfig:
     )
 
 
-def sparse_random_truth(
-    m: int,
-    seed: int,
-    decay: float = 7.0,
-    baseline_spec: GammaSpec = GammaSpec(20.0 / 3.0, 200.0 / 9.0),
-    density: float = 0.03,
-    target_branching: float = 0.6,
-) -> HawkesParams:
+def sparse_random_truth(m: int, seed: int) -> HawkesParams:
     """Random sparse network truth for large-scale runs.
 
-    Baselines are gamma draws, the excitation support is Bernoulli(density)
-    with uniform weights, rescaled so the branching spectral radius hits
-    ``target_branching`` (keeps the process comfortably subcritical).
+    Baselines are LARGE_BASELINE draws, the excitation support is
+    Bernoulli(LARGE_DENSITY) with uniform weights, rescaled so the branching
+    spectral radius hits LARGE_BRANCHING (keeps the process comfortably
+    subcritical).
     """
     gen = rng.node_stream(seed, rng.SIM_COUNTS, 2**20)  # off to the side of node keys
-    baseline = baseline_spec.draw(gen, m)
-    mask = gen.random((m, m)) < density
+    baseline = LARGE_BASELINE.draw(gen, m)
+    mask = gen.random((m, m)) < LARGE_DENSITY
     alpha = np.where(mask, gen.uniform(0.5, 2.0, size=(m, m)), 0.0)
-    radius = np.abs(np.linalg.eigvals(alpha / decay)).max()
+    radius = np.abs(np.linalg.eigvals(alpha / LARGE_DECAY)).max()
     if radius > 0:
-        alpha *= target_branching / radius
-    return HawkesParams(baseline, np.full(m, decay), alpha)
+        alpha *= LARGE_BRANCHING / radius
+    return HawkesParams(baseline, np.full(m, LARGE_DECAY), alpha)
 
 
 @dataclass
@@ -123,7 +124,6 @@ def run_perfect_model(
     seed: int,
     n_steps: int = TOY_STEPS,
     ensemble_size: int = TOY_ENSEMBLE,
-    dt: float = TOY_DT,
     workers: int = 1,
     record_intensity: bool = False,
 ) -> PerfectModelRun:
@@ -133,12 +133,12 @@ def run_perfect_model(
     run is reproducible from (s1, s2, seed) alone.
     """
     truth = toy_truth(s1, s2)
-    data = simulate(truth, dt, n_steps, seed)
+    data = simulate(truth, TOY_DT, n_steps, seed)
     mu_prior, beta_prior, alpha_prior = toy_priors(s1, s2)
     init = init_ensemble(TOY_M, ensemble_size, mu_prior, beta_prior, alpha_prior, seed)
     cfg = FilterConfig(
         ensemble_size=ensemble_size,
-        dt=dt,
+        dt=TOY_DT,
         seed=seed,
         record_param_history=True,
         record_intensity_history=record_intensity,
@@ -236,7 +236,6 @@ def run_large_network(
     ensemble_size: int = 128,
     seed: int = 0,
     workers: int = 1,
-    dt: float = 0.1,
 ) -> LargeNetworkRun:
     """Sparse random truth, long simulation, full filter pass.
 
@@ -244,16 +243,16 @@ def run_large_network(
     entries and the filter wall time (excluding data generation).
     """
     truth = sparse_random_truth(m, seed)
-    data = simulate(truth, dt, n_steps, seed)
+    data = simulate(truth, LARGE_DT, n_steps, seed)
     init = init_ensemble(
         m,
         ensemble_size,
-        GammaSpec(20.0 / 3.0, 200.0 / 9.0),
+        LARGE_BASELINE,
         GammaSpec(8.0, 8.0),
         GammaSpec(0.3, 0.09),
         seed,
     )
-    cfg = FilterConfig(ensemble_size=ensemble_size, dt=dt, seed=seed)
+    cfg = FilterConfig(ensemble_size=ensemble_size, dt=LARGE_DT, seed=seed)
     start = time.perf_counter()
     result = run_filter(data, init, cfg, workers=workers)
     wall = time.perf_counter() - start

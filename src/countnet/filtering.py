@@ -32,6 +32,8 @@ from . import rng
 from .hawkes import CountSeries, advance_intensity
 
 SNAPSHOT_ARCHIVE = "ensembles.npz"
+# default lower clamp for intensity and parameter members
+POSITIVITY_FLOOR = 1e-8
 _INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
 
 
@@ -131,12 +133,12 @@ class AnalysisDiagnostics:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Run settings; ``dt`` must match the assimilated CountSeries."""
+    """Run settings; ``dt`` must equal the assimilated CountSeries' dt exactly."""
 
     ensemble_size: int
     dt: float
     seed: int
-    positivity_floor: float = 1e-8
+    positivity_floor: float = POSITIVITY_FLOOR
     record_param_history: bool = False
     record_intensity_history: bool = False
 
@@ -228,7 +230,7 @@ def pg_analysis(
     dN: int,
     dt: float,
     gen: np.random.Generator,
-    floor: float = 1e-8,
+    floor: float = POSITIVITY_FLOOR,
 ) -> tuple[np.ndarray, AnalysisDiagnostics]:
     """Poisson-Gamma analysis of one node's forecast intensity ensemble.
 
@@ -288,7 +290,7 @@ def enkf_regress(
     q: np.ndarray,
     lam_f: np.ndarray,
     lam_a: np.ndarray,
-    floor: float = 1e-8,
+    floor: float = POSITIVITY_FLOOR,
 ) -> np.ndarray:
     """Regress one node's parameter members on its intensity innovation.
 
@@ -360,15 +362,6 @@ class FilterResult:
         """Ensemble-mean excitation matrix (the inferred network)."""
         return np.stack([e.excitation.mean(axis=0) for e in self.ensembles])
 
-    def error_report(self, truth, excitation_scale: float = 1.0) -> dict:
-        """Normalized error and variance-reduction report against a truth.
-
-        Requires record_param_history; delegates to network.error_metrics.
-        """
-        from .network import error_metrics
-
-        return error_metrics(self.history, truth, excitation_scale)
-
 
 class Filter:
     """Stateful assimilation over a set of nodes.
@@ -376,9 +369,10 @@ class Filter:
     Holds the board representation of the node ensembles (an (n_nodes, M)
     intensity board and one (n_nodes, M, m+2) tensor of the stacked
     ``NodeEnsemble.params``), the previous bin's full count vector (the
-    forecast needs every node's counts), the step index, and one analysis
-    stream per node. Streams are keyed by ``node_index``, so a sub-filter
-    over any subset of nodes reproduces those nodes' results bit for bit.
+    forecast needs every node's counts; zero before the first bin), the
+    step index, and one analysis stream per node. Streams are keyed by
+    ``node_index``, so a sub-filter over any subset of nodes reproduces
+    those nodes' results bit for bit.
 
     ``observed_columns[i]`` is the data column assimilated by ensemble row
     i; it defaults to row order, which covers the full-network case.
@@ -388,7 +382,6 @@ class Filter:
         self,
         ensembles: list[NodeEnsemble],
         cfg: FilterConfig,
-        prev_counts: np.ndarray | None = None,
         observed_columns: np.ndarray | None = None,
     ):
         if not ensembles:
@@ -426,11 +419,7 @@ class Filter:
         self._mu = self._params[:, :, 0]
         self._beta = self._params[:, :, 1]
         self._alpha = self._params[:, :, 2:]
-        if prev_counts is None:
-            prev_counts = np.zeros(m)
-        self._prev = np.asarray(prev_counts, dtype=np.float64).copy()
-        if self._prev.shape != (m,):
-            raise ValueError("prev_counts must hold the full m-node count vector")
+        self._prev = np.zeros(m)
         self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.node_indices)
         self.k = 0
         self._tmp = np.empty_like(self._params)
@@ -583,7 +572,7 @@ def run_filter(
     m = data.m
     if len(init) != m:
         raise ValueError("need one initial ensemble per data column")
-    if not np.isclose(cfg.dt, data.dt):
+    if cfg.dt != data.dt:
         raise ValueError(f"config dt {cfg.dt} disagrees with data dt {data.dt}")
     counts = data.counts
     positions = np.arange(m)

@@ -19,17 +19,12 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import rng
-
-
-class StabilityWarning(UserWarning):
-    """Parameter regime where the intensity recursion can oscillate."""
 
 
 @dataclass
@@ -88,26 +83,6 @@ class HawkesParams:
 
 
 @dataclass
-class IntensityVector:
-    """Conditional intensity per node at time-step ``k``.
-
-    Positive in every stable-regime state; a stability-warned step
-    (decay * dt >= 1) can leave entries at or below zero, which is exactly
-    what the warning flags.
-    """
-
-    lam: np.ndarray
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        self.lam = np.asarray(self.lam, dtype=np.float64)
-        if self.lam.ndim != 1:
-            raise ValueError("lam must be a vector")
-        if not np.isfinite(self.lam).all():
-            raise ValueError("intensities must be finite")
-
-
-@dataclass
 class CountSeries:
     """Time-indexed event counts, one row per bin of length ``dt``."""
 
@@ -146,10 +121,6 @@ class CountSeries:
             return list(self.node_labels)
         return [f"node_{j + 1}" for j in range(self.m)]
 
-    def empirical_rates(self) -> np.ndarray:
-        """Time-averaged events per unit time for each node."""
-        return self.counts.mean(axis=0) / self.dt
-
 
 def advance_intensity(lam, baseline, decay, excite, dt):
     """One step of the intensity recursion; broadcasts over any shape.
@@ -157,31 +128,6 @@ def advance_intensity(lam, baseline, decay, excite, dt):
     ``excite`` is the already-summed excitation input, i.e. alpha @ counts.
     """
     return baseline + (lam - baseline) * (1.0 - decay * dt) + excite
-
-
-def step_intensity(
-    lam_k: IntensityVector, params: HawkesParams, counts_k, dt: float
-) -> IntensityVector:
-    """Propagate the intensity vector one bin forward given the bin's counts."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    counts_k = np.asarray(counts_k, dtype=np.float64)
-    if lam_k.lam.shape != (params.m,) or counts_k.shape != (params.m,):
-        raise ValueError("intensity, params and counts dimensions disagree")
-    if not (lam_k.lam > 0).all():
-        raise ValueError("input intensities must be positive")
-    if (counts_k < 0).any():
-        raise ValueError("counts must be non-negative")
-    if (params.decay * dt >= 1.0).any():
-        # tolerated here: filter ensembles can transiently hold such members
-        warnings.warn(
-            "decay * dt >= 1 for some node; intensity recursion may oscillate",
-            StabilityWarning,
-            stacklevel=2,
-        )
-    excite = params.excitation @ counts_k
-    lam_next = advance_intensity(lam_k.lam, params.baseline, params.decay, excite, dt)
-    return IntensityVector(lam_next, lam_k.k + 1)
 
 
 def simulate(

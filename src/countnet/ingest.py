@@ -51,12 +51,6 @@ class EventLog:
     def n_events(self) -> int:
         return self.times.shape[0]
 
-    def node_totals(self) -> dict[str, int]:
-        totals = dict.fromkeys(self.labels, 0)
-        for node in self.nodes:
-            totals[node] += 1
-        return totals
-
 
 def aggregate(log: EventLog, dt: float) -> CountSeries:
     """Bin events into counts per node per interval of length ``dt``.

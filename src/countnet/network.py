@@ -221,11 +221,6 @@ def _betweenness(off: np.ndarray) -> np.ndarray:
     return scores
 
 
-def rank_nodes(scores: np.ndarray) -> np.ndarray:
-    """Node indices in rank order: descending score, ties by node index."""
-    return np.lexsort((np.arange(scores.shape[0]), -scores))
-
-
 # members per scoring batch are sized so one (members, m, m) array holds
 # about this many elements, which bounds the betweenness working set
 _BATCH_ELEMENTS = 1 << 16
@@ -256,7 +251,7 @@ def rank_distribution(
     for lo in range(0, M, batch):
         off = np.stack([e.excitation[lo : lo + batch] for e in ensembles], axis=1)
         off[:, nodes, nodes] = 0.0
-        # stable, so ties keep node order as in rank_nodes
+        # rank order is descending score; stable, so ties go by node index
         order = np.argsort(-_scores(off, measure), axis=1, kind="stable")
         tally += np.bincount((nodes * m + order).ravel(), minlength=m * m)
     return RankDistribution(tally.reshape(m, m), measure, node_labels)
@@ -309,15 +304,6 @@ def error_metrics(
         "frobenius": float(out["frobenius"][-1]),
     }
     return out
-
-
-def top_edges(net: InfluenceNetwork, k: int) -> list[tuple[int, int, float]]:
-    """Strongest k off-diagonal edges as (receiver, source, weight)."""
-    off = net.adjacency.copy()
-    np.fill_diagonal(off, -np.inf)
-    flat = np.argsort(off, axis=None)[::-1][:k]
-    pairs = np.unravel_index(flat, off.shape)
-    return [(int(i), int(j), float(net.adjacency[i, j])) for i, j in zip(*pairs)]
 
 
 def save_network(net: InfluenceNetwork, edge_csv: str | Path, adjacency_json: str | Path) -> None:

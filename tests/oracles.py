@@ -3,6 +3,7 @@
 ``brute_betweenness`` enumerates every simple path; ``heapq_betweenness`` is
 the scalar Brandes (one heap-based Dijkstra per source), the bit-level
 reference for the batched kernel in ``countnet.network``. Both take a dense adjacency whose entry (i, j) weighs the edge j -> i.
+``rank_nodes`` is the scalar ranking that ``rank_distribution`` tallies.
 """
 
 import heapq
@@ -10,6 +11,11 @@ import heapq
 import numpy as np
 
 from countnet.network import BETWEENNESS_WEIGHT_FLOOR
+
+
+def rank_nodes(scores: np.ndarray) -> np.ndarray:
+    """Node indices in rank order: descending score, ties by node index."""
+    return np.lexsort((np.arange(scores.shape[0]), -scores))
 
 
 def brute_betweenness(adjacency: np.ndarray) -> np.ndarray:

@@ -220,6 +220,14 @@ class TestSimulateABM:
         assert loaded.decay == cfg.decay
         assert loaded.spawn_law == cfg.spawn_law
 
+    def test_retired_event_prob_form_key(self):
+        saved = abm_test_config().to_json()
+        assert "event_prob_form" not in saved
+        loaded = ABMConfig.from_json({**saved, "event_prob_form": "rate"})
+        assert loaded.to_json() == saved
+        with pytest.raises(ValueError, match="event_prob_form"):
+            ABMConfig.from_json({**saved, "event_prob_form": "scaled"})
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             two_node_config(diffusion=1.5)

@@ -75,6 +75,45 @@ class TestValidate:
         assert warning in capsys.readouterr().err
         assert not (tmp_path / "flt" / "diagnostics.csv").exists()
 
+    def test_bad_threshold_rules_rejected(self, tmp_path, capsys):
+        sim = write_config(tmp_path, "sim.json", hawkes_config())
+        assert main(["simulate-hawkes", "--config", str(sim), "--seed", "0", "--out-dir", str(tmp_path / "sim")]) == 0
+        flt = write_config(tmp_path, "flt.json", {
+            "counts_path": str(tmp_path / "sim" / "counts.csv"),
+            "ensemble_size": 8,
+            "priors": {
+                "baseline": {"mean": 2.0, "variance": 1.0},
+                "decay": {"mean": 5.0, "variance": 1.0},
+                "excitation": {"mean": 0.5, "variance": 0.1},
+            },
+        })
+        assert main(["filter", "--config", str(flt), "--seed", "0", "--out-dir", str(tmp_path / "flt")]) == 0
+        rules = (
+            ({"relative": 2.0}, "exactly one of"),
+            ({"relative_factor": 2.0, "absolute": 0.1}, "exactly one of"),
+            ({"absolute": "x"}, "threshold.absolute: must be a finite number"),
+        )
+        for k, (rule, message) in enumerate(rules):
+            ana = {"result_dir": str(tmp_path / "flt"), "threshold": rule}
+            cfg = write_config(tmp_path, f"ana{k}.json", {**ana, "mode": "analyze", "seed": 0})
+            capsys.readouterr()
+            assert main(["validate", "--config", str(cfg)]) == 1
+            assert message in capsys.readouterr().err
+            out = tmp_path / f"ana{k}"
+            assert main(["analyze", "--config", str(cfg), "--out-dir", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_scaled_event_prob_form_rejected(self, tmp_path, capsys):
+        from countnet.experiments import abm_test_config
+
+        abm = {"abm": {**abm_test_config().to_json(), "event_prob_form": "scaled"}, "n_steps": 20}
+        cfg = write_config(tmp_path, "abm.json", abm)
+        out = tmp_path / "abm"
+        assert main(["simulate-abm", "--config", str(cfg), "--seed", "0", "--out-dir", str(out)]) == 1
+        assert "event_prob_form" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_flagged(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {**hawkes_config(), "mode": "simulate-hawkes"})
         assert main(["validate", "--config", str(cfg)]) == 1

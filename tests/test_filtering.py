@@ -461,6 +461,10 @@ class TestRunFilter:
         bad = CountSeries(data.counts, 0.2)
         with pytest.raises(ValueError, match="dt"):
             run_filter(bad, init, cfg)
+        # a near-equal config dt would assimilate with the wrong bin width
+        near = FilterConfig(cfg.ensemble_size, 0.100001, cfg.seed)
+        with pytest.raises(ValueError, match="dt"):
+            run_filter(data, init, near)
 
     def test_nonfinite_detection(self):
         _, data, init, cfg = toy_filter_setup()
@@ -489,11 +493,12 @@ class TestRunFilter:
             assert (err.value.step, err.value.node, err.value.what) == (11, 0, "parameter")
             calls.clear()
 
-    def test_error_report_delegation(self):
+    def test_error_metrics_over_run_history(self):
         from countnet.experiments import run_perfect_model
+        from countnet.network import error_metrics
 
         run = run_perfect_model(1.5, 1.5, 0, n_steps=80, ensemble_size=30)
-        report = run.result.error_report(run.truth, excitation_scale=1.5)
+        report = error_metrics(run.result.history, run.truth, excitation_scale=1.5)
         assert np.array_equal(report["frobenius"], run.report["frobenius"])
         assert report["baseline_error"].shape == (81, 6)
 

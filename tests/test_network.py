@@ -13,13 +13,11 @@ from countnet.network import (
     error_metrics,
     mean_network,
     rank_distribution,
-    rank_nodes,
     save_network,
     save_rank_distribution,
     threshold_subnetwork,
-    top_edges,
 )
-from oracles import brute_betweenness, heapq_betweenness
+from oracles import brute_betweenness, heapq_betweenness, rank_nodes
 
 
 def ensembles_from_members(alpha_members: np.ndarray) -> list[NodeEnsemble]:
@@ -382,9 +380,3 @@ class TestExports:
         lines = (tmp_path / "rank.csv").read_text().splitlines()
         assert lines[0] == "rank,node_1,node_2"
         assert len(lines) == 3
-
-    def test_top_edges(self):
-        adj = np.array([[0.9, 2.0, 0.1], [1.0, 0.0, 3.0], [0.0, 0.5, 0.0]])
-        top = top_edges(InfluenceNetwork(adj), 2)
-        assert top[0][:2] == (1, 2) and top[0][2] == 3.0
-        assert top[1][:2] == (0, 1) and top[1][2] == 2.0
