@@ -20,6 +20,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .hawkes import HawkesParams, load_count_series, save_count_series, simulate
 from .ingest import aggregate, clean, read_event_csv, save_cleaning_report
 from .network import (
     MEASURES,
+    OUT_DEGREE,
     error_metrics,
     mean_network,
     rank_distribution,
@@ -47,18 +50,6 @@ from .network import (
     threshold_subnetwork,
 )
 from . import experiments
-
-MODES = (
-    "simulate-hawkes",
-    "simulate-abm",
-    "aggregate",
-    "filter",
-    "analyze",
-    "experiment-1",
-    "experiment-2",
-    "sweep",
-    "validate",
-)
 
 
 class ConfigError(ValueError):
@@ -80,10 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -98,103 +85,67 @@ def _load_config(path: Path | None) -> dict:
     return cfg
 
 
-def _gamma_spec(obj, where: str) -> GammaSpec:
-    if not isinstance(obj, dict) or "mean" not in obj or "variance" not in obj:
-        raise ConfigError(f"{where} must be an object with mean and variance")
+# Readers turn one JSON value into a typed run argument or raise. A ConfigError
+# names the nested key it is about; any other error is reported under the key.
+
+def _reader(ok: Callable, why: str, convert: Callable = lambda value: value):
+    """Reader of the JSON values ``ok`` accepts, converted by ``convert``."""
+    def read(value):
+        if not ok(value):
+            raise ValueError(why)
+        return convert(value)
+
+    return read
+
+
+def _integer(low: int, why: str = ""):
+    return _reader(lambda v: type(v) is int and v >= low, why or f"must be an integer >= {low}")
+
+
+def _object(build: Callable):
+    return _reader(lambda v: type(v) is dict, "must be a JSON object", build)
+
+
+def _list(item: Callable):
+    return _reader(lambda v: type(v) is list and len(v) > 0, "must be a non-empty JSON array",
+                   lambda v: [item(x) for x in v])
+
+
+# type() rather than isinstance() keeps JSON true and false out of the numbers
+_number = _reader(lambda v: type(v) in (int, float) and np.isfinite(v), "must be a finite number", float)
+_positive = _reader(lambda v: _number(v) > 0, "must be positive", float)
+_flag = _reader(lambda v: type(v) is bool, "must be true or false")
+_path = _reader(lambda v: type(v) is str and v != "", "must be a non-empty path string", Path)
+_measure = _reader(lambda v: v in MEASURES, f"must be one of {MEASURES}")
+
+
+def _priors(obj: dict) -> list[GammaSpec]:
+    specs = []
+    for group in ("baseline", "decay", "excitation"):
+        try:
+            specs.append(GammaSpec(_number(obj[group]["mean"]), _number(obj[group]["variance"])))
+        except (LookupError, TypeError, ValueError) as err:
+            raise ConfigError(f"priors.{group}: needs a finite mean > 0 and variance >= 0") from err
+    return specs
+
+
+def _threshold(rule: dict) -> dict:
+    if len(rule) != 1 or not rule.keys() <= {"relative_factor", "absolute"}:
+        raise ValueError("must be an object with exactly one of relative_factor or absolute")
+    (key, value), = rule.items()
     try:
-        return GammaSpec(float(obj["mean"]), float(obj["variance"]))
+        return {key: _number(value)}
     except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
-
-
-# per mode: the required keys, then the optional keys its run path reads;
-# "mode" and "seed" are accepted by every mode
-CONFIG_KEYS = {
-    "simulate-hawkes": (("params", "dt", "n_steps"), ("burn_in",)),
-    "simulate-abm": (("abm", "n_steps"), ("agent_trace",)),
-    "aggregate": (("events_path", "dt"), ("t0", "t1", "clean", "min_node_total", "dead_day_threshold")),
-    "filter": (
-        ("counts_path", "ensemble_size", "priors"),
-        ("positivity_floor", "record_param_history", "record_intensity_history",
-         "truth_path", "excitation_scale"),
-    ),
-    "analyze": (("result_dir",), ("measure", "threshold")),
-    "experiment-1": (("s1", "s2"), ("n_steps", "ensemble_size", "record_intensity_history")),
-    "experiment-2": ((), ("n_steps", "ensemble_size", "top_k")),
-    "sweep": (("s1_values", "s2_values"), ("seeds", "n_steps", "ensemble_size")),
-}
-
-
-def unknown_keys(mode: str, cfg: dict) -> list[str]:
-    """Warnings for config keys that ``mode`` does not read."""
-    required, optional = CONFIG_KEYS[mode]
-    known = {"mode", "seed", *required, *optional}
-    return [f"unknown key '{key}' for mode {mode}" for key in cfg if key not in known]
-
-
-def validate_config(mode: str, cfg: dict, seed: int | None) -> list[str]:
-    """Schema and invariant checks without executing anything."""
-    issues: list[str] = []
-    if seed is None and "seed" not in cfg:
-        issues.append("seed: required (config key or --seed flag)")
-    effective_seed = seed if seed is not None else cfg.get("seed")
-    if effective_seed is not None and int(effective_seed) < 0:
-        issues.append("seed: must be non-negative")
-    for key in CONFIG_KEYS[mode][0]:
-        if key not in cfg:
-            issues.append(f"{key}: required for mode {mode}")
-    if mode == "simulate-hawkes" and not issues:
-        try:
-            params = HawkesParams.from_json(cfg["params"])
-            dt = float(cfg["dt"])
-            if (params.decay * dt >= 1.0).any():
-                issues.append(
-                    "params.beta: decay * dt >= 1 is rejected for simulation; "
-                    "the intensity recursion could undershoot the baseline or oscillate"
-                )
-        except (KeyError, ValueError, TypeError) as err:
-            issues.append(f"params: {err}")
-        if int(cfg.get("n_steps", 1)) < 1:
-            issues.append("n_steps: must be >= 1")
-    if mode == "simulate-abm" and "abm" in cfg:
-        try:
-            ABMConfig.from_json(cfg["abm"])
-        except (KeyError, ValueError, TypeError) as err:
-            issues.append(f"abm: {err}")
-    if mode in ("filter", "experiment-1", "experiment-2"):
-        M = int(cfg.get("ensemble_size", experiments.TOY_ENSEMBLE))
-        if M < 2:
-            issues.append("ensemble_size: an ensemble needs at least 2 members")
-    if mode == "filter" and "priors" in cfg:
-        for group in ("baseline", "decay", "excitation"):
-            if group not in cfg["priors"]:
-                issues.append(f"priors.{group}: required")
-            else:
-                try:
-                    _gamma_spec(cfg["priors"][group], f"priors.{group}")
-                except ConfigError as err:
-                    issues.append(str(err))
-    if mode == "analyze" and cfg.get("measure") not in (None, *MEASURES):
-        issues.append(f"measure: must be one of {MEASURES}")
-    if mode == "analyze" and cfg.get("threshold"):
-        rule = cfg["threshold"]
-        if not isinstance(rule, dict) or len(rule) != 1 or not rule.keys() <= {"relative_factor", "absolute"}:
-            issues.append("threshold: must be an object with exactly one of relative_factor or absolute")
-        else:
-            (key, value), = rule.items()
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-                issues.append(f"threshold.{key}: must be a finite number")
-    return issues
+        raise ConfigError(f"threshold.{key}: {err}") from err
 
 
 def _write_manifest(out_dir: Path, mode: str, cfg: dict, seed: int) -> None:
     # worker count is deliberately absent: outputs are independent of it
-    text = json.dumps(cfg, sort_keys=True)
     manifest = {
         "mode": mode,
         "seed": seed,
         "config": cfg,
-        "config_sha256": _sha256(text),
+        "config_sha256": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
         "versions": {
             "countnet": __version__,
             "numpy": np.__version__,
@@ -203,13 +154,6 @@ def _write_manifest(out_dir: Path, mode: str, cfg: dict, seed: int) -> None:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _progress(prefix: str):
-    def report(step: int, total: int) -> None:
-        print(f"{prefix}: step {step}/{total}", file=sys.stderr)
-
-    return report
 
 
 def _save_filter_outputs(result, out_dir: Path, report: dict | None = None, node_labels=None) -> None:
@@ -229,99 +173,89 @@ def _save_filter_outputs(result, out_dir: Path, report: dict | None = None, node
     save_metrics(report["final"], out_dir / "final_metrics.json")
 
 
-def _run_filter_mode(cfg: dict, seed: int, workers: int, out_dir: Path) -> None:
-    data, _meta = load_count_series(Path(cfg["counts_path"]))
-    priors = cfg["priors"]
-    init = init_ensemble(
-        data.m,
-        int(cfg["ensemble_size"]),
-        _gamma_spec(priors["baseline"], "priors.baseline"),
-        _gamma_spec(priors["decay"], "priors.decay"),
-        _gamma_spec(priors["excitation"], "priors.excitation"),
-        seed,
-    )
+# Each run function receives the typed arguments of parse_config and looks
+# the library functions up on this module when it runs, so a tracer can swap them.
+
+def _run_simulate_hawkes(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
+    series = simulate(a.params, a.dt, a.n_steps, a.seed, burn_in=a.burn_in)
+    save_count_series(series, out_dir / "counts.csv", seed=a.seed, params=a.params)
+
+
+def _run_simulate_abm(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
+    if a.agent_trace:
+        series, agents = simulate_abm(a.abm, a.n_steps, a.seed, return_agent_trace=True)
+        np.savetxt(out_dir / "agents.csv", agents, delimiter=",", fmt="%d")
+    else:
+        series = simulate_abm(a.abm, a.n_steps, a.seed)
+    a.abm.save(out_dir / "abm_config.json")
+    save_count_series(series, out_dir / "counts.csv", seed=a.seed)
+
+
+def _run_aggregate(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
+    log = read_event_csv(a.events_path, t0=a.t0, t1=a.t1)
+    if a.clean:
+        log, report = clean(log, a.min_node_total, a.dead_day_threshold)
+        save_cleaning_report(report, out_dir / "cleaning.json")
+    series = aggregate(log, a.dt)
+    save_count_series(series, out_dir / "counts.csv", seed=a.seed)
+
+
+def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
+    data, _meta = load_count_series(a.counts_path)
+    init = init_ensemble(data.m, a.ensemble_size, *a.priors, a.seed)
     fcfg = FilterConfig(
-        ensemble_size=int(cfg["ensemble_size"]),
-        dt=data.dt,
-        seed=seed,
-        positivity_floor=float(cfg.get("positivity_floor", POSITIVITY_FLOOR)),
-        record_param_history=bool(cfg.get("record_param_history", False)),
-        record_intensity_history=bool(cfg.get("record_intensity_history", False)),
+        ensemble_size=a.ensemble_size, dt=data.dt, seed=a.seed, positivity_floor=a.positivity_floor,
+        record_param_history=a.record_param_history, record_intensity_history=a.record_intensity_history,
     )
-    result = run_filter(data, init, fcfg, workers=workers, progress=_progress("filter"))
+    result = run_filter(data, init, fcfg, workers=workers,
+                        progress=lambda step, total: print(f"filter: step {step}/{total}", file=sys.stderr))
     report = None
-    truth_path = cfg.get("truth_path")
-    if truth_path and fcfg.record_param_history:
-        truth = HawkesParams.load(Path(truth_path))
-        report = error_metrics(result.history, truth, float(cfg.get("excitation_scale", 1.0)))
+    if a.truth_path is not None and a.record_param_history:
+        report = error_metrics(result.history, HawkesParams.load(a.truth_path), a.excitation_scale)
     _save_filter_outputs(result, out_dir, report, node_labels=data.node_labels)
 
 
-def _run_analyze_mode(cfg: dict, out_dir: Path) -> None:
-    ensembles = load_ensemble_snapshots(Path(cfg["result_dir"]))
+def _run_analyze_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
+    ensembles = load_ensemble_snapshots(a.result_dir)
     net = mean_network(ensembles)
     save_network(net, out_dir / "edges.csv", out_dir / "network.json")
-    rule = cfg.get("threshold", {})
-    if rule:
-        sub = threshold_subnetwork(
-            net,
-            relative_factor=rule.get("relative_factor"),
-            absolute=rule.get("absolute"),
-        )
+    if a.threshold is not None:
+        sub = threshold_subnetwork(net, **a.threshold)
         save_network(sub, out_dir / "subnetwork_edges.csv", out_dir / "subnetwork.json")
-    measure = cfg.get("measure", "out_degree")
-    dist = rank_distribution(ensembles, measure)
-    save_rank_distribution(dist, out_dir / f"rank_{measure}.csv")
+    dist = rank_distribution(ensembles, a.measure)
+    save_rank_distribution(dist, out_dir / f"rank_{a.measure}.csv")
 
 
-def _run_experiment_1(cfg: dict, seed: int, workers: int, out_dir: Path) -> None:
+def _run_experiment_1(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     run = experiments.run_perfect_model(
-        float(cfg["s1"]),
-        float(cfg["s2"]),
-        seed,
-        n_steps=int(cfg.get("n_steps", experiments.TOY_STEPS)),
-        ensemble_size=int(cfg.get("ensemble_size", experiments.TOY_ENSEMBLE)),
-        workers=workers,
-        record_intensity=bool(cfg.get("record_intensity_history", False)),
+        a.s1, a.s2, a.seed, n_steps=a.n_steps, ensemble_size=a.ensemble_size,
+        workers=workers, record_intensity=a.record_intensity_history,
     )
     run.truth.save(out_dir / "truth.json")
-    save_count_series(run.data, out_dir / "counts.csv", seed=seed, params=run.truth)
+    save_count_series(run.data, out_dir / "counts.csv", seed=a.seed, params=run.truth)
     _save_filter_outputs(run.result, out_dir, run.report)
 
 
-def _run_experiment_2(cfg: dict, seed: int, workers: int, out_dir: Path) -> None:
+def _run_experiment_2(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     run = experiments.run_abm_experiment(
-        seed,
-        n_steps=int(cfg.get("n_steps", experiments.ABM_STEPS)),
-        ensemble_size=int(cfg.get("ensemble_size", experiments.TOY_ENSEMBLE)),
-        workers=workers,
-        top_k=int(cfg.get("top_k", 5)),
+        a.seed, n_steps=a.n_steps, ensemble_size=a.ensemble_size, workers=workers, top_k=a.top_k,
     )
     run.config.save(out_dir / "abm_config.json")
-    save_count_series(run.data, out_dir / "counts.csv", seed=seed)
+    save_count_series(run.data, out_dir / "counts.csv", seed=a.seed)
     _save_filter_outputs(run.result, out_dir)
-    (out_dir / "structure.json").write_text(
-        json.dumps(
-            {
-                "top_k": int(cfg.get("top_k", 5)),
-                "overlap_with_generator": run.structure_overlap,
-                "generator_excitation": run.config.excitation.tolist(),
-                "estimated_excitation": run.result.mean_excitation().tolist(),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    structure = {
+        "top_k": a.top_k,
+        "overlap_with_generator": run.structure_overlap,
+        "generator_excitation": run.config.excitation.tolist(),
+        "estimated_excitation": run.result.mean_excitation().tolist(),
+    }
+    (out_dir / "structure.json").write_text(json.dumps(structure, indent=2) + "\n")
 
 
-def _run_sweep(cfg: dict, seed: int, out_dir: Path) -> None:
-    seeds = cfg.get("seeds", [seed + k for k in range(5)])
+def _run_sweep(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
+    seeds = a.seeds if a.seeds is not None else [a.seed + k for k in range(5)]
     rows = experiments.run_excitation_sweep(
-        [float(v) for v in cfg["s1_values"]],
-        [float(v) for v in cfg["s2_values"]],
-        [int(s) for s in seeds],
-        n_steps=int(cfg.get("n_steps", experiments.TOY_STEPS)),
-        ensemble_size=int(cfg.get("ensemble_size", experiments.TOY_ENSEMBLE)),
+        a.s1_values, a.s2_values, seeds, n_steps=a.n_steps, ensemble_size=a.ensemble_size,
     )
     with (out_dir / "sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -331,13 +265,119 @@ def _run_sweep(cfg: dict, seed: int, out_dir: Path) -> None:
     (out_dir / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n")
 
 
+_REQUIRED = object()  # the default of a key that a mode cannot run without
+_ENSEMBLE = _integer(2, "must be an integer: an ensemble needs at least 2 members")
+_TOY_ENSEMBLE = (_ENSEMBLE, experiments.TOY_ENSEMBLE)
+
+# per mode: its run function and, per key it reads, (reader, default);
+# "mode" and "seed" are accepted by every mode
+SCHEMA = {
+    "simulate-hawkes": (_run_simulate_hawkes, {
+        "params": (_object(HawkesParams.from_json), _REQUIRED),
+        "dt": (_positive, _REQUIRED),
+        "n_steps": (_integer(1), _REQUIRED),
+        "burn_in": (_integer(0), 0),
+    }),
+    "simulate-abm": (_run_simulate_abm, {
+        "abm": (_object(ABMConfig.from_json), _REQUIRED),
+        "n_steps": (_integer(1), _REQUIRED),
+        "agent_trace": (_flag, False),
+    }),
+    "aggregate": (_run_aggregate, {
+        "events_path": (_path, _REQUIRED),
+        "dt": (_positive, _REQUIRED),
+        "t0": (_number, None),
+        "t1": (_number, None),
+        "clean": (_flag, False),
+        "min_node_total": (_integer(0), 0),
+        "dead_day_threshold": (_integer(0), 0),
+    }),
+    "filter": (_run_filter_mode, {
+        "counts_path": (_path, _REQUIRED),
+        "ensemble_size": (_ENSEMBLE, _REQUIRED),
+        "priors": (_object(_priors), _REQUIRED),
+        "positivity_floor": (_positive, POSITIVITY_FLOOR),
+        "record_param_history": (_flag, False),
+        "record_intensity_history": (_flag, False),
+        "truth_path": (_path, None),
+        "excitation_scale": (_positive, 1.0),
+    }),
+    "analyze": (_run_analyze_mode, {
+        "result_dir": (_path, _REQUIRED),
+        "measure": (_measure, OUT_DEGREE),
+        "threshold": (_object(_threshold), None),
+    }),
+    "experiment-1": (_run_experiment_1, {
+        "s1": (_positive, _REQUIRED),
+        "s2": (_positive, _REQUIRED),
+        "n_steps": (_integer(1), experiments.TOY_STEPS),
+        "ensemble_size": _TOY_ENSEMBLE,
+        "record_intensity_history": (_flag, False),
+    }),
+    "experiment-2": (_run_experiment_2, {
+        "n_steps": (_integer(1), experiments.ABM_STEPS),
+        "ensemble_size": _TOY_ENSEMBLE,
+        "top_k": (_integer(1), 5),
+    }),
+    "sweep": (_run_sweep, {
+        "s1_values": (_list(_positive), _REQUIRED),
+        "s2_values": (_list(_positive), _REQUIRED),
+        "seeds": (_list(_integer(0)), None),  # None: the run seed and the four after it
+        "n_steps": (_integer(1), experiments.TOY_STEPS),
+        "ensemble_size": _TOY_ENSEMBLE,
+    }),
+}
+MODES = (*SCHEMA, "validate")
+# filter keys that are only read when another key is set
+_READ_ONLY_WITH = {"truth_path": "record_param_history", "excitation_scale": "truth_path"}
+
+
+def parse_config(mode: str, cfg: dict, seed: int | None) -> tuple[SimpleNamespace, list[str]]:
+    """The typed arguments of ``mode``'s run and every issue in ``cfg``; ``seed`` (--seed) wins."""
+    values = cfg if seed is None else {**cfg, "seed": seed}
+    args: dict = {}
+    issues: list[str] = []
+    seed_key = (_integer(0, "must be a non-negative integer"), _REQUIRED)
+    for key, (read, default) in {"seed": seed_key, **SCHEMA[mode][1]}.items():
+        if key not in values:
+            if default is _REQUIRED:
+                issues.append(f"{key}: required for mode {mode}")
+            args[key] = default
+            continue
+        try:
+            args[key] = read(values[key])
+        except (LookupError, TypeError, ValueError) as err:
+            issues.append(str(err) if isinstance(err, ConfigError) else f"{key}: {err}")
+    a = SimpleNamespace(**args)
+    if not issues and mode == "simulate-hawkes" and (a.params.decay * a.dt >= 1.0).any():
+        issues.append("params.beta: decay * dt >= 1 is rejected for simulation; "
+                      "the intensity recursion could undershoot the baseline or oscillate")
+    if not issues and mode == "aggregate" and None not in (a.t0, a.t1) and a.t1 < a.t0:
+        issues.append("t1: must not be before t0")
+    return a, issues
+
+
+def unknown_keys(mode: str, cfg: dict) -> list[str]:
+    """Warnings for config keys that ``mode`` does not read."""
+    keys = SCHEMA[mode][1]
+    warnings = []
+    for key in cfg:
+        needs = _READ_ONLY_WITH.get(key)
+        if key not in keys and key not in ("mode", "seed"):
+            warnings.append(f"unknown key '{key}' for mode {mode}")
+        elif needs in keys and (needs not in cfg or cfg[needs] is False):
+            state = "true" if keys[needs][0] is _flag else "given"
+            warnings.append(f"key '{key}' is not read unless {needs} is {state}")
+    return warnings
+
+
 def run(mode: str, cfg: dict, seed: int | None, workers: int, out_dir: Path) -> int:
     if mode == "validate":
         declared = cfg.get("mode")
-        if declared not in MODES or declared == "validate":
+        if declared not in MODES[:-1]:
             issues, warnings = [f"mode: config must declare one of {MODES[:-1]}"], []
         else:
-            issues, warnings = validate_config(declared, cfg, seed), unknown_keys(declared, cfg)
+            issues, warnings = parse_config(declared, cfg, seed)[1], unknown_keys(declared, cfg)
         for line in [f"warning: {w}" for w in warnings] + issues:
             print(line, file=sys.stderr)
         verdict = "invalid" if issues else "ok"
@@ -345,55 +385,11 @@ def run(mode: str, cfg: dict, seed: int | None, workers: int, out_dir: Path) -> 
         return 1 if issues else 0
     for warning in unknown_keys(mode, cfg):
         print(f"warning: {warning}", file=sys.stderr)
-    issues = validate_config(mode, cfg, seed)
+    args, issues = parse_config(mode, cfg, seed)
     if issues:
         raise ConfigError("; ".join(issues))
-    seed = int(cfg["seed"]) if seed is None else seed
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, mode, cfg, seed)
-
-    if mode == "simulate-hawkes":
-        params = HawkesParams.from_json(cfg["params"])
-        series = simulate(
-            params, float(cfg["dt"]), int(cfg["n_steps"]), seed,
-            burn_in=int(cfg.get("burn_in", 0)),
-        )
-        save_count_series(series, out_dir / "counts.csv", seed=seed, params=params)
-    elif mode == "simulate-abm":
-        abm_cfg = ABMConfig.from_json(cfg["abm"])
-        trace = bool(cfg.get("agent_trace", False))
-        if trace:
-            series, agents = simulate_abm(abm_cfg, int(cfg["n_steps"]), seed, return_agent_trace=True)
-            np.savetxt(out_dir / "agents.csv", agents, delimiter=",", fmt="%d")
-        else:
-            series = simulate_abm(abm_cfg, int(cfg["n_steps"]), seed)
-        abm_cfg.save(out_dir / "abm_config.json")
-        save_count_series(series, out_dir / "counts.csv", seed=seed)
-    elif mode == "aggregate":
-        log = read_event_csv(
-            Path(cfg["events_path"]),
-            t0=cfg.get("t0"),
-            t1=cfg.get("t1"),
-        )
-        if cfg.get("clean", False):
-            log, report = clean(
-                log,
-                int(cfg.get("min_node_total", 0)),
-                int(cfg.get("dead_day_threshold", 0)),
-            )
-            save_cleaning_report(report, out_dir / "cleaning.json")
-        series = aggregate(log, float(cfg["dt"]))
-        save_count_series(series, out_dir / "counts.csv", seed=seed)
-    elif mode == "filter":
-        _run_filter_mode(cfg, seed, workers, out_dir)
-    elif mode == "analyze":
-        _run_analyze_mode(cfg, out_dir)
-    elif mode == "experiment-1":
-        _run_experiment_1(cfg, seed, workers, out_dir)
-    elif mode == "experiment-2":
-        _run_experiment_2(cfg, seed, workers, out_dir)
-    elif mode == "sweep":
-        _run_sweep(cfg, seed, out_dir)
+    _write_manifest(out_dir, mode, cfg, args.seed)
+    SCHEMA[mode][0](args, workers, out_dir)
     return 0
 
 

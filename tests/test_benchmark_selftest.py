@@ -1,4 +1,4 @@
-"""The benchmark's own self-test, and its configs against the CLI's key table.
+"""The benchmark's own self-test, and its configs against the CLI's config schema.
 
 The benchmark checks the artifacts of every workload (snapshot archive
 included), so a format break fails here rather than as failed benchmark ops.
@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from countnet.cli import unknown_keys
+from countnet.cli import parse_config, unknown_keys
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -22,12 +22,15 @@ def test_selftest_passes():
 
 
 def test_benchmark_configs_use_known_keys(tmp_path, monkeypatch):
+    # every op config, at both sizes, names only keys its mode reads and parses with no issue
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
-    for name, workload in workloads.WORKLOADS.items():
-        work = tmp_path / name
-        work.mkdir()
-        inputs = workload.make_inputs(work, 0, workloads.TINY[name])
-        for op in workload.make_ops(inputs, work):
-            assert unknown_keys(op.mode, op.config) == [], (name, op.mode)
+    for size, sizes in (("full", workloads.FULL), ("tiny", workloads.TINY)):
+        for name, workload in workloads.WORKLOADS.items():
+            work = tmp_path / size / name
+            work.mkdir(parents=True)
+            inputs = workload.make_inputs(work, 0, sizes[name])
+            for op in workload.make_ops(inputs, work):
+                assert unknown_keys(op.mode, op.config) == [], (size, name, op.mode)
+                assert parse_config(op.mode, op.config, 0)[1] == [], (size, name, op.mode)

@@ -2,8 +2,10 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from countnet.cli import main
+from countnet.experiments import abm_test_config
 
 
 def write_config(tmp_path, name, payload):
@@ -26,6 +28,56 @@ def hawkes_config():
         "dt": 0.1,
         "n_steps": 60,
     }
+
+
+PRIORS = {
+    "baseline": {"mean": 2.0, "variance": 1.0},
+    "decay": {"mean": 5.0, "variance": 1.0},
+    "excitation": {"mean": 0.5, "variance": 0.1},
+}
+
+# a config per mode that parses with no issue; the paths need not exist
+GOOD = {
+    "simulate-hawkes": hawkes_config(),
+    "simulate-abm": {"abm": abm_test_config().to_json(), "n_steps": 20},
+    "aggregate": {"events_path": "events.csv", "dt": 0.1},
+    "filter": {"counts_path": "counts.csv", "ensemble_size": 8, "priors": PRIORS},
+    "experiment-1": {"s1": 1.5, "s2": 1.5},
+    "experiment-2": {},
+    "sweep": {"s1_values": [1.5], "s2_values": [1.5]},
+}
+
+# (mode, keys that spoil GOOD[mode], the key the issue must name)
+BAD = [
+    ("filter", {"ensemble_size": 8.7}, "ensemble_size"),
+    ("filter", {"record_param_history": "no"}, "record_param_history"),
+    ("filter", {"ensemble_size": "abc"}, "ensemble_size"),
+    ("simulate-hawkes", {"n_steps": "abc"}, "n_steps"),
+    ("simulate-abm", {"abm": [1, 2]}, "abm"),
+    ("filter", {"positivity_floor": 0.0}, "positivity_floor"),
+    ("aggregate", {"dt": 0}, "dt"),
+    ("aggregate", {"min_node_total": -1}, "min_node_total"),
+    ("simulate-hawkes", {"burn_in": -3}, "burn_in"),
+    ("experiment-1", {"s1": "abc"}, "s1"),
+    ("experiment-2", {"n_steps": 0}, "n_steps"),
+    ("sweep", {"s1_values": 1.5}, "s1_values"),
+    ("simulate-hawkes", {"seed": True}, "seed"),
+    ("aggregate", {"t0": 5.0, "t1": 1.0}, "t1"),
+]
+
+
+@pytest.mark.parametrize("mode, bad, key", BAD, ids=[f"{m}-{k}-{b[k]}" for m, b, k in BAD])
+def test_bad_config_exits_1_before_writing(tmp_path, capsys, mode, bad, key):
+    good = write_config(tmp_path, "good.json", {**GOOD[mode], "seed": 0, "mode": mode})
+    assert main(["validate", "--config", str(good)]) == 0
+    cfg = write_config(tmp_path, "bad.json", {**GOOD[mode], "seed": 0, **bad, "mode": mode})
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert f"{key}: " in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert f"{key}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestValidate:
@@ -54,26 +106,26 @@ class TestValidate:
         counts = tmp_path / "counts.csv"
         assert main(["simulate-hawkes", "--config", str(write_config(tmp_path, "s.json", hawkes_config())),
                      "--seed", "0", "--out-dir", str(tmp_path)]) == 0
-        flt = {
-            "counts_path": str(counts),
-            "ensemble_size": 8,
-            "priors": {
-                "baseline": {"mean": 2.0, "variance": 1.0},
-                "decay": {"mean": 5.0, "variance": 1.0},
-                "excitation": {"mean": 0.5, "variance": 0.1},
-            },
-            "record_param_hstory": True,
-        }
-        warning = "warning: unknown key 'record_param_hstory' for mode filter"
-        cfg = write_config(tmp_path, "f.json", {**flt, "mode": "filter", "seed": 0})
-        capsys.readouterr()
-        assert main(["validate", "--config", str(cfg)]) == 0
-        err = capsys.readouterr().err
-        assert warning in err
-        assert "ok: 0 issue(s), 1 warning(s)" in err
-        assert main(["filter", "--config", str(cfg), "--out-dir", str(tmp_path / "flt")]) == 0
-        assert warning in capsys.readouterr().err
-        assert not (tmp_path / "flt" / "diagnostics.csv").exists()
+        truth = write_config(tmp_path, "truth.json", hawkes_config()["params"])
+        flt = {"counts_path": str(counts), "ensemble_size": 8, "priors": PRIORS}
+        # a misspelt key, and two keys that the filter reads only when another key is set
+        cases = (
+            ({"record_param_hstory": True}, "unknown key 'record_param_hstory' for mode filter"),
+            ({"truth_path": str(truth)}, "key 'truth_path' is not read unless record_param_history is true"),
+            ({"excitation_scale": 2.0}, "key 'excitation_scale' is not read unless truth_path is given"),
+        )
+        for k, (extra, warning) in enumerate(cases):
+            cfg = write_config(tmp_path, f"f{k}.json", {**flt, **extra, "mode": "filter", "seed": 0})
+            capsys.readouterr()
+            assert main(["validate", "--config", str(cfg)]) == 0
+            err = capsys.readouterr().err
+            assert f"warning: {warning}" in err
+            assert "ok: 0 issue(s), 1 warning(s)" in err
+            out = tmp_path / f"flt{k}"
+            assert main(["filter", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            assert f"warning: {warning}" in capsys.readouterr().err
+            assert not (out / "diagnostics.csv").exists()
+            assert not (out / "metrics.json").exists()
 
     def test_bad_threshold_rules_rejected(self, tmp_path, capsys):
         sim = write_config(tmp_path, "sim.json", hawkes_config())
@@ -105,8 +157,6 @@ class TestValidate:
             assert not out.exists()
 
     def test_scaled_event_prob_form_rejected(self, tmp_path, capsys):
-        from countnet.experiments import abm_test_config
-
         abm = {"abm": {**abm_test_config().to_json(), "event_prob_form": "scaled"}, "n_steps": 20}
         cfg = write_config(tmp_path, "abm.json", abm)
         out = tmp_path / "abm"
