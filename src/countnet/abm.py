@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .hawkes import CountSeries
+from .hawkes import CountSeries, json_floats
 
 SPAWN_POISSON = "poisson"
 SPAWN_FIXED = "fixed"  # deterministic round(spawn_rate * dt) per location per step
@@ -53,7 +53,9 @@ class ABMConfig:
 
     def __post_init__(self) -> None:
         self.baseline = np.asarray(self.baseline, dtype=np.float64)
-        self.excitation = np.asarray(self.excitation, dtype=np.float64)
+        # an own read-only copy, so the neighbourhoods derived from it cannot go stale
+        self.excitation = np.array(self.excitation, dtype=np.float64)
+        self.excitation.flags.writeable = False
         if self.baseline.ndim != 1:
             raise ValueError("baseline must be a vector")
         m = self.baseline.shape[0]
@@ -73,6 +75,9 @@ class ABMConfig:
             raise ValueError("decay * dt must be below 1")
         if self.spawn_law not in (SPAWN_POISSON, SPAWN_FIXED):
             raise ValueError(f"unknown spawn_law {self.spawn_law!r}")
+        self._neighbourhoods = [
+            np.flatnonzero((self.excitation[:, s] > 0) & (np.arange(m) != s)) for s in range(m)
+        ]
 
     @property
     def m(self) -> int:
@@ -80,10 +85,7 @@ class ABMConfig:
 
     def neighbourhoods(self) -> list[np.ndarray]:
         """D(s): the locations s excites, i.e. s' != s with W[s', s] > 0."""
-        return [
-            np.flatnonzero((self.excitation[:, s] > 0) & (np.arange(self.m) != s))
-            for s in range(self.m)
-        ]
+        return self._neighbourhoods
 
     def to_json(self) -> dict:
         return {
@@ -102,12 +104,12 @@ class ABMConfig:
         if obj.get("event_prob_form", "rate") != "rate":
             raise ValueError(f"event_prob_form {obj['event_prob_form']!r} is not supported; only 'rate' is")
         return cls(
-            np.asarray(obj["baseline"]),
-            float(obj["decay"]),
-            float(obj["diffusion"]),
-            float(obj["spawn_rate"]),
-            np.asarray(obj["excitation"]),
-            float(obj["dt"]),
+            json_floats(obj["baseline"], 1),
+            json_floats(obj["decay"]),
+            json_floats(obj["diffusion"]),
+            json_floats(obj["spawn_rate"]),
+            json_floats(obj["excitation"], 2),
+            json_floats(obj["dt"]),
             obj.get("spawn_law", SPAWN_POISSON),
         )
 

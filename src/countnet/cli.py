@@ -36,7 +36,7 @@ from .filtering import (
     run_filter,
     save_filter_result,
 )
-from .hawkes import HawkesParams, load_count_series, save_count_series, simulate
+from .hawkes import HawkesParams, json_floats, load_count_series, save_count_series, simulate
 from .ingest import aggregate, clean, read_event_csv, save_cleaning_report
 from .network import (
     MEASURES,
@@ -111,9 +111,7 @@ def _list(item: Callable):
                    lambda v: [item(x) for x in v])
 
 
-# type() rather than isinstance() keeps JSON true and false out of the numbers
-_number = _reader(lambda v: type(v) in (int, float) and np.isfinite(v), "must be a finite number", float)
-_positive = _reader(lambda v: _number(v) > 0, "must be positive", float)
+_positive = _reader(lambda v: json_floats(v) > 0, "must be positive", float)
 _flag = _reader(lambda v: type(v) is bool, "must be true or false")
 _path = _reader(lambda v: type(v) is str and v != "", "must be a non-empty path string", Path)
 _measure = _reader(lambda v: v in MEASURES, f"must be one of {MEASURES}")
@@ -123,7 +121,7 @@ def _priors(obj: dict) -> list[GammaSpec]:
     specs = []
     for group in ("baseline", "decay", "excitation"):
         try:
-            specs.append(GammaSpec(_number(obj[group]["mean"]), _number(obj[group]["variance"])))
+            specs.append(GammaSpec(json_floats(obj[group]["mean"]), json_floats(obj[group]["variance"])))
         except (LookupError, TypeError, ValueError) as err:
             raise ConfigError(f"priors.{group}: needs a finite mean > 0 and variance >= 0") from err
     return specs
@@ -134,7 +132,7 @@ def _threshold(rule: dict) -> dict:
         raise ValueError("must be an object with exactly one of relative_factor or absolute")
     (key, value), = rule.items()
     try:
-        return {key: _number(value)}
+        return {key: json_floats(value)}
     except ValueError as err:
         raise ConfigError(f"threshold.{key}: {err}") from err
 
@@ -286,8 +284,8 @@ SCHEMA = {
     "aggregate": (_run_aggregate, {
         "events_path": (_path, _REQUIRED),
         "dt": (_positive, _REQUIRED),
-        "t0": (_number, None),
-        "t1": (_number, None),
+        "t0": (json_floats, None),
+        "t1": (json_floats, None),
         "clean": (_flag, False),
         "min_node_total": (_integer(0), 0),
         "dead_day_threshold": (_integer(0), 0),

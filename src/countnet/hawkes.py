@@ -19,12 +19,23 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import rng
+
+
+def json_floats(value, ndim: int = 0):
+    """A parsed JSON number as a float (ndim 0), or ndim-deep arrays of them as float64."""
+    cells = np.array(value, dtype=object)
+    # type() keeps JSON true and false out; the bound rejects NaN, infinities and too large integers
+    if cells.ndim != ndim or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                                     for v in cells.flat):
+        raise ValueError(f"must be a {ndim}-d array of finite numbers" if ndim else "must be a finite number")
+    return cells.astype(np.float64) if ndim else float(cells)
 
 
 @dataclass
@@ -48,6 +59,8 @@ class HawkesParams:
             raise ValueError("baseline and decay must be vectors of equal length")
         if self.excitation.shape != (m, m):
             raise ValueError(f"excitation must be {m}x{m}, got {self.excitation.shape}")
+        if not all(np.isfinite(a).all() for a in (self.baseline, self.decay, self.excitation)):
+            raise ValueError("parameters must be finite")
         if not (self.baseline > 0).all():
             raise ValueError("baseline rates must be positive")
         if not (self.decay > 0).all():
@@ -72,7 +85,7 @@ class HawkesParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HawkesParams":
-        return cls(np.asarray(obj["mu"]), np.asarray(obj["beta"]), np.asarray(obj["alpha"]))
+        return cls(json_floats(obj["mu"], 1), json_floats(obj["beta"], 1), json_floats(obj["alpha"], 2))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")

@@ -1,15 +1,15 @@
 """Timestamped event logs: loading, cleaning, and binning into counts.
 
 Events are attributed to the sender only; receiver columns in input files
-are ignored. Timestamps are fractional hours from the observation start,
-or ISO-8601 strings which get converted to hours on load.
+are ignored. Timestamps are fractional hours from the observation start, or
+ISO-8601 strings converted to hours on load; a file keeps one format.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -22,30 +22,28 @@ HOURS_PER_DAY = 24.0
 
 @dataclass
 class EventLog:
-    """Sender events over an observation window [t0, t1], times in hours."""
+    """Sender events over an observation window [t0, t1], times in hours.
+
+    ``nodes[e]`` is the sender of event e as a position in ``labels``.
+    """
 
     times: np.ndarray
-    nodes: list[str]
+    nodes: np.ndarray
     t0: float
     t1: float
-    labels: list[str] = field(default_factory=list)
+    labels: list[str]
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=np.float64)
-        if self.times.ndim != 1 or self.times.shape[0] != len(self.nodes):
+        self.nodes = np.asarray(self.nodes, dtype=np.int64)
+        if self.times.ndim != 1 or self.nodes.shape != self.times.shape:
             raise ValueError("times and nodes must align")
         if not self.t1 >= self.t0:
             raise ValueError("observation window must have t1 >= t0")
-        if self.times.size and (
-            self.times.min() < self.t0 or self.times.max() > self.t1
-        ):
+        if self.times.size and not self.t0 <= self.times.min() <= self.times.max() <= self.t1:
             raise ValueError("timestamps must lie within [t0, t1]")
-        if not self.labels:
-            self.labels = sorted(set(self.nodes))
-        known = set(self.labels)
-        for node in self.nodes:
-            if node not in known:
-                raise ValueError(f"event node {node!r} not in declared label set")
+        if self.nodes.size and not 0 <= self.nodes.min() <= self.nodes.max() < len(self.labels):
+            raise ValueError("event node codes must be positions in the label list")
 
     @property
     def n_events(self) -> int:
@@ -64,14 +62,9 @@ def aggregate(log: EventLog, dt: float) -> CountSeries:
     span = log.t1 - log.t0
     n_steps = max(1, int(np.ceil(span / dt))) if span > 0 else 1
     m = len(log.labels)
-    counts = np.zeros((n_steps, m), dtype=np.uint64)
-    col = {label: j for j, label in enumerate(log.labels)}
-    if log.n_events:
-        bins = np.floor((log.times - log.t0) / dt).astype(np.int64)
-        bins = np.minimum(bins, n_steps - 1)
-        for b, node in zip(bins, log.nodes):
-            counts[b, col[node]] += 1
-    return CountSeries(counts, dt, node_labels=list(log.labels))
+    bins = np.minimum(np.floor((log.times - log.t0) / dt).astype(np.int64), n_steps - 1)
+    counts = np.bincount(bins * m + log.nodes, minlength=n_steps * m).astype(np.uint64)
+    return CountSeries(counts.reshape(n_steps, m), dt, node_labels=list(log.labels))
 
 
 @dataclass
@@ -80,14 +73,6 @@ class CleaningReport:
     removed_days: list[int]
     events_before: int
     events_after: int
-
-    def to_json(self) -> dict:
-        return {
-            "removed_nodes": self.removed_nodes,
-            "removed_days": self.removed_days,
-            "events_before": self.events_before,
-            "events_after": self.events_after,
-        }
 
 
 def clean(
@@ -103,8 +88,7 @@ def clean(
     """
     if min_node_total < 0 or dead_day_threshold < 0:
         raise ValueError("thresholds must be non-negative")
-    times = log.times.copy()
-    nodes = list(log.nodes)
+    times, nodes = log.times.copy(), log.nodes.copy()
     labels = list(log.labels)
     t0, t1 = log.t0, log.t1
     removed_nodes: list[str] = []
@@ -113,37 +97,32 @@ def clean(
     changed = True
     while changed:
         changed = False
-        totals = dict.fromkeys(labels, 0)
-        for node in nodes:
-            totals[node] += 1
-        drop = {label for label in labels if totals[label] < min_node_total}
-        if drop:
+        quiet = np.bincount(nodes, minlength=len(labels)) < min_node_total
+        if quiet.any():
             changed = True
-            removed_nodes.extend(sorted(drop))
-            keep = [i for i, node in enumerate(nodes) if node not in drop]
+            removed_nodes.extend(sorted(label for label, q in zip(labels, quiet) if q))
+            keep = ~quiet[nodes]
             times = times[keep]
-            nodes = [nodes[i] for i in keep]
-            labels = [label for label in labels if label not in drop]
+            nodes = (np.cumsum(~quiet) - 1)[nodes[keep]]  # kept labels' positions after the drop
+            labels = [label for label, q in zip(labels, quiet) if not q]
         if times.size == 0:
             break  # nothing left for the day pass; handled below
         n_days = max(1, int(np.ceil((t1 - t0) / HOURS_PER_DAY))) if t1 > t0 else 1
         day_of = np.minimum(
             np.floor((times - t0) / HOURS_PER_DAY).astype(np.int64), n_days - 1
         )
-        day_totals = np.zeros(n_days, dtype=np.int64)
-        for d in day_of:
-            day_totals[d] += 1
-        dead = np.flatnonzero(day_totals <= dead_day_threshold)
-        if dead.size:
+        dead = np.bincount(day_of, minlength=n_days) <= dead_day_threshold
+        if dead.any():
             changed = True
-            removed_days.extend(int(d) for d in dead)
-            keep_mask = ~np.isin(day_of, dead)
-            shift = np.cumsum(np.isin(np.arange(n_days), dead))  # days removed so far
-            times = times[keep_mask] - HOURS_PER_DAY * shift[day_of[keep_mask]]
-            nodes = [node for node, k in zip(nodes, keep_mask) if k]
+            dead_days = np.flatnonzero(dead)
+            removed_days.extend(dead_days.tolist())
+            keep = ~dead[day_of]
+            shift = np.cumsum(dead)  # days removed so far
+            times = times[keep] - HOURS_PER_DAY * shift[day_of[keep]]
+            nodes = nodes[keep]
             # the final day may be partial; only its width inside the window
             # leaves t1 (no events can sit beyond it, so shifts stay whole days)
-            widths = np.minimum(HOURS_PER_DAY, t1 - (t0 + HOURS_PER_DAY * dead))
+            widths = np.minimum(HOURS_PER_DAY, t1 - (t0 + HOURS_PER_DAY * dead_days))
             t1 -= float(widths.sum())
 
     if not labels or (log.n_events > 0 and times.size == 0):
@@ -155,43 +134,50 @@ def clean(
     return EventLog(times, nodes, t0, t1, labels), report
 
 
-def _parse_timestamp(raw: str, origin: datetime | None) -> tuple[float, datetime | None]:
-    """Fractional hours, or ISO-8601 converted to hours from the first stamp."""
+def _hours_parser(first: str):
+    """Fractional hours if a file's first stamp is a number, else ISO-8601 as hours from that stamp."""
     try:
-        return float(raw), origin
+        float(first)
+        return float
     except ValueError:
-        pass
-    stamp = datetime.fromisoformat(raw)
-    if origin is None:
-        origin = stamp
-    return (stamp - origin).total_seconds() / 3600.0, origin
+        origin = datetime.fromisoformat(first)
+        return lambda stamp: (datetime.fromisoformat(stamp) - origin).total_seconds() / 3600.0
 
 
 def read_event_csv(path: str | Path, t0: float | None = None, t1: float | None = None) -> EventLog:
     """Load (timestamp, sender[, ...]) rows; extra columns are ignored.
 
-    The window defaults to [min, max] of the parsed timestamps; pass t0/t1
-    to pin a wider observation window.
+    Senders are coded in sorted label order. The window defaults to
+    [min, max] of the parsed timestamps; pass t0/t1 to pin a wider
+    observation window.
     """
     times: list[float] = []
-    nodes: list[str] = []
-    origin: datetime | None = None
+    codes: list[int] = []
+    code_of: dict[str, int] = {}  # sender -> code in first-seen order
+    hours = None
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or len(header) < 2:
             raise ValueError("event CSV needs at least (timestamp, sender) columns")
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            value, origin = _parse_timestamp(row[0].strip(), origin)
-            times.append(value)
-            nodes.append(row[1].strip())
+        try:
+            for row in reader:
+                if not row or not row[0].strip():
+                    continue
+                if len(row) < 2:
+                    raise ValueError("row has a timestamp but no sender")
+                stamp = row[0].strip()
+                hours = hours or _hours_parser(stamp)  # the first data row fixes the format
+                times.append(hours(stamp))
+                codes.append(code_of.setdefault(row[1].strip(), len(code_of)))
+        except (TypeError, ValueError) as err:  # TypeError: ISO stamps with and without offsets
+            raise ValueError(f"{path}: line {reader.line_num}: {err}") from err
+    rank = {label: k for k, label in enumerate(sorted(code_of))}
+    nodes = np.array([rank[name] for name in code_of], dtype=np.int64)[np.asarray(codes, dtype=np.int64)]
     arr = np.asarray(times, dtype=np.float64)
-    lo = float(arr.min()) if arr.size else 0.0
-    hi = float(arr.max()) if arr.size else 0.0
-    return EventLog(arr, nodes, lo if t0 is None else t0, hi if t1 is None else t1)
+    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
+    return EventLog(arr, nodes, lo if t0 is None else t0, hi if t1 is None else t1, list(rank))
 
 
 def save_cleaning_report(report: CleaningReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_json(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n")

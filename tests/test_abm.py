@@ -228,6 +228,14 @@ class TestSimulateABM:
         with pytest.raises(ValueError, match="event_prob_form"):
             ABMConfig.from_json({**saved, "event_prob_form": "scaled"})
 
+    def test_excitation_is_a_read_only_copy(self):
+        W = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cfg = two_node_config(excitation=W)
+        W[1, 0] = 0.0  # the caller's array is not the config's
+        assert [hood.tolist() for hood in cfg.neighbourhoods()] == [[1], [0]]
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.excitation[1, 0] = 0.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             two_node_config(diffusion=1.5)

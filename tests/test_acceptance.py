@@ -264,26 +264,26 @@ class TestAC9Ingestion:
     def test_ac9(self):
         checks = []
         # binning example
-        log = EventLog(np.array([0.05, 0.07, 0.15]), ["a"] * 3, 0.0, 0.2)
+        log = EventLog(np.array([0.05, 0.07, 0.15]), [0] * 3, 0.0, 0.2, ["a"])
         checks.append(aggregate(log, 0.1).counts[:, 0].tolist() == [2, 1])
         # boundary event joins the later bin
-        log = EventLog(np.array([0.1]), ["a"], 0.0, 0.2)
+        log = EventLog(np.array([0.1]), [0], 0.0, 0.2, ["a"])
         checks.append(aggregate(log, 0.1).counts[:, 0].tolist() == [0, 1])
         # day splicing: empty middle day removed, later times shifted a day
-        log = EventLog(np.array([1.0, 5.0, 49.0, 60.0]), ["a"] * 4, 0.0, 72.0)
+        log = EventLog(np.array([1.0, 5.0, 49.0, 60.0]), [0] * 4, 0.0, 72.0, ["a"])
         cleaned, report = clean(log, min_node_total=0, dead_day_threshold=0)
         checks.append(report.removed_days == [1])
         checks.append(np.allclose(cleaned.times, [1.0, 5.0, 25.0, 36.0]))
         checks.append(cleaned.t1 == 48.0)
         # node threshold: exactly the sub-threshold nodes drop
-        times, nodes = [], []
+        times, codes = [], []
         t = 0.0
         for k in range(6):
             for _ in range(38 + k):
                 times.append(t)
                 t += 0.05
-                nodes.append(f"n{k}")
-        log = EventLog(np.array(times), nodes, 0.0, 24.0)
+                codes.append(k)
+        log = EventLog(np.array(times), codes, 0.0, 24.0, [f"n{k}" for k in range(6)])
         cleaned, report = clean(log, min_node_total=40)
         checks.append(sorted(report.removed_nodes) == ["n0", "n1"])
         # count conservation through clean + aggregate

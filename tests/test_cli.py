@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -63,20 +64,24 @@ BAD = [
     ("sweep", {"s1_values": 1.5}, "s1_values"),
     ("simulate-hawkes", {"seed": True}, "seed"),
     ("aggregate", {"t0": 5.0, "t1": 1.0}, "t1"),
+    ("simulate-hawkes", {"params": {**hawkes_config()["params"], "mu": [math.inf, 1.0]}}, "params"),
+    ("simulate-hawkes", {"params": {**hawkes_config()["params"], "mu": ["2.0", "1"]}}, "params"),
+    ("simulate-abm", {"abm": {**abm_test_config().to_json(), "decay": "5"}}, "abm"),
+    ("aggregate", {"dt": 10**400}, "dt"),
 ]
 
 
-@pytest.mark.parametrize("mode, bad, key", BAD, ids=[f"{m}-{k}-{b[k]}" for m, b, k in BAD])
+@pytest.mark.parametrize("mode, bad, key", BAD, ids=[f"{m}-{k}-{str(b[k])[:24]}" for m, b, k in BAD])
 def test_bad_config_exits_1_before_writing(tmp_path, capsys, mode, bad, key):
     good = write_config(tmp_path, "good.json", {**GOOD[mode], "seed": 0, "mode": mode})
     assert main(["validate", "--config", str(good)]) == 0
     cfg = write_config(tmp_path, "bad.json", {**GOOD[mode], "seed": 0, **bad, "mode": mode})
     capsys.readouterr()
     assert main(["validate", "--config", str(cfg)]) == 1
-    assert f"{key}: " in capsys.readouterr().err
+    assert f"{key}: must " in capsys.readouterr().err
     out = tmp_path / "out"
     assert main([mode, "--config", str(cfg), "--out-dir", str(out)]) == 1
-    assert f"{key}: " in capsys.readouterr().err
+    assert f"{key}: must " in capsys.readouterr().err
     assert not out.exists()
 
 

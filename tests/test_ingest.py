@@ -1,18 +1,22 @@
+import csv
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from countnet.ingest import EventLog, aggregate, clean, read_event_csv
 
 
-def log_of(times, nodes=None, t0=0.0, t1=None, labels=None):
+def log_of(times, codes=None, t0=0.0, t1=None, labels=("a",)):
     times = np.asarray(times, dtype=float)
-    if nodes is None:
-        nodes = ["a"] * len(times)
+    if codes is None:
+        codes = np.zeros(len(times), dtype=np.int64)
     if t1 is None:
         t1 = float(times.max()) if times.size else t0
-    return EventLog(times, list(nodes), t0, t1, labels or [])
+    return EventLog(times, codes, t0, t1, list(labels))
 
 
 class TestAggregate:
@@ -35,13 +39,13 @@ class TestAggregate:
         assert series.n_steps == 78832
 
     def test_empty_log_zero_series(self):
-        log = EventLog(np.array([]), [], 0.0, 1.0, labels=["a", "b"])
+        log = EventLog(np.array([]), [], 0.0, 1.0, ["a", "b"])
         series = aggregate(log, dt=0.25)
         assert series.counts.shape == (4, 2)
         assert series.counts.sum() == 0
 
     def test_multiple_nodes_use_label_order(self):
-        log = log_of([0.05, 0.15, 0.16], nodes=["b", "a", "b"], t1=0.2, labels=["a", "b"])
+        log = log_of([0.05, 0.15, 0.16], codes=[1, 0, 1], t1=0.2, labels=["a", "b"])
         series = aggregate(log, dt=0.1)
         assert series.node_labels == ["a", "b"]
         assert series.counts.tolist() == [[0, 1], [1, 1]]
@@ -61,22 +65,23 @@ class TestAggregate:
 class TestClean:
     def test_node_threshold(self):
         times = np.arange(50) * 0.5
-        nodes = ["busy"] * 45 + ["quiet"] * 5
-        log, report = clean(log_of(times, nodes, t1=25.0), min_node_total=40)
+        codes = [0] * 45 + [1] * 5
+        log, report = clean(log_of(times, codes, t1=25.0, labels=["busy", "quiet"]), min_node_total=40)
         assert log.labels == ["busy"]
         assert report.removed_nodes == ["quiet"]
         assert log.n_events == 45
 
     def test_node_threshold_counts(self):
         # 10 nodes, node k holds k+35 events: exactly those below 40 drop
-        times, nodes = [], []
+        times, codes = [], []
         t = 0.0
         for k in range(10):
             for _ in range(35 + k):
                 times.append(t)
                 t += 0.01
-                nodes.append(f"n{k}")
-        log, report = clean(log_of(np.array(times), nodes, t1=10.0), min_node_total=40)
+                codes.append(k)
+        labels = [f"n{k}" for k in range(10)]
+        log, report = clean(log_of(np.array(times), codes, t1=10.0, labels=labels), min_node_total=40)
         assert sorted(report.removed_nodes) == [f"n{k}" for k in range(5)]
         assert len(log.labels) == 5
 
@@ -105,11 +110,13 @@ class TestClean:
     def test_idempotent_under_repeated_clean(self):
         gen = np.random.default_rng(5)
         times = np.sort(gen.uniform(0, 24.0 * 10, size=200))
-        nodes = [f"n{k}" for k in gen.integers(0, 6, size=200)]
-        log1, _ = clean(log_of(times, nodes, t1=240.0), min_node_total=25, dead_day_threshold=2)
+        codes = gen.integers(0, 6, size=200)
+        labels = [f"n{k}" for k in range(6)]
+        log1, _ = clean(log_of(times, codes, t1=240.0, labels=labels),
+                        min_node_total=25, dead_day_threshold=2)
         log2, report2 = clean(log1, min_node_total=25, dead_day_threshold=2)
         assert np.array_equal(log1.times, log2.times)
-        assert log1.nodes == log2.nodes
+        assert np.array_equal(log1.nodes, log2.nodes)
         assert report2.removed_nodes == [] and report2.removed_days == []
         a = aggregate(log1, 0.5)
         b = aggregate(log2, 0.5)
@@ -122,8 +129,10 @@ class TestClean:
     def test_conservation_after_clean(self):
         gen = np.random.default_rng(9)
         times = np.sort(gen.uniform(0, 24.0 * 5, size=80))
-        nodes = [f"n{k}" for k in gen.integers(0, 4, size=80)]
-        log, report = clean(log_of(times, nodes, t1=120.0), min_node_total=15, dead_day_threshold=0)
+        codes = gen.integers(0, 4, size=80)
+        labels = [f"n{k}" for k in range(4)]
+        log, report = clean(log_of(times, codes, t1=120.0, labels=labels),
+                            min_node_total=15, dead_day_threshold=0)
         assert int(aggregate(log, 1.0).counts.sum()) == report.events_after
 
 
@@ -160,12 +169,131 @@ class TestReadEventCsv:
         with pytest.raises(ValueError):
             read_event_csv(path)
 
+    def test_row_without_sender_names_its_line(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("timestamp,sender\n0.5,a\n1.0\n")
+        with pytest.raises(ValueError, match=r"events\.csv: line 3: .*no sender"):
+            read_event_csv(path)
+
+    @pytest.mark.parametrize("rows, line", [
+        (["0.5,a", "2020-01-01T06:00:00,b"], 3),
+        (["2020-01-01T00:00:00,a", "2020-01-01T06:00:00,b", "1.5,a"], 4),
+    ], ids=["hours-then-iso", "iso-then-hours"])
+    def test_mixed_timestamp_formats_rejected(self, tmp_path, rows, line):
+        path = tmp_path / "events.csv"
+        path.write_text("timestamp,sender\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=rf"events\.csv: line {line}: "):
+            read_event_csv(path)
+
 
 class TestEventLogValidation:
     def test_timestamps_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            EventLog(np.array([5.0]), ["a"], 0.0, 1.0)
+            EventLog(np.array([5.0]), [0], 0.0, 1.0, ["a"])
 
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError):
-            EventLog(np.array([0.5]), ["zz"], 0.0, 1.0, labels=["a"])
+            EventLog(np.array([0.5]), [1], 0.0, 1.0, ["a"])
+
+
+# ------------------------------------------------ against the name-based oracle
+
+@st.composite
+def event_logs(draw):
+    """Declared labels in drawn (unsorted) order, sender codes into them, and
+    times in a window whose final day may be partial; some events sit at t1."""
+    labels = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=5, unique=True))
+    t0 = draw(st.sampled_from([0.0, 3.5]))
+    t1 = t0 + draw(st.floats(0.0, 24.0 * 4))
+    n = draw(st.integers(0, 40))
+    times = draw(st.lists(st.floats(t0, t1) | st.just(t1), min_size=n, max_size=n))
+    codes = draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
+    return times, codes, t0, t1, labels
+
+
+def named_log(times, codes, t0, t1, labels):
+    return oracles.EventLog(np.array(times, dtype=float), [labels[c] for c in codes], t0, t1, list(labels))
+
+
+def assert_same_log(coded, named):
+    assert np.array_equal(coded.times, named.times)
+    assert (coded.t0, coded.t1, coded.labels) == (named.t0, named.t1, named.labels)
+    assert [coded.labels[c] for c in coded.nodes] == named.nodes
+
+
+def assert_same_series(got, want):
+    assert got.counts.dtype == want.counts.dtype == np.uint64
+    assert np.array_equal(got.counts, want.counts)
+    assert (got.dt, got.node_labels) == (want.dt, want.node_labels)
+
+
+class TestAgainstOracle:
+    # node c drops first, which makes day 1 dead, which leaves node b quiet
+    @example(([1.0, 2.0, 3.0, 4.0, 30.0, 31.0], [0, 0, 0, 1, 1, 2], 0.0, 48.0, ["a", "b", "c"]), 2, 1, 1.0)
+    @example(([], [], 0.0, 30.0, ["b", "a"]), 0, 0, 0.5)  # empty log
+    @example(([30.0, 40.0, 45.5], [1, 0, 1], 0.0, 45.5, ["z", "a"]), 0, 0, 0.5)  # event at t1, dead first day
+    @given(event_logs(), st.integers(0, 6), st.integers(0, 3), st.floats(0.05, 30.0))
+    @settings(max_examples=300, deadline=None)
+    def test_clean_and_aggregate(self, log, min_node_total, dead_day_threshold, dt):
+        coded, named = EventLog(*log), named_log(*log)
+        assert_same_log(coded, named)
+        assert_same_series(aggregate(coded, dt), oracles.aggregate(named, dt))
+        try:
+            want_log, want_report = oracles.clean(named, min_node_total, dead_day_threshold)
+        except ValueError:
+            with pytest.raises(ValueError):
+                clean(coded, min_node_total, dead_day_threshold)
+            return
+        got_log, got_report = clean(coded, min_node_total, dead_day_threshold)
+        assert got_report == want_report
+        assert_same_log(got_log, want_log)
+        assert_same_series(aggregate(got_log, dt), oracles.aggregate(want_log, dt))
+
+    def test_multi_pass_example_drops_nodes_twice(self):
+        log = EventLog([1.0, 2.0, 3.0, 4.0, 30.0, 31.0], [0, 0, 0, 1, 1, 2], 0.0, 48.0, ["a", "b", "c"])
+        cleaned, report = clean(log, min_node_total=2, dead_day_threshold=1)
+        assert report.removed_nodes == ["c", "b"] and report.removed_days == [1]
+        assert cleaned.labels == ["a"]
+
+
+ORIGIN = datetime(2024, 3, 1, 9, 30)
+OFFSETS = [timezone(timedelta(hours=2)), timezone(timedelta(hours=-5, minutes=-30)), timezone.utc]
+
+
+@st.composite
+def event_rows(draw):
+    """CSV rows in one timestamp format (fractional hours, or ISO-8601 with
+    optional fractional seconds and offsets), with blank rows and extra columns."""
+    iso = draw(st.booleans())
+    aware = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["event", "event", "event", "blank", "no-stamp"]))
+        sender = draw(st.sampled_from(["ann", "bob", " cy ", "Dee", "ann"]))
+        if kind == "blank":
+            rows.append([])
+            continue
+        if kind == "no-stamp":
+            rows.append(["  ", sender])
+            continue
+        if iso:
+            stamp = ORIGIN + timedelta(seconds=draw(st.floats(0.0, 5 * 86400.0)))
+            if aware:
+                stamp = stamp.replace(tzinfo=draw(st.sampled_from(OFFSETS)))
+            text = stamp.isoformat(timespec=draw(st.sampled_from(["seconds", "milliseconds", "auto"])))
+        else:
+            hours = draw(st.floats(-5.0, 500.0))
+            text = draw(st.sampled_from([repr(hours), f"{hours:.3f}", f" {hours:.1f} "]))
+        rows.append([text, sender] + draw(st.lists(st.sampled_from(["bob", "", "x y"]), max_size=2)))
+    return rows
+
+
+@given(event_rows())
+@settings(max_examples=200, deadline=None)
+def test_read_event_csv_matches_oracle(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "oracle_events.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "sender", "receiver"])
+        writer.writerows(rows)
+    assert_same_log(read_event_csv(path), oracles.read_event_csv(path))
