@@ -25,6 +25,7 @@ from .filtering import (  # noqa: F401
     NodeEnsemble,
     analytic_posterior,
     enkf_regress,
+    ensemble_moments,
     init_ensemble,
     perturbed_observations,
     pg_analysis,

@@ -31,6 +31,7 @@ from .filtering import (
     POSITIVITY_FLOOR,
     FilterConfig,
     GammaSpec,
+    ensemble_moments,
     init_ensemble,
     load_ensemble_snapshots,
     run_filter,
@@ -66,9 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--seed", type=int, help="run seed (overrides config)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel node workers")
+    parser.add_argument("--workers", type=_worker_count, default=1, help="parallel node workers (>= 1)")
     parser.add_argument("--out-dir", type=Path, default=Path("out"), help="artifact directory")
     return parser
+
+
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return int(text)
 
 
 def _load_config(path: Path | None) -> dict:
@@ -154,12 +161,12 @@ def _write_manifest(out_dir: Path, mode: str, cfg: dict, seed: int) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _save_filter_outputs(result, out_dir: Path, report: dict | None = None, node_labels=None) -> None:
+def _save_filter_outputs(result, out_dir: Path, report: dict | None = None) -> None:
     """Write a filter run's result and mean network, plus its error curves given a truth report."""
     # the excitation group's normalized error is the network-recovery track
     rmse_norm = report["excitation_error"][1:] if report is not None else None
     save_filter_result(result, out_dir, rmse_norm=rmse_norm)
-    net = mean_network(result.ensembles, node_labels=node_labels)
+    net = mean_network(result.ensembles, result.node_labels)
     save_network(net, out_dir / "edges.csv", out_dir / "network.json")
     if report is None:
         return
@@ -201,26 +208,25 @@ def _run_aggregate(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
 def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     data, _meta = load_count_series(a.counts_path)
     init = init_ensemble(data.m, a.ensemble_size, *a.priors, a.seed)
-    fcfg = FilterConfig(
-        ensemble_size=a.ensemble_size, dt=data.dt, seed=a.seed, positivity_floor=a.positivity_floor,
-        record_param_history=a.record_param_history, record_intensity_history=a.record_intensity_history,
-    )
+    fcfg = FilterConfig(a.seed, a.positivity_floor, a.record_param_history, a.record_intensity_history)
     result = run_filter(data, init, fcfg, workers=workers,
                         progress=lambda step, total: print(f"filter: step {step}/{total}", file=sys.stderr))
     report = None
     if a.truth_path is not None and a.record_param_history:
         report = error_metrics(result.history, HawkesParams.load(a.truth_path), a.excitation_scale)
-    _save_filter_outputs(result, out_dir, report, node_labels=data.node_labels)
+    _save_filter_outputs(result, out_dir, report)
 
 
 def _run_analyze_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     ensembles = load_ensemble_snapshots(a.result_dir)
-    net = mean_network(ensembles)
+    # a result.json without node_labels (older result directories) gives the default names
+    labels = json.loads((a.result_dir / "result.json").read_text()).get("node_labels")
+    net = mean_network(ensembles, labels)
     save_network(net, out_dir / "edges.csv", out_dir / "network.json")
     if a.threshold is not None:
         sub = threshold_subnetwork(net, **a.threshold)
         save_network(sub, out_dir / "subnetwork_edges.csv", out_dir / "subnetwork.json")
-    dist = rank_distribution(ensembles, a.measure)
+    dist = rank_distribution(ensembles, a.measure, labels)
     save_rank_distribution(dist, out_dir / f"rank_{a.measure}.csv")
 
 
@@ -245,7 +251,7 @@ def _run_experiment_2(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
         "top_k": a.top_k,
         "overlap_with_generator": run.structure_overlap,
         "generator_excitation": run.config.excitation.tolist(),
-        "estimated_excitation": run.result.mean_excitation().tolist(),
+        "estimated_excitation": ensemble_moments(run.result.ensembles)[0][:, 2:].tolist(),
     }
     (out_dir / "structure.json").write_text(json.dumps(structure, indent=2) + "\n")
 

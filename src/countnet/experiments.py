@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .abm import ABMConfig, simulate_abm
-from .filtering import FilterConfig, FilterResult, GammaSpec, init_ensemble, run_filter
+from .filtering import FilterConfig, FilterResult, GammaSpec, ensemble_moments, init_ensemble, run_filter
 from .hawkes import CountSeries, HawkesParams, simulate
 from .network import error_metrics
 
@@ -136,13 +136,7 @@ def run_perfect_model(
     data = simulate(truth, TOY_DT, n_steps, seed)
     mu_prior, beta_prior, alpha_prior = toy_priors(s1, s2)
     init = init_ensemble(TOY_M, ensemble_size, mu_prior, beta_prior, alpha_prior, seed)
-    cfg = FilterConfig(
-        ensemble_size=ensemble_size,
-        dt=TOY_DT,
-        seed=seed,
-        record_param_history=True,
-        record_intensity_history=record_intensity,
-    )
+    cfg = FilterConfig(seed, record_param_history=True, record_intensity_history=record_intensity)
     result = run_filter(data, init, cfg, workers=workers)
     report = error_metrics(result.history, truth, excitation_scale=s2)
     return PerfectModelRun(truth, data, result, report)
@@ -196,9 +190,8 @@ def run_abm_experiment(
     data = simulate_abm(cfg_abm, n_steps, seed)
     mu_prior, beta_prior, alpha_prior = toy_priors(1.5, 1.5)
     init = init_ensemble(cfg_abm.m, ensemble_size, mu_prior, beta_prior, alpha_prior, seed)
-    cfg = FilterConfig(ensemble_size=ensemble_size, dt=cfg_abm.dt, seed=seed)
-    result = run_filter(data, init, cfg, workers=workers)
-    overlap = structure_overlap(result.mean_excitation(), cfg_abm.excitation, top_k)
+    result = run_filter(data, init, FilterConfig(seed), workers=workers)
+    overlap = structure_overlap(ensemble_moments(result.ensembles)[0][:, 2:], cfg_abm.excitation, top_k)
     return ABMRun(cfg_abm, data, result, overlap)
 
 
@@ -252,10 +245,9 @@ def run_large_network(
         GammaSpec(0.3, 0.09),
         seed,
     )
-    cfg = FilterConfig(ensemble_size=ensemble_size, dt=LARGE_DT, seed=seed)
     start = time.perf_counter()
-    result = run_filter(data, init, cfg, workers=workers)
+    result = run_filter(data, init, FilterConfig(seed), workers=workers)
     wall = time.perf_counter() - start
-    est = result.mean_excitation()
+    est = ensemble_moments(result.ensembles)[0][:, 2:]
     correlation = float(np.corrcoef(truth.excitation.ravel(), est.ravel())[0, 1])
     return LargeNetworkRun(truth, result, correlation, wall)

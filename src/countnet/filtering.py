@@ -14,9 +14,9 @@ Per node and per time bin the filter runs four stages:
 4. roll the state forward to the next bin.
 
 Nodes never read each other's ensembles; they couple only through the
-shared observed counts. Every random draw comes from a stream named by
-(seed, purpose, node index), so results are bitwise independent of node
-ordering and worker count.
+shared observed counts. A node's index is its data column, and every
+random draw comes from a stream named by (seed, purpose, node index), so
+results are bitwise independent of node ordering and worker count.
 """
 
 from __future__ import annotations
@@ -133,20 +133,14 @@ class AnalysisDiagnostics:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Run settings; ``dt`` must equal the assimilated CountSeries' dt exactly."""
+    """Run settings; the member count M comes from the ensembles and dt from the counts."""
 
-    ensemble_size: int
-    dt: float
     seed: int
     positivity_floor: float = POSITIVITY_FLOOR
     record_param_history: bool = False
     record_intensity_history: bool = False
 
     def __post_init__(self) -> None:
-        if self.ensemble_size < 2:
-            raise ValueError("ensemble_size must be at least 2")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
         if not self.positivity_floor > 0:
             raise ValueError("positivity_floor must be positive")
         if self.seed < 0:
@@ -351,65 +345,63 @@ class FilterHistory:
 
 @dataclass
 class FilterResult:
-    """Final ensembles plus optional recorded history."""
+    """Final ensembles, the assimilated bins' count and width, the data's
+    node labels (None: the default names) and optional recorded history."""
 
     ensembles: list[NodeEnsemble]
     config: FilterConfig
     n_steps: int
+    dt: float
     history: FilterHistory | None = None
+    node_labels: list[str] | None = None
 
-    def mean_excitation(self) -> np.ndarray:
-        """Ensemble-mean excitation matrix (the inferred network)."""
-        return np.stack([e.excitation.mean(axis=0) for e in self.ensembles])
+
+def ensemble_moments(ensembles: list[NodeEnsemble]) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's parameter means and sds (ddof=1) over its members, (n_nodes, m+2) each.
+
+    Columns 2: of the means form the inferred network. Each node is reduced
+    on its own, adding its members in order as a reduction over the member
+    axis of the stacked board would, without a copy of that board.
+    """
+    mean = np.stack([e.params.mean(axis=0) for e in ensembles])
+    return mean, np.stack([e.params.std(axis=0, ddof=1) for e in ensembles])
 
 
 class Filter:
-    """Stateful assimilation over a set of nodes.
+    """Stateful assimilation over a set of nodes, bins of width ``dt``.
 
     Holds the board representation of the node ensembles (an (n_nodes, M)
     intensity board and one (n_nodes, M, m+2) tensor of the stacked
     ``NodeEnsemble.params``), the previous bin's full count vector (the
     forecast needs every node's counts; zero before the first bin), the
-    step index, and one analysis stream per node. Streams are keyed by
-    ``node_index``, so a sub-filter over any subset of nodes reproduces
-    those nodes' results bit for bit.
-
-    ``observed_columns[i]`` is the data column assimilated by ensemble row
-    i; it defaults to row order, which covers the full-network case.
+    step index, and one analysis stream per node. Each ensemble assimilates
+    data column ``node_index``, and its stream is keyed by that index, so a
+    sub-filter over any subset of nodes, in any order, reproduces those
+    nodes' results bit for bit.
     """
 
-    def __init__(
-        self,
-        ensembles: list[NodeEnsemble],
-        cfg: FilterConfig,
-        observed_columns: np.ndarray | None = None,
-    ):
+    def __init__(self, ensembles: list[NodeEnsemble], dt: float, cfg: FilterConfig):
         if not ensembles:
             raise ValueError("need at least one node ensemble")
-        M = cfg.ensemble_size
-        m = ensembles[0].m
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        M, m = ensembles[0].ensemble_size, ensembles[0].m
         for e in ensembles:
             if e.ensemble_size != M:
-                raise ValueError("ensemble size disagrees with config")
+                raise ValueError("all node ensembles must share the member count M")
             if e.m != m:
                 raise ValueError("all node ensembles must share the node count m")
+            if not 0 <= e.node_index < m:
+                raise ValueError(f"node index {e.node_index} is not a data column of {m} nodes")
             if not np.isfinite(e.intensity).all() or (e.intensity < 0).any():
                 raise ValueError("intensity members must be finite and non-negative")
             if not np.isfinite(e.params).all() or (e.params < 0).any():
                 raise ValueError("parameter members must be finite and non-negative")
         self.cfg = cfg
+        self.dt = dt
         self.node_indices = [e.node_index for e in ensembles]
         self.m = m
-        if observed_columns is None:
-            if len(ensembles) != m:
-                raise ValueError(
-                    "observed_columns is required when the ensembles do not "
-                    "cover all m nodes in row order"
-                )
-            observed_columns = np.arange(m)
-        self._cols = np.asarray(observed_columns, dtype=np.intp)
-        if self._cols.shape != (len(ensembles),) or (self._cols >= m).any():
-            raise ValueError("observed_columns must give one data column per ensemble")
+        self._cols = np.array(self.node_indices, dtype=np.intp)
         # prior draws can legitimately fall below the floor (gamma shapes < 1)
         self._lam = np.maximum(
             np.stack([e.intensity for e in ensembles]).astype(np.float64),
@@ -434,7 +426,7 @@ class Filter:
         The mean is taken once and the variance is formed from the
         deviations about it (ddof=1).
         """
-        M = self.cfg.ensemble_size
+        M = self._params.shape[1]
         # einsum adds the members in order in one pass; a reduce over the
         # middle axis of the (n, M, p) tensor is several times slower
         mean = np.einsum("imj->ij", self._params) / M
@@ -458,13 +450,13 @@ class Filter:
 
         # Stage 1: member-specific forecast from the previous bin's counts
         excite = self._alpha @ self._prev
-        lam_f = advance_intensity(self._lam, self._mu, self._beta, excite, cfg.dt)
+        lam_f = advance_intensity(self._lam, self._mu, self._beta, excite, self.dt)
         np.maximum(lam_f, floor, out=lam_f)
 
         # Stage 2: conjugate intensity analysis; overflow surfaces as the
         # explicit divergence error right below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            lam_a, diag = _analyze_rows(lam_f, own_counts, cfg.dt, floor, self._streams)
+            lam_a, diag = _analyze_rows(lam_f, own_counts, self.dt, floor, self._streams)
         if not np.isfinite(lam_a).all():
             bad = int(np.argwhere(~np.isfinite(lam_a))[0][0])
             raise FilterDivergence(self.k, self.node_indices[bad])
@@ -520,14 +512,14 @@ def init_ensemble(
 
 def _run_chunk(
     counts: np.ndarray,
+    dt: float,
     ensembles: list[NodeEnsemble],
     cfg: FilterConfig,
-    positions: np.ndarray,
     progress=None,
 ) -> tuple[list[NodeEnsemble], FilterHistory | None]:
     """Full assimilation loop for a subset of nodes; used by the workers."""
     n_steps = counts.shape[0]
-    filt = Filter(ensembles, cfg, observed_columns=positions)
+    filt = Filter(ensembles, dt, cfg)
     record_p = cfg.record_param_history
     record_i = cfg.record_intensity_history
     history = FilterHistory() if record_p or record_i else None
@@ -565,33 +557,34 @@ def run_filter(
 ) -> FilterResult:
     """Assimilate every bin of ``data`` starting from the given ensembles.
 
-    ``workers`` > 1 splits the nodes across processes; the per-node streams
-    make the result identical to a serial run, bit for bit. ``progress``,
-    if given, is called as progress(step, n_steps) from the serial path.
+    ``init[i]`` is node i's ensemble, one per data column. ``workers`` > 1
+    splits the nodes across processes (at most one per node); the per-node
+    streams make the result identical to a serial run, bit for bit.
+    ``progress``, if given, is called as progress(step, n_steps) from the
+    serial path.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     m = data.m
-    if len(init) != m:
-        raise ValueError("need one initial ensemble per data column")
-    if cfg.dt != data.dt:
-        raise ValueError(f"config dt {cfg.dt} disagrees with data dt {data.dt}")
+    if [e.node_index for e in init] != list(range(m)):
+        raise ValueError("init must hold node i's ensemble at position i, for every data column i")
     counts = data.counts
-    positions = np.arange(m)
-    workers = max(1, min(workers, m))
-    if workers == 1:
-        chunks = [_run_chunk(counts, init, cfg, positions, progress)]
+    workers = min(workers, m)
+    if workers <= 1:
+        chunks = [_run_chunk(counts, data.dt, init, cfg, progress)]
     else:
         # contiguous node ranges in order, so the chunks concatenate
-        splits = np.array_split(positions, workers)
+        splits = np.array_split(np.arange(m), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_chunk, counts, [init[i] for i in part], cfg, part)
+                pool.submit(_run_chunk, counts, data.dt, [init[i] for i in part], cfg)
                 for part in splits
             ]
             chunks = [f.result() for f in futures]
     ensembles = [e for chunk_ens, _ in chunks for e in chunk_ens]
     histories = [h for _, h in chunks]
     history = None if histories[0] is None else FilterHistory.concat(histories)
-    return FilterResult(ensembles, cfg, data.n_steps, history)
+    return FilterResult(ensembles, cfg, data.n_steps, data.dt, history, data.node_labels)
 
 
 def save_filter_result(
@@ -606,26 +599,29 @@ def save_filter_result(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    nodes = []
-    for e in result.ensembles:
-        nodes.append(
-            {
-                "index": e.node_index,
-                "baseline_mean": float(e.baseline.mean()),
-                "baseline_sd": float(e.baseline.std(ddof=1)),
-                "decay_mean": float(e.decay.mean()),
-                "decay_sd": float(e.decay.std(ddof=1)),
-                "excitation_mean": e.excitation.mean(axis=0).tolist(),
-                "excitation_sd": e.excitation.std(axis=0, ddof=1).tolist(),
-            }
-        )
+    mean, sd = ensemble_moments(result.ensembles)
+    nodes = [
+        {
+            "index": e.node_index,
+            "baseline_mean": float(mu[0]),
+            "baseline_sd": float(s[0]),
+            "decay_mean": float(mu[1]),
+            "decay_sd": float(s[1]),
+            "excitation_mean": mu[2:].tolist(),
+            "excitation_sd": s[2:].tolist(),
+        }
+        for e, mu, s in zip(result.ensembles, mean, sd)
+    ]
     manifest = {
         "config": result.config.to_json(),
         "n_steps": result.n_steps,
+        "dt": result.dt,
+        "ensemble_size": result.ensembles[0].ensemble_size,
+        "node_labels": result.node_labels,
         "nodes": nodes,
     }
     (out_dir / "result.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    np.savetxt(out_dir / "alpha_mean.csv", result.mean_excitation(), delimiter=",", fmt="%.17g")
+    np.savetxt(out_dir / "alpha_mean.csv", mean[:, 2:], delimiter=",", fmt="%.17g")
     if result.history is not None and result.history.prior_mean is not None:
         h = result.history
         n_steps, m = h.prior_mean.shape

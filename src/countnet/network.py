@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtering import FilterHistory, NodeEnsemble
+from .filtering import FilterHistory, NodeEnsemble, ensemble_moments
 from .hawkes import HawkesParams
 
 OUT_DEGREE = "out_degree"
@@ -91,9 +91,8 @@ def mean_network(
     m = ensembles[0].m
     if len(ensembles) != m:
         raise ValueError("need one ensemble per receiving node")
-    adjacency = np.stack([e.excitation.mean(axis=0) for e in ensembles])
-    edge_sd = np.stack([e.excitation.std(axis=0, ddof=1) for e in ensembles])
-    return InfluenceNetwork(adjacency, edge_sd, node_labels)
+    mean, sd = ensemble_moments(ensembles)
+    return InfluenceNetwork(mean[:, 2:], sd[:, 2:], node_labels)
 
 
 def threshold_subnetwork(

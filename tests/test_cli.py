@@ -7,6 +7,8 @@ import pytest
 
 from countnet.cli import main
 from countnet.experiments import abm_test_config
+from countnet.filtering import load_ensemble_snapshots
+from countnet.network import mean_network
 
 
 def write_config(tmp_path, name, payload):
@@ -179,6 +181,15 @@ class TestExitCodes:
     def test_unknown_mode_is_validation_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("workers", ["-3", "0", "two"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, "c.json", hawkes_config())
+        out = tmp_path / "out"
+        argv = ["simulate-hawkes", "--config", str(cfg), "--seed", "0", "--workers", workers, "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate-hawkes", "--config", str(tmp_path / "nope.json"), "--seed", "1"]) == 1
 
@@ -245,6 +256,42 @@ class TestPipelines:
         assert main(["analyze", "--config", str(ana_cfg), "--seed", "0", "--out-dir", str(ana_out)]) == 0
         assert (ana_out / "rank_out_degree.csv").exists()
         assert (ana_out / "subnetwork.json").exists()
+
+    def test_analyze_uses_the_counts_labels(self, tmp_path):
+        events = tmp_path / "events.csv"
+        rows = ["timestamp,sender"]
+        for h in range(40):
+            rows += [f"{h + 0.1},alice", f"{h + 0.2},bob"] * (1 + h % 2) + [f"{h + 0.3},carol"] * (h % 3 == 0)
+        events.write_text("\n".join(rows) + "\n")
+        agg = write_config(tmp_path, "agg.json", {"events_path": str(events), "dt": 1.0})
+        assert main(["aggregate", "--config", str(agg), "--seed", "0", "--out-dir", str(tmp_path / "agg")]) == 0
+        flt = write_config(tmp_path, "flt.json", {"counts_path": str(tmp_path / "agg" / "counts.csv"),
+                                                  "ensemble_size": 8, "priors": PRIORS})
+        result_dir = tmp_path / "flt"
+        assert main(["filter", "--config", str(flt), "--seed", "0", "--out-dir", str(result_dir)]) == 0
+        labels = ["alice", "bob", "carol"]
+        manifest = json.loads((result_dir / "result.json").read_text())
+        assert (manifest["dt"], manifest["ensemble_size"], manifest["node_labels"]) == (1.0, 8, labels)
+        # the network rebuilt from the snapshots is the one the filter wrote
+        net = mean_network(load_ensemble_snapshots(result_dir))
+        assert np.array_equal(net.adjacency, np.loadtxt(result_dir / "alpha_mean.csv", delimiter=","))
+
+        ana = write_config(tmp_path, "ana.json", {"result_dir": str(result_dir), "measure": "out_degree"})
+        out = tmp_path / "ana"
+        assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 0
+        network = json.loads((out / "network.json").read_text())
+        assert network["node_labels"] == labels
+        assert network["adjacency"] == json.loads((result_dir / "network.json").read_text())["adjacency"]
+        assert (out / "edges.csv").read_bytes() == (result_dir / "edges.csv").read_bytes()
+        assert (out / "rank_out_degree.csv").read_text().splitlines()[0] == "rank,alice,bob,carol"
+
+        # a result.json without node_labels, as older result directories have, gives the default names
+        del manifest["node_labels"]
+        (result_dir / "result.json").write_text(json.dumps(manifest))
+        assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(tmp_path / "old")]) == 0
+        old = json.loads((tmp_path / "old" / "network.json").read_text())
+        assert old["node_labels"] == ["node_1", "node_2", "node_3"]
+        assert old["adjacency"] == network["adjacency"]
 
     def test_aggregate_mode(self, tmp_path):
         events = tmp_path / "events.csv"

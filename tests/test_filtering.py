@@ -15,6 +15,7 @@ from countnet.filtering import (
     NodeEnsemble,
     analytic_posterior,
     enkf_regress,
+    ensemble_moments,
     init_ensemble,
     load_ensemble_snapshots,
     perturbed_observations,
@@ -266,6 +267,9 @@ class TestInitEnsemble:
         assert np.array_equal(full[1].decay, small[1].decay)
 
 
+DT = 0.1  # bin width of the toy runs
+
+
 def toy_filter_setup(m=3, M=60, n_steps=40, seed=2, **cfg_kw):
     from countnet.experiments import toy_priors
     from countnet.hawkes import HawkesParams, simulate
@@ -273,14 +277,14 @@ def toy_filter_setup(m=3, M=60, n_steps=40, seed=2, **cfg_kw):
     base = np.full(m, 2.0)
     alpha = 0.4 * np.eye(m) + 0.2
     truth = HawkesParams(base, np.full(m, 5.0), alpha)
-    data = simulate(truth, 0.1, n_steps, seed)
+    data = simulate(truth, DT, n_steps, seed)
     init = init_ensemble(m, M, *toy_priors(1.0, 1.0), seed=seed)
-    cfg = FilterConfig(ensemble_size=M, dt=0.1, seed=seed, **cfg_kw)
+    cfg = FilterConfig(seed=seed, **cfg_kw)
     return truth, data, init, cfg
 
 
 def one_step(init, counts, cfg):
-    filt = Filter(init, cfg)
+    filt = Filter(init, DT, cfg)
     diag = filt.assimilate_step(counts)
     return filt.ensembles(), diag
 
@@ -288,10 +292,10 @@ def one_step(init, counts, cfg):
 def public_op_step(e, count, cfg):
     """One node's first step from the public single-node ops (zero previous counts)."""
     lam_0 = np.maximum(e.intensity, cfg.positivity_floor)
-    lam_f = e.baseline + (lam_0 - e.baseline) * (1.0 - e.decay * cfg.dt) + e.excitation @ np.zeros(e.m)
+    lam_f = e.baseline + (lam_0 - e.baseline) * (1.0 - e.decay * DT) + e.excitation @ np.zeros(e.m)
     lam_f = np.maximum(lam_f, cfg.positivity_floor)
     stream = rng.node_stream(cfg.seed, rng.ANALYSIS, e.node_index)
-    lam_a, d = pg_analysis(lam_f, count, cfg.dt, stream, cfg.positivity_floor)
+    lam_a, d = pg_analysis(lam_f, count, DT, stream, cfg.positivity_floor)
     return lam_a, enkf_regress(e.params, lam_f, lam_a, cfg.positivity_floor), d
 
 
@@ -330,14 +334,14 @@ class TestAssimilateStep:
         # posterior parameter mean equals the augmented least-squares estimate
         M = 50_000
         init = init_ensemble(1, M, GammaSpec(2.0, 1.0), GammaSpec(5.0, 3.0), GammaSpec(1.0, 0.25), seed=21)
-        cfg = FilterConfig(ensemble_size=M, dt=0.1, seed=21)
+        cfg = FilterConfig(seed=21)
         e = init[0]
         lam_f = np.maximum(
-            e.baseline + (e.intensity - e.baseline) * (1.0 - e.decay * cfg.dt),
+            e.baseline + (e.intensity - e.baseline) * (1.0 - e.decay * DT),
             cfg.positivity_floor,
         )
         stream = rng.node_stream(cfg.seed, rng.ANALYSIS, 0)
-        lam_a, _ = pg_analysis(lam_f, 2, cfg.dt, stream, cfg.positivity_floor)
+        lam_a, _ = pg_analysis(lam_f, 2, DT, stream, cfg.positivity_floor)
         ens_out, _ = one_step(init, np.array([2.0]), cfg)
         design = np.concatenate([lam_f - lam_f.mean(), lam_a - lam_a.mean()])[:, None]
         for j in range(3):
@@ -349,7 +353,7 @@ class TestAssimilateStep:
     def test_dimension_mismatch(self):
         _, _, init, cfg = toy_filter_setup()
         with pytest.raises(ValueError):
-            Filter(init, cfg).assimilate_step(np.zeros(4))
+            Filter(init, DT, cfg).assimilate_step(np.zeros(4))
 
 
 class TestRunFilter:
@@ -366,7 +370,7 @@ class TestRunFilter:
             record_param_history=True, record_intensity_history=True
         )
         data = CountSeries(np.zeros((0, 3), dtype=np.uint64), 0.1)
-        mean, var = Filter(init, cfg).param_moments()
+        mean, var = Filter(init, DT, cfg).param_moments()
         for workers in (1, 2):
             h = run_filter(data, init, cfg, workers=workers).history
             assert np.array_equal(h.param_mean, mean[None])
@@ -403,7 +407,7 @@ class TestRunFilter:
 
     def test_param_moments_match_numpy(self):
         _, data, init, cfg = toy_filter_setup(m=4, M=30, n_steps=10)
-        filt = Filter(init, cfg)
+        filt = Filter(init, DT, cfg)
         for row in data.counts:
             filt.assimilate_step(row.astype(float))
         mean, var = filt.param_moments()
@@ -411,10 +415,26 @@ class TestRunFilter:
         assert np.allclose(mean, params.mean(axis=1), rtol=1e-13, atol=0.0)
         assert np.allclose(var, params.var(axis=1, ddof=1), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("m, M", [(6, 500), (26, 64), (3, 7), (2, 12), (1, 40)])
+    def test_ensemble_moments_match_per_node_calls(self, m, M):
+        g = gen(m * M)
+        ensembles = [NodeEnsemble(i, g.gamma(2.0, size=M), g.gamma(2.0, size=(M, m + 2))) for i in range(m)]
+        mean, sd = ensemble_moments(ensembles)
+        for i, e in enumerate(ensembles):
+            if m >= 2:
+                # the excitation views add a column's members in order, as ensemble_moments does
+                assert np.array_equal(mean[i, 2:], e.excitation.mean(axis=0))
+                assert np.array_equal(sd[i, 2:], e.excitation.std(axis=0, ddof=1))
+            # baseline, decay and a one-node network's excitation are 1-D reductions there,
+            # which numpy sums pairwise: equal up to round-off
+            rtol = M * np.finfo(np.float64).eps
+            assert np.allclose(mean[i], e.params.T.mean(axis=1), rtol=rtol, atol=0.0)
+            assert np.allclose(sd[i], e.params.T.std(axis=1, ddof=1), rtol=rtol, atol=0.0)
+
     def test_param_moments_leave_the_run_unchanged(self):
         # the moments share a scratch buffer with the update
         _, data, init, cfg = toy_filter_setup(m=3, M=30, n_steps=10)
-        plain, probed = Filter(init, cfg), Filter(init, cfg)
+        plain, probed = Filter(init, DT, cfg), Filter(init, DT, cfg)
         for row in data.counts:
             plain.assimilate_step(row.astype(float))
             probed.param_moments()
@@ -423,48 +443,29 @@ class TestRunFilter:
             assert np.array_equal(x.params, y.params)
 
     def test_node_permutation_equivariance(self):
+        # each ensemble assimilates data column node_index with the stream of
+        # that index, so a Filter over the nodes in shuffled order gives every
+        # node the run's bits
         m = 4
         _, data, init, cfg = toy_filter_setup(m=m, M=30, n_steps=20)
         base = run_filter(data, init, cfg)
-        perm = np.array([2, 0, 3, 1])
-        # permute node order: ensembles, data columns, and excitation columns
-        perm_init = []
-        for pos in perm:
-            e = init[pos]
-            params = e.params.copy()
-            params[:, 2:] = params[:, 2:][:, perm]
-            perm_init.append(NodeEnsemble(e.node_index, e.intensity.copy(), params))
-        perm_data = CountSeries(data.counts[:, perm], data.dt)
-        perm_res = run_filter(perm_data, perm_init, cfg)
-        for new_pos, old_pos in enumerate(perm):
-            ours = perm_res.ensembles[new_pos]
-            theirs = base.ensembles[old_pos]
-            # permuting order permutes the summation order inside
-            # excitation @ counts, so identity holds to accumulation order
-            assert np.allclose(ours.intensity, theirs.intensity, rtol=1e-9, atol=1e-12)
-            assert np.allclose(ours.params[:, :2], theirs.params[:, :2], rtol=1e-9, atol=1e-12)
-            assert np.allclose(ours.params[:, 2:], theirs.params[:, 2:][:, perm], rtol=1e-9, atol=1e-12)
+        shuffled = Filter([init[i] for i in (2, 0, 3, 1)], data.dt, cfg)
+        for row in data.counts:
+            shuffled.assimilate_step(row.astype(float))
+        for e in shuffled.ensembles():
+            assert np.array_equal(e.intensity, base.ensembles[e.node_index].intensity)
+            assert np.array_equal(e.params, base.ensembles[e.node_index].params)
 
     def test_single_node_subfilter_matches_board(self):
         m = 3
         _, data, init, cfg = toy_filter_setup(m=m, M=30, n_steps=20)
         board = run_filter(data, init, cfg)
-        sub = Filter([init[1]], cfg, observed_columns=np.array([1]))
+        sub = Filter([init[1]], data.dt, cfg)
         for row in data.counts:
             sub.assimilate_step(row.astype(float))
         solo = sub.ensembles()[0]
         assert np.array_equal(solo.intensity, board.ensembles[1].intensity)
         assert np.array_equal(solo.params, board.ensembles[1].params)
-
-    def test_dt_mismatch_rejected(self):
-        _, data, init, cfg = toy_filter_setup()
-        bad = CountSeries(data.counts, 0.2)
-        with pytest.raises(ValueError, match="dt"):
-            run_filter(bad, init, cfg)
-        # a near-equal config dt would assimilate with the wrong bin width
-        near = FilterConfig(cfg.ensemble_size, 0.100001, cfg.seed)
-        with pytest.raises(ValueError, match="dt"):
-            run_filter(data, init, near)
 
     def test_nonfinite_detection(self):
         _, data, init, cfg = toy_filter_setup()
@@ -548,8 +549,7 @@ class TestRunFilter:
         nodes = [999, 1000, 9999, 10000, 10001]
         gen = np.random.default_rng(0)
         ensembles = [NodeEnsemble(i, gen.gamma(2.0, size=2), gen.gamma(2.0, size=(2, 3))) for i in nodes]
-        cfg = FilterConfig(ensemble_size=2, dt=0.1, seed=0)
-        save_filter_result(FilterResult(ensembles, cfg, 0), tmp_path)
+        save_filter_result(FilterResult(ensembles, FilterConfig(seed=0), 0, 0.1), tmp_path)
         loaded = load_ensemble_snapshots(tmp_path)
         assert [e.node_index for e in loaded] == nodes
         for x, y in zip(ensembles, loaded):
@@ -581,13 +581,9 @@ class TestRunFilter:
 class TestConfigValidation:
     def test_bad_configs(self):
         with pytest.raises(ValueError):
-            FilterConfig(ensemble_size=1, dt=0.1, seed=0)
+            FilterConfig(seed=-1)
         with pytest.raises(ValueError):
-            FilterConfig(ensemble_size=10, dt=0.0, seed=0)
-        with pytest.raises(ValueError):
-            FilterConfig(ensemble_size=10, dt=0.1, seed=-1)
-        with pytest.raises(ValueError):
-            FilterConfig(ensemble_size=10, dt=0.1, seed=0, positivity_floor=0.0)
+            FilterConfig(seed=0, positivity_floor=0.0)
 
     def test_gamma_spec_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from countnet.filtering import (
     Filter,
     FilterConfig,
     GammaSpec,
+    NodeEnsemble,
     init_ensemble,
     load_ensemble_snapshots,
     run_filter,
@@ -28,19 +29,52 @@ class TestFilterEdges:
         for a, b in zip(reference.ensembles, oversubscribed.ensembles):
             assert np.array_equal(a.params, b.params)
 
-    def test_observed_columns_validation(self):
-        _, data, init, cfg = toy_filter_setup(m=3)
-        with pytest.raises(ValueError, match="observed_columns"):
-            Filter(init[:2], cfg)  # subset without column mapping
-        with pytest.raises(ValueError, match="observed_columns"):
-            Filter(init[:2], cfg, observed_columns=np.array([0, 5]))
+    def test_node_index_beyond_the_data_rejected(self):
+        _, _, init, cfg = toy_filter_setup(m=3)
+        stray = NodeEnsemble(3, init[2].intensity, init[2].params)
+        with pytest.raises(ValueError, match="node index 3 is not a data column of 3 nodes"):
+            Filter([init[0], stray], 0.1, cfg)
+
+    def test_permuted_init_rejected(self):
+        # ensembles out of column order, excitation columns permuted to match:
+        # the run would write alpha_mean.csv rows in list order but snapshots
+        # in node order, so it is refused
+        _, data, init, cfg = toy_filter_setup(m=4, M=30, n_steps=5)
+        perm = np.array([2, 0, 3, 1])
+        permuted = []
+        for pos in perm:
+            params = init[pos].params.copy()
+            params[:, 2:] = params[:, 2:][:, perm]
+            permuted.append(NodeEnsemble(init[pos].node_index, init[pos].intensity.copy(), params))
+        with pytest.raises(ValueError, match="node i's ensemble at position i"):
+            run_filter(CountSeries(data.counts[:, perm], data.dt), permuted, cfg)
+        with pytest.raises(ValueError, match="node i's ensemble at position i"):
+            run_filter(data, init[:3], cfg)
+
+    def test_workers_below_one_rejected(self):
+        _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=3)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                run_filter(data, init, cfg, workers=workers)
+
+    def test_ensembles_of_unequal_member_counts_rejected(self):
+        small = init_ensemble(2, 10, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0)
+        large = init_ensemble(2, 12, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0)
+        with pytest.raises(ValueError, match="member count M"):
+            Filter([small[0], large[1]], 0.1, FilterConfig(seed=0))
+
+    def test_non_positive_dt_rejected(self):
+        _, _, init, cfg = toy_filter_setup(m=2, M=12)
+        for dt in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                Filter(init, dt, cfg)
 
     def test_non_finite_or_negative_parameters_rejected(self):
         for bad in (np.nan, np.inf, -0.5):
             _, _, init, cfg = toy_filter_setup(m=3, M=20)
             init[1].params[4, 2] = bad
             with pytest.raises(ValueError, match="parameter members"):
-                Filter(init, cfg)
+                Filter(init, 0.1, cfg)
 
     def test_intensity_below_floor_is_lifted(self):
         # gamma shape < 1 priors legitimately draw near-zero baselines;
@@ -49,7 +83,7 @@ class TestFilterEdges:
             1, 64, GammaSpec(2.0, 8.0), GammaSpec(2.0, 8.0), GammaSpec(0.5, 0.25), seed=3
         )
         init[0].intensity[0] = 1e-12
-        cfg = FilterConfig(ensemble_size=64, dt=0.1, seed=3)
+        cfg = FilterConfig(seed=3)
         data = CountSeries(np.ones((5, 1), dtype=np.uint64), 0.1)
         result = run_filter(data, init, cfg)
         assert (result.ensembles[0].intensity >= cfg.positivity_floor).all()
