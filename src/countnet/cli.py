@@ -31,7 +31,6 @@ from .filtering import (
     POSITIVITY_FLOOR,
     FilterConfig,
     GammaSpec,
-    ensemble_moments,
     init_ensemble,
     load_ensemble_snapshots,
     run_filter,
@@ -170,12 +169,11 @@ def _save_filter_outputs(result, out_dir: Path, report: dict | None = None) -> N
     save_network(net, out_dir / "edges.csv", out_dir / "network.json")
     if report is None:
         return
-    for key in ("baseline_error", "decay_error", "excitation_error",
-                "baseline_var_ratio", "decay_var_ratio", "excitation_var_ratio"):
-        np.savetxt(out_dir / f"{key}.csv", report[key], delimiter=",", fmt="%.10g")
-    np.savetxt(out_dir / "frobenius.csv", report["frobenius"], delimiter=",", fmt="%.10g")
-    save_metrics(report, out_dir / "metrics.json")
-    save_metrics(report["final"], out_dir / "final_metrics.json")
+    # each curve once, at the precision that reads back bit for bit
+    for key, curve in report.items():
+        if key != "final":
+            np.savetxt(out_dir / f"{key}.csv", curve, delimiter=",", fmt="%.17g")
+    save_metrics(report["final"], out_dir / "metrics.json")
 
 
 # Each run function receives the typed arguments of parse_config and looks
@@ -250,8 +248,6 @@ def _run_experiment_2(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     structure = {
         "top_k": a.top_k,
         "overlap_with_generator": run.structure_overlap,
-        "generator_excitation": run.config.excitation.tolist(),
-        "estimated_excitation": ensemble_moments(run.result.ensembles)[0][:, 2:].tolist(),
     }
     (out_dir / "structure.json").write_text(json.dumps(structure, indent=2) + "\n")
 

@@ -356,6 +356,19 @@ class FilterResult:
     node_labels: list[str] | None = None
 
 
+def check_node_set(ensembles: list[NodeEnsemble], m: int) -> None:
+    """Raise ValueError unless ``ensembles[i]`` is node i's ensemble over m >= 1 nodes, for each i < m."""
+    if not ensembles:
+        raise ValueError("need at least one node ensemble")
+    if len(ensembles) != m:
+        raise ValueError(f"need one ensemble per node of {m}, not {len(ensembles)} ensembles")
+    for i, e in enumerate(ensembles):
+        if e.node_index != i:
+            raise ValueError(f"position {i} holds node {e.node_index}'s ensemble, not node {i}'s")
+        if e.m != m:
+            raise ValueError(f"node {i}'s ensemble is over {e.m} nodes, not {m}")
+
+
 def ensemble_moments(ensembles: list[NodeEnsemble]) -> tuple[np.ndarray, np.ndarray]:
     """Every node's parameter means and sds (ddof=1) over its members, (n_nodes, m+2) each.
 
@@ -557,17 +570,16 @@ def run_filter(
 ) -> FilterResult:
     """Assimilate every bin of ``data`` starting from the given ensembles.
 
-    ``init[i]`` is node i's ensemble, one per data column. ``workers`` > 1
-    splits the nodes across processes (at most one per node); the per-node
-    streams make the result identical to a serial run, bit for bit.
-    ``progress``, if given, is called as progress(step, n_steps) from the
-    serial path.
+    ``init[i]`` is node i's ensemble over the data's m columns, for each i
+    (``check_node_set``). ``workers`` > 1 splits the nodes across processes
+    (at most one per node); the per-node streams make the result identical
+    to a serial run, bit for bit. ``progress``, if given, is called as
+    progress(step, n_steps) from the serial path.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     m = data.m
-    if [e.node_index for e in init] != list(range(m)):
-        raise ValueError("init must hold node i's ensemble at position i, for every data column i")
+    check_node_set(init, m)
     counts = data.counts
     workers = min(workers, m)
     if workers <= 1:
@@ -592,7 +604,7 @@ def save_filter_result(
     out_dir: str | Path,
     rmse_norm: np.ndarray | None = None,
 ) -> None:
-    """Write the manifest, mean excitation matrix, diagnostics and snapshots.
+    """Write the manifest (baseline and decay moments), mean excitation matrix, diagnostics and snapshots.
 
     ``rmse_norm`` (n_steps x m), when available from a truth comparison,
     is appended as an extra diagnostics column.
@@ -607,8 +619,6 @@ def save_filter_result(
             "baseline_sd": float(s[0]),
             "decay_mean": float(mu[1]),
             "decay_sd": float(s[1]),
-            "excitation_mean": mu[2:].tolist(),
-            "excitation_sd": s[2:].tolist(),
         }
         for e, mu, s in zip(result.ensembles, mean, sd)
     ]
@@ -648,23 +658,28 @@ def save_filter_result(
 
 
 def load_ensemble_snapshots(out_dir: str | Path) -> list[NodeEnsemble]:
-    """Rebuild node ensembles, in node order, from the snapshot archive."""
+    """Rebuild node ensembles from the snapshot archive, which holds node_0000 .. node_{n-1}."""
     path = Path(out_dir) / "ensembles" / SNAPSHOT_ARCHIVE
     if not path.is_file():
         raise FileNotFoundError(f"no ensemble snapshot archive {path}")
+    out, shape = [], None
     with np.load(path, allow_pickle=False) as archive:
-        tables = {int(name.removeprefix("node_")): (name, archive[name]) for name in archive.files}
-    if not tables:
-        raise ValueError(f"{path}: the archive holds no ensemble snapshots")
-    out, shape = [], tables[min(tables)][1].shape
-    # sorted by parsed index, not by name: node_10000 sorts before node_1001
-    for node in sorted(tables):
-        name, table = tables[node]
-        if table.ndim != 2 or table.shape != shape:
-            raise ValueError(f"{path}[{name}]: ensemble snapshot has shape {table.shape}, not {shape}")
-        if not np.isfinite(table).all():
-            raise ValueError(f"{path}[{name}]: ensemble snapshot holds non-finite values")
-        if (table < 0).any():
-            raise ValueError(f"{path}[{name}]: ensemble snapshot holds negative values")
-        out.append(NodeEnsemble(node, table[:, 0], table[:, 1:]))
+        n = len(archive.files)
+        if n == 0:
+            raise ValueError(f"{path}: the archive holds no ensemble snapshots")
+        # by position, so node_10000 follows node_9999 and a gap is named
+        for node in range(n):
+            name = f"node_{node:04d}"
+            try:
+                table = archive[name]
+            except KeyError:
+                raise ValueError(f"{path}: the archive holds {n} entries but no {name}") from None
+            shape = shape or table.shape
+            if table.ndim != 2 or table.shape != shape:
+                raise ValueError(f"{path}[{name}]: ensemble snapshot has shape {table.shape}, not {shape}")
+            if not np.isfinite(table).all():
+                raise ValueError(f"{path}[{name}]: ensemble snapshot holds non-finite values")
+            if (table < 0).any():
+                raise ValueError(f"{path}[{name}]: ensemble snapshot holds negative values")
+            out.append(NodeEnsemble(node, table[:, 0], table[:, 1:]))
     return out

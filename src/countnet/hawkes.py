@@ -38,6 +38,11 @@ def json_floats(value, ndim: int = 0):
     return cells.astype(np.float64) if ndim else float(cells)
 
 
+def labels_or_default(labels: list[str] | None, m: int) -> list[str]:
+    """The given node labels as a new list, or node_1 .. node_m when there are none."""
+    return list(labels) if labels else [f"node_{j + 1}" for j in range(m)]
+
+
 @dataclass
 class HawkesParams:
     """Per-network parameter set: baselines, decay rates, excitation matrix.
@@ -130,9 +135,7 @@ class CountSeries:
         return self.counts.shape[1]
 
     def labels(self) -> list[str]:
-        if self.node_labels is not None:
-            return list(self.node_labels)
-        return [f"node_{j + 1}" for j in range(self.m)]
+        return labels_or_default(self.node_labels, self.m)
 
 
 def advance_intensity(lam, baseline, decay, excite, dt):

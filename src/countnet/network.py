@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtering import FilterHistory, NodeEnsemble, ensemble_moments
-from .hawkes import HawkesParams
+from .filtering import FilterHistory, NodeEnsemble, check_node_set, ensemble_moments
+from .hawkes import HawkesParams, labels_or_default
 
 OUT_DEGREE = "out_degree"
 IN_DEGREE = "in_degree"
@@ -60,9 +60,7 @@ class InfluenceNetwork:
         return self.adjacency.shape[0]
 
     def labels(self) -> list[str]:
-        if self.node_labels is not None:
-            return list(self.node_labels)
-        return [f"node_{j + 1}" for j in range(self.m)]
+        return labels_or_default(self.node_labels, self.m)
 
     def self_excitation(self) -> np.ndarray:
         return np.diag(self.adjacency).copy()
@@ -86,11 +84,7 @@ def mean_network(
     ensembles: list[NodeEnsemble], node_labels: list[str] | None = None
 ) -> InfluenceNetwork:
     """Ensemble-mean excitation matrix with per-edge standard deviations."""
-    if not ensembles:
-        raise ValueError("need at least one node ensemble")
-    m = ensembles[0].m
-    if len(ensembles) != m:
-        raise ValueError("need one ensemble per receiving node")
+    check_node_set(ensembles, len(ensembles))
     mean, sd = ensemble_moments(ensembles)
     return InfluenceNetwork(mean[:, 2:], sd[:, 2:], node_labels)
 
@@ -236,11 +230,8 @@ def rank_distribution(
     chosen measure is computed on each sample and the resulting rank of
     every node tallied. Samples are scored in batches by one kernel.
     """
-    if not ensembles:
-        raise ValueError("need at least one node ensemble")
-    m = ensembles[0].m
-    if len(ensembles) != m:
-        raise ValueError("need one ensemble per receiving node")
+    m = len(ensembles)
+    check_node_set(ensembles, m)
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     M = ensembles[0].ensemble_size
@@ -294,7 +285,8 @@ def error_metrics(
             "excitation_var_ratio": var[:, :, 2:].mean(axis=2) / var[0, :, 2:].mean(axis=1),
         }
     for key in ("baseline_error", "decay_error", "excitation_error"):
-        zero_start = out[key][0] == 0.0
+        # a zero initial deviation gives 0/0 at step 0 and x/0 after it
+        zero_start = np.isnan(out[key][0])
         out[key][:, zero_start] = np.nan
     out["final"] = {
         "baseline_error": out["baseline_error"][-1].tolist(),
@@ -329,25 +321,19 @@ def save_network(net: InfluenceNetwork, edge_csv: str | Path, adjacency_json: st
 def save_rank_distribution(dist: RankDistribution, path: str | Path) -> None:
     """Rank-by-node count matrix as CSV with a header of node labels."""
     m = dist.counts.shape[0]
-    labels = dist.node_labels or [f"node_{j + 1}" for j in range(m)]
+    labels = labels_or_default(dist.node_labels, m)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank"] + list(labels))
+        writer.writerow(["rank"] + labels)
         for r in range(m):
             writer.writerow([r + 1] + [int(c) for c in dist.counts[r]])
 
 
-def save_metrics(report: dict, path: str | Path) -> None:
-    """Metrics report as JSON; arrays become nested lists, NaN becomes null."""
-    def convert(obj):
-        if isinstance(obj, np.ndarray):
-            return convert(obj.tolist())
-        if isinstance(obj, dict):
-            return {k: convert(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [convert(v) for v in obj]
-        if isinstance(obj, float) and not np.isfinite(obj):
-            return None
-        return obj
+def save_metrics(final: dict, path: str | Path) -> None:
+    """A report's ``final`` block as JSON, NaN written as null."""
+    def null_nan(v):
+        if isinstance(v, list):
+            return [null_nan(x) for x in v]
+        return v if np.isfinite(v) else None
 
-    Path(path).write_text(json.dumps(convert(report), indent=2) + "\n")
+    Path(path).write_text(json.dumps({k: null_nan(v) for k, v in final.items()}, indent=2) + "\n")

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from countnet.cli import main
+from countnet.cli import _save_filter_outputs, main
 from countnet.experiments import abm_test_config
-from countnet.filtering import load_ensemble_snapshots
-from countnet.network import mean_network
+from countnet.filtering import load_ensemble_snapshots, run_filter
+from countnet.hawkes import HawkesParams
+from countnet.network import error_metrics, mean_network
+from test_filtering import toy_filter_setup
 
 
 def write_config(tmp_path, name, payload):
@@ -319,16 +321,38 @@ class TestPipelines:
         for name in ("truth.json", "counts.csv", "alpha_mean.csv", "excitation_error.csv",
                      "frobenius.csv", "metrics.json", "diagnostics.csv"):
             assert (out / name).exists(), name
+        assert not (out / "final_metrics.json").exists()
         curve = np.loadtxt(out / "excitation_error.csv", delimiter=",")
         assert curve.shape == (151, 6)
         header = (out / "diagnostics.csv").read_text().splitlines()[0]
         assert header.endswith("rmse_norm")
+
+    def test_truth_run_writes_each_curve_once(self, tmp_path):
+        truth, data, init, cfg = toy_filter_setup(m=3, M=20, n_steps=30, record_param_history=True)
+        result = run_filter(data, init, cfg)
+        # a truth at node 0's initial mean baseline leaves that node's curve undefined
+        baseline = truth.baseline.copy()
+        baseline[0] = result.history.param_mean[0, 0, 0]
+        report = error_metrics(result.history, HawkesParams(baseline, truth.decay, truth.excitation))
+        _save_filter_outputs(result, tmp_path, report)
+        curves = [key for key in report if key != "final"]
+        assert len(curves) == 7
+        for key in curves:
+            parsed = np.loadtxt(tmp_path / f"{key}.csv", delimiter=",")
+            assert np.array_equal(parsed, report[key], equal_nan=True), key
+        assert np.isnan(report["baseline_error"][:, 0]).all()
+        final = {key: [None if math.isnan(x) else x for x in value] if isinstance(value, list) else value
+                 for key, value in report["final"].items()}
+        assert final["baseline_error"][0] is None
+        assert json.loads((tmp_path / "metrics.json").read_text()) == final
+        assert not (tmp_path / "final_metrics.json").exists()
 
     def test_experiment_2_small(self, tmp_path):
         cfg = write_config(tmp_path, "e2.json", {"n_steps": 250, "ensemble_size": 30})
         out = tmp_path / "e2"
         assert main(["experiment-2", "--config", str(cfg), "--seed", "2", "--out-dir", str(out)]) == 0
         structure = json.loads((out / "structure.json").read_text())
+        assert set(structure) == {"top_k", "overlap_with_generator"}
         assert 0 <= structure["overlap_with_generator"] <= 5
 
     def test_sweep_small(self, tmp_path):

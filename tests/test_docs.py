@@ -1,7 +1,10 @@
-"""The README's code runs as written."""
+"""The README's code runs as written, and its data formats name every output."""
 
+import json
 import re
 from pathlib import Path
+
+from countnet.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +16,25 @@ def test_library_quick_start_runs(capsys):
     exec(compile(block, "README.md (Library quick start)", "exec"), {"__name__": "readme"})
     printed = capsys.readouterr().out
     assert printed.count("[[") == 2  # the adjacency and the edge sds
+
+
+def test_data_formats_name_every_filter_output(tmp_path):
+    text = README.read_text()
+    section = text[text.index("## Data formats"):]
+    section = section[:section.index("\n## ", 1)]
+    params = {"mu": [2.0, 1.0], "beta": [5.0, 5.0], "alpha": [[0.5, 0.2], [0.0, 1.0]]}
+    (tmp_path / "truth.json").write_text(json.dumps(params))
+    (tmp_path / "sim.json").write_text(json.dumps({"params": params, "dt": 0.1, "n_steps": 20}))
+    assert main(["simulate-hawkes", "--config", str(tmp_path / "sim.json"), "--seed", "0",
+                 "--out-dir", str(tmp_path / "sim")]) == 0
+    priors = {group: {"mean": 1.0, "variance": 0.5} for group in ("baseline", "decay", "excitation")}
+    (tmp_path / "flt.json").write_text(json.dumps({
+        "counts_path": str(tmp_path / "sim" / "counts.csv"), "ensemble_size": 8, "priors": priors,
+        "record_param_history": True, "record_intensity_history": True,
+        "truth_path": str(tmp_path / "truth.json"),
+    }))
+    out = tmp_path / "flt"
+    assert main(["filter", "--config", str(tmp_path / "flt.json"), "--seed", "0", "--out-dir", str(out)]) == 0
+    written = sorted(path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file())
+    assert len(written) == 15
+    assert [name for name in written if f"`{name}`" not in section] == []

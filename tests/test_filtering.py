@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from countnet.filtering import (
     Filter,
     FilterConfig,
     FilterDivergence,
-    FilterResult,
     GammaSpec,
     NodeEnsemble,
     analytic_posterior,
@@ -545,16 +545,39 @@ class TestRunFilter:
             assert archive.files == ["node_0000", "node_0001"]
             assert archive["node_0001"].shape == (12, 2 + 3)
 
+    def test_result_json_holds_baseline_and_decay_moments(self, tmp_path):
+        _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=10)
+        res = run_filter(data, init, cfg)
+        save_filter_result(res, tmp_path)
+        nodes = json.loads((tmp_path / "result.json").read_text())["nodes"]
+        mean, sd = ensemble_moments(res.ensembles)
+        for i, node in enumerate(nodes):
+            # the excitation moments live in alpha_mean.csv and the snapshots
+            assert set(node) == {"index", "baseline_mean", "baseline_sd", "decay_mean", "decay_sd"}
+            assert node["index"] == i
+            assert [node["baseline_mean"], node["decay_mean"]] == mean[i, :2].tolist()
+            assert [node["baseline_sd"], node["decay_sd"]] == sd[i, :2].tolist()
+
     def test_snapshots_load_in_node_order_past_9999(self, tmp_path):
-        nodes = [999, 1000, 9999, 10000, 10001]
+        # entries are read by position: node_10000 sorts before node_1001 by name
+        n = 10_002
         gen = np.random.default_rng(0)
-        ensembles = [NodeEnsemble(i, gen.gamma(2.0, size=2), gen.gamma(2.0, size=(2, 3))) for i in nodes]
-        save_filter_result(FilterResult(ensembles, FilterConfig(seed=0), 0, 0.1), tmp_path)
+        tables = gen.gamma(2.0, size=(n, 2, 4))
+        (tmp_path / "ensembles").mkdir()
+        np.savez(tmp_path / "ensembles" / "ensembles.npz",
+                 **{f"node_{i:04d}": tables[i] for i in reversed(range(n))})
         loaded = load_ensemble_snapshots(tmp_path)
-        assert [e.node_index for e in loaded] == nodes
-        for x, y in zip(ensembles, loaded):
-            assert np.array_equal(x.intensity, y.intensity)
-            assert np.array_equal(x.params, y.params)
+        assert [e.node_index for e in loaded] == list(range(n))
+        for i in (0, 999, 1000, 1001, 9999, 10000, 10001):
+            assert np.array_equal(loaded[i].intensity, tables[i, :, 0])
+            assert np.array_equal(loaded[i].params, tables[i, :, 1:])
+
+    def test_snapshot_archive_with_a_gap_rejected(self, tmp_path):
+        (tmp_path / "ensembles").mkdir()
+        np.savez(tmp_path / "ensembles" / "ensembles.npz",
+                 node_0000=np.ones((4, 6)), node_0002=np.ones((4, 6)), node_0005=np.ones((4, 6)))
+        with pytest.raises(ValueError, match="3 entries but no node_0001"):
+            load_ensemble_snapshots(tmp_path)
 
     def test_snapshot_entries_of_another_shape_rejected(self, tmp_path):
         (tmp_path / "ensembles").mkdir()

@@ -47,6 +47,18 @@ class TestMeanNetwork:
         assert net.adjacency[0, 1] == 2.0
         assert net.edge_sd[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
+    def test_ensembles_not_in_node_order_rejected(self):
+        # nodes {0, 2, 5} of a 3-node network, as an archive with a gap would give
+        alpha = np.random.default_rng(6).gamma(0.5, size=(4, 3, 3))
+        ensembles = ensembles_from_members(alpha)
+        ensembles = [NodeEnsemble(i, e.intensity, e.params) for i, e in zip((0, 2, 5), ensembles)]
+        with pytest.raises(ValueError, match="position 1 holds node 2's ensemble"):
+            mean_network(ensembles)
+        with pytest.raises(ValueError, match="position 1 holds node 2's ensemble"):
+            rank_distribution(ensembles, "out_degree")
+        with pytest.raises(ValueError, match="node 0's ensemble is over 3 nodes, not 2"):
+            mean_network(ensembles[:2])
+
 
 class TestInfluenceNetwork:
     def test_non_finite_weights_rejected(self):
@@ -348,6 +360,11 @@ class TestErrorMetrics:
         history = self.make_history(np.concatenate([exact, exact]), np.ones((2, 1, 3)))
         report = error_metrics(history, truth)
         assert np.isnan(report["baseline_error"]).all()
+        # the mean moving off an exact start does not make the error infinite
+        history = self.make_history(np.concatenate([exact, exact + 0.5]), np.ones((2, 1, 3)))
+        report = error_metrics(history, truth)
+        for key in ("baseline_error", "decay_error", "excitation_error"):
+            assert np.isnan(report[key]).all()
 
     def test_variance_ratios(self):
         truth = HawkesParams([2.0], [5.0], [[1.5]])

@@ -10,6 +10,7 @@ from countnet.cli import main
 from countnet.filtering import (
     Filter,
     FilterConfig,
+    FilterResult,
     GammaSpec,
     NodeEnsemble,
     init_ensemble,
@@ -46,10 +47,16 @@ class TestFilterEdges:
             params = init[pos].params.copy()
             params[:, 2:] = params[:, 2:][:, perm]
             permuted.append(NodeEnsemble(init[pos].node_index, init[pos].intensity.copy(), params))
-        with pytest.raises(ValueError, match="node i's ensemble at position i"):
+        with pytest.raises(ValueError, match="position 0 holds node 2's ensemble"):
             run_filter(CountSeries(data.counts[:, perm], data.dt), permuted, cfg)
-        with pytest.raises(ValueError, match="node i's ensemble at position i"):
+        with pytest.raises(ValueError, match="one ensemble per node of 4, not 3"):
             run_filter(data, init[:3], cfg)
+
+    def test_zero_bin_run_rejects_ensembles_of_another_width(self):
+        # with no bins there is no step to compare the widths
+        init = init_ensemble(6, 10, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.3, 0.1), seed=0)
+        with pytest.raises(ValueError, match="node 0's ensemble is over 6 nodes, not 3"):
+            run_filter(CountSeries(np.zeros((0, 3), dtype=int), 0.1), init[:3], FilterConfig(seed=0))
 
     def test_workers_below_one_rejected(self):
         _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=3)
@@ -165,6 +172,18 @@ class TestCliEdges:
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
         assert "node_0002" in capsys.readouterr().err
+        assert not (out / "network.json").exists()
+
+    def test_archive_with_a_gap_is_not_analyzed(self, tmp_path, capsys):
+        # nodes {0, 2, 5} of a 3-node network: node 5 must not pass as node_3
+        gen = np.random.default_rng(5)
+        ensembles = [NodeEnsemble(i, gen.gamma(2.0, size=4), gen.gamma(2.0, size=(4, 5))) for i in (0, 2, 5)]
+        save_filter_result(FilterResult(ensembles, FilterConfig(seed=0), 0, 0.1), tmp_path / "res")
+        ana = tmp_path / "ana.json"
+        ana.write_text(json.dumps({"result_dir": str(tmp_path / "res")}))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
+        assert "no node_0001" in capsys.readouterr().err
         assert not (out / "network.json").exists()
 
     def test_csv_snapshots_are_not_read(self, tmp_path, capsys):
