@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .hawkes import CountSeries, advance_intensity
+from .hawkes import CountSeries, advance_intensity, check_counts
 
 SNAPSHOT_ARCHIVE = "ensembles.npz"
 # default lower clamp for intensity and parameter members
@@ -170,6 +170,14 @@ def analytic_posterior(
     return post_mean, post_rel_var
 
 
+def _perturbed_rows(counts, M: int, streams) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, M) board of gamma(count, 1) draws, row r from ``streams[r]``, and its row means."""
+    t = np.empty((len(counts), M))
+    for r, (count, gen) in enumerate(zip(counts, streams)):
+        gen.standard_gamma(count, out=t[r])
+    return t, np.add.reduce(t, axis=1) / M
+
+
 def perturbed_observations(
     dN: int, M: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, float]:
@@ -178,40 +186,40 @@ def perturbed_observations(
     Shape dN and rate 1 give relative variance 1/dN, the observation-noise
     scale of a Poisson count of size dN; the redistribution step needs
     exactly that scale for the updated ensemble's relative variance to land
-    on the conjugate posterior.
+    on the conjugate posterior. This is the analysis kernel's draw for one row.
     """
     if dN < 1:
         raise ValueError("perturbed observations are only drawn for dN >= 1")
     if M < 2:
         raise ValueError("need at least two draws")
-    draws = gen.gamma(float(dN), 1.0, size=M)
-    return draws, float(draws.mean())
+    draws, mean = _perturbed_rows([float(dN)], M, [gen])
+    return draws[0], float(mean[0])
 
 
 def _analyze_rows(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, AnalysisDiagnostics]:
-    """Intensity analysis for a board of rows; one stream per row."""
+    """Intensity analysis for a board of rows; one stream per row.
+
+    Only a row with a count of at least 1 and some forecast spread draws from its stream.
+    """
     n_rows, M = lam_f.shape
-    mean_f = lam_f.mean(axis=1)
+    mean_f = np.add.reduce(lam_f, axis=1) / M
     u = lam_f / mean_f[:, None] - 1.0
     prior_rv = np.einsum("im,im->i", u, u) / (M - 1)
     degenerate = prior_rv == 0.0
-    inv_prior = np.empty(n_rows)
-    inv_prior[degenerate] = np.inf
-    inv_prior[~degenerate] = 1.0 / prior_rv[~degenerate]
+    inv_prior = np.divide(1.0, prior_rv, out=np.full(n_rows, np.inf), where=~degenerate)
 
     innovation = counts - mean_f * dt
     gain = mean_f / (inv_prior + mean_f * dt)  # degenerate rows get gain 0
     post_mean = mean_f + gain * innovation
 
-    # redistribute relative deviations; a zero count leaves them untouched
-    a = u
-    for i in range(n_rows):
-        if counts[i] >= 1 and not degenerate[i]:
-            draws, draw_mean = perturbed_observations(int(counts[i]), M, streams[i])
-            t = draws / draw_mean - 1.0
-            c = prior_rv[i] / (prior_rv[i] + 1.0 / counts[i])
-            a[i] = u[i] + c * (t - u[i])
-    lam_a = post_mean[:, None] * (1.0 + a)
+    # redistribute relative deviations; the other rows keep theirs
+    act = np.flatnonzero((counts >= 1) & ~degenerate)
+    if act.size:
+        t, t_mean = _perturbed_rows(counts[act], M, [streams[i] for i in act])
+        c = prior_rv[act] / (prior_rv[act] + 1.0 / counts[act])
+        u_act = u[act]
+        u[act] = u_act + c[:, None] * (t / t_mean[:, None] - 1.0 - u_act)
+    lam_a = post_mean[:, None] * (1.0 + u)
     np.maximum(lam_a, floor, out=lam_a)
 
     post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
@@ -237,21 +245,12 @@ def pg_analysis(
         raise ValueError("lam_f must be a vector with at least two members")
     if not (lam_f > 0).all():
         raise ValueError("forecast intensities must be positive")
-    if dN < 0:
-        raise ValueError("dN must be a non-negative count")
+    check_counts(np.asarray(dN, dtype=np.float64))
     if not dt > 0:
         raise ValueError("dt must be positive")
-    board, diag = _analyze_rows(
-        lam_f[None, :].copy(), np.array([float(dN)]), dt, floor, [gen]
-    )
-    return board[0], AnalysisDiagnostics(
-        float(diag.prior_mean[0]),
-        float(diag.post_mean[0]),
-        float(diag.prior_rel_var[0]),
-        float(diag.post_rel_var[0]),
-        float(diag.innovation[0]),
-        bool(diag.degenerate[0]),
-    )
+    board, diag = _analyze_rows(lam_f[None, :].copy(), np.array([float(dN)]), dt, floor, [gen])
+    # the board's one row, as Python floats and a bool
+    return board[0], AnalysisDiagnostics(**{k: v[0].item() for k, v in vars(diag).items()})
 
 
 def _regress_rows(q, lam_f, lam_a, floor, tmp) -> None:
@@ -265,8 +264,8 @@ def _regress_rows(q, lam_f, lam_a, floor, tmp) -> None:
     ``floor``. A row without intensity spread gets gain 0.
     """
     M = q.shape[1]
-    ydev = lam_f - lam_f.mean(axis=1)[:, None]
-    yadev = lam_a - lam_a.mean(axis=1)[:, None]
+    ydev = lam_f - (np.add.reduce(lam_f, axis=1) / M)[:, None]
+    yadev = lam_a - (np.add.reduce(lam_a, axis=1) / M)[:, None]
     denom = (np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)) / (M - 1)
     safe = denom > 0
     scale = np.zeros_like(denom)
@@ -455,8 +454,7 @@ class Filter:
         counts_next = np.asarray(counts_next, dtype=np.float64)
         if counts_next.shape != (self.m,):
             raise ValueError("counts_next must hold the full m-node count vector")
-        if (counts_next < 0).any():
-            raise ValueError("counts must be non-negative")
+        check_counts(counts_next)
         cfg = self.cfg
         floor = cfg.positivity_floor
         own_counts = counts_next[self._cols]

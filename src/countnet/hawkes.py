@@ -38,6 +38,13 @@ def json_floats(value, ndim: int = 0):
     return cells.astype(np.float64) if ndim else float(cells)
 
 
+def check_counts(counts: np.ndarray) -> None:
+    """Raise ValueError unless every count is a finite, non-negative integer."""
+    # among finite x, floor(x) == |x| holds for exactly the non-negative integers
+    if not (np.isfinite(counts).all() and (np.floor(counts) == np.abs(counts)).all()):
+        raise ValueError("counts must be finite, non-negative integers")
+
+
 def labels_or_default(labels: list[str] | None, m: int) -> list[str]:
     """The given node labels as a new list, or node_1 .. node_m when there are none."""
     return list(labels) if labels else [f"node_{j + 1}" for j in range(m)]
@@ -112,13 +119,8 @@ class CountSeries:
         counts = np.asarray(self.counts)
         if counts.ndim != 2:
             raise ValueError("counts must be a n_steps x m matrix")
-        kind = counts.dtype.kind
-        if kind == "i":
-            if (counts < 0).any():
-                raise ValueError("counts must be non-negative")
-        elif kind != "u":
-            if (counts < 0).any() or not np.all(counts == np.floor(counts)):
-                raise ValueError("counts must be non-negative integers")
+        if counts.dtype.kind != "u":
+            check_counts(counts)
         # cells sized for >= 2^32 events
         self.counts = counts.astype(np.uint64)
         if not self.dt > 0:

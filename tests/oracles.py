@@ -10,6 +10,12 @@ path that ``countnet.ingest`` replaced with sender codes: their ``EventLog``
 holds each event's sender name, and every step works per event in Python.
 They are the exact reference for the coded path, on logs and files where
 every timestamp has the format of the first.
+
+``analyze_rows`` is the per-row intensity analysis that
+``countnet.filtering._analyze_rows`` replaced with whole-board operations:
+each observed row draws its perturbed observations with ``gamma(dN, 1)``
+and is updated on its own. It is the bit-level reference for the batched
+kernel, draws and stream states included.
 """
 
 import csv
@@ -20,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from countnet.filtering import AnalysisDiagnostics
 from countnet.hawkes import CountSeries
 from countnet.ingest import HOURS_PER_DAY, CleaningReport
 from countnet.network import BETWEENNESS_WEIGHT_FLOOR
@@ -28,6 +35,35 @@ from countnet.network import BETWEENNESS_WEIGHT_FLOOR
 def rank_nodes(scores: np.ndarray) -> np.ndarray:
     """Node indices in rank order: descending score, ties by node index."""
     return np.lexsort((np.arange(scores.shape[0]), -scores))
+
+
+def analyze_rows(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, AnalysisDiagnostics]:
+    """Intensity analysis of a board of rows, one row at a time; one stream per row."""
+    n_rows, M = lam_f.shape
+    mean_f = lam_f.mean(axis=1)
+    u = lam_f / mean_f[:, None] - 1.0
+    prior_rv = np.einsum("im,im->i", u, u) / (M - 1)
+    degenerate = prior_rv == 0.0
+    inv_prior = np.empty(n_rows)
+    inv_prior[degenerate] = np.inf
+    inv_prior[~degenerate] = 1.0 / prior_rv[~degenerate]
+
+    innovation = counts - mean_f * dt
+    gain = mean_f / (inv_prior + mean_f * dt)
+    post_mean = mean_f + gain * innovation
+
+    a = u
+    for i in range(n_rows):
+        if counts[i] >= 1 and not degenerate[i]:
+            draws = streams[i].gamma(float(int(counts[i])), 1.0, size=M)
+            t = draws / float(draws.mean()) - 1.0
+            c = prior_rv[i] / (prior_rv[i] + 1.0 / counts[i])
+            a[i] = u[i] + c * (t - u[i])
+    lam_a = post_mean[:, None] * (1.0 + a)
+    np.maximum(lam_a, floor, out=lam_a)
+
+    post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
+    return lam_a, AnalysisDiagnostics(mean_f, post_mean, prior_rv, post_rv, innovation, degenerate)
 
 
 def brute_betweenness(adjacency: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from countnet.filtering import (
     save_filter_result,
 )
 from countnet.hawkes import CountSeries
+from oracles import analyze_rows
 
 
 def gen(seed=0):
@@ -159,6 +160,92 @@ class TestPgAnalysis:
             pg_analysis(np.array([1.0]), 1, 0.1, gen(0))
         with pytest.raises(ValueError):
             pg_analysis(np.array([1.0, 2.0]), -1, 0.1, gen(0))
+
+
+def stream_state(g):
+    return json.dumps(g.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def kernel_against_oracle(lam_f, counts, floor=filtering.POSITIVITY_FLOOR, seed=5):
+    """Run the batched analysis and the per-row oracle on fresh, equal streams; assert equal bits."""
+    counts = np.asarray(counts, dtype=np.float64)
+    rows = range(lam_f.shape[0])
+    got_streams = rng.node_streams(seed, rng.ANALYSIS, rows)
+    want_streams = rng.node_streams(seed, rng.ANALYSIS, rows)
+    got, got_diag = filtering._analyze_rows(lam_f.copy(), counts, 0.1, floor, got_streams)
+    want, want_diag = analyze_rows(lam_f.copy(), counts, 0.1, floor, want_streams)
+    assert got.tobytes() == want.tobytes()
+    for key, value in vars(got_diag).items():
+        assert value.tobytes() == getattr(want_diag, key).tobytes(), key
+    assert [stream_state(g) for g in got_streams] == [stream_state(g) for g in want_streams]
+    # rows without a draw leave their stream untouched
+    fresh = rng.node_streams(seed, rng.ANALYSIS, rows)
+    silent = (counts < 1) | got_diag.degenerate
+    for i in np.flatnonzero(silent):
+        assert stream_state(got_streams[i]) == stream_state(fresh[i])
+    for i in np.flatnonzero(~silent):
+        assert stream_state(got_streams[i]) != stream_state(fresh[i])
+    return got, got_diag
+
+
+def gamma_board(n_rows, M, seed=0):
+    return np.random.default_rng(seed).gamma(2.0, 1.5, size=(n_rows, M)) + 0.01
+
+
+class TestAnalyzeRowsOracle:
+    """The batched intensity analysis against the per-row reference, bit for bit."""
+
+    def test_all_zero_counts(self):
+        kernel_against_oracle(gamma_board(5, 40), np.zeros(5))
+
+    def test_constant_rows(self):
+        lam_a, diag = kernel_against_oracle(np.full((3, 16), 2.5), [0.0, 3.0, 10.0])
+        assert diag.degenerate.all()
+
+    def test_mixed_zero_degenerate_and_active_rows(self):
+        lam_f = gamma_board(7, 30, seed=1)
+        lam_f[[1, 4]] = [[0.5], [4.0]]
+        lam_a, diag = kernel_against_oracle(lam_f, [0, 2, 5, 0, 1, 3, 12])
+        assert list(np.flatnonzero(diag.degenerate)) == [1, 4]
+
+    @pytest.mark.parametrize("M", [2, 500])
+    def test_member_counts(self, M):
+        kernel_against_oracle(gamma_board(4, M, seed=M), [1, 0, 4, 7])
+
+    def test_counts_of_one_and_ten_thousand(self):
+        kernel_against_oracle(gamma_board(4, 64, seed=2), [1, 10_000, 1, 10_000])
+
+    def test_active_floor_clamp(self):
+        lam_f = gamma_board(4, 64, seed=3)
+        lam_a, _ = kernel_against_oracle(lam_f, [2, 1, 0, 5], floor=1.0)
+        assert (lam_a == 1.0).any()
+
+    def test_single_row_board(self):
+        kernel_against_oracle(gamma_board(1, 50, seed=4), [3])
+
+
+class TestCountValidation:
+    """Counts must be finite, non-negative integers for the analysis and the step."""
+
+    BAD = [2.5, np.nan, np.inf, -1.0]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_pg_analysis_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite, non-negative integers"):
+            pg_analysis(np.array([1.0, 2.0, 3.0]), bad, 0.1, gen(0))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_assimilate_step_rejects(self, bad):
+        _, _, init, cfg = toy_filter_setup()
+        filt = Filter(init, DT, cfg)
+        with pytest.raises(ValueError, match="finite, non-negative integers"):
+            filt.assimilate_step(np.array([1.0, bad, 0.0]))
+        assert filt.k == 0
+
+    def test_whole_counts_accepted(self):
+        _, _, init, cfg = toy_filter_setup()
+        Filter(init, DT, cfg).assimilate_step(np.array([0.0, 3.0, 1e4]))
+        pg_analysis(np.array([1.0, 2.0, 3.0]), np.float64(4.0), 0.1, gen(0))
 
 
 class TestEnkfRegress:

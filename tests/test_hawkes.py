@@ -162,6 +162,12 @@ class TestContainers:
         with pytest.raises(ValueError):
             CountSeries(np.zeros((3, 2), dtype=np.uint64), 0.1, node_labels=["a"])
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, -1.0])
+    def test_count_series_rejects_non_counts(self, bad):
+        # inf used to pass and be cast to an arbitrary uint64
+        with pytest.raises(ValueError, match="finite, non-negative integers"):
+            CountSeries(np.array([[0.0, 1.0], [2.0, bad]]), 0.1)
+
     def test_count_series_csv_round_trip(self, tmp_path):
         params = scalar_params(mu=2.0, beta=2.0, alpha=0.5)
         series = simulate(params, 0.25, 40, seed=1)
