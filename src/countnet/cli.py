@@ -118,6 +118,7 @@ def _list(item: Callable):
 
 
 _positive = _reader(lambda v: json_floats(v) > 0, "must be positive", float)
+_non_negative = _reader(lambda v: json_floats(v) >= 0, "must be a finite number >= 0", float)
 _flag = _reader(lambda v: type(v) is bool, "must be true or false")
 _path = _reader(lambda v: type(v) is str and v != "", "must be a non-empty path string", Path)
 _measure = _reader(lambda v: v in MEASURES, f"must be one of {MEASURES}")
@@ -138,7 +139,7 @@ def _threshold(rule: dict) -> dict:
         raise ValueError("must be an object with exactly one of relative_factor or absolute")
     (key, value), = rule.items()
     try:
-        return {key: json_floats(value)}
+        return {key: _non_negative(value)}
     except ValueError as err:
         raise ConfigError(f"threshold.{key}: {err}") from err
 
@@ -161,12 +162,8 @@ def _write_manifest(out_dir: Path, mode: str, cfg: dict, seed: int) -> None:
 
 
 def _save_filter_outputs(result, out_dir: Path, report: dict | None = None) -> None:
-    """Write a filter run's result and mean network, plus its error curves given a truth report."""
-    # the excitation group's normalized error is the network-recovery track
-    rmse_norm = report["excitation_error"][1:] if report is not None else None
-    save_filter_result(result, out_dir, rmse_norm=rmse_norm)
-    net = mean_network(result.ensembles, result.node_labels)
-    save_network(net, out_dir / "edges.csv", out_dir / "network.json")
+    """Write a filter run's result, plus its error curves given a truth report."""
+    save_filter_result(result, out_dir)
     if report is None:
         return
     # each curve once, at the precision that reads back bit for bit
@@ -206,11 +203,13 @@ def _run_aggregate(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
 def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     data, _meta = load_count_series(a.counts_path)
     init = init_ensemble(data.m, a.ensemble_size, *a.priors, a.seed)
-    fcfg = FilterConfig(a.seed, a.positivity_floor, a.record_param_history, a.record_intensity_history)
+    # only the error curves against a truth read the parameter history
+    record_param = a.record_param_history and a.truth_path is not None
+    fcfg = FilterConfig(a.seed, a.positivity_floor, record_param, a.record_intensity_history)
     result = run_filter(data, init, fcfg, workers=workers,
                         progress=lambda step, total: print(f"filter: step {step}/{total}", file=sys.stderr))
     report = None
-    if a.truth_path is not None and a.record_param_history:
+    if record_param:
         report = error_metrics(result.history, HawkesParams.load(a.truth_path), a.excitation_scale)
     _save_filter_outputs(result, out_dir, report)
 
@@ -329,7 +328,8 @@ SCHEMA = {
 }
 MODES = (*SCHEMA, "validate")
 # filter keys that are only read when another key is set
-_READ_ONLY_WITH = {"truth_path": "record_param_history", "excitation_scale": "truth_path"}
+_READ_ONLY_WITH = {"truth_path": "record_param_history", "record_param_history": "truth_path",
+                   "excitation_scale": "truth_path"}
 
 
 def parse_config(mode: str, cfg: dict, seed: int | None) -> tuple[SimpleNamespace, list[str]]:

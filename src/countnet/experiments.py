@@ -16,9 +16,9 @@ import numpy as np
 
 from . import rng
 from .abm import ABMConfig, simulate_abm
-from .filtering import FilterConfig, FilterResult, GammaSpec, ensemble_moments, init_ensemble, run_filter
+from .filtering import FilterConfig, FilterResult, GammaSpec, init_ensemble, run_filter
 from .hawkes import CountSeries, HawkesParams, simulate
-from .network import error_metrics
+from .network import error_metrics, mean_network
 
 TOY_M = 6
 TOY_DT = 0.1
@@ -191,7 +191,7 @@ def run_abm_experiment(
     mu_prior, beta_prior, alpha_prior = toy_priors(1.5, 1.5)
     init = init_ensemble(cfg_abm.m, ensemble_size, mu_prior, beta_prior, alpha_prior, seed)
     result = run_filter(data, init, FilterConfig(seed), workers=workers)
-    overlap = structure_overlap(ensemble_moments(result.ensembles)[0][:, 2:], cfg_abm.excitation, top_k)
+    overlap = structure_overlap(mean_network(result.ensembles).adjacency, cfg_abm.excitation, top_k)
     return ABMRun(cfg_abm, data, result, overlap)
 
 
@@ -248,6 +248,6 @@ def run_large_network(
     start = time.perf_counter()
     result = run_filter(data, init, FilterConfig(seed), workers=workers)
     wall = time.perf_counter() - start
-    est = ensemble_moments(result.ensembles)[0][:, 2:]
+    est = mean_network(result.ensembles).adjacency
     correlation = float(np.corrcoef(truth.excitation.ravel(), est.ravel())[0, 1])
     return LargeNetworkRun(truth, result, correlation, wall)

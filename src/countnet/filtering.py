@@ -597,16 +597,8 @@ def run_filter(
     return FilterResult(ensembles, cfg, data.n_steps, data.dt, history, data.node_labels)
 
 
-def save_filter_result(
-    result: FilterResult,
-    out_dir: str | Path,
-    rmse_norm: np.ndarray | None = None,
-) -> None:
-    """Write the manifest (baseline and decay moments), mean excitation matrix, diagnostics and snapshots.
-
-    ``rmse_norm`` (n_steps x m), when available from a truth comparison,
-    is appended as an extra diagnostics column.
-    """
+def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:
+    """Write the manifest (baseline and decay moments), mean excitation matrix, diagnostics and snapshots."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mean, sd = ensemble_moments(result.ensembles)
@@ -633,19 +625,15 @@ def save_filter_result(
     if result.history is not None and result.history.prior_mean is not None:
         h = result.history
         n_steps, m = h.prior_mean.shape
-        header = ["step", "node"] + list(_INTENSITY_KEYS)
         columns = [np.repeat(np.arange(n_steps), m), np.tile(np.arange(m), n_steps)]
         columns += [getattr(h, key).ravel() for key in _INTENSITY_KEYS]
-        if rmse_norm is not None:
-            header.append("rmse_norm")
-            columns.append(np.asarray(rmse_norm).ravel())
         np.savetxt(
             out_dir / "diagnostics.csv",
             np.column_stack(columns),
-            fmt=["%d", "%d"] + ["%.17g"] * (len(columns) - 2),
+            fmt=["%d", "%d"] + ["%.17g"] * len(_INTENSITY_KEYS),
             delimiter=",",
             newline="\r\n",
-            header=",".join(header),
+            header=",".join(("step", "node") + _INTENSITY_KEYS),
             comments="",
         )
     snap_dir = out_dir / "ensembles"

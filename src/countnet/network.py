@@ -1,9 +1,9 @@
 """Network views of filter ensembles and their uncertainty.
 
 The excitation matrix doubles as a weighted directed graph: entry (i, j)
-is the influence of node j on node i, i.e. an edge j -> i. Self-loops are
-treated as self-excitation and reported separately; all edge analytics
-(thresholding, degrees, betweenness, rankings) use the off-diagonal part.
+is the influence of node j on node i, i.e. an edge j -> i. The diagonal
+is each node's self-excitation; all edge analytics (thresholding, degrees,
+betweenness, rankings) use the off-diagonal part.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class InfluenceNetwork:
     def labels(self) -> list[str]:
         return labels_or_default(self.node_labels, self.m)
 
-    def self_excitation(self) -> np.ndarray:
-        return np.diag(self.adjacency).copy()
-
 
 @dataclass
 class RankDistribution:
@@ -98,10 +95,13 @@ def threshold_subnetwork(
 
     The relative rule keeps edges strictly above relative_factor times the
     mean of the positive off-diagonal weights; the absolute rule keeps
-    edges strictly above the given weight. Exactly one rule must be given.
+    edges strictly above the given weight. Exactly one rule must be given,
+    with a value >= 0.
     """
     if (relative_factor is None) == (absolute is None):
         raise ValueError("give exactly one of relative_factor or absolute")
+    if not (absolute if relative_factor is None else relative_factor) >= 0:
+        raise ValueError("the threshold rule's value must be >= 0")
     weights = net.adjacency.copy()
     np.fill_diagonal(weights, 0.0)
     if relative_factor is not None:
@@ -298,22 +298,21 @@ def error_metrics(
 
 
 def save_network(net: InfluenceNetwork, edge_csv: str | Path, adjacency_json: str | Path) -> None:
-    """Edge list CSV (src, dst, weight, weight_sd) plus JSON adjacency."""
+    """Edge list CSV (src, dst, weight, weight_sd) of the positive off-diagonal edges plus JSON adjacency."""
     labels = net.labels()
+    edge = net.adjacency > 0
+    np.fill_diagonal(edge, False)
+    dst, src = np.nonzero(edge)
+    weights, sds = net.adjacency[dst, src].tolist(), net.edge_sd[dst, src].tolist()
     with Path(edge_csv).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "weight", "weight_sd"])
-        for i in range(net.m):
-            for j in range(net.m):
-                if i != j and net.adjacency[i, j] > 0:
-                    writer.writerow(
-                        [labels[j], labels[i], f"{net.adjacency[i, j]:.17g}", f"{net.edge_sd[i, j]:.17g}"]
-                    )
+        writer.writerows([labels[s], labels[d], f"{w:.17g}", f"{sd:.17g}"]
+                         for d, s, w, sd in zip(dst.tolist(), src.tolist(), weights, sds))
     payload = {
         "node_labels": labels,
         "adjacency": net.adjacency.tolist(),
         "edge_sd": net.edge_sd.tolist(),
-        "self_excitation": net.self_excitation().tolist(),
     }
     Path(adjacency_json).write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -7,9 +7,9 @@ import pytest
 
 from countnet.cli import _save_filter_outputs, main
 from countnet.experiments import abm_test_config
-from countnet.filtering import load_ensemble_snapshots, run_filter
+from countnet.filtering import ensemble_moments, load_ensemble_snapshots, run_filter
 from countnet.hawkes import HawkesParams
-from countnet.network import error_metrics, mean_network
+from countnet.network import error_metrics
 from test_filtering import toy_filter_setup
 
 
@@ -117,10 +117,11 @@ class TestValidate:
                      "--seed", "0", "--out-dir", str(tmp_path)]) == 0
         truth = write_config(tmp_path, "truth.json", hawkes_config()["params"])
         flt = {"counts_path": str(counts), "ensemble_size": 8, "priors": PRIORS}
-        # a misspelt key, and two keys that the filter reads only when another key is set
+        # a misspelt key, and three keys that the filter reads only when another key is set
         cases = (
             ({"record_param_hstory": True}, "unknown key 'record_param_hstory' for mode filter"),
             ({"truth_path": str(truth)}, "key 'truth_path' is not read unless record_param_history is true"),
+            ({"record_param_history": True}, "key 'record_param_history' is not read unless truth_path is given"),
             ({"excitation_scale": 2.0}, "key 'excitation_scale' is not read unless truth_path is given"),
         )
         for k, (extra, warning) in enumerate(cases):
@@ -135,6 +136,8 @@ class TestValidate:
             assert f"warning: {warning}" in capsys.readouterr().err
             assert not (out / "diagnostics.csv").exists()
             assert not (out / "metrics.json").exists()
+            # a history no error curve reads is not recorded
+            assert json.loads((out / "result.json").read_text())["config"]["record_param_history"] is False
 
     def test_bad_threshold_rules_rejected(self, tmp_path, capsys):
         sim = write_config(tmp_path, "sim.json", hawkes_config())
@@ -153,6 +156,8 @@ class TestValidate:
             ({"relative": 2.0}, "exactly one of"),
             ({"relative_factor": 2.0, "absolute": 0.1}, "exactly one of"),
             ({"absolute": "x"}, "threshold.absolute: must be a finite number"),
+            ({"absolute": -1}, "threshold.absolute: must be a finite number >= 0"),
+            ({"relative_factor": -1}, "threshold.relative_factor: must be a finite number >= 0"),
         )
         for k, (rule, message) in enumerate(rules):
             ana = {"result_dir": str(tmp_path / "flt"), "threshold": rule}
@@ -245,9 +250,12 @@ class TestPipelines:
         )
         flt_out = tmp_path / "flt"
         assert main(["filter", "--config", str(flt_cfg), "--seed", "3", "--out-dir", str(flt_out)]) == 0
-        for name in ("result.json", "alpha_mean.csv", "edges.csv", "network.json", "diagnostics.csv"):
+        for name in ("result.json", "alpha_mean.csv", "diagnostics.csv"):
             assert (flt_out / name).exists(), name
         assert (flt_out / "ensembles" / "ensembles.npz").exists()
+        # the network is analyze's output
+        assert not (flt_out / "edges.csv").exists()
+        assert not (flt_out / "network.json").exists()
 
         ana_cfg = write_config(
             tmp_path,
@@ -256,8 +264,8 @@ class TestPipelines:
         )
         ana_out = tmp_path / "ana"
         assert main(["analyze", "--config", str(ana_cfg), "--seed", "0", "--out-dir", str(ana_out)]) == 0
-        assert (ana_out / "rank_out_degree.csv").exists()
-        assert (ana_out / "subnetwork.json").exists()
+        for name in ("edges.csv", "network.json", "rank_out_degree.csv", "subnetwork_edges.csv", "subnetwork.json"):
+            assert (ana_out / name).exists(), name
 
     def test_analyze_uses_the_counts_labels(self, tmp_path):
         events = tmp_path / "events.csv"
@@ -274,17 +282,16 @@ class TestPipelines:
         labels = ["alice", "bob", "carol"]
         manifest = json.loads((result_dir / "result.json").read_text())
         assert (manifest["dt"], manifest["ensemble_size"], manifest["node_labels"]) == (1.0, 8, labels)
-        # the network rebuilt from the snapshots is the one the filter wrote
-        net = mean_network(load_ensemble_snapshots(result_dir))
-        assert np.array_equal(net.adjacency, np.loadtxt(result_dir / "alpha_mean.csv", delimiter=","))
 
         ana = write_config(tmp_path, "ana.json", {"result_dir": str(result_dir), "measure": "out_degree"})
         out = tmp_path / "ana"
         assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 0
         network = json.loads((out / "network.json").read_text())
         assert network["node_labels"] == labels
-        assert network["adjacency"] == json.loads((result_dir / "network.json").read_text())["adjacency"]
-        assert (out / "edges.csv").read_bytes() == (result_dir / "edges.csv").read_bytes()
+        # the network rebuilt from the snapshots holds the means the filter wrote, and their sds
+        assert network["adjacency"] == np.loadtxt(result_dir / "alpha_mean.csv", delimiter=",").tolist()
+        sd = ensemble_moments(load_ensemble_snapshots(result_dir))[1]
+        assert network["edge_sd"] == sd[:, 2:].tolist()
         assert (out / "rank_out_degree.csv").read_text().splitlines()[0] == "rank,alice,bob,carol"
 
         # a result.json without node_labels, as older result directories have, gives the default names
@@ -325,7 +332,7 @@ class TestPipelines:
         curve = np.loadtxt(out / "excitation_error.csv", delimiter=",")
         assert curve.shape == (151, 6)
         header = (out / "diagnostics.csv").read_text().splitlines()[0]
-        assert header.endswith("rmse_norm")
+        assert header.endswith("innovation")
 
     def test_truth_run_writes_each_curve_once(self, tmp_path):
         truth, data, init, cfg = toy_filter_setup(m=3, M=20, n_steps=30, record_param_history=True)

@@ -18,10 +18,17 @@ def test_library_quick_start_runs(capsys):
     assert printed.count("[[") == 2  # the adjacency and the edge sds
 
 
-def test_data_formats_name_every_filter_output(tmp_path):
+def data_formats() -> str:
     text = README.read_text()
     section = text[text.index("## Data formats"):]
-    section = section[:section.index("\n## ", 1)]
+    return section[:section.index("\n## ", 1)]
+
+
+def written_files(out: Path) -> list[str]:
+    return sorted(path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file())
+
+
+def run_filter_with_truth(tmp_path: Path) -> Path:
     params = {"mu": [2.0, 1.0], "beta": [5.0, 5.0], "alpha": [[0.5, 0.2], [0.0, 1.0]]}
     (tmp_path / "truth.json").write_text(json.dumps(params))
     (tmp_path / "sim.json").write_text(json.dumps({"params": params, "dt": 0.1, "n_steps": 20}))
@@ -35,6 +42,21 @@ def test_data_formats_name_every_filter_output(tmp_path):
     }))
     out = tmp_path / "flt"
     assert main(["filter", "--config", str(tmp_path / "flt.json"), "--seed", "0", "--out-dir", str(out)]) == 0
-    written = sorted(path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file())
-    assert len(written) == 15
-    assert [name for name in written if f"`{name}`" not in section] == []
+    return out
+
+
+def test_data_formats_name_every_filter_output(tmp_path):
+    written = written_files(run_filter_with_truth(tmp_path))
+    assert len(written) == 13
+    assert [name for name in written if f"`{name}`" not in data_formats()] == []
+
+
+def test_data_formats_name_every_analyze_output(tmp_path):
+    (tmp_path / "ana.json").write_text(json.dumps({
+        "result_dir": str(run_filter_with_truth(tmp_path)), "threshold": {"absolute": 0.0},
+    }))
+    out = tmp_path / "ana"
+    assert main(["analyze", "--config", str(tmp_path / "ana.json"), "--seed", "0", "--out-dir", str(out)]) == 0
+    written = written_files(out)
+    assert len(written) == 6
+    assert [name for name in written if f"`{name}`" not in data_formats()] == []

@@ -595,28 +595,22 @@ class TestRunFilter:
         res = run_filter(data, init, cfg)
         h = res.history
         h.post_mean[1, 0], h.innovation[2, 1], h.prior_rel_var[3, 0] = np.nan, -0.0, np.inf
-        rmse_norm = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
-        rmse_norm[0, 1] = np.nan
-        for extra in (None, rmse_norm):
-            save_filter_result(res, tmp_path, rmse_norm=extra)
-            text = (tmp_path / "diagnostics.csv").read_bytes().decode()
-            lines = text.split("\r\n")
-            assert lines.pop() == ""
-            keys = ["prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation"]
-            columns = [getattr(h, key) for key in keys]
-            if extra is not None:
-                keys.append("rmse_norm")
-                columns.append(extra)
-            assert lines[0] == ",".join(["step", "node"] + keys)
-            assert len(lines) == 1 + 6 * 2
-            for row, line in enumerate(lines[1:]):
-                cells = line.split(",")
-                k, i = divmod(row, 2)
-                assert cells[:2] == [str(k), str(i)]
-                parsed = np.array([float(c) for c in cells[2:]])
-                recorded = np.array([col[k, i] for col in columns])
-                assert np.array_equal(parsed, recorded, equal_nan=True)
-                assert np.array_equal(np.signbit(parsed), np.signbit(recorded))
+        save_filter_result(res, tmp_path)
+        text = (tmp_path / "diagnostics.csv").read_bytes().decode()
+        lines = text.split("\r\n")
+        assert lines.pop() == ""
+        keys = ["prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation"]
+        columns = [getattr(h, key) for key in keys]
+        assert lines[0] == ",".join(["step", "node"] + keys)
+        assert len(lines) == 1 + 6 * 2
+        for row, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            k, i = divmod(row, 2)
+            assert cells[:2] == [str(k), str(i)]
+            parsed = np.array([float(c) for c in cells[2:]])
+            recorded = np.array([col[k, i] for col in columns])
+            assert np.array_equal(parsed, recorded, equal_nan=True)
+            assert np.array_equal(np.signbit(parsed), np.signbit(recorded))
 
     def test_snapshot_round_trip(self, tmp_path):
         _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=10)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -115,6 +116,14 @@ class TestThreshold:
             sub = threshold_subnetwork(InfluenceNetwork(adj), absolute=10.0)
         assert sub.m == 0
 
+    @pytest.mark.parametrize("rule", [{"absolute": -1.0}, {"relative_factor": -1.0},
+                                      {"absolute": float("nan")}])
+    def test_negative_rule_rejected(self, rule):
+        # node c has only a self-loop; a negative threshold would keep it
+        adj = np.array([[0.0, 0.5, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(ValueError, match=">= 0"):
+            threshold_subnetwork(InfluenceNetwork(adj, None, ["a", "b", "c"]), **rule)
+
     def test_exactly_one_rule(self):
         net = InfluenceNetwork(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -136,7 +145,6 @@ class TestCentrality:
         net = InfluenceNetwork(adj)
         assert np.array_equal(centrality(net, "out_degree"), [2.0, 1.0])
         assert np.array_equal(centrality(net, "in_degree"), [1.0, 2.0])
-        assert np.array_equal(net.self_excitation(), [7.0, 9.0])
 
     def test_symmetric_triangle_equal_betweenness(self):
         adj = np.ones((3, 3)) - np.eye(3)
@@ -377,18 +385,19 @@ class TestErrorMetrics:
 
 class TestExports:
     def test_edge_csv_and_json(self, tmp_path):
-        adj = np.array([[0.0, 2.0], [1.0, 0.5]])
-        sd = np.array([[0.0, 0.2], [0.1, 0.05]])
-        net = InfluenceNetwork(adj, sd, ["a", "b"])
+        # a zero edge (b -> c), a self-loop (on b) and a label that needs quoting
+        adj = np.array([[0.0, 2.0, 0.25], [1.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
+        sd = np.array([[0.0, 0.2, 0.1], [0.1, 0.05, 0.0], [0.0, 0.0, 0.0]])
+        net = InfluenceNetwork(adj, sd, ["a", "b", "c,d"])
         save_network(net, tmp_path / "edges.csv", tmp_path / "net.json")
-        rows = (tmp_path / "edges.csv").read_text().splitlines()
-        assert rows[0] == "src,dst,weight,weight_sd"
-        # edge b -> a with weight 2 and edge a -> b with weight 1
-        assert "b,a,2," in rows[1] or "b,a,2.0" in rows[1]
-        import json
-
+        assert (tmp_path / "edges.csv").read_bytes() == (
+            b"src,dst,weight,weight_sd\r\n"
+            b"b,a,2,0.20000000000000001\r\n"
+            b'"c,d",a,0.25,0.10000000000000001\r\n'
+            b"a,b,1,0.10000000000000001\r\n"
+        )
         payload = json.loads((tmp_path / "net.json").read_text())
-        assert payload["self_excitation"] == [0.0, 0.5]
+        assert payload == {"node_labels": ["a", "b", "c,d"], "adjacency": adj.tolist(), "edge_sd": sd.tolist()}
 
     def test_rank_distribution_csv(self, tmp_path):
         alpha = np.tile(np.array([[0.0, 1.0], [2.0, 0.0]]), (3, 1, 1))
