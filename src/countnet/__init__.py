@@ -17,6 +17,7 @@ from .hawkes import (  # noqa: F401
 )
 from .filtering import (  # noqa: F401
     AnalysisDiagnostics,
+    Ensemble,
     Filter,
     FilterConfig,
     FilterDivergence,

@@ -22,7 +22,8 @@ results are bitwise independent of node ordering and worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -76,7 +77,7 @@ class GammaSpec:
 
 @dataclass
 class NodeEnsemble:
-    """M joint samples of (intensity, parameter vector) for one node.
+    """One node's row of an ``Ensemble``: its M joint samples of (intensity, parameter vector).
 
     ``params`` columns are [baseline, decay, excitation_1, ..., excitation_m],
     where excitation_j multiplies the observed counts of node j.
@@ -85,26 +86,6 @@ class NodeEnsemble:
     node_index: int
     intensity: np.ndarray
     params: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.intensity = np.asarray(self.intensity, dtype=np.float64)
-        self.params = np.asarray(self.params, dtype=np.float64)
-        if self.intensity.ndim != 1 or self.params.ndim != 2:
-            raise ValueError("intensity must be (M,), params must be (M, m+2)")
-        if self.params.shape[0] != self.intensity.shape[0]:
-            raise ValueError("intensity and params must have the same member count")
-        if self.ensemble_size < 2:
-            raise ValueError("ensemble size must be at least 2")
-        if self.params.shape[1] < 3:
-            raise ValueError("params must have at least 3 columns (m >= 1)")
-
-    @property
-    def ensemble_size(self) -> int:
-        return self.intensity.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.params.shape[1] - 2
 
     @property
     def baseline(self) -> np.ndarray:
@@ -117,6 +98,69 @@ class NodeEnsemble:
     @property
     def excitation(self) -> np.ndarray:
         return self.params[:, 2:]
+
+
+@dataclass(eq=False)
+class Ensemble:
+    """The ensembles of n nodes as one board, and the one place that checks ensemble arrays.
+
+    ``intensity`` is (n, M) and ``params`` (n, M, m+2) with ``NodeEnsemble``'s
+    columns; row r is node ``nodes[r]``, a data column and the row's
+    analysis-stream key (default ``arange(n)``). As a sequence, ``len``,
+    iteration and ``ens[i]`` give the rows as ``NodeEnsemble`` views.
+    """
+
+    intensity: np.ndarray
+    params: np.ndarray
+    nodes: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.intensity = np.asarray(self.intensity, dtype=np.float64)
+        self.params = np.asarray(self.params, dtype=np.float64)
+        if self.params.ndim != 3 or self.intensity.shape != self.params.shape[:2]:
+            raise ValueError(f"intensity {self.intensity.shape} and params {self.params.shape} "
+                             "are not (n, M) and (n, M, m+2)")
+        n, M, width = self.params.shape
+        if n < 1 or M < 2 or width < 3:
+            raise ValueError(f"params {self.params.shape} is not (n, M, m+2) with n >= 1, M >= 2 and m >= 1")
+        nodes = np.arange(n) if self.nodes is None else np.asarray(self.nodes)
+        if nodes.shape != (n,) or nodes.dtype.kind not in "iu":
+            raise ValueError(f"need one integer node index per row, not {nodes.dtype} {nodes.shape}")
+        self.nodes = nodes.astype(np.intp)
+        outside = self.nodes[(self.nodes < 0) | (self.nodes >= self.m)]
+        if outside.size:
+            raise ValueError(f"node index {outside[0]} is not a data column of {self.m} nodes")
+        repeated = np.flatnonzero(np.bincount(self.nodes, minlength=self.m) > 1)
+        if repeated.size:
+            raise ValueError(f"node {repeated[0]} has more than one ensemble")
+        for what, board in (("intensity", self.intensity), ("parameter", self.params)):
+            if not (board.min() >= 0 and board.max() < np.inf):  # NaN fails both
+                node = self.nodes[np.argmin(((board >= 0) & (board < np.inf)).reshape(n, -1).all(axis=1))]
+                raise ValueError(f"node {node}'s {what} members must be finite and non-negative")
+
+    @property
+    def m(self) -> int:
+        return self.params.shape[2] - 2
+
+    def __len__(self) -> int:
+        return self.params.shape[0]
+
+    def __getitem__(self, row: int) -> NodeEnsemble:
+        row = operator.index(row)
+        return NodeEnsemble(int(self.nodes[row]), self.intensity[row], self.params[row])
+
+    def take(self, rows) -> Ensemble:
+        """The sub-board of ``rows``: an index array picks rows in any order (a copy), a slice gives views."""
+        return Ensemble(self.intensity[rows], self.params[rows], self.nodes[rows])
+
+    def check_complete(self) -> None:
+        """Raise ValueError unless row i is node i's ensemble, for every one of the m nodes."""
+        misplaced = np.flatnonzero(self.nodes != np.arange(len(self)))
+        if misplaced.size:
+            row = misplaced[0]
+            raise ValueError(f"row {row} holds node {self.nodes[row]}'s ensemble, not node {row}'s")
+        if len(self) != self.m:
+            raise ValueError(f"need one ensemble per node of {self.m}, not {len(self)} ensembles")
 
 
 @dataclass
@@ -347,7 +391,7 @@ class FilterResult:
     """Final ensembles, the assimilated bins' count and width, the data's
     node labels (None: the default names) and optional recorded history."""
 
-    ensembles: list[NodeEnsemble]
+    ensembles: Ensemble
     config: FilterConfig
     n_steps: int
     dt: float
@@ -355,82 +399,47 @@ class FilterResult:
     node_labels: list[str] | None = None
 
 
-def check_node_set(ensembles: list[NodeEnsemble], m: int) -> None:
-    """Raise ValueError unless ``ensembles[i]`` is node i's ensemble over m >= 1 nodes, for each i < m."""
-    if not ensembles:
-        raise ValueError("need at least one node ensemble")
-    if len(ensembles) != m:
-        raise ValueError(f"need one ensemble per node of {m}, not {len(ensembles)} ensembles")
-    for i, e in enumerate(ensembles):
-        if e.node_index != i:
-            raise ValueError(f"position {i} holds node {e.node_index}'s ensemble, not node {i}'s")
-        if e.m != m:
-            raise ValueError(f"node {i}'s ensemble is over {e.m} nodes, not {m}")
-
-
-def ensemble_moments(ensembles: list[NodeEnsemble]) -> tuple[np.ndarray, np.ndarray]:
+def ensemble_moments(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Every node's parameter means and sds (ddof=1) over its members, (n_nodes, m+2) each.
 
-    Columns 2: of the means form the inferred network. Each node is reduced
+    Columns 2: of the means form the inferred network. Each row is reduced
     on its own, adding its members in order as a reduction over the member
-    axis of the stacked board would, without a copy of that board.
+    axis of the whole board would, with a row's scratch in place of the board's.
     """
-    mean = np.stack([e.params.mean(axis=0) for e in ensembles])
-    return mean, np.stack([e.params.std(axis=0, ddof=1) for e in ensembles])
+    mean = np.stack([p.mean(axis=0) for p in ens.params])
+    return mean, np.stack([p.std(axis=0, ddof=1) for p in ens.params])
 
 
 class Filter:
     """Stateful assimilation over a set of nodes, bins of width ``dt``.
 
-    Holds the board representation of the node ensembles (an (n_nodes, M)
-    intensity board and one (n_nodes, M, m+2) tensor of the stacked
-    ``NodeEnsemble.params``), the previous bin's full count vector (the
-    forecast needs every node's counts; zero before the first bin), the
-    step index, and one analysis stream per node. Each ensemble assimilates
-    data column ``node_index``, and its stream is keyed by that index, so a
-    sub-filter over any subset of nodes, in any order, reproduces those
-    nodes' results bit for bit.
+    Holds its own copy of the board (an (n_nodes, M) intensity board and the
+    (n_nodes, M, m+2) parameter tensor), the previous bin's full count
+    vector (the forecast needs every node's counts; zero before the first
+    bin), the step index, and one analysis stream per node. Row r
+    assimilates data column ``nodes[r]``, and its stream is keyed by that
+    index, so a sub-filter over any subset of nodes, in any order (see
+    ``Ensemble.take``), reproduces those nodes' results bit for bit.
     """
 
-    def __init__(self, ensembles: list[NodeEnsemble], dt: float, cfg: FilterConfig):
-        if not ensembles:
-            raise ValueError("need at least one node ensemble")
+    def __init__(self, ensembles: Ensemble, dt: float, cfg: FilterConfig):
         if not dt > 0:
             raise ValueError("dt must be positive")
-        M, m = ensembles[0].ensemble_size, ensembles[0].m
-        for e in ensembles:
-            if e.ensemble_size != M:
-                raise ValueError("all node ensembles must share the member count M")
-            if e.m != m:
-                raise ValueError("all node ensembles must share the node count m")
-            if not 0 <= e.node_index < m:
-                raise ValueError(f"node index {e.node_index} is not a data column of {m} nodes")
-            if not np.isfinite(e.intensity).all() or (e.intensity < 0).any():
-                raise ValueError("intensity members must be finite and non-negative")
-            if not np.isfinite(e.params).all() or (e.params < 0).any():
-                raise ValueError("parameter members must be finite and non-negative")
+        # the copy is checked again: a board's rows can be written in place
+        board = Ensemble(ensembles.intensity, ensembles.params.copy(), ensembles.nodes)
         self.cfg = cfg
         self.dt = dt
-        self.node_indices = [e.node_index for e in ensembles]
-        self.m = m
-        self._cols = np.array(self.node_indices, dtype=np.intp)
+        self.nodes, self.m = board.nodes, board.m
         # prior draws can legitimately fall below the floor (gamma shapes < 1)
-        self._lam = np.maximum(
-            np.stack([e.intensity for e in ensembles]).astype(np.float64),
-            cfg.positivity_floor,
-        )
-        self._params = np.stack([e.params for e in ensembles])
+        self._lam = np.maximum(board.intensity, cfg.positivity_floor)
+        self._params = board.params
         self._mu = self._params[:, :, 0]
         self._beta = self._params[:, :, 1]
         self._alpha = self._params[:, :, 2:]
-        self._prev = np.zeros(m)
-        self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.node_indices)
+        self._prev = np.zeros(self.m)
+        self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.nodes.tolist())
         self.k = 0
         self._tmp = np.empty_like(self._params)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_indices)
 
     def param_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Current per-node parameter means and variances, (n_nodes, m+2) each.
@@ -457,7 +466,7 @@ class Filter:
         check_counts(counts_next)
         cfg = self.cfg
         floor = cfg.positivity_floor
-        own_counts = counts_next[self._cols]
+        own_counts = counts_next[self.nodes]
 
         # Stage 1: member-specific forecast from the previous bin's counts
         excite = self._alpha @ self._prev
@@ -470,7 +479,7 @@ class Filter:
             lam_a, diag = _analyze_rows(lam_f, own_counts, self.dt, floor, self._streams)
         if not np.isfinite(lam_a).all():
             bad = int(np.argwhere(~np.isfinite(lam_a))[0][0])
-            raise FilterDivergence(self.k, self.node_indices[bad])
+            raise FilterDivergence(self.k, int(self.nodes[bad]))
 
         # Stage 3: regress parameter members on the intensity innovations
         _regress_rows(self._params, lam_f, lam_a, floor, self._tmp)
@@ -481,16 +490,13 @@ class Filter:
         self.k += 1
         return diag
 
-    def ensembles(self) -> list[NodeEnsemble]:
-        """The node ensembles as row views of the board, without copies.
+    def ensembles(self) -> Ensemble:
+        """The filter's board, as views without copies.
 
-        The next step updates the parameter rows in place, so copy them to
-        keep this state.
+        The next step updates the parameters in place, so copy them to keep
+        this state.
         """
-        return [
-            NodeEnsemble(node, self._lam[i], self._params[i])
-            for i, node in enumerate(self.node_indices)
-        ]
+        return Ensemble(self._lam, self._params, self.nodes)
 
 
 def init_ensemble(
@@ -500,34 +506,28 @@ def init_ensemble(
     decay_prior: GammaSpec,
     excitation_prior: GammaSpec,
     seed: int,
-) -> list[NodeEnsemble]:
-    """Draw initial node ensembles from per-group gamma priors.
+) -> Ensemble:
+    """Draw the initial board of all m nodes from per-group gamma priors.
 
     Each node draws from its own named stream; member intensities start at
     the member's own baseline draw.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    out = []
+    params = np.empty((m, M, m + 2))
     for i in range(m):
         gen = rng.node_stream(seed, rng.ENSEMBLE_INIT, i)
-        mu = baseline_prior.draw(gen, M)
-        beta = decay_prior.draw(gen, M)
-        alpha = excitation_prior.draw(gen, (M, m))
-        params = np.concatenate([mu[:, None], beta[:, None], alpha], axis=1)
-        out.append(NodeEnsemble(i, mu.copy(), params))
-    return out
+        params[i, :, 0] = baseline_prior.draw(gen, M)
+        params[i, :, 1] = decay_prior.draw(gen, M)
+        params[i, :, 2:] = excitation_prior.draw(gen, (M, m))
+    return Ensemble(params[:, :, 0].copy(), params)
 
 
 def _run_chunk(
     counts: np.ndarray,
     dt: float,
-    ensembles: list[NodeEnsemble],
+    ensembles: Ensemble,
     cfg: FilterConfig,
     progress=None,
-) -> tuple[list[NodeEnsemble], FilterHistory | None]:
+) -> tuple[Ensemble, FilterHistory | None]:
     """Full assimilation loop for a subset of nodes; used by the workers."""
     n_steps = counts.shape[0]
     filt = Filter(ensembles, dt, cfg)
@@ -535,12 +535,12 @@ def _run_chunk(
     record_i = cfg.record_intensity_history
     history = FilterHistory() if record_p or record_i else None
     if record_p:
-        shape = (n_steps + 1, filt.n_nodes, filt.m + 2)
+        shape = (n_steps + 1, len(filt.nodes), filt.m + 2)
         history.param_mean, history.param_var = np.empty(shape), np.empty(shape)
         history.param_mean[0], history.param_var[0] = filt.param_moments()
     if record_i:
         for key in _INTENSITY_KEYS:
-            setattr(history, key, np.empty((n_steps, filt.n_nodes)))
+            setattr(history, key, np.empty((n_steps, len(filt.nodes))))
     rows = counts.astype(np.float64)
     report_every = max(1, n_steps // 20)
     for k in range(n_steps):
@@ -552,71 +552,100 @@ def _run_chunk(
                 getattr(history, key)[k] = getattr(diag, key)
         if progress is not None and (k + 1) % report_every == 0:
             progress(k + 1, n_steps)
-    # an earlier step's non-finite parameter fails the next forecast's check
+    # an earlier step's non-finite parameter fails the next forecast's check;
+    # caught here, before the board is wrapped and checked again
     bad = ~np.isfinite(filt._params)
     if bad.any():
-        raise FilterDivergence(filt.k - 1, filt.node_indices[int(np.argwhere(bad)[0][0])], "parameter")
+        raise FilterDivergence(filt.k - 1, int(filt.nodes[np.argwhere(bad)[0][0]]), "parameter")
     return filt.ensembles(), history
+
+
+def _chunk_worker(conn, *args) -> None:
+    """Run ``_run_chunk(*args)`` in a worker process; send back its result, or the error it raised."""
+    try:
+        result = _run_chunk(*args)
+    except Exception as err:  # noqa: BLE001 - run_filter raises it again
+        result = err
+    conn.send(result)
 
 
 def run_filter(
     data: CountSeries,
-    init: list[NodeEnsemble],
+    init: Ensemble,
     cfg: FilterConfig,
     workers: int = 1,
     progress=None,
 ) -> FilterResult:
-    """Assimilate every bin of ``data`` starting from the given ensembles.
+    """Assimilate every bin of ``data`` starting from the given board.
 
-    ``init[i]`` is node i's ensemble over the data's m columns, for each i
-    (``check_node_set``). ``workers`` > 1 splits the nodes across processes
-    (at most one per node); the per-node streams make the result identical
-    to a serial run, bit for bit. ``progress``, if given, is called as
-    progress(step, n_steps) from the serial path.
+    Row i of ``init`` is node i's ensemble over the data's m columns, for
+    each i (``Ensemble.check_complete``). ``workers`` > 1 splits the nodes
+    across processes (at most one per node); the per-node streams make the
+    result identical to a serial run, bit for bit. ``progress``, if given,
+    is called as progress(step, n_steps) from the serial path.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
-    m = data.m
-    check_node_set(init, m)
+    if init.m != data.m:
+        raise ValueError(f"the ensembles are over {init.m} nodes, the counts over {data.m}")
+    init.check_complete()
     counts = data.counts
-    workers = min(workers, m)
+    workers = min(workers, data.m)
     if workers <= 1:
         chunks = [_run_chunk(counts, data.dt, init, cfg, progress)]
     else:
-        # contiguous node ranges in order, so the chunks concatenate
-        splits = np.array_split(np.arange(m), workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, counts, data.dt, [init[i] for i in part], cfg)
-                for part in splits
-            ]
-            chunks = [f.result() for f in futures]
-    ensembles = [e for chunk_ens, _ in chunks for e in chunk_ens]
-    histories = [h for _, h in chunks]
-    history = None if histories[0] is None else FilterHistory.concat(histories)
+        # one process per contiguous node range, in order, so the chunks
+        # concatenate. This thread reads the results: an executor's helper
+        # threads would (un)pickle the boards in malloc arenas of their own,
+        # which keep the freed blocks (about 20 MB more peak RSS at m=100).
+        conns, procs = [], []
+        for part in np.array_split(np.arange(data.m), workers):
+            conn, child_conn = multiprocessing.Pipe(duplex=False)
+            args = (child_conn, counts, data.dt, init.take(slice(part[0], part[-1] + 1)), cfg)
+            procs.append(multiprocessing.Process(target=_chunk_worker, args=args))
+            procs[-1].start()
+            child_conn.close()  # so a worker that dies without a result ends our recv
+            conns.append(conn)
+        try:
+            chunks = [conn.recv() for conn in conns]
+        except EOFError:
+            raise RuntimeError("a filter worker process ended without a result") from None
+        finally:
+            for proc in procs:  # all results are in, or the run failed
+                proc.terminate()
+                proc.join()
+        for chunk in chunks:
+            if isinstance(chunk, Exception):
+                raise chunk
+    boards, histories = zip(*chunks)
+    ensembles = boards[0] if len(boards) == 1 else Ensemble(
+        np.concatenate([b.intensity for b in boards]), np.concatenate([b.params for b in boards]))
+    history = None if histories[0] is None else FilterHistory.concat(list(histories))
     return FilterResult(ensembles, cfg, data.n_steps, data.dt, history, data.node_labels)
 
 
 def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:
     """Write the manifest (baseline and decay moments), mean excitation matrix, diagnostics and snapshots."""
     out_dir = Path(out_dir)
+    ens = result.ensembles
+    ens.check_complete()
     out_dir.mkdir(parents=True, exist_ok=True)
-    mean, sd = ensemble_moments(result.ensembles)
+    mean, sd = ensemble_moments(ens)
     nodes = [
         {
-            "index": e.node_index,
+            "index": i,
             "baseline_mean": float(mu[0]),
             "baseline_sd": float(s[0]),
             "decay_mean": float(mu[1]),
             "decay_sd": float(s[1]),
         }
-        for e, mu, s in zip(result.ensembles, mean, sd)
+        for i, (mu, s) in enumerate(zip(mean, sd))
     ]
     manifest = {
         "config": result.config.to_json(),
         "n_steps": result.n_steps,
         "dt": result.dt,
-        "ensemble_size": result.ensembles[0].ensemble_size,
+        "ensemble_size": ens.params.shape[1],
         "node_labels": result.node_labels,
         "nodes": nodes,
     }
@@ -638,34 +667,18 @@ def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:
         )
     snap_dir = out_dir / "ensembles"
     snap_dir.mkdir(exist_ok=True)
-    tables = {f"node_{e.node_index:04d}": np.column_stack([e.intensity, e.params])
-              for e in result.ensembles}
-    np.savez(snap_dir / SNAPSHOT_ARCHIVE, **tables)
+    np.savez(snap_dir / SNAPSHOT_ARCHIVE, intensity=ens.intensity, params=ens.params)
 
 
-def load_ensemble_snapshots(out_dir: str | Path) -> list[NodeEnsemble]:
-    """Rebuild node ensembles from the snapshot archive, which holds node_0000 .. node_{n-1}."""
+def load_ensemble_snapshots(out_dir: str | Path) -> Ensemble:
+    """Rebuild the board from the snapshot archive, which holds ``intensity`` and ``params``."""
     path = Path(out_dir) / "ensembles" / SNAPSHOT_ARCHIVE
     if not path.is_file():
         raise FileNotFoundError(f"no ensemble snapshot archive {path}")
-    out, shape = [], None
     with np.load(path, allow_pickle=False) as archive:
-        n = len(archive.files)
-        if n == 0:
-            raise ValueError(f"{path}: the archive holds no ensemble snapshots")
-        # by position, so node_10000 follows node_9999 and a gap is named
-        for node in range(n):
-            name = f"node_{node:04d}"
-            try:
-                table = archive[name]
-            except KeyError:
-                raise ValueError(f"{path}: the archive holds {n} entries but no {name}") from None
-            shape = shape or table.shape
-            if table.ndim != 2 or table.shape != shape:
-                raise ValueError(f"{path}[{name}]: ensemble snapshot has shape {table.shape}, not {shape}")
-            if not np.isfinite(table).all():
-                raise ValueError(f"{path}[{name}]: ensemble snapshot holds non-finite values")
-            if (table < 0).any():
-                raise ValueError(f"{path}[{name}]: ensemble snapshot holds negative values")
-            out.append(NodeEnsemble(node, table[:, 0], table[:, 1:]))
-    return out
+        if sorted(archive.files) != ["intensity", "params"]:
+            raise ValueError(f"{path}: no intensity and params boards (a per-node archive?); re-run filter")
+        try:
+            return Ensemble(archive["intensity"], archive["params"])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None

@@ -218,25 +218,34 @@ def save_count_series(
         for k in range(series.n_steps):
             t = k * series.dt
             writer.writerow([f"{t:.10g}"] + [int(c) for c in series.counts[k]])
-    sidecar = {
-        "dt": series.dt,
-        "n_steps": series.n_steps,
-        "m": series.m,
-        "seed": seed,
-        "params": params.to_json() if params is not None else None,
-        "node_labels": labels,
-    }
+    # the CSV holds the labels and the shape
+    sidecar = {"dt": series.dt, "seed": seed, "params": params.to_json() if params is not None else None}
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_count_series(csv_path: str | Path) -> tuple[CountSeries, dict]:
-    """Read a counts CSV and its sidecar; returns (series, metadata)."""
+    """Read a counts CSV and its sidecar; returns (series, metadata).
+
+    A row without one whole count in 0 .. 2**64 - 1 per label is an error naming its line.
+    """
     csv_path = Path(csv_path)
     meta = json.loads(csv_path.with_suffix(".json").read_text())
+    rows = []
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{csv_path}: empty file, no header row")
         labels = header[1:]
-        rows = [[int(c) for c in row[1:]] for row in reader]
+        try:
+            for row in reader:
+                if len(row) != len(labels) + 1:
+                    raise ValueError(f"need a time and {len(labels)} counts, not {len(row)} cells")
+                values = [int(c) for c in row[1:]]
+                if values and not 0 <= min(values) <= max(values) < 2**64:
+                    raise ValueError("counts must lie in 0 .. 2**64 - 1")
+                rows.append(values)
+        except ValueError as err:
+            raise ValueError(f"{csv_path}: line {reader.line_num}: {err}") from err
     counts = np.asarray(rows, dtype=np.uint64).reshape(len(rows), len(labels))
     return CountSeries(counts, float(meta["dt"]), node_labels=labels), meta

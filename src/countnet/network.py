@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtering import FilterHistory, NodeEnsemble, check_node_set, ensemble_moments
+from .filtering import Ensemble, FilterHistory, ensemble_moments
 from .hawkes import HawkesParams, labels_or_default
 
 OUT_DEGREE = "out_degree"
@@ -77,11 +77,9 @@ class RankDistribution:
             raise ValueError("counts must be square (ranks x nodes)")
 
 
-def mean_network(
-    ensembles: list[NodeEnsemble], node_labels: list[str] | None = None
-) -> InfluenceNetwork:
+def mean_network(ensembles: Ensemble, node_labels: list[str] | None = None) -> InfluenceNetwork:
     """Ensemble-mean excitation matrix with per-edge standard deviations."""
-    check_node_set(ensembles, len(ensembles))
+    ensembles.check_complete()
     mean, sd = ensemble_moments(ensembles)
     return InfluenceNetwork(mean[:, 2:], sd[:, 2:], node_labels)
 
@@ -220,7 +218,7 @@ _BATCH_ELEMENTS = 1 << 16
 
 
 def rank_distribution(
-    ensembles: list[NodeEnsemble],
+    ensembles: Ensemble,
     measure: str,
     node_labels: list[str] | None = None,
 ) -> RankDistribution:
@@ -230,16 +228,16 @@ def rank_distribution(
     chosen measure is computed on each sample and the resulting rank of
     every node tallied. Samples are scored in batches by one kernel.
     """
-    m = len(ensembles)
-    check_node_set(ensembles, m)
+    ensembles.check_complete()
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    M = ensembles[0].ensemble_size
+    m, M = ensembles.m, ensembles.params.shape[1]
     batch = max(1, _BATCH_ELEMENTS // (m * m))
     nodes = np.arange(m)
     tally = np.zeros(m * m, dtype=np.int64)
     for lo in range(0, M, batch):
-        off = np.stack([e.excitation[lo : lo + batch] for e in ensembles], axis=1)
+        # (members, receiving node, source): member s of every row is one network
+        off = ensembles.params[:, lo : lo + batch, 2:].transpose(1, 0, 2).copy()
         off[:, nodes, nodes] = 0.0
         # rank order is descending score; stable, so ties go by node index
         order = np.argsort(-_scores(off, measure), axis=1, kind="stable")

@@ -216,6 +216,14 @@ class TestExitCodes:
         )
         assert main(["filter", "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
 
+    def test_bad_counts_csv_is_runtime_failure_naming_the_line(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("t,a,b\n0,1,2\n0.1,-2,0\n")
+        counts.with_suffix(".json").write_text(json.dumps({"dt": 0.1}))
+        cfg = write_config(tmp_path, "c.json", {"counts_path": str(counts), "ensemble_size": 8, "priors": PRIORS})
+        assert main(["filter", "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"failed: {counts}: line 3: counts must lie in 0 .. 2**64 - 1" in capsys.readouterr().err
+
 
 class TestPipelines:
     def test_simulate_hawkes_artifacts_and_determinism(self, tmp_path):

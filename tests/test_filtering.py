@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from countnet import filtering, rng
 from countnet.filtering import (
+    Ensemble,
     Filter,
     FilterConfig,
     FilterDivergence,
+    FilterResult,
     GammaSpec,
-    NodeEnsemble,
     analytic_posterior,
     enkf_regress,
     ensemble_moments,
@@ -354,6 +356,39 @@ class TestInitEnsemble:
         assert np.array_equal(full[1].decay, small[1].decay)
 
 
+class TestEnsemble:
+    def test_rows_are_node_views(self):
+        ens = init_ensemble(3, 8, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=1)
+        assert len(ens) == 3
+        assert [e.node_index for e in ens] == [0, 1, 2]
+        row = ens[-1]
+        assert row.node_index == 2 and row.params.shape == (8, 5)
+        row.params[0, 2] = 7.0  # a view: the board sees the write
+        assert ens.params[2, 0, 2] == 7.0
+        with pytest.raises(TypeError):
+            ens[0:2]
+
+    def test_take_picks_rows_in_any_order(self):
+        ens = init_ensemble(4, 6, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=2)
+        sub = ens.take([3, 1])
+        assert sub.nodes.tolist() == [3, 1] and sub.m == 4
+        assert np.array_equal(sub.params, ens.params[[3, 1]])
+        assert np.array_equal(sub[0].intensity, ens[3].intensity)
+        assert ens.take(slice(1, 3)).params.base is not None  # a slice gives views
+
+    def test_values_are_checked_by_node(self):
+        ens = init_ensemble(3, 6, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=3)
+        for bad in (np.nan, np.inf, -np.inf, -0.5):
+            params = ens.params.copy()
+            params[1, 2, 3] = bad
+            with pytest.raises(ValueError, match="node 2's parameter members must be finite and non-negative"):
+                Ensemble(ens.intensity, params, nodes=[0, 2, 1])
+            intensity = ens.intensity.copy()
+            intensity[2, 0] = bad
+            with pytest.raises(ValueError, match="node 2's intensity members"):
+                Ensemble(intensity, ens.params)
+
+
 DT = 0.1  # bin width of the toy runs
 
 
@@ -379,7 +414,8 @@ def one_step(init, counts, cfg):
 def public_op_step(e, count, cfg):
     """One node's first step from the public single-node ops (zero previous counts)."""
     lam_0 = np.maximum(e.intensity, cfg.positivity_floor)
-    lam_f = e.baseline + (lam_0 - e.baseline) * (1.0 - e.decay * DT) + e.excitation @ np.zeros(e.m)
+    prev = np.zeros(e.excitation.shape[1])
+    lam_f = e.baseline + (lam_0 - e.baseline) * (1.0 - e.decay * DT) + e.excitation @ prev
     lam_f = np.maximum(lam_f, cfg.positivity_floor)
     stream = rng.node_stream(cfg.seed, rng.ANALYSIS, e.node_index)
     lam_a, d = pg_analysis(lam_f, count, DT, stream, cfg.positivity_floor)
@@ -498,14 +534,14 @@ class TestRunFilter:
         for row in data.counts:
             filt.assimilate_step(row.astype(float))
         mean, var = filt.param_moments()
-        params = np.stack([e.params for e in filt.ensembles()])
+        params = filt.ensembles().params
         assert np.allclose(mean, params.mean(axis=1), rtol=1e-13, atol=0.0)
         assert np.allclose(var, params.var(axis=1, ddof=1), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("m, M", [(6, 500), (26, 64), (3, 7), (2, 12), (1, 40)])
     def test_ensemble_moments_match_per_node_calls(self, m, M):
         g = gen(m * M)
-        ensembles = [NodeEnsemble(i, g.gamma(2.0, size=M), g.gamma(2.0, size=(M, m + 2))) for i in range(m)]
+        ensembles = Ensemble(g.gamma(2.0, size=(m, M)), g.gamma(2.0, size=(m, M, m + 2)))
         mean, sd = ensemble_moments(ensembles)
         for i, e in enumerate(ensembles):
             if m >= 2:
@@ -536,18 +572,31 @@ class TestRunFilter:
         m = 4
         _, data, init, cfg = toy_filter_setup(m=m, M=30, n_steps=20)
         base = run_filter(data, init, cfg)
-        shuffled = Filter([init[i] for i in (2, 0, 3, 1)], data.dt, cfg)
+        shuffled = Filter(init.take([2, 0, 3, 1]), data.dt, cfg)
         for row in data.counts:
             shuffled.assimilate_step(row.astype(float))
         for e in shuffled.ensembles():
             assert np.array_equal(e.intensity, base.ensembles[e.node_index].intensity)
             assert np.array_equal(e.params, base.ensembles[e.node_index].params)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_sub_boards_reproduce_the_full_run(self, workers):
+        _, data, init, cfg = toy_filter_setup(m=5, M=20, n_steps=15)
+        full = run_filter(data, init, cfg, workers=workers).ensembles
+        for rows in ([4, 1, 3, 0, 2], [3, 1], [2]):
+            sub = Filter(init.take(rows), data.dt, cfg)
+            for row in data.counts:
+                sub.assimilate_step(row.astype(float))
+            got = sub.ensembles()
+            assert got.nodes.tolist() == rows
+            assert np.array_equal(got.intensity, full.intensity[rows])
+            assert np.array_equal(got.params, full.params[rows])
+
     def test_single_node_subfilter_matches_board(self):
         m = 3
         _, data, init, cfg = toy_filter_setup(m=m, M=30, n_steps=20)
         board = run_filter(data, init, cfg)
-        sub = Filter([init[1]], data.dt, cfg)
+        sub = Filter(init.take([1]), data.dt, cfg)
         for row in data.counts:
             sub.assimilate_step(row.astype(float))
         solo = sub.ensembles()[0]
@@ -623,8 +672,27 @@ class TestRunFilter:
         assert (tmp_path / "result.json").exists()
         assert (tmp_path / "alpha_mean.csv").exists()
         with np.load(tmp_path / "ensembles" / "ensembles.npz") as archive:
-            assert archive.files == ["node_0000", "node_0001"]
-            assert archive["node_0001"].shape == (12, 2 + 3)
+            assert archive.files == ["intensity", "params"]
+            assert archive["intensity"].shape == (2, 12)
+            assert archive["params"].shape == (2, 12, 2 + 2)
+        assert np.array_equal(loaded.nodes, [0, 1])
+
+    def test_per_node_archive_refused(self, tmp_path):
+        # the archive format before the board: one (M, m+3) table per node
+        (tmp_path / "ensembles").mkdir()
+        path = tmp_path / "ensembles" / "ensembles.npz"
+        np.savez(path, node_0000=np.ones((4, 5)), node_0001=np.ones((4, 5)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*re-run filter"):
+            load_ensemble_snapshots(tmp_path)
+
+    def test_sub_board_not_saved(self, tmp_path):
+        _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=4)
+        board = run_filter(data, init, cfg).ensembles
+        for rows, message in (([0, 1], "one ensemble per node of 3, not 2"),
+                              ([0, 2, 1], "row 1 holds node 2's ensemble")):
+            with pytest.raises(ValueError, match=message):
+                save_filter_result(FilterResult(board.take(rows), cfg, 4, data.dt), tmp_path / "res")
+        assert not (tmp_path / "res").exists()
 
     def test_result_json_holds_baseline_and_decay_moments(self, tmp_path):
         _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=10)
@@ -639,34 +707,11 @@ class TestRunFilter:
             assert [node["baseline_mean"], node["decay_mean"]] == mean[i, :2].tolist()
             assert [node["baseline_sd"], node["decay_sd"]] == sd[i, :2].tolist()
 
-    def test_snapshots_load_in_node_order_past_9999(self, tmp_path):
-        # entries are read by position: node_10000 sorts before node_1001 by name
-        n = 10_002
-        gen = np.random.default_rng(0)
-        tables = gen.gamma(2.0, size=(n, 2, 4))
-        (tmp_path / "ensembles").mkdir()
-        np.savez(tmp_path / "ensembles" / "ensembles.npz",
-                 **{f"node_{i:04d}": tables[i] for i in reversed(range(n))})
-        loaded = load_ensemble_snapshots(tmp_path)
-        assert [e.node_index for e in loaded] == list(range(n))
-        for i in (0, 999, 1000, 1001, 9999, 10000, 10001):
-            assert np.array_equal(loaded[i].intensity, tables[i, :, 0])
-            assert np.array_equal(loaded[i].params, tables[i, :, 1:])
-
-    def test_snapshot_archive_with_a_gap_rejected(self, tmp_path):
-        (tmp_path / "ensembles").mkdir()
-        np.savez(tmp_path / "ensembles" / "ensembles.npz",
-                 node_0000=np.ones((4, 6)), node_0002=np.ones((4, 6)), node_0005=np.ones((4, 6)))
-        with pytest.raises(ValueError, match="3 entries but no node_0001"):
-            load_ensemble_snapshots(tmp_path)
-
     def test_snapshot_entries_of_another_shape_rejected(self, tmp_path):
         (tmp_path / "ensembles").mkdir()
-        np.savez(
-            tmp_path / "ensembles" / "ensembles.npz",
-            node_0000=np.ones((4, 5)), node_0001=np.ones((4, 6)), node_0002=np.ones((4, 5)),
-        )
-        with pytest.raises(ValueError, match=r"\[node_0001\].*shape \(4, 6\)"):
+        path = tmp_path / "ensembles" / "ensembles.npz"
+        np.savez(path, intensity=np.ones((3, 4)), params=np.ones((3, 5, 5)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: intensity \(3, 4\) and params \(3, 5, 5\)"):
             load_ensemble_snapshots(tmp_path)
 
     def test_snapshot_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
@@ -696,7 +741,10 @@ class TestConfigValidation:
             GammaSpec(1.0, -1.0)
 
     def test_node_ensemble_validation(self):
-        with pytest.raises(ValueError):
-            NodeEnsemble(0, np.ones(1), np.ones((1, 3)))
-        with pytest.raises(ValueError):
-            NodeEnsemble(0, np.ones(4), np.ones((4, 2)))
+        # a node's arrays are checked on the board that holds them
+        for shape in ((1, 1, 3), (1, 4, 2), (0, 4, 3)):
+            with pytest.raises(ValueError, match=rf"params \({shape[0]}, {shape[1]}, {shape[2]}\) is not"):
+                Ensemble(np.ones(shape[:2]), np.ones(shape))
+        for nodes in ([0], [0.0, 1.0], [[0, 1]]):
+            with pytest.raises(ValueError, match="one integer node index per row"):
+                Ensemble(np.ones((2, 4)), np.ones((2, 4, 4)), nodes=nodes)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -176,8 +177,35 @@ class TestContainers:
         loaded, meta = load_count_series(path)
         assert np.array_equal(loaded.counts, series.counts)
         assert loaded.dt == series.dt
+        assert loaded.node_labels == ["node_1"]
+        # the CSV holds the labels and the shape, the sidecar only what it cannot
+        assert set(meta) == {"dt", "seed", "params"}
         assert meta["seed"] == 1
-        assert meta["m"] == 1
         assert meta["params"]["beta"] == [2.0]
         header = path.read_text().splitlines()[0]
         assert header == "t,node_1"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file, no header row"),
+        ("t,a,b\n0,1,2\n0.1,-2,0\n", r"line 3: counts must lie in 0 \.\. 2\*\*64 - 1"),
+        ("t,a,b\n0,1,2\n0.1,18446744073709551616,0\n", r"line 3: counts must lie in 0 \.\. 2\*\*64 - 1"),
+        ("t,a,b\n0,1\n", "line 2: need a time and 2 counts, not 2 cells"),
+        ("t,a,b\n0,1,2\n\n", "line 3: need a time and 2 counts, not 0 cells"),
+        ("t,a,b\n0,1,2,3\n", "line 2: need a time and 2 counts, not 4 cells"),
+        ("t,a,b\n0,2.5,1\n", "line 2: invalid literal for int"),
+    ])
+    def test_bad_counts_csv_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        path.with_suffix(".json").write_text(json.dumps({"dt": 0.1}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_count_series(path)
+
+    def test_counts_csv_edge_values_load(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("t,a,b\n0,0,18446744073709551615\n0.1, 7,+3\n")
+        path.with_suffix(".json").write_text(json.dumps({"dt": 0.1}))
+        series, _ = load_count_series(path)
+        assert series.counts.tolist() == [[0, 2**64 - 1], [7, 3]]
+        path.write_text("t,a,b\n")
+        assert load_count_series(path)[0].counts.shape == (0, 2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from countnet import network
-from countnet.filtering import NodeEnsemble
+from countnet.filtering import Ensemble
 from countnet.hawkes import HawkesParams
 from countnet.network import (
     BETWEENNESS_WEIGHT_FLOOR,
@@ -21,16 +21,13 @@ from countnet.network import (
 from oracles import brute_betweenness, heapq_betweenness, rank_nodes
 
 
-def ensembles_from_members(alpha_members: np.ndarray) -> list[NodeEnsemble]:
-    """alpha_members: (M, m, m) member excitation matrices -> node ensembles."""
+def ensembles_from_members(alpha_members: np.ndarray) -> Ensemble:
+    """alpha_members: (M, m, m) member excitation matrices -> the board of node ensembles."""
     M, m, _ = alpha_members.shape
-    out = []
-    for i in range(m):
-        params = np.concatenate(
-            [np.full((M, 1), 1.0), np.full((M, 1), 5.0), alpha_members[:, i, :]], axis=1
-        )
-        out.append(NodeEnsemble(i, np.full(M, 1.0), params))
-    return out
+    params = np.concatenate(
+        [np.full((m, M, 1), 1.0), np.full((m, M, 1), 5.0), alpha_members.transpose(1, 0, 2)], axis=2
+    )
+    return Ensemble(np.full((m, M), 1.0), params)
 
 
 class TestMeanNetwork:
@@ -49,16 +46,16 @@ class TestMeanNetwork:
         assert net.edge_sd[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_ensembles_not_in_node_order_rejected(self):
-        # nodes {0, 2, 5} of a 3-node network, as an archive with a gap would give
+        # sub-boards: rows are read as nodes 0..m-1, so each is refused
         alpha = np.random.default_rng(6).gamma(0.5, size=(4, 3, 3))
         ensembles = ensembles_from_members(alpha)
-        ensembles = [NodeEnsemble(i, e.intensity, e.params) for i, e in zip((0, 2, 5), ensembles)]
-        with pytest.raises(ValueError, match="position 1 holds node 2's ensemble"):
-            mean_network(ensembles)
-        with pytest.raises(ValueError, match="position 1 holds node 2's ensemble"):
-            rank_distribution(ensembles, "out_degree")
-        with pytest.raises(ValueError, match="node 0's ensemble is over 3 nodes, not 2"):
-            mean_network(ensembles[:2])
+        for rows, message in (([0, 2, 1], "row 1 holds node 2's ensemble"),
+                              ([0, 1], "one ensemble per node of 3, not 2"),
+                              ([2], "row 0 holds node 2's ensemble")):
+            with pytest.raises(ValueError, match=message):
+                mean_network(ensembles.take(rows))
+            with pytest.raises(ValueError, match=message):
+                rank_distribution(ensembles.take(rows), "out_degree")
 
 
 class TestInfluenceNetwork:
@@ -306,6 +303,15 @@ class TestBatchedBetweenness:
             counts = rank_distribution(ensembles, measure).counts
             assert np.array_equal(counts, whole[measure])
             assert np.array_equal(counts, per_member_ranks(alpha, measure))
+
+    def test_board_left_unchanged(self, monkeypatch):
+        # one-member batches of a one-node board are single cells of the board;
+        # the self-loop is zeroed in a copy
+        monkeypatch.setattr(network, "_BATCH_ELEMENTS", 1)
+        ensembles = ensembles_from_members(np.array([[[0.5]], [[1.5]]]))
+        before = ensembles.params.copy()
+        assert rank_distribution(ensembles, "betweenness").counts.tolist() == [[2]]
+        assert np.array_equal(ensembles.params, before)
 
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")

@@ -2,17 +2,20 @@
 switches, partial inputs, and error surfaces."""
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
+from countnet import filtering
 from countnet.cli import main
 from countnet.filtering import (
+    Ensemble,
     Filter,
     FilterConfig,
     FilterResult,
     GammaSpec,
-    NodeEnsemble,
     init_ensemble,
     load_ensemble_snapshots,
     run_filter,
@@ -32,31 +35,27 @@ class TestFilterEdges:
 
     def test_node_index_beyond_the_data_rejected(self):
         _, _, init, cfg = toy_filter_setup(m=3)
-        stray = NodeEnsemble(3, init[2].intensity, init[2].params)
         with pytest.raises(ValueError, match="node index 3 is not a data column of 3 nodes"):
-            Filter([init[0], stray], 0.1, cfg)
+            Filter(Ensemble(init.intensity[:2], init.params[:2], nodes=[0, 3]), 0.1, cfg)
 
     def test_permuted_init_rejected(self):
-        # ensembles out of column order, excitation columns permuted to match:
-        # the run would write alpha_mean.csv rows in list order but snapshots
-        # in node order, so it is refused
+        # rows out of column order, excitation columns permuted to match:
+        # the run would write alpha_mean.csv rows in row order but the
+        # snapshots hold no node indices, so it is refused
         _, data, init, cfg = toy_filter_setup(m=4, M=30, n_steps=5)
         perm = np.array([2, 0, 3, 1])
-        permuted = []
-        for pos in perm:
-            params = init[pos].params.copy()
-            params[:, 2:] = params[:, 2:][:, perm]
-            permuted.append(NodeEnsemble(init[pos].node_index, init[pos].intensity.copy(), params))
-        with pytest.raises(ValueError, match="position 0 holds node 2's ensemble"):
+        permuted = init.take(perm)
+        permuted.params[:, :, 2:] = permuted.params[:, :, 2:][:, :, perm]
+        with pytest.raises(ValueError, match="row 0 holds node 2's ensemble"):
             run_filter(CountSeries(data.counts[:, perm], data.dt), permuted, cfg)
         with pytest.raises(ValueError, match="one ensemble per node of 4, not 3"):
-            run_filter(data, init[:3], cfg)
+            run_filter(data, init.take([0, 1, 2]), cfg)
 
     def test_zero_bin_run_rejects_ensembles_of_another_width(self):
         # with no bins there is no step to compare the widths
         init = init_ensemble(6, 10, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.3, 0.1), seed=0)
-        with pytest.raises(ValueError, match="node 0's ensemble is over 6 nodes, not 3"):
-            run_filter(CountSeries(np.zeros((0, 3), dtype=int), 0.1), init[:3], FilterConfig(seed=0))
+        with pytest.raises(ValueError, match="the ensembles are over 6 nodes, the counts over 3"):
+            run_filter(CountSeries(np.zeros((0, 3), dtype=int), 0.1), init.take([0, 1, 2]), FilterConfig(seed=0))
 
     def test_workers_below_one_rejected(self):
         _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=3)
@@ -64,11 +63,28 @@ class TestFilterEdges:
             with pytest.raises(ValueError, match="workers must be at least 1"):
                 run_filter(data, init, cfg, workers=workers)
 
+    def test_worker_ending_without_a_result_is_an_error(self, monkeypatch):
+        # the forked worker runs the patched chunk and exits at once
+        _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=3)
+        monkeypatch.setattr(filtering, "_run_chunk", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="a filter worker process ended without a result"):
+            run_filter(data, init, cfg, workers=2)
+
     def test_ensembles_of_unequal_member_counts_rejected(self):
+        # one board holds one member count: 10 intensity members against 12 parameter members
         small = init_ensemble(2, 10, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0)
         large = init_ensemble(2, 12, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0)
-        with pytest.raises(ValueError, match="member count M"):
-            Filter([small[0], large[1]], 0.1, FilterConfig(seed=0))
+        message = r"intensity \(2, 10\) and params \(2, 12, 4\) are not \(n, M\) and \(n, M, m\+2\)"
+        with pytest.raises(ValueError, match=message):
+            Filter(Ensemble(small.intensity, large.params), 0.1, FilterConfig(seed=0))
+
+    def test_duplicate_nodes_rejected(self):
+        # two rows of node 0 would share its analysis stream and turn identical
+        init = init_ensemble(2, 10, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0)
+        with pytest.raises(ValueError, match="node 0 has more than one ensemble"):
+            Filter(init.take([0, 0]), 0.1, FilterConfig(0))
+        with pytest.raises(ValueError, match="node 1 has more than one ensemble"):
+            Ensemble(init.intensity, init.params, nodes=[1, 1])
 
     def test_non_positive_dt_rejected(self):
         _, _, init, cfg = toy_filter_setup(m=2, M=12)
@@ -79,8 +95,8 @@ class TestFilterEdges:
     def test_non_finite_or_negative_parameters_rejected(self):
         for bad in (np.nan, np.inf, -0.5):
             _, _, init, cfg = toy_filter_setup(m=3, M=20)
-            init[1].params[4, 2] = bad
-            with pytest.raises(ValueError, match="parameter members"):
+            init[1].params[4, 2] = bad  # through the row view, after the board was checked
+            with pytest.raises(ValueError, match="node 1's parameter members"):
                 Filter(init, 0.1, cfg)
 
     def test_intensity_below_floor_is_lifted(self):
@@ -155,35 +171,38 @@ class TestCliEdges:
         save_filter_result(run_filter(data, init, cfg), tmp_path / "res")
         archive = tmp_path / "res" / "ensembles" / "ensembles.npz"
         with np.load(archive) as npz:
-            tables = {name: npz[name] for name in npz.files}
+            intensity, params = npz["intensity"], npz["params"]
 
         def write_excitation_cell(value):
-            tampered = tables["node_0002"].copy()
-            tampered[5, 3] = value
-            np.savez(archive, **{**tables, "node_0002": tampered})
+            tampered = params.copy()
+            tampered[2, 5, 2] = value
+            np.savez(archive, intensity=intensity, params=tampered)
 
-        for bad, reason in ((np.nan, "non-finite"), (np.inf, "non-finite"), (-0.25, "negative")):
+        message = f"{archive}: node 2's parameter members must be finite and non-negative"
+        for bad in (np.nan, np.inf, -0.25):
             write_excitation_cell(bad)
-            with pytest.raises(ValueError, match=rf"\[node_0002\].*{reason}"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 load_ensemble_snapshots(tmp_path / "res")
         write_excitation_cell(np.nan)
         ana = tmp_path / "ana.json"
         ana.write_text(json.dumps({"result_dir": str(tmp_path / "res"), "measure": "betweenness"}))
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
-        assert "node_0002" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (out / "network.json").exists()
 
     def test_archive_with_a_gap_is_not_analyzed(self, tmp_path, capsys):
-        # nodes {0, 2, 5} of a 3-node network: node 5 must not pass as node_3
+        # boards of nodes 0 and 1 of a 3-node network: node 2 is missing
         gen = np.random.default_rng(5)
-        ensembles = [NodeEnsemble(i, gen.gamma(2.0, size=4), gen.gamma(2.0, size=(4, 5))) for i in (0, 2, 5)]
-        save_filter_result(FilterResult(ensembles, FilterConfig(seed=0), 0, 0.1), tmp_path / "res")
+        (tmp_path / "res" / "ensembles").mkdir(parents=True)
+        np.savez(tmp_path / "res" / "ensembles" / "ensembles.npz",
+                 intensity=gen.gamma(2.0, size=(2, 4)), params=gen.gamma(2.0, size=(2, 4, 5)))
+        (tmp_path / "res" / "result.json").write_text("{}")
         ana = tmp_path / "ana.json"
         ana.write_text(json.dumps({"result_dir": str(tmp_path / "res")}))
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
-        assert "no node_0001" in capsys.readouterr().err
+        assert "one ensemble per node of 3, not 2" in capsys.readouterr().err
         assert not (out / "network.json").exists()
 
     def test_csv_snapshots_are_not_read(self, tmp_path, capsys):
