@@ -33,6 +33,9 @@ from . import rng
 from .hawkes import CountSeries, advance_intensity, check_counts
 
 SNAPSHOT_ARCHIVE = "ensembles.npz"
+# batched reductions work in blocks of about this many elements: the
+# moments' rows of a parameter board and rank_distribution's member batches
+BLOCK_ELEMENTS = 1 << 16
 # default lower clamp for intensity and parameter members
 POSITIVITY_FLOOR = 1e-8
 _INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
@@ -189,9 +192,6 @@ class FilterConfig:
             raise ValueError("positivity_floor must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def analytic_posterior(
@@ -399,15 +399,30 @@ class FilterResult:
     node_labels: list[str] | None = None
 
 
-def ensemble_moments(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's parameter means and sds (ddof=1) over its members, (n_nodes, m+2) each.
+def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row means and variances (ddof=1) over the members of an (n, M, p) board, (n, p) each.
 
-    Columns 2: of the means form the inferred network. Each row is reduced
-    on its own, adding its members in order as a reduction over the member
-    axis of the whole board would, with a row's scratch in place of the board's.
+    Rows go in blocks of about BLOCK_ELEMENTS elements with one block of
+    scratch, and each row gets the bits of its own np.mean and np.var.
     """
-    mean = np.stack([p.mean(axis=0) for p in ens.params])
-    return mean, np.stack([p.std(axis=0, ddof=1) for p in ens.params])
+    n, M, p = params.shape
+    rows = max(1, BLOCK_ELEMENTS // (M * p))
+    mean, var = np.empty((n, p)), np.empty((n, p))
+    scratch = np.empty((min(rows, n), M, p))
+    for lo in range(0, n, rows):
+        block = params[lo : lo + rows]
+        dev = scratch[: len(block)]
+        # einsum adds the members in order, several times faster than a middle-axis reduce
+        mu = mean[lo : lo + rows] = np.einsum("imj->ij", block) / M
+        np.subtract(block, mu[:, None, :], out=dev)
+        var[lo : lo + rows] = np.einsum("imj,imj->ij", dev, dev) / (M - 1)
+    return mean, var
+
+
+def ensemble_moments(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's parameter means and sds (ddof=1), (n_nodes, m+2) each; mean columns 2: are the network."""
+    mean, var = param_moments(ens.params)
+    return mean, np.sqrt(var)
 
 
 class Filter:
@@ -442,18 +457,8 @@ class Filter:
         self._tmp = np.empty_like(self._params)
 
     def param_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current per-node parameter means and variances, (n_nodes, m+2) each.
-
-        The mean is taken once and the variance is formed from the
-        deviations about it (ddof=1).
-        """
-        M = self._params.shape[1]
-        # einsum adds the members in order in one pass; a reduce over the
-        # middle axis of the (n, M, p) tensor is several times slower
-        mean = np.einsum("imj->ij", self._params) / M
-        np.subtract(self._params, mean[:, None, :], out=self._tmp)
-        var = np.einsum("imj,imj->ij", self._tmp, self._tmp) / (M - 1)
-        return mean, var
+        """Current per-node parameter means and variances (ddof=1), (n_nodes, m+2) each."""
+        return param_moments(self._params)
 
     def assimilate_step(self, counts_next) -> AnalysisDiagnostics:
         """Forecast with the held previous counts, then assimilate the new bin.
@@ -642,7 +647,7 @@ def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:
         for i, (mu, s) in enumerate(zip(mean, sd))
     ]
     manifest = {
-        "config": result.config.to_json(),
+        "config": asdict(result.config),
         "n_steps": result.n_steps,
         "dt": result.dt,
         "ensemble_size": ens.params.shape[1],

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtering import Ensemble, FilterHistory, ensemble_moments
+from .filtering import BLOCK_ELEMENTS, Ensemble, FilterHistory, ensemble_moments
 from .hawkes import HawkesParams, labels_or_default
 
 OUT_DEGREE = "out_degree"
@@ -68,7 +68,6 @@ class RankDistribution:
     """counts[r, j] = number of members ranking node j at rank r."""
 
     counts: np.ndarray
-    measure: str
     node_labels: list[str] | None = None
 
     def __post_init__(self) -> None:
@@ -212,11 +211,6 @@ def _betweenness(off: np.ndarray) -> np.ndarray:
     return scores
 
 
-# members per scoring batch are sized so one (members, m, m) array holds
-# about this many elements, which bounds the betweenness working set
-_BATCH_ELEMENTS = 1 << 16
-
-
 def rank_distribution(
     ensembles: Ensemble,
     measure: str,
@@ -232,7 +226,8 @@ def rank_distribution(
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     m, M = ensembles.m, ensembles.params.shape[1]
-    batch = max(1, _BATCH_ELEMENTS // (m * m))
+    # a (members, m, m) batch of about BLOCK_ELEMENTS bounds the betweenness working set
+    batch = max(1, BLOCK_ELEMENTS // (m * m))
     nodes = np.arange(m)
     tally = np.zeros(m * m, dtype=np.int64)
     for lo in range(0, M, batch):
@@ -242,7 +237,7 @@ def rank_distribution(
         # rank order is descending score; stable, so ties go by node index
         order = np.argsort(-_scores(off, measure), axis=1, kind="stable")
         tally += np.bincount((nodes * m + order).ravel(), minlength=m * m)
-    return RankDistribution(tally.reshape(m, m), measure, node_labels)
+    return RankDistribution(tally.reshape(m, m), node_labels)
 
 
 def error_metrics(

@@ -16,6 +16,10 @@ every timestamp has the format of the first.
 each observed row draws its perturbed observations with ``gamma(dN, 1)``
 and is updated on its own. It is the bit-level reference for the batched
 kernel, draws and stream states included.
+
+``param_moments`` is the per-row ``np.mean``/``np.std`` reduction that
+``countnet.filtering.param_moments`` replaced with one blocked kernel: the
+bit-level reference for the history, ``result.json`` and the network.
 """
 
 import csv
@@ -64,6 +68,13 @@ def analyze_rows(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analysi
 
     post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
     return lam_a, AnalysisDiagnostics(mean_f, post_mean, prior_rv, post_rv, innovation, degenerate)
+
+
+def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means, variances and sds (ddof=1) over the members of an (n, M, p) board, one row at a time."""
+    mean = np.stack([p.mean(axis=0) for p in params])
+    var = np.stack([p.var(axis=0, ddof=1) for p in params])
+    return mean, var, np.stack([p.std(axis=0, ddof=1) for p in params])
 
 
 def brute_betweenness(adjacency: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from countnet import cli
 from countnet.cli import _save_filter_outputs, main
 from countnet.experiments import abm_test_config
 from countnet.filtering import ensemble_moments, load_ensemble_snapshots, run_filter
@@ -274,6 +275,27 @@ class TestPipelines:
         assert main(["analyze", "--config", str(ana_cfg), "--seed", "0", "--out-dir", str(ana_out)]) == 0
         for name in ("edges.csv", "network.json", "rank_out_degree.csv", "subnetwork_edges.csv", "subnetwork.json"):
             assert (ana_out / name).exists(), name
+
+    def test_history_ends_at_the_written_moments(self, tmp_path, monkeypatch):
+        # one moments kernel reduces the history and the result: same bits
+        params = {"mu": [2.0, 1.0, 1.5], "beta": [5.0, 5.0, 5.0],
+                  "alpha": [[0.5, 0.2, 0.0], [0.0, 1.0, 0.3], [0.2, 0.0, 0.8]]}
+        truth = write_config(tmp_path, "truth.json", params)
+        sim = write_config(tmp_path, "sim.json", {"params": params, "dt": 0.1, "n_steps": 40})
+        assert main(["simulate-hawkes", "--config", str(sim), "--seed", "4", "--out-dir", str(tmp_path / "sim")]) == 0
+        flt = write_config(tmp_path, "flt.json", {
+            "counts_path": str(tmp_path / "sim" / "counts.csv"), "ensemble_size": 9, "priors": PRIORS,
+            "record_param_history": True, "truth_path": str(truth),
+        })
+        histories = []
+        monkeypatch.setattr(cli, "error_metrics", lambda h, *args: histories.append(h) or error_metrics(h, *args))
+        out = tmp_path / "flt"
+        assert main(["filter", "--config", str(flt), "--seed", "4", "--workers", "2", "--out-dir", str(out)]) == 0
+        mean, var = histories[0].param_mean[-1], histories[0].param_var[-1]
+        nodes = json.loads((out / "result.json").read_text())["nodes"]
+        assert mean[:, :2].tolist() == [[n["baseline_mean"], n["decay_mean"]] for n in nodes]
+        assert np.sqrt(var[:, :2]).tolist() == [[n["baseline_sd"], n["decay_sd"]] for n in nodes]
+        assert np.array_equal(mean[:, 2:], np.loadtxt(out / "alpha_mean.csv", delimiter=","))
 
     def test_analyze_uses_the_counts_labels(self, tmp_path):
         events = tmp_path / "events.csv"

@@ -26,6 +26,7 @@ from countnet.filtering import (
     save_filter_result,
 )
 from countnet.hawkes import CountSeries
+import oracles
 from oracles import analyze_rows
 
 
@@ -538,21 +539,31 @@ class TestRunFilter:
         assert np.allclose(mean, params.mean(axis=1), rtol=1e-13, atol=0.0)
         assert np.allclose(var, params.var(axis=1, ddof=1), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("m, M", [(6, 500), (26, 64), (3, 7), (2, 12), (1, 40)])
+    # n=1, M=2, odd M; with BLOCK_ELEMENTS = 2**16, 31 rows of (64, 33) fill
+    # exactly one block, and 31 of (65, 33) or 22 of (128, 24) are one row past it
+    @pytest.mark.parametrize("m, M", [(6, 500), (26, 64), (3, 7), (2, 12), (1, 40),
+                                      (1, 2), (31, 64), (31, 65), (22, 128)])
     def test_ensemble_moments_match_per_node_calls(self, m, M):
         g = gen(m * M)
-        ensembles = Ensemble(g.gamma(2.0, size=(m, M)), g.gamma(2.0, size=(m, M, m + 2)))
-        mean, sd = ensemble_moments(ensembles)
-        for i, e in enumerate(ensembles):
-            if m >= 2:
-                # the excitation views add a column's members in order, as ensemble_moments does
-                assert np.array_equal(mean[i, 2:], e.excitation.mean(axis=0))
-                assert np.array_equal(sd[i, 2:], e.excitation.std(axis=0, ddof=1))
-            # baseline, decay and a one-node network's excitation are 1-D reductions there,
-            # which numpy sums pairwise: equal up to round-off
-            rtol = M * np.finfo(np.float64).eps
-            assert np.allclose(mean[i], e.params.T.mean(axis=1), rtol=rtol, atol=0.0)
-            assert np.allclose(sd[i], e.params.T.std(axis=1, ddof=1), rtol=rtol, atol=0.0)
+        init = Ensemble(g.gamma(2.0, size=(m, M)), g.gamma(2.0, size=(m, M, m + 2)))
+        mean, var, sd = oracles.param_moments(init.params)
+        got_mean, got_sd = ensemble_moments(init)
+        assert np.array_equal(got_mean, mean) and np.array_equal(got_sd, sd)
+        # history: the moments of the board after each step, also split across workers
+        data = CountSeries(g.poisson(1.0, size=(3, m)).astype(np.uint64), DT)
+        cfg = FilterConfig(seed=m, record_param_history=True)
+        filt, means, variances = Filter(init, DT, cfg), [], []
+        for row in [None, *data.counts]:
+            if row is not None:
+                filt.assimilate_step(row)
+            got_mean, got_var = filt.param_moments()
+            mean, var, _ = oracles.param_moments(filt.ensembles().params)
+            assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
+            means.append(mean)
+            variances.append(var)
+        for workers in (1, 2):
+            h = run_filter(data, init, cfg, workers=workers).history
+            assert np.array_equal(h.param_mean, means) and np.array_equal(h.param_var, variances)
 
     def test_param_moments_leave_the_run_unchanged(self):
         # the moments share a scratch buffer with the update

@@ -157,6 +157,17 @@ class TestReadEventCsv:
         assert np.allclose(log.times, [0.0, 6.0, 24.0])
         assert log.labels == ["a", "b"]  # receiver column ignored
 
+    def test_iso_timestamps_with_utc_offsets(self, tmp_path):
+        # Python 3.10's fromisoformat reads none of the first two stamps' forms
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "timestamp,sender\n"
+            "2020-01-01T00:00:00Z,a\n"
+            "20200101T013000+00:00,b\n"
+            "2020-01-01T03:00:00+01:00,a\n"
+        )
+        assert read_event_csv(path).times.tolist() == [0.0, 1.5, 2.0]
+
     def test_window_pinning(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("timestamp,sender\n5.0,a\n")

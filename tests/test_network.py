@@ -298,7 +298,7 @@ class TestBatchedBetweenness:
         alpha = np.where(gen.random((M, m, m)) < 0.4, gen.choice([0.5, 1.0, 2.0], (M, m, m)), 0.0)
         ensembles = ensembles_from_members(alpha)
         whole = {meas: rank_distribution(ensembles, meas).counts for meas in network.MEASURES}
-        monkeypatch.setattr(network, "_BATCH_ELEMENTS", 3 * m * m)  # batches of 3, 3, 3, 1
+        monkeypatch.setattr(network, "BLOCK_ELEMENTS", 3 * m * m)  # batches of 3, 3, 3, 1
         for measure in network.MEASURES:
             counts = rank_distribution(ensembles, measure).counts
             assert np.array_equal(counts, whole[measure])
@@ -307,7 +307,7 @@ class TestBatchedBetweenness:
     def test_board_left_unchanged(self, monkeypatch):
         # one-member batches of a one-node board are single cells of the board;
         # the self-loop is zeroed in a copy
-        monkeypatch.setattr(network, "_BATCH_ELEMENTS", 1)
+        monkeypatch.setattr(network, "BLOCK_ELEMENTS", 1)
         ensembles = ensembles_from_members(np.array([[[0.5]], [[1.5]]]))
         before = ensembles.params.copy()
         assert rank_distribution(ensembles, "betweenness").counts.tolist() == [[2]]
