@@ -22,6 +22,7 @@ results are bitwise independent of node ordering and worker count.
 from __future__ import annotations
 
 import json
+import mmap
 import multiprocessing
 import operator
 from dataclasses import asdict, dataclass, fields
@@ -33,8 +34,8 @@ from . import rng
 from .hawkes import CountSeries, advance_intensity, check_counts
 
 SNAPSHOT_ARCHIVE = "ensembles.npz"
-# batched reductions work in blocks of about this many elements: the
-# moments' rows of a parameter board and rank_distribution's member batches
+# batched passes work in blocks of about this many elements: the regression's
+# and the moments' rows of a parameter board and rank_distribution's member batches
 BLOCK_ELEMENTS = 1 << 16
 # default lower clamp for intensity and parameter members
 POSITIVITY_FLOOR = 1e-8
@@ -305,7 +306,8 @@ def _regress_rows(q, lam_f, lam_a, floor, tmp) -> None:
     between its parameter members and the forecast-intensity deviations,
     divided by the sum of the forecast and analysis intensity variances;
     each member moves by gain * (lam_a - lam_f) and is clamped at
-    ``floor``. A row without intensity spread gets gain 0.
+    ``floor``. A row without intensity spread gets gain 0. Each row's
+    arithmetic is its own, so any split into blocks of rows gives the same bits.
     """
     M = q.shape[1]
     ydev = lam_f - (np.add.reduce(lam_f, axis=1) / M)[:, None]
@@ -406,9 +408,9 @@ def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scratch, and each row gets the bits of its own np.mean and np.var.
     """
     n, M, p = params.shape
-    rows = max(1, BLOCK_ELEMENTS // (M * p))
+    rows = min(n, max(1, BLOCK_ELEMENTS // (M * p)))
     mean, var = np.empty((n, p)), np.empty((n, p))
-    scratch = np.empty((min(rows, n), M, p))
+    scratch = np.empty((rows, M, p))
     for lo in range(0, n, rows):
         block = params[lo : lo + rows]
         dev = scratch[: len(block)]
@@ -428,33 +430,33 @@ def ensemble_moments(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 class Filter:
     """Stateful assimilation over a set of nodes, bins of width ``dt``.
 
-    Holds its own copy of the board (an (n_nodes, M) intensity board and the
-    (n_nodes, M, m+2) parameter tensor), the previous bin's full count
-    vector (the forecast needs every node's counts; zero before the first
-    bin), the step index, and one analysis stream per node. Row r
-    assimilates data column ``nodes[r]``, and its stream is keyed by that
-    index, so a sub-filter over any subset of nodes, in any order (see
-    ``Ensemble.take``), reproduces those nodes' results bit for bit.
+    Holds a copy of the board, updated in place, in new arrays or in
+    ``out``, an (intensity, params) pair of the board's shapes; the previous
+    bin's full count vector (zero before the first bin); the step index; and
+    one analysis stream per node. Row r assimilates data column
+    ``nodes[r]``, and its stream is keyed by that index, so a sub-filter over
+    any subset of nodes, in any order (see ``Ensemble.take``), reproduces
+    those nodes' results bit for bit.
     """
 
-    def __init__(self, ensembles: Ensemble, dt: float, cfg: FilterConfig):
+    def __init__(self, ensembles: Ensemble, dt: float, cfg: FilterConfig, out=None):
         if not dt > 0:
             raise ValueError("dt must be positive")
+        lam, params = out or (np.empty_like(ensembles.intensity), np.empty_like(ensembles.params))
+        params[...] = ensembles.params
         # the copy is checked again: a board's rows can be written in place
-        board = Ensemble(ensembles.intensity, ensembles.params.copy(), ensembles.nodes)
+        board = Ensemble(ensembles.intensity, params, ensembles.nodes)
         self.cfg = cfg
         self.dt = dt
         self.nodes, self.m = board.nodes, board.m
         # prior draws can legitimately fall below the floor (gamma shapes < 1)
-        self._lam = np.maximum(board.intensity, cfg.positivity_floor)
-        self._params = board.params
-        self._mu = self._params[:, :, 0]
-        self._beta = self._params[:, :, 1]
-        self._alpha = self._params[:, :, 2:]
+        self._lam = np.maximum(board.intensity, cfg.positivity_floor, out=lam)
+        self._params = params
         self._prev = np.zeros(self.m)
         self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.nodes.tolist())
         self.k = 0
-        self._tmp = np.empty_like(self._params)
+        # the regression's scratch: one block of rows, sized as param_moments sizes its blocks
+        self._tmp = np.empty((min(len(params), max(1, BLOCK_ELEMENTS // params[0].size)), *params.shape[1:]))
 
     def param_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Current per-node parameter means and variances (ddof=1), (n_nodes, m+2) each."""
@@ -474,8 +476,9 @@ class Filter:
         own_counts = counts_next[self.nodes]
 
         # Stage 1: member-specific forecast from the previous bin's counts
-        excite = self._alpha @ self._prev
-        lam_f = advance_intensity(self._lam, self._mu, self._beta, excite, self.dt)
+        params = self._params
+        excite = params[:, :, 2:] @ self._prev
+        lam_f = advance_intensity(self._lam, params[:, :, 0], params[:, :, 1], excite, self.dt)
         np.maximum(lam_f, floor, out=lam_f)
 
         # Stage 2: conjugate intensity analysis; overflow surfaces as the
@@ -486,11 +489,14 @@ class Filter:
             bad = int(np.argwhere(~np.isfinite(lam_a))[0][0])
             raise FilterDivergence(self.k, int(self.nodes[bad]))
 
-        # Stage 3: regress parameter members on the intensity innovations
-        _regress_rows(self._params, lam_f, lam_a, floor, self._tmp)
+        # Stage 3: regress parameter members on the intensity innovations, by blocks of rows
+        rows = len(self._tmp)
+        for lo in range(0, len(self.nodes), rows):
+            q = params[lo : lo + rows]
+            _regress_rows(q, lam_f[lo : lo + rows], lam_a[lo : lo + rows], floor, self._tmp[: len(q)])
 
         # Stage 4: roll forward
-        self._lam = lam_a
+        self._lam[...] = lam_a
         self._prev = counts_next.copy()
         self.k += 1
         return diag
@@ -498,8 +504,7 @@ class Filter:
     def ensembles(self) -> Ensemble:
         """The filter's board, as views without copies.
 
-        The next step updates the parameters in place, so copy them to keep
-        this state.
+        The next step updates it in place, so copy it to keep this state.
         """
         return Ensemble(self._lam, self._params, self.nodes)
 
@@ -531,11 +536,12 @@ def _run_chunk(
     dt: float,
     ensembles: Ensemble,
     cfg: FilterConfig,
+    out: tuple[np.ndarray, np.ndarray],
     progress=None,
-) -> tuple[Ensemble, FilterHistory | None]:
-    """Full assimilation loop for a subset of nodes; used by the workers."""
+) -> FilterHistory | None:
+    """Full assimilation loop for a subset of nodes, in their rows ``out`` of the result board."""
     n_steps = counts.shape[0]
-    filt = Filter(ensembles, dt, cfg)
+    filt = Filter(ensembles, dt, cfg, out)
     record_p = cfg.record_param_history
     record_i = cfg.record_intensity_history
     history = FilterHistory() if record_p or record_i else None
@@ -558,15 +564,15 @@ def _run_chunk(
         if progress is not None and (k + 1) % report_every == 0:
             progress(k + 1, n_steps)
     # an earlier step's non-finite parameter fails the next forecast's check;
-    # caught here, before the board is wrapped and checked again
-    bad = ~np.isfinite(filt._params)
-    if bad.any():
-        raise FilterDivergence(filt.k - 1, int(filt.nodes[np.argwhere(bad)[0][0]]), "parameter")
-    return filt.ensembles(), history
+    # caught here, before run_filter wraps the board and checks it again
+    if not filt._params.max() < np.inf:  # NaN fails too; every other member is at least the floor
+        row = np.argmin(np.isfinite(filt._params).reshape(len(filt.nodes), -1).all(axis=1))
+        raise FilterDivergence(filt.k - 1, int(filt.nodes[row]), "parameter")
+    return history
 
 
 def _chunk_worker(conn, *args) -> None:
-    """Run ``_run_chunk(*args)`` in a worker process; send back its result, or the error it raised."""
+    """Run ``_run_chunk(*args)`` in a worker process; send back its history, or the error it raised."""
     try:
         result = _run_chunk(*args)
     except Exception as err:  # noqa: BLE001 - run_filter raises it again
@@ -584,49 +590,52 @@ def run_filter(
     """Assimilate every bin of ``data`` starting from the given board.
 
     Row i of ``init`` is node i's ensemble over the data's m columns, for
-    each i (``Ensemble.check_complete``). ``workers`` > 1 splits the nodes
-    across processes (at most one per node); the per-node streams make the
-    result identical to a serial run, bit for bit. ``progress``, if given,
-    is called as progress(step, n_steps) from the serial path.
+    each i (``Ensemble.check_complete``). The result board is one anonymous
+    shared mmap, so the result's arrays are mmap-backed. Each of ``workers``
+    contiguous node ranges (at most one per node) copies its rows of
+    ``init`` into that board and assimilates there in place: in this
+    process for one worker, else in processes from
+    ``multiprocessing.get_context("fork")``, which inherit the board rather
+    than a pickled copy and send back only a history or an error. The
+    per-node streams make the result identical to a serial run, bit for
+    bit. ``progress``, if given, is called as progress(step, n_steps) from a serial run.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     if init.m != data.m:
         raise ValueError(f"the ensembles are over {init.m} nodes, the counts over {data.m}")
     init.check_complete()
-    counts = data.counts
-    workers = min(workers, data.m)
-    if workers <= 1:
-        chunks = [_run_chunk(counts, data.dt, init, cfg, progress)]
+    shared = mmap.mmap(-1, init.intensity.nbytes + init.params.nbytes)
+    intensity = np.frombuffer(shared, count=init.intensity.size).reshape(init.intensity.shape)
+    params = np.frombuffer(shared, offset=init.intensity.nbytes).reshape(init.params.shape)
+    ranges = (slice(part[0], part[-1] + 1) for part in np.array_split(range(data.m), min(workers, data.m)))
+    chunks = [(data.counts, data.dt, init.take(r), cfg, (intensity[r], params[r])) for r in ranges]
+    if len(chunks) == 1:
+        histories = [_run_chunk(*chunks[0], progress)]
     else:
-        # one process per contiguous node range, in order, so the chunks
-        # concatenate. This thread reads the results: an executor's helper
-        # threads would (un)pickle the boards in malloc arenas of their own,
-        # which keep the freed blocks (about 20 MB more peak RSS at m=100).
+        # this thread reads the results: an executor's helper threads would
+        # unpickle them in malloc arenas of their own, which keep the freed blocks
+        fork = multiprocessing.get_context("fork")
         conns, procs = [], []
-        for part in np.array_split(np.arange(data.m), workers):
-            conn, child_conn = multiprocessing.Pipe(duplex=False)
-            args = (child_conn, counts, data.dt, init.take(slice(part[0], part[-1] + 1)), cfg)
-            procs.append(multiprocessing.Process(target=_chunk_worker, args=args))
+        for chunk in chunks:
+            conn, child_conn = fork.Pipe(duplex=False)
+            procs.append(fork.Process(target=_chunk_worker, args=(child_conn, *chunk)))
             procs[-1].start()
             child_conn.close()  # so a worker that dies without a result ends our recv
             conns.append(conn)
         try:
-            chunks = [conn.recv() for conn in conns]
+            histories = [conn.recv() for conn in conns]
         except EOFError:
             raise RuntimeError("a filter worker process ended without a result") from None
         finally:
             for proc in procs:  # all results are in, or the run failed
                 proc.terminate()
                 proc.join()
-        for chunk in chunks:
-            if isinstance(chunk, Exception):
-                raise chunk
-    boards, histories = zip(*chunks)
-    ensembles = boards[0] if len(boards) == 1 else Ensemble(
-        np.concatenate([b.intensity for b in boards]), np.concatenate([b.params for b in boards]))
-    history = None if histories[0] is None else FilterHistory.concat(list(histories))
-    return FilterResult(ensembles, cfg, data.n_steps, data.dt, history, data.node_labels)
+        for history in histories:
+            if isinstance(history, Exception):
+                raise history
+    history = None if histories[0] is None else FilterHistory.concat(histories)
+    return FilterResult(Ensemble(intensity, params), cfg, data.n_steps, data.dt, history, data.node_labels)
 
 
 def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:
@@ -672,7 +681,14 @@ def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:
         )
     snap_dir = out_dir / "ensembles"
     snap_dir.mkdir(exist_ok=True)
-    np.savez(snap_dir / SNAPSHOT_ARCHIVE, intensity=ens.intensity, params=ens.params)
+    import zipfile  # here, as in np.savez: it adds about 4 ms to every start-up, and only a save needs it
+    # np.savez's bytes (stored zip64 entries, no clock), each board written from its own buffer
+    with zipfile.ZipFile(snap_dir / SNAPSHOT_ARCHIVE, "w", allowZip64=True) as archive:
+        for name, board in (("intensity", ens.intensity), ("params", ens.params)):
+            board = np.ascontiguousarray(board)
+            with archive.open(name + ".npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array_header_1_0(entry, np.lib.format.header_data_from_array_1_0(board))
+                entry.write(memoryview(board).cast("B"))
 
 
 def load_ensemble_snapshots(out_dir: str | Path) -> Ensemble:

@@ -20,6 +20,10 @@ kernel, draws and stream states included.
 ``param_moments`` is the per-row ``np.mean``/``np.std`` reduction that
 ``countnet.filtering.param_moments`` replaced with one blocked kernel: the
 bit-level reference for the history, ``result.json`` and the network.
+
+``save_snapshot_archive`` is the ``np.savez`` call that
+``countnet.filtering.save_filter_result`` replaced with a writer that sends
+each board out from its own buffer: the byte-level reference for the archive.
 """
 
 import csv
@@ -75,6 +79,11 @@ def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     mean = np.stack([p.mean(axis=0) for p in params])
     var = np.stack([p.var(axis=0, ddof=1) for p in params])
     return mean, var, np.stack([p.std(axis=0, ddof=1) for p in params])
+
+
+def save_snapshot_archive(path, intensity: np.ndarray, params: np.ndarray) -> None:
+    """The snapshot archive as ``np.savez`` writes it, with a whole-board copy of each entry."""
+    np.savez(path, intensity=intensity, params=params)
 
 
 def brute_betweenness(adjacency: np.ndarray) -> np.ndarray:

@@ -565,6 +565,32 @@ class TestRunFilter:
             h = run_filter(data, init, cfg, workers=workers).history
             assert np.array_equal(h.param_mean, means) and np.array_equal(h.param_var, variances)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_regression_block_size_leaves_the_bits(self, monkeypatch, workers):
+        # blocks of 1, 3 and all 5 rows, the last block of 3 one row short
+        _, data, init, cfg = toy_filter_setup(
+            m=5, M=20, n_steps=15, record_param_history=True, record_intensity_history=True)
+        regress, calls = filtering._regress_rows, []
+
+        def counted(q, *args):
+            calls.append(len(q))
+            regress(q, *args)
+
+        monkeypatch.setattr(filtering, "_regress_rows", counted)
+        runs = []
+        for rows in (1, 3, 5):
+            monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", rows * init.params[0].size)
+            calls.clear()
+            runs.append(run_filter(data, init, cfg, workers=workers))
+            if workers == 1:  # forked workers count in their own processes
+                assert calls == [min(rows, 5 - lo) for lo in range(0, 5, rows)] * data.n_steps
+        for run in runs[1:]:
+            assert np.array_equal(run.ensembles.params, runs[0].ensembles.params)
+            assert np.array_equal(run.ensembles.intensity, runs[0].ensembles.intensity)
+            for key in ("param_mean", "param_var", "prior_mean", "post_mean", "prior_rel_var",
+                        "post_rel_var", "innovation"):
+                assert np.array_equal(getattr(run.history, key), getattr(runs[0].history, key))
+
     def test_param_moments_leave_the_run_unchanged(self):
         # the moments share a scratch buffer with the update
         _, data, init, cfg = toy_filter_setup(m=3, M=30, n_steps=10)
@@ -724,6 +750,19 @@ class TestRunFilter:
         np.savez(path, intensity=np.ones((3, 4)), params=np.ones((3, 5, 5)))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: intensity \(3, 4\) and params \(3, 5, 5\)"):
             load_ensemble_snapshots(tmp_path)
+
+    # a one-row board, a board that fits one block and one a row past it
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (6, 500, 8), (31, 65, 33)])
+    def test_archive_bytes_match_savez(self, tmp_path, shape):
+        g = gen(shape[0])
+        board = Ensemble(g.gamma(2.0, size=shape[:2]), g.gamma(2.0, size=shape))
+        save_filter_result(FilterResult(board, FilterConfig(seed=0), 0, DT), tmp_path / "res")
+        oracles.save_snapshot_archive(tmp_path / "savez.npz", board.intensity, board.params)
+        archive = tmp_path / "res" / "ensembles" / "ensembles.npz"
+        assert archive.read_bytes() == (tmp_path / "savez.npz").read_bytes()
+        loaded = load_ensemble_snapshots(tmp_path / "res")
+        assert loaded.intensity.tobytes() == board.intensity.tobytes()
+        assert loaded.params.tobytes() == board.params.tobytes()
 
     def test_snapshot_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
         import time

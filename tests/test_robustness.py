@@ -4,6 +4,9 @@ switches, partial inputs, and error surfaces."""
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +113,68 @@ class TestFilterEdges:
         data = CountSeries(np.ones((5, 1), dtype=np.uint64), 0.1)
         result = run_filter(data, init, cfg)
         assert (result.ensembles[0].intensity >= cfg.positivity_floor).all()
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def run_script(script: str, *args) -> str:
+    """Run ``script`` in a fresh interpreter with the package and the tests importable; its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+SPAWN_DEFAULT = """
+import multiprocessing
+multiprocessing.set_start_method("spawn", force=True)
+from countnet.filtering import run_filter
+from test_filtering import toy_filter_setup
+
+_, data, init, cfg = toy_filter_setup(m=5, M=20, n_steps=15)
+serial, parallel = (run_filter(data, init, cfg, workers=w).ensembles for w in (1, 2))
+assert parallel.intensity.tobytes() == serial.intensity.tobytes()
+assert parallel.params.tobytes() == serial.params.tobytes()
+"""
+
+# m=160, M=128: a 25 MB board. Prints the board, the RSS before run_filter,
+# and the peak RSS of this process and of its workers after the save, in KiB.
+# This process's peak is VmHWM: its ru_maxrss also holds the peak of the
+# process it was started from, before the exec.
+MEMORY = """
+import resource, sys
+import numpy as np
+from countnet.filtering import FilterConfig, GammaSpec, init_ensemble, run_filter, save_filter_result
+from countnet.hawkes import CountSeries
+
+def status_kib(key):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
+
+init = init_ensemble(160, 128, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.01, 0.0001), seed=0)
+data = CountSeries(np.random.default_rng(0).poisson(1.0, size=(5, 160)).astype(np.uint64), 0.1)
+before = status_kib("VmRSS")
+save_filter_result(run_filter(data, init, FilterConfig(seed=0), workers=int(sys.argv[1])), sys.argv[2])
+workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print((init.intensity.nbytes + init.params.nbytes) // 1024, before, status_kib("VmHWM"), workers)
+"""
+
+
+class TestSharedBoard:
+    def test_workers_fork_under_another_default_start_method(self):
+        # the workers inherit the result board; a spawned one would fill a pickled copy
+        run_script(SPAWN_DEFAULT)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_of_a_run_and_its_save(self, tmp_path, workers):
+        # the caller's board is in before; the run adds the result board and one
+        # block of scratch, and a worker its rows of the result board to what it inherits
+        board, before, own, children = map(int, run_script(MEMORY, workers, tmp_path / "res").split())
+        assert own - before <= 1.5 * board
+        assert children - before <= 0.75 * board
 
 
 class TestCliEdges:
