@@ -202,11 +202,10 @@ def _run_aggregate(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
 
 def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     data, _meta = load_count_series(a.counts_path)
-    init = init_ensemble(data.m, a.ensemble_size, *a.priors, a.seed)
     # only the error curves against a truth read the parameter history
     record_param = a.record_param_history and a.truth_path is not None
     fcfg = FilterConfig(a.seed, a.positivity_floor, record_param, a.record_intensity_history)
-    result = run_filter(data, init, fcfg, workers=workers,
+    result = run_filter(data, init_ensemble(data.m, a.ensemble_size, *a.priors, a.seed), fcfg, workers,
                         progress=lambda step, total: print(f"filter: step {step}/{total}", file=sys.stderr))
     report = None
     if record_param:

@@ -134,8 +134,7 @@ def run_perfect_model(
     """
     truth = toy_truth(s1, s2)
     data = simulate(truth, TOY_DT, n_steps, seed)
-    mu_prior, beta_prior, alpha_prior = toy_priors(s1, s2)
-    init = init_ensemble(TOY_M, ensemble_size, mu_prior, beta_prior, alpha_prior, seed)
+    init = init_ensemble(TOY_M, ensemble_size, *toy_priors(s1, s2), seed)
     cfg = FilterConfig(seed, record_param_history=True, record_intensity_history=record_intensity)
     result = run_filter(data, init, cfg, workers=workers)
     report = error_metrics(result.history, truth, excitation_scale=s2)
@@ -188,8 +187,7 @@ def run_abm_experiment(
     the top-k (ties included) of the generator's excitation matrix."""
     cfg_abm = abm_test_config()
     data = simulate_abm(cfg_abm, n_steps, seed)
-    mu_prior, beta_prior, alpha_prior = toy_priors(1.5, 1.5)
-    init = init_ensemble(cfg_abm.m, ensemble_size, mu_prior, beta_prior, alpha_prior, seed)
+    init = init_ensemble(cfg_abm.m, ensemble_size, *toy_priors(1.5, 1.5), seed)
     result = run_filter(data, init, FilterConfig(seed), workers=workers)
     overlap = structure_overlap(mean_network(result.ensembles).adjacency, cfg_abm.excitation, top_k)
     return ABMRun(cfg_abm, data, result, overlap)
@@ -237,14 +235,7 @@ def run_large_network(
     """
     truth = sparse_random_truth(m, seed)
     data = simulate(truth, LARGE_DT, n_steps, seed)
-    init = init_ensemble(
-        m,
-        ensemble_size,
-        LARGE_BASELINE,
-        GammaSpec(8.0, 8.0),
-        GammaSpec(0.3, 0.09),
-        seed,
-    )
+    init = init_ensemble(m, ensemble_size, LARGE_BASELINE, GammaSpec(8.0, 8.0), GammaSpec(0.3, 0.09), seed)
     start = time.perf_counter()
     result = run_filter(data, init, FilterConfig(seed), workers=workers)
     wall = time.perf_counter() - start

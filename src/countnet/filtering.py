@@ -22,10 +22,11 @@ results are bitwise independent of node ordering and worker count.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import multiprocessing
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +105,27 @@ class NodeEnsemble:
         return self.params[:, 2:]
 
 
+class _NodeRows:
+    """What a board and a board source share: row r is node ``nodes[r]``, a data column of ``m``."""
+
+    def check_complete(self) -> None:
+        """Raise ValueError unless row i is node i's ensemble, for every one of the m nodes."""
+        misplaced = np.flatnonzero(self.nodes != np.arange(len(self.nodes)))
+        if misplaced.size:
+            row = misplaced[0]
+            raise ValueError(f"row {row} holds node {self.nodes[row]}'s ensemble, not node {row}'s")
+        if len(self.nodes) != self.m:
+            raise ValueError(f"need one ensemble per node of {self.m}, not {len(self.nodes)} ensembles")
+
+
 @dataclass(eq=False)
-class Ensemble:
+class Ensemble(_NodeRows):
     """The ensembles of n nodes as one board, and the one place that checks ensemble arrays.
 
-    ``intensity`` is (n, M) and ``params`` (n, M, m+2) with ``NodeEnsemble``'s
-    columns; row r is node ``nodes[r]``, a data column and the row's
-    analysis-stream key (default ``arange(n)``). As a sequence, ``len``,
-    iteration and ``ens[i]`` give the rows as ``NodeEnsemble`` views.
+    ``intensity`` is (n, M) and ``params`` (n, M, m+2) with ``NodeEnsemble``'s columns; row r
+    is node ``nodes[r]``, a data column and the row's analysis-stream key (default ``arange(n)``).
+    As a sequence, ``len``, iteration and ``ens[i]`` give the rows as ``NodeEnsemble`` views.
+    As a board source, ``fill`` copies its rows.
     """
 
     intensity: np.ndarray
@@ -146,6 +160,10 @@ class Ensemble:
     def m(self) -> int:
         return self.params.shape[2] - 2
 
+    @property
+    def M(self) -> int:
+        return self.params.shape[1]
+
     def __len__(self) -> int:
         return self.params.shape[0]
 
@@ -157,14 +175,10 @@ class Ensemble:
         """The sub-board of ``rows``: an index array picks rows in any order (a copy), a slice gives views."""
         return Ensemble(self.intensity[rows], self.params[rows], self.nodes[rows])
 
-    def check_complete(self) -> None:
-        """Raise ValueError unless row i is node i's ensemble, for every one of the m nodes."""
-        misplaced = np.flatnonzero(self.nodes != np.arange(len(self)))
-        if misplaced.size:
-            row = misplaced[0]
-            raise ValueError(f"row {row} holds node {self.nodes[row]}'s ensemble, not node {row}'s")
-        if len(self) != self.m:
-            raise ValueError(f"need one ensemble per node of {self.m}, not {len(self)} ensembles")
+    def fill(self, rows, intensity: np.ndarray, params: np.ndarray) -> None:
+        """Copy rows ``rows`` into ``intensity`` and ``params``."""
+        intensity[...] = self.intensity[rows]
+        params[...] = self.params[rows]
 
 
 @dataclass
@@ -376,22 +390,12 @@ class FilterHistory:
     post_rel_var: np.ndarray | None = None
     innovation: np.ndarray | None = None
 
-    @staticmethod
-    def concat(parts: list[FilterHistory]) -> FilterHistory:
-        """Join histories of consecutive node ranges along the node axis."""
-        if len(parts) == 1:
-            return parts[0]
-        joined = {}
-        for f in fields(FilterHistory):
-            arrays = [getattr(h, f.name) for h in parts]
-            joined[f.name] = None if arrays[0] is None else np.concatenate(arrays, axis=1)
-        return FilterHistory(**joined)
-
 
 @dataclass
 class FilterResult:
-    """Final ensembles, the assimilated bins' count and width, the data's
-    node labels (None: the default names) and optional recorded history."""
+    """Final ensembles, the assimilated bins' count and width, the data's node labels (None:
+    the default names) and optional recorded history. From ``run_filter``, the board and the
+    history live in anonymous shared mmaps: copy them to keep them past the result."""
 
     ensembles: Ensemble
     config: FilterConfig
@@ -430,22 +434,24 @@ def ensemble_moments(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 class Filter:
     """Stateful assimilation over a set of nodes, bins of width ``dt``.
 
-    Holds a copy of the board, updated in place, in new arrays or in
-    ``out``, an (intensity, params) pair of the board's shapes; the previous
-    bin's full count vector (zero before the first bin); the step index; and
-    one analysis stream per node. Row r assimilates data column
-    ``nodes[r]``, and its stream is keyed by that index, so a sub-filter over
-    any subset of nodes, in any order (see ``Ensemble.take``), reproduces
+    Holds a board, updated in place: rows ``rows`` of a board source (an
+    ``Ensemble`` copies them, ``init_ensemble``'s prior draws them) filled
+    into new arrays or ``out``, an (intensity, params) pair of their shapes;
+    the previous bin's full count vector (zero before the first bin); the
+    step index; and one analysis stream per node. Row r assimilates data
+    column ``nodes[r]``, and its stream is keyed by that index, so a sub-filter
+    over any subset of nodes, in any order (see ``Ensemble.take``), reproduces
     those nodes' results bit for bit.
     """
 
-    def __init__(self, ensembles: Ensemble, dt: float, cfg: FilterConfig, out=None):
+    def __init__(self, source, dt: float, cfg: FilterConfig, out=None, rows=slice(None)):
         if not dt > 0:
             raise ValueError("dt must be positive")
-        lam, params = out or (np.empty_like(ensembles.intensity), np.empty_like(ensembles.params))
-        params[...] = ensembles.params
-        # the copy is checked again: a board's rows can be written in place
-        board = Ensemble(ensembles.intensity, params, ensembles.nodes)
+        nodes, M = source.nodes[rows], source.M
+        lam, params = out or (np.empty((len(nodes), M)), np.empty((len(nodes), M, source.m + 2)))
+        source.fill(rows, lam, params)
+        # the filled rows are checked: a board's rows can be written in place after its own check
+        board = Ensemble(lam, params, nodes)
         self.cfg = cfg
         self.dt = dt
         self.nodes, self.m = board.nodes, board.m
@@ -509,58 +515,70 @@ class Filter:
         return Ensemble(self._lam, self._params, self.nodes)
 
 
-def init_ensemble(
-    m: int,
-    M: int,
-    baseline_prior: GammaSpec,
-    decay_prior: GammaSpec,
-    excitation_prior: GammaSpec,
-    seed: int,
-) -> Ensemble:
-    """Draw the initial board of all m nodes from per-group gamma priors.
+@dataclass(frozen=True)
+class PriorEnsemble(_NodeRows):
+    """The initial board of all m nodes as a board source: rows are drawn where they are filled.
 
-    Each node draws from its own named stream; member intensities start at
-    the member's own baseline draw.
+    Node i draws from its own stream, keyed (seed, ENSEMBLE_INIT, i), so any split of the rows
+    fills the bits of one ``draw()``; member intensities start at the member's own baseline draw.
     """
-    params = np.empty((m, M, m + 2))
-    for i in range(m):
-        gen = rng.node_stream(seed, rng.ENSEMBLE_INIT, i)
-        params[i, :, 0] = baseline_prior.draw(gen, M)
-        params[i, :, 1] = decay_prior.draw(gen, M)
-        params[i, :, 2:] = excitation_prior.draw(gen, (M, m))
-    return Ensemble(params[:, :, 0].copy(), params)
+
+    m: int
+    M: int
+    baseline_prior: GammaSpec
+    decay_prior: GammaSpec
+    excitation_prior: GammaSpec
+    seed: int
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.arange(self.m)
+
+    def fill(self, rows, intensity: np.ndarray, params: np.ndarray) -> None:
+        """Draw rows ``rows`` into ``intensity`` and ``params``."""
+        for r, node in enumerate(self.nodes[rows].tolist()):
+            gen = rng.node_stream(self.seed, rng.ENSEMBLE_INIT, node)
+            params[r, :, 0] = self.baseline_prior.draw(gen, self.M)
+            params[r, :, 1] = self.decay_prior.draw(gen, self.M)
+            params[r, :, 2:] = self.excitation_prior.draw(gen, (self.M, self.m))
+        intensity[...] = params[:, :, 0]
+
+    def draw(self) -> Ensemble:
+        """The whole board, in new arrays."""
+        intensity, params = np.empty((self.m, self.M)), np.empty((self.m, self.M, self.m + 2))
+        self.fill(slice(None), intensity, params)
+        return Ensemble(intensity, params)
 
 
-def _run_chunk(
-    counts: np.ndarray,
-    dt: float,
-    ensembles: Ensemble,
-    cfg: FilterConfig,
-    out: tuple[np.ndarray, np.ndarray],
-    progress=None,
-) -> FilterHistory | None:
-    """Full assimilation loop for a subset of nodes, in their rows ``out`` of the result board."""
-    n_steps = counts.shape[0]
-    filt = Filter(ensembles, dt, cfg, out)
-    record_p = cfg.record_param_history
-    record_i = cfg.record_intensity_history
-    history = FilterHistory() if record_p or record_i else None
+def init_ensemble(m: int, M: int, baseline_prior: GammaSpec, decay_prior: GammaSpec,
+                  excitation_prior: GammaSpec, seed: int) -> PriorEnsemble:
+    """The initial board of all m nodes from per-group gamma priors, as a source not yet drawn:
+    ``run_filter`` and ``Filter`` draw its rows into their own board, ``.draw()`` gives a new one."""
+    return PriorEnsemble(m, M, baseline_prior, decay_prior, excitation_prior, seed)
+
+
+def _shared(shape: tuple) -> np.ndarray:
+    """A float64 array in an anonymous shared mmap, written in place by forked processes (none if empty)."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * size)).reshape(shape) if size else np.empty(shape)
+
+
+def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, history: FilterHistory | None,
+               rows: slice, progress=None) -> None:
+    """Fill ``rows`` of the shared board from ``source``, assimilate them there and write their history."""
+    filt = Filter(source, data.dt, cfg, (board[0][rows], board[1][rows]), rows)
+    record_p, record_i = cfg.record_param_history, cfg.record_intensity_history
     if record_p:
-        shape = (n_steps + 1, len(filt.nodes), filt.m + 2)
-        history.param_mean, history.param_var = np.empty(shape), np.empty(shape)
-        history.param_mean[0], history.param_var[0] = filt.param_moments()
-    if record_i:
-        for key in _INTENSITY_KEYS:
-            setattr(history, key, np.empty((n_steps, len(filt.nodes))))
-    rows = counts.astype(np.float64)
+        history.param_mean[0, rows], history.param_var[0, rows] = filt.param_moments()
+    n_steps = data.n_steps
     report_every = max(1, n_steps // 20)
     for k in range(n_steps):
-        diag = filt.assimilate_step(rows[k])
+        diag = filt.assimilate_step(data.counts[k])
         if record_p:
-            history.param_mean[k + 1], history.param_var[k + 1] = filt.param_moments()
+            history.param_mean[k + 1, rows], history.param_var[k + 1, rows] = filt.param_moments()
         if record_i:
             for key in _INTENSITY_KEYS:
-                getattr(history, key)[k] = getattr(diag, key)
+                getattr(history, key)[k, rows] = getattr(diag, key)
         if progress is not None and (k + 1) % report_every == 0:
             progress(k + 1, n_steps)
     # an earlier step's non-finite parameter fails the next forecast's check;
@@ -568,74 +586,65 @@ def _run_chunk(
     if not filt._params.max() < np.inf:  # NaN fails too; every other member is at least the floor
         row = np.argmin(np.isfinite(filt._params).reshape(len(filt.nodes), -1).all(axis=1))
         raise FilterDivergence(filt.k - 1, int(filt.nodes[row]), "parameter")
-    return history
 
 
-def _chunk_worker(conn, *args) -> None:
-    """Run ``_run_chunk(*args)`` in a worker process; send back its history, or the error it raised."""
+def _range_worker(conn, *args) -> None:
+    """Run ``_run_range(*args)`` in a forked process; send back None, or the error it raised."""
     try:
-        result = _run_chunk(*args)
+        conn.send(_run_range(*args))
     except Exception as err:  # noqa: BLE001 - run_filter raises it again
-        result = err
-    conn.send(result)
+        conn.send(err)
 
 
-def run_filter(
-    data: CountSeries,
-    init: Ensemble,
-    cfg: FilterConfig,
-    workers: int = 1,
-    progress=None,
-) -> FilterResult:
-    """Assimilate every bin of ``data`` starting from the given board.
+def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, progress=None) -> FilterResult:
+    """Assimilate every bin of ``data`` from the board source ``init``: ``init_ensemble``'s
+    prior, whose rows are drawn, or an ``Ensemble``, whose rows are copied.
 
-    Row i of ``init`` is node i's ensemble over the data's m columns, for
-    each i (``Ensemble.check_complete``). The result board is one anonymous
-    shared mmap, so the result's arrays are mmap-backed. Each of ``workers``
-    contiguous node ranges (at most one per node) copies its rows of
-    ``init`` into that board and assimilates there in place: in this
-    process for one worker, else in processes from
-    ``multiprocessing.get_context("fork")``, which inherit the board rather
-    than a pickled copy and send back only a history or an error. The
-    per-node streams make the result identical to a serial run, bit for
-    bit. ``progress``, if given, is called as progress(step, n_steps) from a serial run.
+    Row i of ``init`` is node i's ensemble over the data's m columns, for each
+    i (``check_complete``). The result board and the recorded history are
+    allocated once, in anonymous shared mmaps (``FilterResult``). The nodes
+    split into ``workers`` contiguous ranges (at most one per node); ranges
+    1.. run in processes from ``multiprocessing.get_context("fork")``, which
+    inherit the maps and send back only an error, and range 0 runs here and
+    calls ``progress(step, n_steps)``, if given. Each range fills its rows
+    of the board from ``init``, assimilates there and writes its history
+    columns in place, so no process holds a second board, and the per-node
+    streams give any worker count the same bits.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     if init.m != data.m:
         raise ValueError(f"the ensembles are over {init.m} nodes, the counts over {data.m}")
     init.check_complete()
-    shared = mmap.mmap(-1, init.intensity.nbytes + init.params.nbytes)
-    intensity = np.frombuffer(shared, count=init.intensity.size).reshape(init.intensity.shape)
-    params = np.frombuffer(shared, offset=init.intensity.nbytes).reshape(init.params.shape)
-    ranges = (slice(part[0], part[-1] + 1) for part in np.array_split(range(data.m), min(workers, data.m)))
-    chunks = [(data.counts, data.dt, init.take(r), cfg, (intensity[r], params[r])) for r in ranges]
-    if len(chunks) == 1:
-        histories = [_run_chunk(*chunks[0], progress)]
-    else:
-        # this thread reads the results: an executor's helper threads would
-        # unpickle them in malloc arenas of their own, which keep the freed blocks
-        fork = multiprocessing.get_context("fork")
-        conns, procs = [], []
-        for chunk in chunks:
-            conn, child_conn = fork.Pipe(duplex=False)
-            procs.append(fork.Process(target=_chunk_worker, args=(child_conn, *chunk)))
+    m, n_steps = data.m, data.n_steps
+    board = _shared((m, init.M)), _shared((m, init.M, m + 2))
+    shapes = dict.fromkeys(("param_mean", "param_var") * cfg.record_param_history, (n_steps + 1, m, m + 2))
+    shapes.update(dict.fromkeys(_INTENSITY_KEYS * cfg.record_intensity_history, (n_steps, m)))
+    history = FilterHistory(**{key: _shared(shape) for key, shape in shapes.items()}) if shapes else None
+    args = data, init, cfg, board, history
+    ranges = [slice(part[0], part[-1] + 1) for part in np.array_split(range(m), min(workers, m))]
+    conns, procs = [], []
+    try:
+        for rows in ranges[1:]:
+            conn, child_conn = multiprocessing.Pipe(duplex=False)
+            procs.append(multiprocessing.get_context("fork").Process(target=_range_worker,
+                                                                     args=(child_conn, *args, rows)))
             procs[-1].start()
             child_conn.close()  # so a worker that dies without a result ends our recv
             conns.append(conn)
-        try:
-            histories = [conn.recv() for conn in conns]
-        except EOFError:
-            raise RuntimeError("a filter worker process ended without a result") from None
-        finally:
-            for proc in procs:  # all results are in, or the run failed
-                proc.terminate()
-                proc.join()
-        for history in histories:
-            if isinstance(history, Exception):
-                raise history
-    history = None if histories[0] is None else FilterHistory.concat(histories)
-    return FilterResult(Ensemble(intensity, params), cfg, data.n_steps, data.dt, history, data.node_labels)
+        _run_range(*args, ranges[0], progress)
+        for conn in conns:
+            try:
+                error = conn.recv()
+            except EOFError:
+                raise RuntimeError("a filter worker process ended without a result") from None
+            if error is not None:
+                raise error
+    finally:
+        for proc in procs:  # every range is done, or the run failed
+            proc.terminate()
+            proc.join()
+    return FilterResult(Ensemble(*board), cfg, n_steps, data.dt, history, data.node_labels)
 
 
 def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:

@@ -24,6 +24,10 @@ bit-level reference for the history, ``result.json`` and the network.
 ``save_snapshot_archive`` is the ``np.savez`` call that
 ``countnet.filtering.save_filter_result`` replaced with a writer that sends
 each board out from its own buffer: the byte-level reference for the archive.
+
+``init_board`` is the whole-board draw that ``countnet.filtering.init_ensemble``
+replaced with a prior source whose rows are drawn where they are filled: the
+bit-level reference for ``PriorEnsemble.draw`` and ``fill``.
 """
 
 import csv
@@ -34,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from countnet.filtering import AnalysisDiagnostics
+from countnet import rng
+from countnet.filtering import AnalysisDiagnostics, Ensemble
 from countnet.hawkes import CountSeries
 from countnet.ingest import HOURS_PER_DAY, CleaningReport
 from countnet.network import BETWEENNESS_WEIGHT_FLOOR
@@ -84,6 +89,16 @@ def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def save_snapshot_archive(path, intensity: np.ndarray, params: np.ndarray) -> None:
     """The snapshot archive as ``np.savez`` writes it, with a whole-board copy of each entry."""
     np.savez(path, intensity=intensity, params=params)
+
+
+def init_board(m, M, baseline_prior, decay_prior, excitation_prior, seed) -> Ensemble:
+    params = np.empty((m, M, m + 2))
+    for i in range(m):
+        gen = rng.node_stream(seed, rng.ENSEMBLE_INIT, i)
+        params[i, :, 0] = baseline_prior.draw(gen, M)
+        params[i, :, 1] = decay_prior.draw(gen, M)
+        params[i, :, 2:] = excitation_prior.draw(gen, (M, m))
+    return Ensemble(params[:, :, 0].copy(), params)
 
 
 def brute_betweenness(adjacency: np.ndarray) -> np.ndarray:

@@ -109,7 +109,7 @@ def final_decay_error(seed: int, n_steps: int) -> np.ndarray:
     data = simulate(truth, TOY_DT, n_steps, seed)
     init = init_ensemble(TOY_M, TOY_ENSEMBLE, *toy_priors(1.5, 1.5), seed)
     final = run_filter(data, init, FilterConfig(seed)).ensembles
-    start = np.array([e.decay.mean() for e in init])
+    start = np.array([e.decay.mean() for e in init.draw()])
     end = np.array([e.decay.mean() for e in final])
     return np.abs(end - truth.decay) / np.abs(start - truth.decay)
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from countnet.filtering import ensemble_moments, load_ensemble_snapshots, run_fi
 from countnet.hawkes import HawkesParams
 from countnet.network import error_metrics
 from test_filtering import toy_filter_setup
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, name, payload):
@@ -275,6 +281,18 @@ class TestPipelines:
         assert main(["analyze", "--config", str(ana_cfg), "--seed", "0", "--out-dir", str(ana_out)]) == 0
         for name in ("edges.csv", "network.json", "rank_out_degree.csv", "subnetwork_edges.csv", "subnetwork.json"):
             assert (ana_out / name).exists(), name
+
+    def test_filter_reports_progress_with_workers(self, tmp_path):
+        # range 0 runs in the calling process, so a parallel run reports its steps too
+        sim = write_config(tmp_path, "sim.json", hawkes_config())
+        assert main(["simulate-hawkes", "--config", str(sim), "--seed", "3", "--out-dir", str(tmp_path / "sim")]) == 0
+        flt = write_config(tmp_path, "flt.json", {**GOOD["filter"], "counts_path": str(tmp_path / "sim" / "counts.csv")})
+        done = subprocess.run(
+            [sys.executable, "-m", "countnet.cli", "filter", "--config", str(flt), "--seed", "3",
+             "--workers", "2", "--out-dir", str(tmp_path / "flt")],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "filter: step 60/60" in done.stderr.splitlines()
 
     def test_history_ends_at_the_written_moments(self, tmp_path, monkeypatch):
         # one moments kernel reduces the history and the result: same bits

@@ -328,7 +328,7 @@ class TestEnkfRegress:
 class TestInitEnsemble:
     def test_prior_moments(self):
         M = 100_000
-        ens = init_ensemble(2, M, GammaSpec(6.0, 8.0), GammaSpec(6.0, 8.0), GammaSpec(1.5, 0.25), seed=4)
+        ens = init_ensemble(2, M, GammaSpec(6.0, 8.0), GammaSpec(6.0, 8.0), GammaSpec(1.5, 0.25), seed=4).draw()
         for e in ens:
             for values, mean, var in [
                 (e.baseline, 6.0, 8.0),
@@ -341,25 +341,77 @@ class TestInitEnsemble:
                 assert abs(values.var(ddof=1) - var) / var < 0.05
 
     def test_intensity_starts_at_member_baseline(self):
-        ens = init_ensemble(3, 50, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=1)
+        ens = init_ensemble(3, 50, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=1).draw()
         for e in ens:
             assert np.array_equal(e.intensity, e.baseline)
 
     def test_degenerate_prior(self):
-        ens = init_ensemble(1, 10, GammaSpec(2.0, 0.0), GammaSpec(5.0, 0.0), GammaSpec(1.0, 0.0), seed=0)
+        ens = init_ensemble(1, 10, GammaSpec(2.0, 0.0), GammaSpec(5.0, 0.0), GammaSpec(1.0, 0.0), seed=0).draw()
         assert np.array_equal(ens[0].params, np.tile([2.0, 5.0, 1.0], (10, 1)))
 
     def test_per_node_streams_are_stable(self):
-        full = init_ensemble(4, 20, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=9)
+        full = init_ensemble(4, 20, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=9).draw()
         # drawing fewer nodes does not shift later nodes' draws
-        small = init_ensemble(2, 20, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=9)
+        small = init_ensemble(2, 20, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=9).draw()
         assert np.array_equal(full[0].baseline, small[0].baseline)
         assert np.array_equal(full[1].decay, small[1].decay)
 
 
+class TestPriorSource:
+    """The stream contract of init_ensemble's source: any split of its rows fills one draw's bits."""
+
+    PRIORS = (GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3))
+
+    def test_draw_matches_the_whole_board_draw(self):
+        for m, M in ((1, 2), (5, 9), (7, 40)):
+            board = init_ensemble(m, M, *self.PRIORS, seed=m).draw()
+            reference = oracles.init_board(m, M, *self.PRIORS, seed=m)
+            assert board.intensity.tobytes() == reference.intensity.tobytes()
+            assert board.params.tobytes() == reference.params.tobytes()
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_contiguous_row_splits_fill_the_draw(self, parts):
+        source = init_ensemble(7, 9, *self.PRIORS, seed=5)
+        whole = source.draw()
+        intensity, params = np.full_like(whole.intensity, np.nan), np.full_like(whole.params, np.nan)
+        for part in np.array_split(range(7), parts):
+            rows = slice(part[0], part[-1] + 1)
+            source.fill(rows, intensity[rows], params[rows])
+        assert intensity.tobytes() == whole.intensity.tobytes()
+        assert params.tobytes() == whole.params.tobytes()
+
+    def test_filter_from_either_source(self):
+        _, data, _, cfg = toy_filter_setup(m=4, M=20, n_steps=6)
+        source = init_ensemble(4, 20, *self.PRIORS, seed=3)
+        filters = Filter(source, DT, cfg), Filter(source.draw(), DT, cfg)
+        sub = Filter(source, DT, cfg, rows=slice(1, 3)), Filter(source.draw().take(slice(1, 3)), DT, cfg)
+        for row in [None, *data.counts]:
+            for filt in (*filters, *sub):
+                if row is not None:
+                    filt.assimilate_step(row)
+            for a, b in (filters, sub):
+                assert a.ensembles().nodes.tolist() == b.ensembles().nodes.tolist()
+                assert a.ensembles().intensity.tobytes() == b.ensembles().intensity.tobytes()
+                assert a.ensembles().params.tobytes() == b.ensembles().params.tobytes()
+
+    def test_run_filter_from_either_source(self):
+        _, data, _, cfg = toy_filter_setup(m=5, M=16, n_steps=12, record_param_history=True,
+                                           record_intensity_history=True)
+        source = init_ensemble(5, 16, *self.PRIORS, seed=2)
+        reference = run_filter(data, source.draw(), cfg)
+        for init in (source, source.draw()):
+            for workers in (1, 2, 3):
+                res = run_filter(data, init, cfg, workers=workers)
+                assert res.ensembles.intensity.tobytes() == reference.ensembles.intensity.tobytes()
+                assert res.ensembles.params.tobytes() == reference.ensembles.params.tobytes()
+                for key in ("param_mean", "param_var", "prior_mean", "post_mean", "prior_rel_var",
+                            "post_rel_var", "innovation"):
+                    assert getattr(res.history, key).tobytes() == getattr(reference.history, key).tobytes()
+
+
 class TestEnsemble:
     def test_rows_are_node_views(self):
-        ens = init_ensemble(3, 8, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=1)
+        ens = init_ensemble(3, 8, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=1).draw()
         assert len(ens) == 3
         assert [e.node_index for e in ens] == [0, 1, 2]
         row = ens[-1]
@@ -370,7 +422,7 @@ class TestEnsemble:
             ens[0:2]
 
     def test_take_picks_rows_in_any_order(self):
-        ens = init_ensemble(4, 6, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=2)
+        ens = init_ensemble(4, 6, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=2).draw()
         sub = ens.take([3, 1])
         assert sub.nodes.tolist() == [3, 1] and sub.m == 4
         assert np.array_equal(sub.params, ens.params[[3, 1]])
@@ -378,7 +430,7 @@ class TestEnsemble:
         assert ens.take(slice(1, 3)).params.base is not None  # a slice gives views
 
     def test_values_are_checked_by_node(self):
-        ens = init_ensemble(3, 6, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=3)
+        ens = init_ensemble(3, 6, GammaSpec(2.0, 1.0), GammaSpec(5.0, 2.0), GammaSpec(1.0, 0.3), seed=3).draw()
         for bad in (np.nan, np.inf, -np.inf, -0.5):
             params = ens.params.copy()
             params[1, 2, 3] = bad
@@ -401,7 +453,7 @@ def toy_filter_setup(m=3, M=60, n_steps=40, seed=2, **cfg_kw):
     alpha = 0.4 * np.eye(m) + 0.2
     truth = HawkesParams(base, np.full(m, 5.0), alpha)
     data = simulate(truth, DT, n_steps, seed)
-    init = init_ensemble(m, M, *toy_priors(1.0, 1.0), seed=seed)
+    init = init_ensemble(m, M, *toy_priors(1.0, 1.0), seed=seed).draw()
     cfg = FilterConfig(seed=seed, **cfg_kw)
     return truth, data, init, cfg
 
@@ -457,7 +509,7 @@ class TestAssimilateStep:
     def test_single_node_least_squares_oracle(self):
         # posterior parameter mean equals the augmented least-squares estimate
         M = 50_000
-        init = init_ensemble(1, M, GammaSpec(2.0, 1.0), GammaSpec(5.0, 3.0), GammaSpec(1.0, 0.25), seed=21)
+        init = init_ensemble(1, M, GammaSpec(2.0, 1.0), GammaSpec(5.0, 3.0), GammaSpec(1.0, 0.25), seed=21).draw()
         cfg = FilterConfig(seed=21)
         e = init[0]
         lam_f = np.maximum(
@@ -495,11 +547,12 @@ class TestRunFilter:
         )
         data = CountSeries(np.zeros((0, 3), dtype=np.uint64), 0.1)
         mean, var = Filter(init, DT, cfg).param_moments()
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             h = run_filter(data, init, cfg, workers=workers).history
             assert np.array_equal(h.param_mean, mean[None])
             assert np.array_equal(h.param_var, var[None])
-            assert h.prior_mean.shape == (0, 3)
+            for key in ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation"):
+                assert getattr(h, key).shape == (0, 3)
 
     def test_seed_determinism(self):
         _, data, init, cfg = toy_filter_setup()

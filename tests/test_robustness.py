@@ -2,10 +2,12 @@
 switches, partial inputs, and error surfaces."""
 
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from countnet.filtering import (
     Ensemble,
     Filter,
     FilterConfig,
+    FilterDivergence,
     FilterResult,
     GammaSpec,
     init_ensemble,
@@ -56,7 +59,7 @@ class TestFilterEdges:
 
     def test_zero_bin_run_rejects_ensembles_of_another_width(self):
         # with no bins there is no step to compare the widths
-        init = init_ensemble(6, 10, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.3, 0.1), seed=0)
+        init = init_ensemble(6, 10, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.3, 0.1), seed=0).draw()
         with pytest.raises(ValueError, match="the ensembles are over 6 nodes, the counts over 3"):
             run_filter(CountSeries(np.zeros((0, 3), dtype=int), 0.1), init.take([0, 1, 2]), FilterConfig(seed=0))
 
@@ -67,23 +70,49 @@ class TestFilterEdges:
                 run_filter(data, init, cfg, workers=workers)
 
     def test_worker_ending_without_a_result_is_an_error(self, monkeypatch):
-        # the forked worker runs the patched chunk and exits at once
+        # only a forked range runs the worker; it exits at once, while range 0 runs here
         _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=3)
-        monkeypatch.setattr(filtering, "_run_chunk", lambda *args: os._exit(3))
+        monkeypatch.setattr(filtering, "_range_worker", lambda *args: os._exit(3))
         with pytest.raises(RuntimeError, match="a filter worker process ended without a result"):
             run_filter(data, init, cfg, workers=2)
 
+    def test_failing_first_range_ends_the_forked_ranges(self, monkeypatch):
+        # range 0 fails in this process while the forked ranges would run on; none is left running
+        _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=3)
+        started = []
+
+        def slow_worker(*args):
+            time.sleep(60)
+
+        def start_then_record(proc):
+            started.append(proc)
+            start(proc)
+
+        def failing_range(*args):
+            raise FilterDivergence(0, 0)
+
+        start = multiprocessing.context.ForkProcess.start
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_record)
+        monkeypatch.setattr(filtering, "_range_worker", slow_worker)
+        monkeypatch.setattr(filtering, "_run_range", failing_range)
+        begin = time.perf_counter()
+        with pytest.raises(FilterDivergence):
+            run_filter(data, init, cfg, workers=3)
+        assert time.perf_counter() - begin < 30
+        assert len(started) == 2
+        assert not any(proc.is_alive() for proc in started)
+
     def test_ensembles_of_unequal_member_counts_rejected(self):
         # one board holds one member count: 10 intensity members against 12 parameter members
-        small = init_ensemble(2, 10, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0)
-        large = init_ensemble(2, 12, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0)
+        small = init_ensemble(2, 10, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0).draw()
+        large = init_ensemble(2, 12, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0).draw()
         message = r"intensity \(2, 10\) and params \(2, 12, 4\) are not \(n, M\) and \(n, M, m\+2\)"
         with pytest.raises(ValueError, match=message):
             Filter(Ensemble(small.intensity, large.params), 0.1, FilterConfig(seed=0))
 
     def test_duplicate_nodes_rejected(self):
         # two rows of node 0 would share its analysis stream and turn identical
-        init = init_ensemble(2, 10, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0)
+        init = init_ensemble(2, 10, GammaSpec(2.0, 1.0), GammaSpec(5.0, 1.0), GammaSpec(1.0, 0.2), seed=0).draw()
         with pytest.raises(ValueError, match="node 0 has more than one ensemble"):
             Filter(init.take([0, 0]), 0.1, FilterConfig(0))
         with pytest.raises(ValueError, match="node 1 has more than one ensemble"):
@@ -107,7 +136,7 @@ class TestFilterEdges:
         # emulate such a draw explicitly
         init = init_ensemble(
             1, 64, GammaSpec(2.0, 8.0), GammaSpec(2.0, 8.0), GammaSpec(0.5, 0.25), seed=3
-        )
+        ).draw()
         init[0].intensity[0] = 1e-12
         cfg = FilterConfig(seed=3)
         data = CountSeries(np.ones((5, 1), dtype=np.uint64), 0.1)
@@ -140,10 +169,13 @@ assert parallel.intensity.tobytes() == serial.intensity.tobytes()
 assert parallel.params.tobytes() == serial.params.tobytes()
 """
 
-# m=160, M=128: a 25 MB board. Prints the board, the RSS before run_filter,
-# and the peak RSS of this process and of its workers after the save, in KiB.
-# This process's peak is VmHWM: its ru_maxrss also holds the peak of the
-# process it was started from, before the exec.
+# A run as the CLI makes it: the prior source straight into run_filter, then
+# the save. argv: workers, m, M, n_steps, record the parameter history (0/1),
+# result directory. Prints the board's and the history's bytes, the RSS before
+# init_ensemble, and the peak RSS of this process and of its workers after the
+# save (and, with a history, a pass that reads all of it), in KiB. This
+# process's peak is VmHWM: its ru_maxrss also holds the peak of the process it
+# was started from, before the exec.
 MEMORY = """
 import resource, sys
 import numpy as np
@@ -154,12 +186,19 @@ def status_kib(key):
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
 
-init = init_ensemble(160, 128, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.01, 0.0001), seed=0)
-data = CountSeries(np.random.default_rng(0).poisson(1.0, size=(5, 160)).astype(np.uint64), 0.1)
+workers, m, M, n_steps, record = map(int, sys.argv[1:6])
+data = CountSeries(np.random.default_rng(0).poisson(1.0, size=(n_steps, m)).astype(np.uint64), 0.1)
 before = status_kib("VmRSS")
-save_filter_result(run_filter(data, init, FilterConfig(seed=0), workers=int(sys.argv[1])), sys.argv[2])
-workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-print((init.intensity.nbytes + init.params.nbytes) // 1024, before, status_kib("VmHWM"), workers)
+init = init_ensemble(m, M, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.01, 0.0001), seed=0)
+result = run_filter(data, init, FilterConfig(seed=0, record_param_history=bool(record)), workers=workers)
+save_filter_result(result, sys.argv[6])
+history = 0
+if record:
+    assert np.isfinite(result.history.param_mean.sum() + result.history.param_var.sum())
+    history = result.history.param_mean.nbytes + result.history.param_var.nbytes
+board = result.ensembles.intensity.nbytes + result.ensembles.params.nbytes
+workers_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(board // 1024, history // 1024, before, status_kib("VmHWM"), workers_peak)
 """
 
 
@@ -170,11 +209,19 @@ class TestSharedBoard:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_of_a_run_and_its_save(self, tmp_path, workers):
-        # the caller's board is in before; the run adds the result board and one
-        # block of scratch, and a worker its rows of the result board to what it inherits
-        board, before, own, children = map(int, run_script(MEMORY, workers, tmp_path / "res").split())
-        assert own - before <= 1.5 * board
+        # m=160, M=128: a 25 MB board. Each range draws its rows straight into
+        # the shared board, so the caller holds one board and one block of
+        # scratch, and a worker adds its own rows to what it inherits
+        board, _, before, own, children = map(int, run_script(MEMORY, workers, 160, 128, 5, 0, tmp_path / "r").split())
+        assert own - before <= 1.2 * board
         assert children - before <= 0.75 * board
+
+    def test_peak_memory_with_a_parameter_history(self, tmp_path):
+        # m=60, M=16, 400 steps: a 24 MB history against a 0.5 MB board; the
+        # workers write their columns of the history in the shared map
+        board, history, before, own, _ = map(int, run_script(MEMORY, 2, 60, 16, 400, 1, tmp_path / "r").split())
+        assert history > 40 * board
+        assert own - before <= 1.1 * history + 1.2 * board
 
 
 class TestCliEdges:
