@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,35 @@ def check_counts(counts: np.ndarray) -> None:
 def labels_or_default(labels: list[str] | None, m: int) -> list[str]:
     """The given node labels as a new list, or node_1 .. node_m when there are none."""
     return list(labels) if labels else [f"node_{j + 1}" for j in range(m)]
+
+
+# cells per ``%`` pass of ``write_rows``
+ROW_CHUNK_CELLS = 1 << 16
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer``'s default dialect writes it in a row of two or more fields."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
+
+
+def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
+    """Write one ``row_format`` line per row of the columns set side by side.
+
+    Each column is an (n,) or (n, k) array; cells reach ``%`` as Python
+    objects (ints, floats, strings), one ``%`` per chunk of rows.
+    """
+    widths = [1 if c.ndim == 1 else c.shape[1] for c in columns]
+    n, width = len(columns[0]), sum(widths)
+    step = max(1, ROW_CHUNK_CELLS // width)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = np.empty((hi - lo, width), dtype=object)
+        at = 0
+        for column, w in zip(columns, widths):
+            block[:, at:at + w] = column[lo:hi].reshape(hi - lo, w)
+            at += w
+        fh.write(row_format * (hi - lo) % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -125,8 +155,12 @@ class CountSeries:
         self.counts = counts.astype(np.uint64)
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.node_labels is not None and len(self.node_labels) != self.m:
-            raise ValueError("node_labels length must match column count")
+        if self.node_labels is not None:
+            if len(self.node_labels) != self.m:
+                raise ValueError("node_labels length must match column count")
+            if len(set(self.node_labels)) < self.m:
+                repeated = next(x for i, x in enumerate(self.node_labels) if x in self.node_labels[:i])
+                raise ValueError(f"node label {repeated!r} is repeated")
 
     @property
     def n_steps(self) -> int:
@@ -213,11 +247,9 @@ def save_count_series(
     csv_path = Path(csv_path)
     labels = series.labels()
     with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + labels)
-        for k in range(series.n_steps):
-            t = k * series.dt
-            writer.writerow([f"{t:.10g}"] + [int(c) for c in series.counts[k]])
+        fh.write(",".join(["t"] + [csv_field(label) for label in labels]) + "\r\n")
+        times = np.arange(series.n_steps) * series.dt
+        write_rows(fh, "%.10g" + ",%d" * series.m + "\r\n", times, series.counts)
     # the CSV holds the labels and the shape
     sidecar = {"dt": series.dt, "seed": seed, "params": params.to_json() if params is not None else None}
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -248,4 +280,7 @@ def load_count_series(csv_path: str | Path) -> tuple[CountSeries, dict]:
         except ValueError as err:
             raise ValueError(f"{csv_path}: line {reader.line_num}: {err}") from err
     counts = np.asarray(rows, dtype=np.uint64).reshape(len(rows), len(labels))
-    return CountSeries(counts, float(meta["dt"]), node_labels=labels), meta
+    try:
+        return CountSeries(counts, float(meta["dt"]), node_labels=labels), meta
+    except ValueError as err:
+        raise ValueError(f"{csv_path}: {err}") from err

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
@@ -38,6 +39,8 @@ class EventLog:
         self.nodes = np.asarray(self.nodes, dtype=np.int64)
         if self.times.ndim != 1 or self.nodes.shape != self.times.shape:
             raise ValueError("times and nodes must align")
+        if not (np.isfinite(self.times).all() and np.isfinite([self.t0, self.t1]).all()):
+            raise ValueError("timestamps and the window bounds t0, t1 must be finite")
         if not self.t1 >= self.t0:
             raise ValueError("observation window must have t1 >= t0")
         if self.times.size and not self.t0 <= self.times.min() <= self.times.max() <= self.t1:
@@ -134,11 +137,18 @@ def clean(
     return EventLog(times, nodes, t0, t1, labels), report
 
 
+def _finite_hours(stamp: str) -> float:
+    hours = float(stamp)
+    if not math.isfinite(hours):
+        raise ValueError(f"timestamp {stamp!r} is not a finite number of hours")
+    return hours
+
+
 def _hours_parser(first: str):
     """Fractional hours if a file's first stamp is a number, else ISO-8601 as hours from that stamp."""
     try:
         float(first)
-        return float
+        return _finite_hours
     except ValueError:
         origin = datetime.fromisoformat(first)
         return lambda stamp: (datetime.fromisoformat(stamp) - origin).total_seconds() / 3600.0

@@ -8,16 +8,16 @@ betweenness, rankings) use the off-diagonal part.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from .filtering import BLOCK_ELEMENTS, Ensemble, FilterHistory, ensemble_moments
-from .hawkes import HawkesParams, labels_or_default
+from .hawkes import HawkesParams, csv_field, labels_or_default, write_rows
 
 OUT_DEGREE = "out_degree"
 IN_DEGREE = "in_degree"
@@ -74,6 +74,8 @@ class RankDistribution:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError("counts must be square (ranks x nodes)")
+        if self.node_labels is not None and len(self.node_labels) != self.counts.shape[1]:
+            raise ValueError("node_labels length must match the node count")
 
 
 def mean_network(ensembles: Ensemble, node_labels: list[str] | None = None) -> InfluenceNetwork:
@@ -291,23 +293,43 @@ def error_metrics(
 
 
 def save_network(net: InfluenceNetwork, edge_csv: str | Path, adjacency_json: str | Path) -> None:
-    """Edge list CSV (src, dst, weight, weight_sd) of the positive off-diagonal edges plus JSON adjacency."""
+    """Edge list CSV (src, dst, weight, weight_sd) of the positive off-diagonal edges plus JSON adjacency.
+
+    The JSON has the layout of ``json.dumps(payload, indent=2)``, written one
+    matrix row at a time; a finite float's JSON text is its ``repr``, which
+    ``%r`` gives for the Python floats of ``tolist``.
+    """
     labels = net.labels()
     edge = net.adjacency > 0
     np.fill_diagonal(edge, False)
     dst, src = np.nonzero(edge)
-    weights, sds = net.adjacency[dst, src].tolist(), net.edge_sd[dst, src].tolist()
+    quoted = np.array([csv_field(label) for label in labels], dtype=object)
     with Path(edge_csv).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "weight", "weight_sd"])
-        writer.writerows([labels[s], labels[d], f"{w:.17g}", f"{sd:.17g}"]
-                         for d, s, w, sd in zip(dst.tolist(), src.tolist(), weights, sds))
-    payload = {
-        "node_labels": labels,
-        "adjacency": net.adjacency.tolist(),
-        "edge_sd": net.edge_sd.tolist(),
-    }
-    Path(adjacency_json).write_text(json.dumps(payload, indent=2) + "\n")
+        fh.write("src,dst,weight,weight_sd\r\n")
+        write_rows(fh, "%s,%s,%.17g,%.17g\r\n", quoted[src], quoted[dst],
+                   net.adjacency[dst, src], net.edge_sd[dst, src])
+    row_format = _json_array(["%r"] * net.m, 2)
+    with Path(adjacency_json).open("w") as fh:
+        fh.write('{\n  "node_labels": ' + _json_array(list(map(encode_basestring_ascii, labels)), 1))
+        for key, matrix in (("adjacency", net.adjacency), ("edge_sd", net.edge_sd)):
+            fh.write(f',\n  "{key}": ')
+            if not net.m:
+                fh.write("[]")
+                continue
+            sep = "[\n    "
+            for row in matrix:
+                fh.write(sep + row_format % tuple(row.tolist()))
+                sep = ",\n    "
+            fh.write("\n  ]")
+        fh.write("\n}\n")
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """Encoded JSON values as the array ``json.dumps(indent=2)`` writes at this nesting depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
 def save_rank_distribution(dist: RankDistribution, path: str | Path) -> None:
@@ -315,10 +337,8 @@ def save_rank_distribution(dist: RankDistribution, path: str | Path) -> None:
     m = dist.counts.shape[0]
     labels = labels_or_default(dist.node_labels, m)
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank"] + labels)
-        for r in range(m):
-            writer.writerow([r + 1] + [int(c) for c in dist.counts[r]])
+        fh.write(",".join(["rank"] + [csv_field(label) for label in labels]) + "\r\n")
+        write_rows(fh, "%d" + ",%d" * m + "\r\n", np.arange(1, m + 1), dist.counts)
 
 
 def save_metrics(final: dict, path: str | Path) -> None:

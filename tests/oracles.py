@@ -28,10 +28,17 @@ each board out from its own buffer: the byte-level reference for the archive.
 ``init_board`` is the whole-board draw that ``countnet.filtering.init_ensemble``
 replaced with a prior source whose rows are drawn where they are filled: the
 bit-level reference for ``PriorEnsemble.draw`` and ``fill``.
+
+``save_network``, ``save_rank_distribution`` and ``save_count_series`` are
+the ``csv.writer`` and ``json.dumps`` writers that ``countnet.network`` and
+``countnet.hawkes`` replaced with bulk ``%`` passes: the byte-level
+references for ``edges.csv``, ``network.json``, the rank CSV and the counts
+CSV with its sidecar.
 """
 
 import csv
 import heapq
+import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -40,9 +47,9 @@ import numpy as np
 
 from countnet import rng
 from countnet.filtering import AnalysisDiagnostics, Ensemble
-from countnet.hawkes import CountSeries
+from countnet.hawkes import CountSeries, HawkesParams, labels_or_default
 from countnet.ingest import HOURS_PER_DAY, CleaningReport
-from countnet.network import BETWEENNESS_WEIGHT_FLOOR
+from countnet.network import BETWEENNESS_WEIGHT_FLOOR, InfluenceNetwork, RankDistribution
 
 
 def rank_nodes(scores: np.ndarray) -> np.ndarray:
@@ -343,3 +350,54 @@ def read_event_csv(path: str | Path, t0: float | None = None, t1: float | None =
     lo = float(arr.min()) if arr.size else 0.0
     hi = float(arr.max()) if arr.size else 0.0
     return EventLog(arr, nodes, lo if t0 is None else t0, hi if t1 is None else t1)
+
+
+def save_network(net: InfluenceNetwork, edge_csv: str | Path, adjacency_json: str | Path) -> None:
+    """Edge list CSV (src, dst, weight, weight_sd) of the positive off-diagonal edges plus JSON adjacency."""
+    labels = net.labels()
+    edge = net.adjacency > 0
+    np.fill_diagonal(edge, False)
+    dst, src = np.nonzero(edge)
+    weights, sds = net.adjacency[dst, src].tolist(), net.edge_sd[dst, src].tolist()
+    with Path(edge_csv).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src", "dst", "weight", "weight_sd"])
+        writer.writerows([labels[s], labels[d], f"{w:.17g}", f"{sd:.17g}"]
+                         for d, s, w, sd in zip(dst.tolist(), src.tolist(), weights, sds))
+    payload = {
+        "node_labels": labels,
+        "adjacency": net.adjacency.tolist(),
+        "edge_sd": net.edge_sd.tolist(),
+    }
+    Path(adjacency_json).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def save_rank_distribution(dist: RankDistribution, path: str | Path) -> None:
+    """Rank-by-node count matrix as CSV with a header of node labels."""
+    m = dist.counts.shape[0]
+    labels = labels_or_default(dist.node_labels, m)
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rank"] + labels)
+        for r in range(m):
+            writer.writerow([r + 1] + [int(c) for c in dist.counts[r]])
+
+
+def save_count_series(
+    series: CountSeries,
+    csv_path: str | Path,
+    seed: int | None = None,
+    params: HawkesParams | None = None,
+) -> None:
+    """Write counts as CSV plus a JSON sidecar with the run metadata."""
+    csv_path = Path(csv_path)
+    labels = series.labels()
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + labels)
+        for k in range(series.n_steps):
+            t = k * series.dt
+            writer.writerow([f"{t:.10g}"] + [int(c) for c in series.counts[k]])
+    # the CSV holds the labels and the shape
+    sidecar = {"dt": series.dt, "seed": seed, "params": params.to_json() if params is not None else None}
+    csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")

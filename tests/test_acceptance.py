@@ -10,6 +10,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from countnet.cli import main as cli_main
 from countnet.experiments import (
@@ -114,6 +115,7 @@ def final_decay_error(seed: int, n_steps: int) -> np.ndarray:
     return np.abs(end - truth.decay) / np.abs(start - truth.decay)
 
 
+@pytest.mark.slow
 class TestAC3PerfectModel:
     def test_ac3(self):
         start = time.perf_counter()
@@ -204,6 +206,7 @@ class TestAC5ZeroCountMonotonicity:
         )
 
 
+@pytest.mark.slow
 class TestAC6LargeNetwork:
     def test_ac6(self):
         run = run_large_network(m=100, n_steps=50_000, ensemble_size=128, seed=0, workers=2)

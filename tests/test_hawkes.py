@@ -1,10 +1,13 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from countnet.hawkes import (
     CountSeries,
@@ -15,6 +18,8 @@ from countnet.hawkes import (
     simulate,
     stationary_rate,
 )
+import oracles
+from test_network import LABEL_TEXT
 
 
 def scalar_params(mu=3.0, beta=2.0, alpha=0.0):
@@ -162,12 +167,33 @@ class TestContainers:
             CountSeries(np.zeros((3, 2), dtype=np.uint64), 0.0)
         with pytest.raises(ValueError):
             CountSeries(np.zeros((3, 2), dtype=np.uint64), 0.1, node_labels=["a"])
+        with pytest.raises(ValueError, match="node label 'a' is repeated"):
+            CountSeries(np.zeros((3, 3), dtype=np.uint64), 0.1, node_labels=["a", "b", "a"])
 
     @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, -1.0])
     def test_count_series_rejects_non_counts(self, bad):
         # inf used to pass and be cast to an arbitrary uint64
         with pytest.raises(ValueError, match="finite, non-negative integers"):
             CountSeries(np.array([[0.0, 1.0], [2.0, bad]]), 0.1)
+
+    @given(
+        data=st.data(),
+        n=st.integers(0, 20),
+        m=st.integers(0, 8),
+        dt=st.sampled_from([0.1, 0.25, 1.0, 1e-300, 3e9]) | st.floats(1e-12, 1e12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_counts_csv_bytes_match_csv_writer(self, data, n, m, dt):
+        counts = data.draw(arrays(np.uint64, (n, m), elements=st.integers(0, 2**64 - 1)))
+        labels = data.draw(st.none() | st.lists(LABEL_TEXT, min_size=m, max_size=m, unique=True))
+        series = CountSeries(counts, dt, node_labels=labels)
+        params = scalar_params()
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+            save_count_series(series, new, seed=3, params=params)
+            oracles.save_count_series(series, old, seed=3, params=params)
+            for suffix in (".csv", ".json"):
+                assert new.with_suffix(suffix).read_bytes() == old.with_suffix(suffix).read_bytes()
 
     def test_count_series_csv_round_trip(self, tmp_path):
         params = scalar_params(mu=2.0, beta=2.0, alpha=0.5)
@@ -187,6 +213,7 @@ class TestContainers:
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty file, no header row"),
+        ("t,a,a\n0,1,2\n", "node label 'a' is repeated"),
         ("t,a,b\n0,1,2\n0.1,-2,0\n", r"line 3: counts must lie in 0 \.\. 2\*\*64 - 1"),
         ("t,a,b\n0,1,2\n0.1,18446744073709551616,0\n", r"line 3: counts must lie in 0 \.\. 2\*\*64 - 1"),
         ("t,a,b\n0,1\n", "line 2: need a time and 2 counts, not 2 cells"),

@@ -187,6 +187,19 @@ class TestReadEventCsv:
             read_event_csv(path)
 
     @pytest.mark.parametrize("rows, line", [
+        (["0.5,a", "inf,b", "1.0,a"], 3),
+        (["0.5,a", "1e400,b"], 3),
+        (["nan,a", "1.0,b"], 2),
+        (["0.5,a", "-inf,b"], 3),
+    ])
+    def test_non_finite_timestamp_names_its_line(self, tmp_path, rows, line):
+        # inf used to load and fail in aggregate; nan failed as a bad window without a line
+        path = tmp_path / "events.csv"
+        path.write_text("timestamp,sender\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=rf"events\.csv: line {line}: timestamp .* is not a finite"):
+            read_event_csv(path)
+
+    @pytest.mark.parametrize("rows, line", [
         (["0.5,a", "2020-01-01T06:00:00,b"], 3),
         (["2020-01-01T00:00:00,a", "2020-01-01T06:00:00,b", "1.5,a"], 4),
     ], ids=["hours-then-iso", "iso-then-hours"])
@@ -205,6 +218,17 @@ class TestEventLogValidation:
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError):
             EventLog(np.array([0.5]), [1], 0.0, 1.0, ["a"])
+
+    @pytest.mark.parametrize("times, t0, t1", [
+        ([0.5, np.inf], 0.0, np.inf),
+        ([np.nan], 0.0, 1.0),
+        ([0.5], np.nan, 1.0),
+        ([0.5], 0.0, np.nan),
+        ([0.5], -np.inf, 1.0),
+    ])
+    def test_non_finite_times_and_window_rejected(self, times, t0, t1):
+        with pytest.raises(ValueError, match="must be finite"):
+            EventLog(np.array(times), [0] * len(times), t0, t1, ["a"])
 
 
 # ------------------------------------------------ against the name-based oracle

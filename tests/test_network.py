@@ -1,8 +1,13 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from countnet import network
 from countnet.filtering import Ensemble
@@ -10,6 +15,7 @@ from countnet.hawkes import HawkesParams
 from countnet.network import (
     BETWEENNESS_WEIGHT_FLOOR,
     InfluenceNetwork,
+    RankDistribution,
     centrality,
     error_metrics,
     mean_network,
@@ -18,6 +24,7 @@ from countnet.network import (
     save_rank_distribution,
     threshold_subnetwork,
 )
+import oracles
 from oracles import brute_betweenness, heapq_betweenness, rank_nodes
 
 
@@ -405,6 +412,11 @@ class TestExports:
         payload = json.loads((tmp_path / "net.json").read_text())
         assert payload == {"node_labels": ["a", "b", "c,d"], "adjacency": adj.tolist(), "edge_sd": sd.tolist()}
 
+    def test_rank_distribution_label_count_checked(self):
+        # one label for two nodes used to write a header one column short
+        with pytest.raises(ValueError, match="node_labels length"):
+            RankDistribution(np.ones((2, 2)), ["a"])
+
     def test_rank_distribution_csv(self, tmp_path):
         alpha = np.tile(np.array([[0.0, 1.0], [2.0, 0.0]]), (3, 1, 1))
         dist = rank_distribution(ensembles_from_members(alpha), "out_degree")
@@ -412,3 +424,64 @@ class TestExports:
         lines = (tmp_path / "rank.csv").read_text().splitlines()
         assert lines[0] == "rank,node_1,node_2"
         assert len(lines) == 3
+
+
+# labels that csv.writer quotes, that json escapes, or that neither touches
+LABEL_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "\u00e9", "\U0001F600"])
+                     | st.characters(blacklist_categories=("Cs",)), max_size=5)
+WEIGHT = st.sampled_from([0.0, 5e-324, 1e-300, 1e308, 1.0, 3.0, 2.0**53]) | st.floats(0.0, 1e308)
+ODD_LABELS = ["a,b", 'say "hi"', "\r", "line\nbreak", " outer ", "", "caf\u00e9", "\U0001F600"]
+
+
+def network_bytes(save, net: InfluenceNetwork) -> tuple[bytes, bytes]:
+    """The bytes of ``edges.csv`` and ``network.json`` as ``save`` writes them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, adjacency = Path(tmp) / "edges.csv", Path(tmp) / "network.json"
+        save(net, edges, adjacency)
+        return edges.read_bytes(), adjacency.read_bytes()
+
+
+def rank_bytes(save, dist: RankDistribution) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rank.csv"
+        save(dist, path)
+        return path.read_bytes()
+
+
+class TestWriterBytes:
+    """The bulk writers against the csv.writer and json.dumps writers they replaced, byte for byte."""
+
+    @given(data=st.data(), m=st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_network_files(self, data, m):
+        adjacency = data.draw(arrays(np.float64, (m, m), elements=WEIGHT))
+        sd = data.draw(arrays(np.float64, (m, m), elements=WEIGHT))
+        labels = data.draw(st.none() | st.lists(LABEL_TEXT, min_size=m, max_size=m))
+        net = InfluenceNetwork(adjacency, sd, labels)
+        assert network_bytes(save_network, net) == network_bytes(oracles.save_network, net)
+
+    @pytest.mark.parametrize("labels", [None, ODD_LABELS])
+    def test_network_files_edge_values(self, labels):
+        values = [0.0, 5e-324, 1e-300, 1e308, 1.0, 3.0, 0.1, 2.0**53]
+        adjacency = np.resize(values, (8, 8))
+        net = InfluenceNetwork(adjacency, adjacency[::-1], labels)
+        assert network_bytes(save_network, net) == network_bytes(oracles.save_network, net)
+
+    def test_subnetwork_with_no_edges(self):
+        net = InfluenceNetwork(np.array([[0.0, 1.0], [2.0, 0.0]]), None, ["a", "b"])
+        with pytest.warns(UserWarning, match="threshold removed every edge"):
+            sub = threshold_subnetwork(net, absolute=5.0)
+        assert sub.m == 0
+        edges, payload = network_bytes(save_network, sub)
+        assert (edges, payload) == network_bytes(oracles.save_network, sub)
+        assert payload == b'{\n  "node_labels": [],\n  "adjacency": [],\n  "edge_sd": []\n}\n'
+        empty = RankDistribution(np.zeros((0, 0)), [])
+        assert rank_bytes(save_rank_distribution, empty) == rank_bytes(oracles.save_rank_distribution, empty)
+
+    @given(data=st.data(), m=st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_csv(self, data, m):
+        counts = data.draw(arrays(np.int64, (m, m), elements=st.integers(0, 2**62)))
+        labels = data.draw(st.none() | st.lists(LABEL_TEXT, min_size=m, max_size=m))
+        dist = RankDistribution(counts, labels)
+        assert rank_bytes(save_rank_distribution, dist) == rank_bytes(oracles.save_rank_distribution, dist)
