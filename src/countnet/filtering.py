@@ -613,6 +613,8 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
+    if data.m == 0:
+        raise ValueError("the counts have no node columns to filter")
     if init.m != data.m:
         raise ValueError(f"the ensembles are over {init.m} nodes, the counts over {data.m}")
     init.check_complete()

@@ -12,7 +12,8 @@ network (column j = influence exerted by j).
 
 This module provides the parameter/count containers, the forward simulator
 used as a data generator, the one-step intensity propagation reused as the
-filter's forecast model, and CSV/JSON serialization for both.
+filter's forecast model, CSV/JSON serialization for both, and the bulk CSV
+row writer and field splitter that the other file formats share.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import json
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,8 +53,22 @@ def labels_or_default(labels: list[str] | None, m: int) -> list[str]:
     return list(labels) if labels else [f"node_{j + 1}" for j in range(m)]
 
 
-# cells per ``%`` pass of ``write_rows``
+def check_labels(labels: list[str] | None, m: int) -> None:
+    """Raise ValueError unless ``labels`` is None or m distinct node labels."""
+    if labels is None:
+        return
+    if len(labels) != m:
+        raise ValueError("node_labels length must match the node count")
+    if len(set(labels)) < m:
+        repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+        raise ValueError(f"node label {repeated!r} is repeated")
+
+
+# cells per ``%`` pass of ``write_rows``, and per block of ``csv.reader`` rows in ``csv_blocks``
 ROW_CHUNK_CELLS = 1 << 16
+# characters of a CSV file read per block of lines that numpy splits; a block's
+# scratch arrays stay near this size, which keeps the readers' peak memory low
+READ_CHUNK_CHARS = 1 << 17
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
@@ -78,6 +94,167 @@ def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
             block[:, at:at + w] = column[lo:hi].reshape(hi - lo, w)
             at += w
         fh.write(row_format * (hi - lo) % tuple(block.ravel().tolist()))
+
+
+def byte_matrix(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` bytes of each range ``data[start:end]``, NUL-padded.
+
+    The result has shape (*starts.shape, width).
+    """
+    padded = np.concatenate((data, np.zeros(width, np.uint8)))
+    # a width-byte record at every offset, so one index copies each range whole
+    windows = np.ndarray((len(data) + 1,), dtype=f"V{width}", buffer=padded, strides=(1,))
+    cells = windows[starts].view(np.uint8).reshape(*np.shape(starts), width)
+    lengths = ends - starts
+    if (lengths < width).any():
+        cells *= np.arange(width) < lengths[..., None]
+    return cells
+
+
+@dataclass
+class CsvBlock:
+    """Consecutive rows of a CSV file, each row's leading fields as byte ranges.
+
+    Field j of row r is ``data[starts[r, j]:ends[r, j]]`` in UTF-8, empty
+    where the row has fewer fields. ``fields`` counts each row's fields and
+    ``lines`` gives the physical line each row ends on, both as
+    ``csv.reader`` counts them.
+    """
+
+    data: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    fields: np.ndarray
+    lines: np.ndarray
+
+    def text(self, r: int, j: int) -> str:
+        return self.data[self.starts[r, j]:self.ends[r, j]].tobytes().decode("utf-8", "surrogatepass")
+
+
+def _split_lines(text: str, width: int, first_line: int, limit: int) -> CsvBlock | None:
+    """Whole lines split on commas; None if csv.reader must split them: the text holds a
+    quote character or a bare carriage return, or a line longer than ``limit``."""
+    if '"' in text or text.endswith("\r"):
+        return None
+    text = text if text.endswith("\n") else text + "\n"
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = np.flatnonzero((data == 10) | (data == 44))
+    newlines = np.flatnonzero(data[seps] == 10)  # the positions in seps of each line's end
+    stops = seps[newlines]
+    begins = np.concatenate(([0], stops[:-1] + 1))
+    crlf = data[np.maximum(stops - 1, 0)] == 13
+    if (stops - begins).max() > limit or np.count_nonzero(data == 13) != np.count_nonzero(crlf):
+        return None
+    stops -= crlf  # \r\n ends a line as \n does
+    first = np.concatenate(([0], newlines[:-1] + 1))  # each line's first comma, if it has one
+    count = newlines - first
+    fields = np.where(stops > begins, count + 1, 0)
+    if (count == width - 1).all():  # a table: the separators are the ends of each line's fields
+        ends = seps.reshape(len(stops), width)
+        ends[:, -1] = stops
+        starts = np.concatenate((begins[:, None], ends[:, :-1] + 1), axis=1)
+    else:
+        # field j ends at the j-th comma of its line, or at the line's end; a missing field is empty there
+        j = np.arange(width)
+        after = seps[np.minimum(first[:, None] + j, len(seps) - 1)]
+        ends = np.where(j < count[:, None], after, stops[:, None])
+        starts = np.concatenate((begins[:, None], ends[:, :-1] + 1), axis=1)
+        starts = np.where(j < fields[:, None], starts, ends)
+    return CsvBlock(data, starts, ends, fields, np.arange(first_line, first_line + len(stops)))
+
+
+def _rows_block(rows: list[list[str]], lines: list[int], width: int) -> CsvBlock:
+    """``csv.reader`` rows as a CsvBlock of their first ``width`` fields."""
+    cells = [(row[j] if j < len(row) else "").encode("utf-8", "surrogatepass")
+             for row in rows for j in range(width)]
+    lengths = np.fromiter(map(len, cells), np.int64, len(cells)).reshape(len(rows), width)
+    ends = np.cumsum(lengths).reshape(lengths.shape)
+    return CsvBlock(np.frombuffer(b"".join(cells), np.uint8), ends - lengths, ends,
+                    np.array([len(row) for row in rows], dtype=np.int64), np.array(lines, dtype=np.int64))
+
+
+def csv_blocks(fh, width: int | None = None) -> Iterator:
+    """Yield a CSV file's header row, then its data rows in CsvBlocks.
+
+    ``fh`` is a text file opened with ``newline=""``. Each row keeps its
+    first ``width`` fields, or as many as the header has (at least one)
+    when ``width`` is None. The header is None for an empty file, and no
+    block follows it. Fields, field counts and line numbers are those of
+    ``csv.reader`` (default dialect): blocks of about ``READ_CHUNK_CHARS``
+    are split on commas with numpy, until a block holds a quote character,
+    a bare carriage return or a line longer than ``csv.field_size_limit()``,
+    or fails to decode; from there ``csv.reader`` reads the rest. Its
+    ValueErrors (a decoding error) read "line N: ..." as the readers'
+    messages do; rows before the error come first, in their own block.
+    """
+    header, done, text = None, 0, ""  # done: lines already yielded, the header's included
+    limit = csv.field_size_limit()
+    while True:
+        try:
+            chunk = fh.read(READ_CHUNK_CHARS)
+        except UnicodeDecodeError:
+            break
+        text += chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        if chunk and not cut:
+            continue  # no whole line yet
+        lines, text = text[:cut], text[cut:]
+        body, first_line = lines, done + 1
+        if lines and done == 0:
+            head = lines.find("\n") + 1 or len(lines)
+            body, first_line = lines[head:], 2
+            header_line = lines[:head].removesuffix("\n")
+            header_line = header_line[:-1] if lines[:head].endswith("\r\n") else header_line
+            if '"' in header_line or "\r" in header_line or len(header_line) > limit:
+                break
+            header = header_line.split(",") if header_line else []
+            width = width or max(len(header), 1)
+        block = _split_lines(body, width, first_line, limit) if body else None
+        if body and block is None:
+            break
+        if lines and done == 0:
+            yield header
+            done = 1
+        if block is not None:
+            yield block
+            done += len(block.lines)
+        if not chunk:
+            if done == 0:
+                yield None  # an empty file
+            return
+
+    fh.seek(0)
+    for k in range(done):
+        try:
+            next(fh)
+        except ValueError as err:  # a line that fails to decode, as csv.reader would have met it
+            if k == 0:
+                raise
+            raise ValueError(f"line {k}: {err}") from err
+    reader = csv.reader(fh)
+    if done == 0:
+        header = next(reader, None)
+        yield header
+        if header is None:
+            return
+        width = width or max(len(header), 1)
+    rows, row_lines = [], []
+    per_block = max(1, ROW_CHUNK_CELLS // width)
+    try:
+        for row in reader:
+            rows.append(row)
+            row_lines.append(done + reader.line_num)
+            if len(rows) == per_block:
+                yield _rows_block(rows, row_lines, width)
+                rows, row_lines = [], []
+    except Exception as err:
+        if rows:
+            yield _rows_block(rows, row_lines, width)  # the rows before the error are checked first
+        if isinstance(err, ValueError):
+            raise ValueError(f"line {done + reader.line_num}: {err}") from err
+        raise
+    if rows:
+        yield _rows_block(rows, row_lines, width)
 
 
 @dataclass
@@ -155,12 +332,7 @@ class CountSeries:
         self.counts = counts.astype(np.uint64)
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.node_labels is not None:
-            if len(self.node_labels) != self.m:
-                raise ValueError("node_labels length must match column count")
-            if len(set(self.node_labels)) < self.m:
-                repeated = next(x for i, x in enumerate(self.node_labels) if x in self.node_labels[:i])
-                raise ValueError(f"node label {repeated!r} is repeated")
+        check_labels(self.node_labels, self.m)
 
     @property
     def n_steps(self) -> int:
@@ -255,32 +427,81 @@ def save_count_series(
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+def _check_count_row(cells: list[str], m: int) -> None:
+    """Raise ValueError unless a counts CSV row holds a time and m whole counts in 0 .. 2**64 - 1."""
+    if len(cells) != m + 1:
+        raise ValueError(f"need a time and {m} counts, not {len(cells)} cells")
+    values = [int(c) for c in cells[1:]]
+    if values and not 0 <= min(values) <= max(values) < 2**64:
+        raise ValueError("counts must lie in 0 .. 2**64 - 1")
+
+
+# a count of at most this many ASCII digits is read with numpy; any other cell with int()
+COUNT_DIGITS = 19
+
+
+def _block_counts(block: CsvBlock, m: int) -> np.ndarray:
+    """The (n, m) counts of a block's rows; its first bad row raises its ``_check_count_row`` error
+    and line."""
+    starts, ends = block.starts[:, 1:], block.ends[:, 1:]
+    length = ends - starts
+    width = max(1, min(int(length.max(initial=0)), COUNT_DIGITS))
+    digits = byte_matrix(block.data, starts, ends, width) - np.uint8(48)  # '0' .. '9' to 0 .. 9, others above
+    is_digit = digits < 10
+    # all bytes digits (padding is not), so also length <= width
+    plain = (length >= 1) & (np.count_nonzero(is_digit, axis=-1) == length)
+    values = digits[..., 0].astype(np.uint64)
+    for p in range(1, width):
+        values = np.where(is_digit[..., p], values * np.uint64(10) + digits[..., p], values)
+    bad = block.fields != m + 1
+    first = int(np.argmax(bad)) if bad.any() else len(bad)
+    if not plain[:first].all():
+        for r, j in np.argwhere(~plain[:first]).tolist():
+            try:
+                value = int(block.text(r, j + 1))
+            except ValueError:
+                value = -1
+            if not 0 <= value < 2**64:
+                first = r
+                break
+            values[r, j] = value
+    if first < len(bad):
+        cells = [""] * block.fields[first] if bad[first] else [block.text(first, j) for j in range(m + 1)]
+        try:
+            _check_count_row(cells, m)
+        except ValueError as err:
+            raise ValueError(f"line {block.lines[first]}: {err}") from err
+    return values
+
+
 def load_count_series(csv_path: str | Path) -> tuple[CountSeries, dict]:
     """Read a counts CSV and its sidecar; returns (series, metadata).
 
-    A row without one whole count in 0 .. 2**64 - 1 per label is an error naming its line.
+    A row without one whole count in 0 .. 2**64 - 1 per label is an error
+    naming its line. The rows are split and converted in blocks
+    (``csv_blocks``); a cell of plain ASCII digits is read with numpy and
+    any other with ``int()``.
     """
     csv_path = Path(csv_path)
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
-    rows = []
+    sidecar = csv_path.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    try:
+        dt = json_floats(meta["dt"])
+    except (LookupError, TypeError, ValueError) as err:
+        raise ValueError(f"{sidecar}: dt must be a finite number") from err
     with csv_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        blocks = csv_blocks(fh)
+        header = next(blocks)
         if header is None:
             raise ValueError(f"{csv_path}: empty file, no header row")
         labels = header[1:]
         try:
-            for row in reader:
-                if len(row) != len(labels) + 1:
-                    raise ValueError(f"need a time and {len(labels)} counts, not {len(row)} cells")
-                values = [int(c) for c in row[1:]]
-                if values and not 0 <= min(values) <= max(values) < 2**64:
-                    raise ValueError("counts must lie in 0 .. 2**64 - 1")
-                rows.append(values)
+            parts = [_block_counts(block, len(labels)) for block in blocks]
         except ValueError as err:
-            raise ValueError(f"{csv_path}: line {reader.line_num}: {err}") from err
-    counts = np.asarray(rows, dtype=np.uint64).reshape(len(rows), len(labels))
+            raise ValueError(f"{csv_path}: {err}") from err
+    counts = np.concatenate(parts) if parts else np.zeros((0, len(labels)), dtype=np.uint64)
+    del parts  # so the blocks are gone before CountSeries copies the counts
     try:
-        return CountSeries(counts, float(meta["dt"]), node_labels=labels), meta
+        return CountSeries(counts, dt, node_labels=labels), meta
     except ValueError as err:
         raise ValueError(f"{csv_path}: {err}") from err

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import BLOCK_ELEMENTS, Ensemble, FilterHistory, ensemble_moments
-from .hawkes import HawkesParams, csv_field, labels_or_default, write_rows
+from .hawkes import HawkesParams, check_labels, csv_field, labels_or_default, write_rows
 
 OUT_DEGREE = "out_degree"
 IN_DEGREE = "in_degree"
@@ -52,8 +52,7 @@ class InfluenceNetwork:
                 raise ValueError("edge_sd must match adjacency shape")
             if not np.isfinite(self.edge_sd).all():
                 raise ValueError("edge_sd must be finite")
-        if self.node_labels is not None and len(self.node_labels) != self.m:
-            raise ValueError("node_labels length must match adjacency")
+        check_labels(self.node_labels, self.m)
 
     @property
     def m(self) -> int:
@@ -74,8 +73,7 @@ class RankDistribution:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError("counts must be square (ranks x nodes)")
-        if self.node_labels is not None and len(self.node_labels) != self.counts.shape[1]:
-            raise ValueError("node_labels length must match the node count")
+        check_labels(self.node_labels, self.counts.shape[1])
 
 
 def mean_network(ensembles: Ensemble, node_labels: list[str] | None = None) -> InfluenceNetwork:

@@ -5,11 +5,10 @@ the scalar Brandes (one heap-based Dijkstra per source), the bit-level
 reference for the batched kernel in ``countnet.network``. Both take a dense adjacency whose entry (i, j) weighs the edge j -> i.
 ``rank_nodes`` is the scalar ranking that ``rank_distribution`` tallies.
 
-``read_event_csv``, ``clean`` and ``aggregate`` are the name-based event-log
-path that ``countnet.ingest`` replaced with sender codes: their ``EventLog``
-holds each event's sender name, and every step works per event in Python.
-They are the exact reference for the coded path, on logs and files where
-every timestamp has the format of the first.
+``clean`` and ``aggregate`` are the name-based event-log path that
+``countnet.ingest`` replaced with sender codes: their ``EventLog`` holds
+each event's sender name, and every step works per event in Python. They
+are the exact reference for the coded path.
 
 ``analyze_rows`` is the per-row intensity analysis that
 ``countnet.filtering._analyze_rows`` replaced with whole-board operations:
@@ -34,18 +33,25 @@ the ``csv.writer`` and ``json.dumps`` writers that ``countnet.network`` and
 ``countnet.hawkes`` replaced with bulk ``%`` passes: the byte-level
 references for ``edges.csv``, ``network.json``, the rank CSV and the counts
 CSV with its sidecar.
+
+``read_event_csv`` and ``load_count_series`` are the per-row ``csv.reader``
+readers that ``countnet.ingest`` and ``countnet.hawkes`` replaced with
+block passes (``hawkes.csv_blocks``): the exact references for the event
+log's times, codes, labels and window, for the loaded counts, and for each
+error's message and line.
 """
 
 import csv
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
-from countnet import rng
+from countnet import ingest, rng
 from countnet.filtering import AnalysisDiagnostics, Ensemble
 from countnet.hawkes import CountSeries, HawkesParams, labels_or_default
 from countnet.ingest import HOURS_PER_DAY, CleaningReport
@@ -314,42 +320,56 @@ def clean(
     return EventLog(times, nodes, t0, t1, labels), report
 
 
-def _parse_timestamp(raw: str, origin: datetime | None) -> tuple[float, datetime | None]:
-    """Fractional hours, or ISO-8601 converted to hours from the first stamp."""
+def _finite_hours(stamp: str) -> float:
+    hours = float(stamp)
+    if not math.isfinite(hours):
+        raise ValueError(f"timestamp {stamp!r} is not a finite number of hours")
+    return hours
+
+
+def _hours_parser(first: str):
+    """Fractional hours if a file's first stamp is a number, else ISO-8601 as hours from that stamp."""
     try:
-        return float(raw), origin
+        float(first)
+        return _finite_hours
     except ValueError:
-        pass
-    stamp = datetime.fromisoformat(raw)
-    if origin is None:
-        origin = stamp
-    return (stamp - origin).total_seconds() / 3600.0, origin
+        origin = datetime.fromisoformat(first)
+        return lambda stamp: (datetime.fromisoformat(stamp) - origin).total_seconds() / 3600.0
 
 
-def read_event_csv(path: str | Path, t0: float | None = None, t1: float | None = None) -> EventLog:
+def read_event_csv(path: str | Path, t0: float | None = None, t1: float | None = None) -> ingest.EventLog:
     """Load (timestamp, sender[, ...]) rows; extra columns are ignored.
 
-    The window defaults to [min, max] of the parsed timestamps; pass t0/t1
-    to pin a wider observation window.
+    Senders are coded in sorted label order. The window defaults to
+    [min, max] of the parsed timestamps; pass t0/t1 to pin a wider
+    observation window.
     """
     times: list[float] = []
-    nodes: list[str] = []
-    origin: datetime | None = None
+    codes: list[int] = []
+    code_of: dict[str, int] = {}  # sender -> code in first-seen order
+    hours = None
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or len(header) < 2:
             raise ValueError("event CSV needs at least (timestamp, sender) columns")
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            value, origin = _parse_timestamp(row[0].strip(), origin)
-            times.append(value)
-            nodes.append(row[1].strip())
+        try:
+            for row in reader:
+                if not row or not row[0].strip():
+                    continue
+                if len(row) < 2:
+                    raise ValueError("row has a timestamp but no sender")
+                stamp = row[0].strip()
+                hours = hours or _hours_parser(stamp)  # the first data row fixes the format
+                times.append(hours(stamp))
+                codes.append(code_of.setdefault(row[1].strip(), len(code_of)))
+        except (TypeError, ValueError) as err:  # TypeError: ISO stamps with and without offsets
+            raise ValueError(f"{path}: line {reader.line_num}: {err}") from err
+    rank = {label: k for k, label in enumerate(sorted(code_of))}
+    nodes = np.array([rank[name] for name in code_of], dtype=np.int64)[np.asarray(codes, dtype=np.int64)]
     arr = np.asarray(times, dtype=np.float64)
-    lo = float(arr.min()) if arr.size else 0.0
-    hi = float(arr.max()) if arr.size else 0.0
-    return EventLog(arr, nodes, lo if t0 is None else t0, hi if t1 is None else t1)
+    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
+    return ingest.EventLog(arr, nodes, lo if t0 is None else t0, hi if t1 is None else t1, list(rank))
 
 
 def save_network(net: InfluenceNetwork, edge_csv: str | Path, adjacency_json: str | Path) -> None:
@@ -401,3 +421,34 @@ def save_count_series(
     # the CSV holds the labels and the shape
     sidecar = {"dt": series.dt, "seed": seed, "params": params.to_json() if params is not None else None}
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+
+
+def load_count_series(csv_path: str | Path) -> tuple[CountSeries, dict]:
+    """Read a counts CSV and its sidecar; returns (series, metadata).
+
+    A row without one whole count in 0 .. 2**64 - 1 per label is an error naming its line.
+    """
+    csv_path = Path(csv_path)
+    meta = json.loads(csv_path.with_suffix(".json").read_text())
+    rows = []
+    with csv_path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{csv_path}: empty file, no header row")
+        labels = header[1:]
+        try:
+            for row in reader:
+                if len(row) != len(labels) + 1:
+                    raise ValueError(f"need a time and {len(labels)} counts, not {len(row)} cells")
+                values = [int(c) for c in row[1:]]
+                if values and not 0 <= min(values) <= max(values) < 2**64:
+                    raise ValueError("counts must lie in 0 .. 2**64 - 1")
+                rows.append(values)
+        except ValueError as err:
+            raise ValueError(f"{csv_path}: line {reader.line_num}: {err}") from err
+    counts = np.asarray(rows, dtype=np.uint64).reshape(len(rows), len(labels))
+    try:
+        return CountSeries(counts, float(meta["dt"]), node_labels=labels), meta
+    except ValueError as err:
+        raise ValueError(f"{csv_path}: {err}") from err

@@ -231,6 +231,15 @@ class TestExitCodes:
         assert main(["filter", "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
         assert f"failed: {counts}: line 3: counts must lie in 0 .. 2**64 - 1" in capsys.readouterr().err
 
+    def test_counts_without_node_columns_refused(self, tmp_path, capsys):
+        # a header of "t" alone used to reach numpy's "number sections must be larger than 0."
+        counts = tmp_path / "counts.csv"
+        counts.write_text("t\n0\n0.1\n")
+        counts.with_suffix(".json").write_text(json.dumps({"dt": 0.1}))
+        cfg = write_config(tmp_path, "c.json", {"counts_path": str(counts), "ensemble_size": 8, "priors": PRIORS})
+        assert main(["filter", "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
+        assert "failed: the counts have no node columns to filter" in capsys.readouterr().err
+
 
 class TestPipelines:
     def test_simulate_hawkes_artifacts_and_determinism(self, tmp_path):

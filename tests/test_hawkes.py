@@ -2,6 +2,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from countnet import hawkes
 from countnet.hawkes import (
     CountSeries,
     HawkesParams,
@@ -19,6 +21,7 @@ from countnet.hawkes import (
     stationary_rate,
 )
 import oracles
+from test_ingest import csv_text, read_both
 from test_network import LABEL_TEXT
 
 
@@ -228,6 +231,16 @@ class TestContainers:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load_count_series(path)
 
+    @pytest.mark.parametrize("sidecar", [{"dt": True}, {"dt": "0.1"}, {"seed": 1}, [0.1]])
+    def test_sidecar_dt_must_be_a_number(self, tmp_path, sidecar):
+        # float() read true as dt = 1.0 and the string "0.1" as 0.1; a missing dt was a bare KeyError
+        path = tmp_path / "counts.csv"
+        path.write_text("t,a\n0,1\n")
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        message = f"{path.with_suffix('.json')}: dt must be a finite number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_count_series(path)
+
     def test_counts_csv_edge_values_load(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("t,a,b\n0,0,18446744073709551615\n0.1, 7,+3\n")
@@ -236,3 +249,51 @@ class TestContainers:
         assert series.counts.tolist() == [[0, 2**64 - 1], [7, 3]]
         path.write_text("t,a,b\n")
         assert load_count_series(path)[0].counts.shape == (0, 2)
+
+
+# cells that int() reads, and cells that make their row bad
+COUNT_CELLS = ["0", "7", "42", "007", " 7", "+3", "1_0", "\uff13", "18446744073709551615", "10000000000000000000"]
+BAD_CELLS = ["-2", "18446744073709551616", "99999999999999999999", "2.5", "", "x", "1e3", "\x00", "7\x00"]
+COUNT_LABELS = ["a", "b", "n3", "n4", "n5", "c,d", 'q"', "x\ny", " s ", "\u00e9"]
+
+
+@st.composite
+def count_tables(draw):
+    """A counts CSV's rows: a header (labels may need quotes or repeat), times
+    and whole counts, and at times one bad row: a bad cell, a cell too many or
+    too few, or a blank line."""
+    m = draw(st.integers(0, 5))
+    pool = COUNT_LABELS[:5 + 5 * draw(st.booleans())]  # the last five need quotes
+    labels = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m, unique=True))
+    if m > 1 and draw(st.integers(0, 7)) == 0:
+        labels[-1] = labels[0]
+    cell = st.integers(0, 2**64 - 1).map(str) | st.integers(0, 12).map(str) | st.sampled_from(COUNT_CELLS)
+    rows = [["t", *labels]]
+    for k in range(draw(st.integers(0, 20))):
+        rows.append([f"{0.1 * k:.10g}", *(draw(cell) for _ in range(m))])
+    if draw(st.booleans()):
+        row = [draw(st.sampled_from(["0", "x", ""])), *(draw(cell) for _ in range(m))]
+        kind = draw(st.sampled_from(["cell", "more", "fewer", "blank"]))
+        if kind == "cell" and m:
+            row[draw(st.integers(1, m))] = draw(st.sampled_from(BAD_CELLS))
+        row = {"more": row + ["1"], "fewer": row[:-1], "blank": []}.get(kind, row)
+        rows.insert(draw(st.integers(1, len(rows))), row)
+    return rows
+
+
+@given(count_tables(), st.sampled_from(["\r\n", "\n", "\r"]), st.booleans(), st.sampled_from([1, 7, 64, 1 << 17]))
+@settings(max_examples=300, deadline=None)
+def test_load_count_series_matches_oracle(tmp_path_factory, rows, terminator, last_newline, chunk):
+    path = tmp_path_factory.getbasetemp() / "oracle_counts.csv"
+    with path.open("w", newline="") as fh:
+        fh.write(csv_text(rows, terminator, last_newline))
+    path.with_suffix(".json").write_text(json.dumps({"dt": 0.25, "seed": 3, "params": None}))
+    with patch.object(hawkes, "READ_CHUNK_CHARS", chunk), patch.object(hawkes, "ROW_CHUNK_CELLS", chunk):
+        got, want = read_both(load_count_series, oracles.load_count_series, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (series, meta), (want_series, want_meta) = got, want
+    assert series.counts.dtype == want_series.counts.dtype == np.uint64
+    assert np.array_equal(series.counts, want_series.counts) and series.counts.shape == want_series.counts.shape
+    assert (series.dt, series.node_labels, meta) == (want_series.dt, want_series.node_labels, want_meta)

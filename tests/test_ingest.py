@@ -1,5 +1,7 @@
 import csv
+import io
 from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from countnet import hawkes
 from countnet.ingest import EventLog, aggregate, clean, read_event_csv
 
 
@@ -295,16 +298,32 @@ ORIGIN = datetime(2024, 3, 1, 9, 30)
 OFFSETS = [timezone(timedelta(hours=2)), timezone(timedelta(hours=-5, minutes=-30)), timezone.utc]
 
 
+# senders that csv.writer quotes (a comma, a quote, line breaks), and plain ones
+PLAIN_SENDERS = ["ann", "bob", " cy ", "Dee", "ann", "Zoë", "\tx\x0b"]
+QUOTED_SENDERS = ["a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", '"']
+# stamps that fail in at least one of the two formats, or read only one way
+ODD_STAMPS = ["2024-02-30T00:00:00", "2023-02-29T10:00:00.000", "2024-13-01T00:00:00", "2024-03-01T24:00:00",
+              "2024-03-01T23:59:60", "0000-01-01T00:00:00", "2024-03-01T00:00:00.1234", "2024-03-01x00:00:00",
+              "2100-02-29T00:00:00", "1900-02-29 00:00:00", "2000-02-29T12:00:00", "2024-02-29T12:00:00.000001",
+              "2024-03-01T00:00:00+00:00", "20240301T013000", "2024-03-01", "9999-12-31T23:59:59.999999",
+              "abc", "1.5", "1_0", "nan", "-inf", "1e400", "0x10", "１.5", "\u00a02.5", "2.5\u2003"]
+
+
 @st.composite
 def event_rows(draw):
     """CSV rows in one timestamp format (fractional hours, or ISO-8601 with
-    optional fractional seconds and offsets), with blank rows and extra columns."""
+    optional fractional seconds, offsets and a space separator), with blank
+    rows, extra columns, senders that need quotes, and at times one row that
+    may be bad: a stamp from ODD_STAMPS, or a stamp without a sender."""
     iso = draw(st.booleans())
     aware = draw(st.booleans())
+    quoted = draw(st.booleans())
+    senders = PLAIN_SENDERS + QUOTED_SENDERS * quoted
+    extras = ["bob", "", "x y"] + ["q,\n"] * quoted
     rows = []
     for _ in range(draw(st.integers(0, 25))):
         kind = draw(st.sampled_from(["event", "event", "event", "blank", "no-stamp"]))
-        sender = draw(st.sampled_from(["ann", "bob", " cy ", "Dee", "ann"]))
+        sender = draw(st.sampled_from(senders))
         if kind == "blank":
             rows.append([])
             continue
@@ -315,20 +334,79 @@ def event_rows(draw):
             stamp = ORIGIN + timedelta(seconds=draw(st.floats(0.0, 5 * 86400.0)))
             if aware:
                 stamp = stamp.replace(tzinfo=draw(st.sampled_from(OFFSETS)))
-            text = stamp.isoformat(timespec=draw(st.sampled_from(["seconds", "milliseconds", "auto"])))
+            text = stamp.isoformat(sep=draw(st.sampled_from("T ")),
+                                   timespec=draw(st.sampled_from(["seconds", "milliseconds", "auto"])))
         else:
             hours = draw(st.floats(-5.0, 500.0))
             text = draw(st.sampled_from([repr(hours), f"{hours:.3f}", f" {hours:.1f} "]))
-        rows.append([text, sender] + draw(st.lists(st.sampled_from(["bob", "", "x y"]), max_size=2)))
+        rows.append([text, sender] + draw(st.lists(st.sampled_from(extras), max_size=2)))
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from(ODD_STAMPS))
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[odd, "ann"], [odd, "bob", "x"], [odd]])))
     return rows
 
 
-@given(event_rows())
-@settings(max_examples=200, deadline=None)
-def test_read_event_csv_matches_oracle(tmp_path_factory, rows):
+def csv_text(rows, terminator: str, last_newline: bool) -> str:
+    """``rows`` as csv.writer writes them with ``terminator``, the last one without it if not last_newline."""
+    out = io.StringIO(newline="")
+    csv.writer(out, lineterminator=terminator).writerows(rows)
+    text = out.getvalue()
+    return text if last_newline else text.removesuffix(terminator)
+
+
+def read_both(read, reference, path):
+    """The results of ``read(path)`` and ``reference(path)``, or their errors' messages."""
+    out = []
+    for fn in (read, reference):
+        try:
+            out.append(fn(path))
+        except ValueError as err:
+            out.append(str(err))
+    return out
+
+
+@given(event_rows(), st.sampled_from(["\r\n", "\n", "\r"]), st.booleans(), st.sampled_from([1, 7, 64, 1 << 17]))
+@settings(max_examples=300, deadline=None)
+def test_read_event_csv_matches_oracle(tmp_path_factory, rows, terminator, last_newline, chunk):
+    # small blocks put block ends anywhere, and split the sender keys of a block into several passes
     path = tmp_path_factory.getbasetemp() / "oracle_events.csv"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "sender", "receiver"])
-        writer.writerows(rows)
-    assert_same_log(read_event_csv(path), oracles.read_event_csv(path))
+        fh.write(csv_text([["timestamp", "sender", "receiver"], *rows], terminator, last_newline))
+    with patch.object(hawkes, "READ_CHUNK_CHARS", chunk), patch.object(hawkes, "ROW_CHUNK_CELLS", chunk):
+        got, want = read_both(read_event_csv, oracles.read_event_csv, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.times, want.times) and got.times.dtype == want.times.dtype
+    assert np.array_equal(got.nodes, want.nodes) and got.nodes.dtype == want.nodes.dtype
+    assert (got.t0, got.t1, got.labels) == (want.t0, want.t1, want.labels)
+
+
+@pytest.mark.parametrize("data", [
+    b"timestamp,sender\n1.5,a\x00\n2.5,a\n",  # a sender with a trailing NUL is another sender
+    b"timestamp,sender\n1.5\x00,a\n",  # numpy's bytes cast would drop the NUL
+    b"timestamp,sender\n1.5,a\n\x1c2.5\x1f,b\n",  # str.strip takes ASCII separators too
+    b"timestamp,sender\n1.5,a\n2.5," + b"b" * 40 + b"\n",  # a long sender
+    b"timestamp,sender\r\n\r\n1.5,a\r\n,b\r\n2.5\r\n",  # no sender after blank rows, CRLF
+    b"timestamp,sender\n1.5,a\n2.5," + b"x" * 140_000 + b"\n",  # a field over csv's size limit
+    b"timestamp,sender\n1.5,a\n2.5,\xff\n",  # not UTF-8
+    b"timestamp,sender\n1.5,a\n" + b"2.5,b\n" * 3000 + b"2.5,\xff\n",  # not UTF-8, far down
+    b"timestamp,sender\n1.5,a\n" + b"2.5,b\n" * 3000 + b"x,\xff\n",  # a bad row, then not UTF-8
+    b"\xff,sender\n1.5,a\n",  # a header that does not decode
+    b"timestamp,sender\n2024-03-01T00:00:00,a\n2024-03-01T00:00:00.5,a\n1.5,b\n",
+    b"timestamp\n",  # a header with one column
+    b"",
+])
+@pytest.mark.parametrize("chunk", [7, 1 << 17])
+def test_read_event_csv_edge_files_match_oracle(tmp_path, data, chunk):
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    got, want = [], []
+    for fn, out in ((read_event_csv, got), (oracles.read_event_csv, want)):
+        try:
+            with patch.object(hawkes, "READ_CHUNK_CHARS", chunk):
+                log = fn(path)
+            out.append((log.times.tolist(), log.nodes.tolist(), log.labels, log.t0, log.t1))
+        except Exception as err:  # noqa: BLE001 - the errors must match too
+            out.append((type(err), str(err)))
+    assert got == want

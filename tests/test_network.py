@@ -75,6 +75,13 @@ class TestInfluenceNetwork:
             with pytest.raises(ValueError, match="edge_sd must be finite"):
                 InfluenceNetwork(np.ones((3, 3)), edge_sd=adjacency)
 
+    def test_repeated_label_rejected(self):
+        # edges.csv would list two nodes under one name
+        with pytest.raises(ValueError, match="node label 'a' is repeated"):
+            InfluenceNetwork(np.ones((2, 2)), None, ["a", "a"])
+        with pytest.raises(ValueError, match="node_labels length"):
+            InfluenceNetwork(np.ones((2, 2)), None, ["a"])
+
 
 class TestThreshold:
     def test_relative_rule_keeps_strong_edge(self):
@@ -417,6 +424,10 @@ class TestExports:
         with pytest.raises(ValueError, match="node_labels length"):
             RankDistribution(np.ones((2, 2)), ["a"])
 
+    def test_rank_distribution_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match="node label 'a' is repeated"):
+            RankDistribution(np.ones((2, 2)), ["a", "a"])
+
     def test_rank_distribution_csv(self, tmp_path):
         alpha = np.tile(np.array([[0.0, 1.0], [2.0, 0.0]]), (3, 1, 1))
         dist = rank_distribution(ensembles_from_members(alpha), "out_degree")
@@ -456,7 +467,7 @@ class TestWriterBytes:
     def test_network_files(self, data, m):
         adjacency = data.draw(arrays(np.float64, (m, m), elements=WEIGHT))
         sd = data.draw(arrays(np.float64, (m, m), elements=WEIGHT))
-        labels = data.draw(st.none() | st.lists(LABEL_TEXT, min_size=m, max_size=m))
+        labels = data.draw(st.none() | st.lists(LABEL_TEXT, min_size=m, max_size=m, unique=True))
         net = InfluenceNetwork(adjacency, sd, labels)
         assert network_bytes(save_network, net) == network_bytes(oracles.save_network, net)
 
@@ -482,6 +493,6 @@ class TestWriterBytes:
     @settings(max_examples=100, deadline=None)
     def test_rank_csv(self, data, m):
         counts = data.draw(arrays(np.int64, (m, m), elements=st.integers(0, 2**62)))
-        labels = data.draw(st.none() | st.lists(LABEL_TEXT, min_size=m, max_size=m))
+        labels = data.draw(st.none() | st.lists(LABEL_TEXT, min_size=m, max_size=m, unique=True))
         dist = RankDistribution(counts, labels)
         assert rank_bytes(save_rank_distribution, dist) == rank_bytes(oracles.save_rank_distribution, dist)
