@@ -61,12 +61,12 @@ class ABMConfig:
         m = self.baseline.shape[0]
         if self.excitation.shape != (m, m):
             raise ValueError(f"excitation must be {m}x{m}")
-        if (self.baseline < 0).any():
-            raise ValueError("baseline attractiveness must be non-negative")
-        if (self.excitation < 0).any():
-            raise ValueError("excitation weights must be non-negative")
-        if not self.decay > 0 or not self.spawn_rate > 0:
-            raise ValueError("decay and spawn_rate must be positive")
+        if not ((self.baseline >= 0) & (self.baseline < np.inf)).all():
+            raise ValueError("baseline attractiveness must be non-negative and finite")
+        if not ((self.excitation >= 0) & (self.excitation < np.inf)).all():
+            raise ValueError("excitation weights must be non-negative and finite")
+        if not (0 < self.decay < np.inf and 0 < self.spawn_rate < np.inf):
+            raise ValueError("decay and spawn_rate must be positive and finite")
         if not 0.0 <= self.diffusion <= 1.0:
             raise ValueError("diffusion weight must lie in [0, 1]")
         if not self.dt > 0:

@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 config/validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -36,7 +35,7 @@ from .filtering import (
     run_filter,
     save_filter_result,
 )
-from .hawkes import HawkesParams, json_floats, load_count_series, save_count_series, simulate
+from .hawkes import HawkesParams, json_floats, load_count_series, save_count_series, simulate, write_table
 from .ingest import aggregate, clean, read_event_csv, save_cleaning_report
 from .network import (
     MEASURES,
@@ -44,7 +43,6 @@ from .network import (
     error_metrics,
     mean_network,
     rank_distribution,
-    save_metrics,
     save_network,
     save_rank_distribution,
     threshold_subnetwork,
@@ -161,18 +159,6 @@ def _write_manifest(out_dir: Path, mode: str, cfg: dict, seed: int) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _save_filter_outputs(result, out_dir: Path, report: dict | None = None) -> None:
-    """Write a filter run's result, plus its error curves given a truth report."""
-    save_filter_result(result, out_dir)
-    if report is None:
-        return
-    # each curve once, at the precision that reads back bit for bit
-    for key, curve in report.items():
-        if key != "final":
-            np.savetxt(out_dir / f"{key}.csv", curve, delimiter=",", fmt="%.17g")
-    save_metrics(report["final"], out_dir / "metrics.json")
-
-
 # Each run function receives the typed arguments of parse_config and looks
 # the library functions up on this module when it runs, so a tracer can swap them.
 
@@ -184,7 +170,7 @@ def _run_simulate_hawkes(a: SimpleNamespace, workers: int, out_dir: Path) -> Non
 def _run_simulate_abm(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     if a.agent_trace:
         series, agents = simulate_abm(a.abm, a.n_steps, a.seed, return_agent_trace=True)
-        np.savetxt(out_dir / "agents.csv", agents, delimiter=",", fmt="%d")
+        write_table(out_dir / "agents.csv", None, ",".join(["%d"] * agents.shape[1]) + "\n", agents)
     else:
         series = simulate_abm(a.abm, a.n_steps, a.seed)
     a.abm.save(out_dir / "abm_config.json")
@@ -210,7 +196,7 @@ def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     report = None
     if record_param:
         report = error_metrics(result.history, HawkesParams.load(a.truth_path), a.excitation_scale)
-    _save_filter_outputs(result, out_dir, report)
+    save_filter_result(result, out_dir, report)
 
 
 def _run_analyze_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
@@ -233,7 +219,7 @@ def _run_experiment_1(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     )
     run.truth.save(out_dir / "truth.json")
     save_count_series(run.data, out_dir / "counts.csv", seed=a.seed, params=run.truth)
-    _save_filter_outputs(run.result, out_dir, run.report)
+    save_filter_result(run.result, out_dir, run.report)
 
 
 def _run_experiment_2(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
@@ -242,7 +228,7 @@ def _run_experiment_2(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     )
     run.config.save(out_dir / "abm_config.json")
     save_count_series(run.data, out_dir / "counts.csv", seed=a.seed)
-    _save_filter_outputs(run.result, out_dir)
+    save_filter_result(run.result, out_dir)
     structure = {
         "top_k": a.top_k,
         "overlap_with_generator": run.structure_overlap,
@@ -255,11 +241,9 @@ def _run_sweep(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     rows = experiments.run_excitation_sweep(
         a.s1_values, a.s2_values, seeds, n_steps=a.n_steps, ensemble_size=a.ensemble_size,
     )
-    with (out_dir / "sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s1", "s2", "frobenius_mean"])
-        for row in rows:
-            writer.writerow([row["s1"], row["s2"], f"{row['frobenius_mean']:.10g}"])
+    # each scale as its repr, the shortest text that reads back to it
+    write_table(out_dir / "sweep.csv", ["s1", "s2", "frobenius_mean"], "%r,%r,%.10g\r\n",
+                *(np.array([row[key] for row in rows]) for key in ("s1", "s2", "frobenius_mean")))
     (out_dir / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n")
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .hawkes import CountSeries, advance_intensity, check_counts
+from .hawkes import CountSeries, advance_intensity, check_counts, write_table
 
 SNAPSHOT_ARCHIVE = "ensembles.npz"
 # batched passes work in blocks of about this many elements: the regression's
@@ -67,10 +67,10 @@ class GammaSpec:
     variance: float
 
     def __post_init__(self) -> None:
-        if not self.mean > 0:
-            raise ValueError("GammaSpec mean must be positive")
-        if self.variance < 0:
-            raise ValueError("GammaSpec variance must be non-negative")
+        if not 0 < self.mean < np.inf:
+            raise ValueError("GammaSpec mean must be positive and finite")
+        if not 0 <= self.variance < np.inf:
+            raise ValueError("GammaSpec variance must be non-negative and finite")
 
     def draw(self, gen: np.random.Generator, size) -> np.ndarray:
         if self.variance == 0.0:
@@ -203,8 +203,8 @@ class FilterConfig:
     record_intensity_history: bool = False
 
     def __post_init__(self) -> None:
-        if not self.positivity_floor > 0:
-            raise ValueError("positivity_floor must be positive")
+        if not 0 < self.positivity_floor < np.inf:
+            raise ValueError("positivity_floor must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -649,8 +649,10 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
     return FilterResult(Ensemble(*board), cfg, n_steps, data.dt, history, data.node_labels)
 
 
-def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:
-    """Write the manifest (baseline and decay moments), mean excitation matrix, diagnostics and snapshots."""
+def save_filter_result(result: FilterResult, out_dir: str | Path, report: dict | None = None) -> None:
+    """Write a run's result directory: the manifest (baseline and decay moments), the mean
+    excitation matrix, the diagnostics and the snapshots; given an ``error_metrics`` report, also
+    its curves and its ``final`` block as ``metrics.json``, with null for each non-finite value."""
     out_dir = Path(out_dir)
     ens = result.ensembles
     ens.check_complete()
@@ -675,21 +677,21 @@ def save_filter_result(result: FilterResult, out_dir: str | Path) -> None:
         "nodes": nodes,
     }
     (out_dir / "result.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    np.savetxt(out_dir / "alpha_mean.csv", mean[:, 2:], delimiter=",", fmt="%.17g")
+    # every float at the precision that reads back bit for bit
+    write_table(out_dir / "alpha_mean.csv", None, ",".join(["%.17g"] * ens.m) + "\n", mean[:, 2:])
     if result.history is not None and result.history.prior_mean is not None:
         h = result.history
         n_steps, m = h.prior_mean.shape
-        columns = [np.repeat(np.arange(n_steps), m), np.tile(np.arange(m), n_steps)]
-        columns += [getattr(h, key).ravel() for key in _INTENSITY_KEYS]
-        np.savetxt(
-            out_dir / "diagnostics.csv",
-            np.column_stack(columns),
-            fmt=["%d", "%d"] + ["%.17g"] * len(_INTENSITY_KEYS),
-            delimiter=",",
-            newline="\r\n",
-            header=",".join(("step", "node") + _INTENSITY_KEYS),
-            comments="",
-        )
+        write_table(out_dir / "diagnostics.csv", ["step", "node", *_INTENSITY_KEYS],
+                    "%d,%d" + ",%.17g" * len(_INTENSITY_KEYS) + "\r\n",
+                    np.repeat(np.arange(n_steps), m), np.tile(np.arange(m), n_steps),
+                    *(getattr(h, key).ravel() for key in _INTENSITY_KEYS))
+    if report is not None:
+        for key, curve in report.items():
+            if key != "final":
+                write_table(out_dir / f"{key}.csv", None, ",".join(["%.17g"] * curve[0].size) + "\n", curve)
+        final = {key: np.where(np.isfinite(value), value, None).tolist() for key, value in report["final"].items()}
+        (out_dir / "metrics.json").write_text(json.dumps(final, indent=2) + "\n")
     snap_dir = out_dir / "ensembles"
     snap_dir.mkdir(exist_ok=True)
     import zipfile  # here, as in np.savez: it adds about 4 ms to every start-up, and only a save needs it

@@ -12,8 +12,8 @@ network (column j = influence exerted by j).
 
 This module provides the parameter/count containers, the forward simulator
 used as a data generator, the one-step intensity propagation reused as the
-filter's forecast model, CSV/JSON serialization for both, and the bulk CSV
-row writer and field splitter that the other file formats share.
+filter's forecast model, CSV/JSON serialization for both, and the CSV
+table writer and field splitter that the other file formats share.
 """
 
 from __future__ import annotations
@@ -94,6 +94,15 @@ def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
             block[:, at:at + w] = column[lo:hi].reshape(hi - lo, w)
             at += w
         fh.write(row_format * (hi - lo) % tuple(block.ravel().tolist()))
+
+
+def write_table(path: str | Path, header: list[str] | None, row_format: str, *columns: np.ndarray) -> None:
+    """Write a CSV table: the ``header`` cells quoted by ``csv_field`` on one ``\\r\\n`` line (no
+    line when ``header`` is None), then ``write_rows``. Every CSV file of the package is written here."""
+    with Path(path).open("w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(map(csv_field, header)) + "\r\n")
+        write_rows(fh, row_format, *columns)
 
 
 def byte_matrix(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
@@ -316,7 +325,11 @@ class HawkesParams:
 
 @dataclass
 class CountSeries:
-    """Time-indexed event counts, one row per bin of length ``dt``."""
+    """Time-indexed event counts, one row per bin of length ``dt``.
+
+    ``counts`` is held as uint64: a uint64 array is kept as it is, not
+    copied, and any other is cast once.
+    """
 
     counts: np.ndarray
     dt: float
@@ -328,10 +341,12 @@ class CountSeries:
             raise ValueError("counts must be a n_steps x m matrix")
         if counts.dtype.kind != "u":
             check_counts(counts)
+            if counts.dtype.kind == "f" and counts.max(initial=0) >= 2.0**64:
+                raise ValueError("counts must lie in 0 .. 2**64 - 1")
         # cells sized for >= 2^32 events
-        self.counts = counts.astype(np.uint64)
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        self.counts = counts.astype(np.uint64, copy=False)
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         check_labels(self.node_labels, self.m)
 
     @property
@@ -417,11 +432,8 @@ def save_count_series(
 ) -> None:
     """Write counts as CSV plus a JSON sidecar with the run metadata."""
     csv_path = Path(csv_path)
-    labels = series.labels()
-    with csv_path.open("w", newline="") as fh:
-        fh.write(",".join(["t"] + [csv_field(label) for label in labels]) + "\r\n")
-        times = np.arange(series.n_steps) * series.dt
-        write_rows(fh, "%.10g" + ",%d" * series.m + "\r\n", times, series.counts)
+    write_table(csv_path, ["t", *series.labels()], "%.10g" + ",%d" * series.m + "\r\n",
+                np.arange(series.n_steps) * series.dt, series.counts)
     # the CSV holds the labels and the shape
     sidecar = {"dt": series.dt, "seed": seed, "params": params.to_json() if params is not None else None}
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -495,12 +507,18 @@ def load_count_series(csv_path: str | Path) -> tuple[CountSeries, dict]:
         if header is None:
             raise ValueError(f"{csv_path}: empty file, no header row")
         labels = header[1:]
+        # one board for the rows, grown in place by an eighth, so no second copy is held
+        counts, n = np.empty((0, len(labels)), dtype=np.uint64), 0
         try:
-            parts = [_block_counts(block, len(labels)) for block in blocks]
+            for block in blocks:
+                values = _block_counts(block, len(labels))
+                if n + len(values) > len(counts):
+                    counts.resize((max(n + len(values), len(counts) * 9 // 8), len(labels)), refcheck=False)
+                counts[n:n + len(values)] = values
+                n += len(values)
         except ValueError as err:
             raise ValueError(f"{csv_path}: {err}") from err
-    counts = np.concatenate(parts) if parts else np.zeros((0, len(labels)), dtype=np.uint64)
-    del parts  # so the blocks are gone before CountSeries copies the counts
+    counts.resize((n, len(labels)), refcheck=False)
     try:
         return CountSeries(counts, dt, node_labels=labels), meta
     except ValueError as err:

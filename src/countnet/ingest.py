@@ -36,7 +36,10 @@ class EventLog:
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=np.float64)
-        self.nodes = np.asarray(self.nodes, dtype=np.int64)
+        nodes = np.asarray(self.nodes)
+        if nodes.size and nodes.dtype.kind not in "iu":
+            raise ValueError(f"event node codes must be integers, not {nodes.dtype}")
+        self.nodes = nodes.astype(np.int64, copy=False)
         if self.times.ndim != 1 or self.nodes.shape != self.times.shape:
             raise ValueError("times and nodes must align")
         if not (np.isfinite(self.times).all() and np.isfinite([self.t0, self.t1]).all()):
@@ -91,7 +94,7 @@ def clean(
     """
     if min_node_total < 0 or dead_day_threshold < 0:
         raise ValueError("thresholds must be non-negative")
-    times, nodes = log.times.copy(), log.nodes.copy()
+    times, nodes = log.times, log.nodes  # each pass below makes new arrays
     labels = list(log.labels)
     t0, t1 = log.t0, log.t1
     removed_nodes: list[str] = []

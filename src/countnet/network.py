@@ -8,7 +8,6 @@ betweenness, rankings) use the off-diagonal part.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import BLOCK_ELEMENTS, Ensemble, FilterHistory, ensemble_moments
-from .hawkes import HawkesParams, check_labels, csv_field, labels_or_default, write_rows
+from .hawkes import HawkesParams, check_labels, csv_field, labels_or_default, write_table
 
 OUT_DEGREE = "out_degree"
 IN_DEGREE = "in_degree"
@@ -302,10 +301,8 @@ def save_network(net: InfluenceNetwork, edge_csv: str | Path, adjacency_json: st
     np.fill_diagonal(edge, False)
     dst, src = np.nonzero(edge)
     quoted = np.array([csv_field(label) for label in labels], dtype=object)
-    with Path(edge_csv).open("w", newline="") as fh:
-        fh.write("src,dst,weight,weight_sd\r\n")
-        write_rows(fh, "%s,%s,%.17g,%.17g\r\n", quoted[src], quoted[dst],
-                   net.adjacency[dst, src], net.edge_sd[dst, src])
+    write_table(edge_csv, ["src", "dst", "weight", "weight_sd"], "%s,%s,%.17g,%.17g\r\n", quoted[src],
+                quoted[dst], net.adjacency[dst, src], net.edge_sd[dst, src])
     row_format = _json_array(["%r"] * net.m, 2)
     with Path(adjacency_json).open("w") as fh:
         fh.write('{\n  "node_labels": ' + _json_array(list(map(encode_basestring_ascii, labels)), 1))
@@ -334,16 +331,4 @@ def save_rank_distribution(dist: RankDistribution, path: str | Path) -> None:
     """Rank-by-node count matrix as CSV with a header of node labels."""
     m = dist.counts.shape[0]
     labels = labels_or_default(dist.node_labels, m)
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(["rank"] + [csv_field(label) for label in labels]) + "\r\n")
-        write_rows(fh, "%d" + ",%d" * m + "\r\n", np.arange(1, m + 1), dist.counts)
-
-
-def save_metrics(final: dict, path: str | Path) -> None:
-    """A report's ``final`` block as JSON, NaN written as null."""
-    def null_nan(v):
-        if isinstance(v, list):
-            return [null_nan(x) for x in v]
-        return v if np.isfinite(v) else None
-
-    Path(path).write_text(json.dumps({k: null_nan(v) for k, v in final.items()}, indent=2) + "\n")
+    write_table(path, ["rank", *labels], "%d" + ",%d" * m + "\r\n", np.arange(1, m + 1), dist.counts)

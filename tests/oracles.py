@@ -34,6 +34,12 @@ the ``csv.writer`` and ``json.dumps`` writers that ``countnet.network`` and
 references for ``edges.csv``, ``network.json``, the rank CSV and the counts
 CSV with its sidecar.
 
+``save_filter_tables``, ``save_agents`` and ``save_sweep`` are the
+``np.savetxt`` and ``csv.writer`` writers that ``countnet.filtering`` and
+``countnet.cli`` replaced with ``hawkes.write_table``: the byte-level
+references for ``alpha_mean.csv``, ``diagnostics.csv``, the error curves,
+``metrics.json``, ``agents.csv`` and ``sweep.csv``.
+
 ``read_event_csv`` and ``load_count_series`` are the per-row ``csv.reader``
 readers that ``countnet.ingest`` and ``countnet.hawkes`` replaced with
 block passes (``hawkes.csv_blocks``): the exact references for the event
@@ -51,8 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-from countnet import ingest, rng
-from countnet.filtering import AnalysisDiagnostics, Ensemble
+from countnet import filtering, ingest, rng
+from countnet.filtering import AnalysisDiagnostics, Ensemble, FilterResult
 from countnet.hawkes import CountSeries, HawkesParams, labels_or_default
 from countnet.ingest import HOURS_PER_DAY, CleaningReport
 from countnet.network import BETWEENNESS_WEIGHT_FLOOR, InfluenceNetwork, RankDistribution
@@ -452,3 +458,51 @@ def load_count_series(csv_path: str | Path) -> tuple[CountSeries, dict]:
         return CountSeries(counts, float(meta["dt"]), node_labels=labels), meta
     except ValueError as err:
         raise ValueError(f"{csv_path}: {err}") from err
+
+
+def save_filter_tables(result: FilterResult, out_dir: Path, report: dict | None = None) -> None:
+    """``alpha_mean.csv``, ``diagnostics.csv``, the error curves and ``metrics.json`` of a result directory."""
+    mean, _ = filtering.ensemble_moments(result.ensembles)
+    np.savetxt(out_dir / "alpha_mean.csv", mean[:, 2:], delimiter=",", fmt="%.17g")
+    if result.history is not None and result.history.prior_mean is not None:
+        h = result.history
+        n_steps, m = h.prior_mean.shape
+        keys = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
+        columns = [np.repeat(np.arange(n_steps), m), np.tile(np.arange(m), n_steps)]
+        columns += [getattr(h, key).ravel() for key in keys]
+        np.savetxt(
+            out_dir / "diagnostics.csv",
+            np.column_stack(columns),
+            fmt=["%d", "%d"] + ["%.17g"] * len(keys),
+            delimiter=",",
+            newline="\r\n",
+            header=",".join(("step", "node") + keys),
+            comments="",
+        )
+    if report is None:
+        return
+    for key, curve in report.items():
+        if key != "final":
+            np.savetxt(out_dir / f"{key}.csv", curve, delimiter=",", fmt="%.17g")
+
+    def null_nan(v):
+        if isinstance(v, list):
+            return [null_nan(x) for x in v]
+        return v if np.isfinite(v) else None
+
+    final = {k: null_nan(v) for k, v in report["final"].items()}
+    (out_dir / "metrics.json").write_text(json.dumps(final, indent=2) + "\n")
+
+
+def save_agents(path: Path, agents: np.ndarray) -> None:
+    """The per-step agent counts of ``simulate-abm``'s ``agents.csv``."""
+    np.savetxt(path, agents, delimiter=",", fmt="%d")
+
+
+def save_sweep(path: Path, rows: list[dict]) -> None:
+    """``sweep.csv``: one row per (s1, s2) pair of ``run_excitation_sweep``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s1", "s2", "frobenius_mean"])
+        for row in rows:
+            writer.writerow([row["s1"], row["s2"], f"{row['frobenius_mean']:.10g}"])

@@ -243,3 +243,14 @@ class TestSimulateABM:
             two_node_config(spawn_rate=0.0)
         with pytest.raises(ValueError):
             two_node_config(excitation=np.array([[0.0, -1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("key, value", [
+        ("baseline", np.array([np.nan, 3.0])),
+        ("baseline", np.array([1.0, np.inf])),
+        ("excitation", np.array([[0.0, np.nan], [1.0, 0.0]])),
+        ("excitation", np.array([[0.0, 1.0], [np.inf, 0.0]])),
+        ("spawn_rate", np.inf),
+    ])
+    def test_config_refuses_non_finite_numbers(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            two_node_config(**{key: value})

@@ -4,18 +4,24 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from countnet import cli
-from countnet.cli import _save_filter_outputs, main
+import oracles
+from countnet import cli, experiments
+from countnet.cli import main
 from countnet.experiments import abm_test_config
-from countnet.filtering import ensemble_moments, load_ensemble_snapshots, run_filter
-from countnet.hawkes import HawkesParams
+from countnet.filtering import ensemble_moments, load_ensemble_snapshots, run_filter, save_filter_result
+from countnet.hawkes import CountSeries, HawkesParams
 from countnet.network import error_metrics
-from test_filtering import toy_filter_setup
+from test_filtering import ANY_FLOAT, toy_filter_setup
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -398,7 +404,7 @@ class TestPipelines:
         baseline = truth.baseline.copy()
         baseline[0] = result.history.param_mean[0, 0, 0]
         report = error_metrics(result.history, HawkesParams(baseline, truth.decay, truth.excitation))
-        _save_filter_outputs(result, tmp_path, report)
+        save_filter_result(result, tmp_path, report)
         curves = [key for key in report if key != "final"]
         assert len(curves) == 7
         for key in curves:
@@ -434,3 +440,37 @@ class TestPipelines:
     def test_mode_mismatch_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**hawkes_config(), "mode": "simulate-hawkes"})
         assert main(["aggregate", "--config", str(cfg), "--seed", "0"]) == 1
+
+
+class TestTableBytes:
+    """agents.csv and sweep.csv against the np.savetxt and csv.writer writers they replaced, byte for byte.
+
+    The simulation and the sweep are replaced by functions that return the drawn values."""
+
+    @given(agents=arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                         elements=st.integers(-2**63, 2**63 - 1)))
+    @settings(max_examples=50, deadline=None)
+    def test_agents_csv(self, agents):
+        n, m = agents.shape
+        abm = {"baseline": [1.0] * m, "decay": 2.0, "diffusion": 0.0, "spawn_rate": 1.0,
+               "excitation": [[0.0] * m] * m, "dt": 0.1}
+        series = CountSeries(np.zeros((n, m), dtype=np.uint64), 0.1)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "simulate_abm", lambda *args, **kwargs: (series, agents)):
+            tmp = Path(tmp)
+            cfg = write_config(tmp, "abm.json", {"abm": abm, "n_steps": n, "agent_trace": True})
+            assert main(["simulate-abm", "--config", str(cfg), "--seed", "0", "--out-dir", str(tmp / "out")]) == 0
+            oracles.save_agents(tmp / "agents.csv", agents)
+            assert (tmp / "out" / "agents.csv").read_bytes() == (tmp / "agents.csv").read_bytes()
+
+    @given(rows=st.lists(st.fixed_dictionaries({"s1": ANY_FLOAT, "s2": ANY_FLOAT, "frobenius_mean": ANY_FLOAT}),
+                         min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_sweep_csv(self, rows):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(experiments, "run_excitation_sweep", lambda *args, **kwargs: rows):
+            tmp = Path(tmp)
+            cfg = write_config(tmp, "sweep.json", {"s1_values": [1.0], "s2_values": [1.0], "seeds": [0]})
+            assert main(["sweep", "--config", str(cfg), "--seed", "0", "--out-dir", str(tmp / "out")]) == 0
+            oracles.save_sweep(tmp / "sweep.csv", rows)
+            assert (tmp / "out" / "sweep.csv").read_bytes() == (tmp / "sweep.csv").read_bytes()

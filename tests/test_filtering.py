@@ -1,11 +1,14 @@
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from countnet import filtering, rng
 from countnet.filtering import (
@@ -13,6 +16,7 @@ from countnet.filtering import (
     Filter,
     FilterConfig,
     FilterDivergence,
+    FilterHistory,
     FilterResult,
     GammaSpec,
     analytic_posterior,
@@ -843,6 +847,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GammaSpec(1.0, -1.0)
 
+    @pytest.mark.parametrize("mean, variance", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_gamma_spec_refuses_non_finite_numbers(self, mean, variance):
+        with pytest.raises(ValueError, match="GammaSpec .* finite"):
+            GammaSpec(mean, variance)
+
+    @pytest.mark.parametrize("floor", [math.inf, math.nan])
+    def test_filter_config_refuses_a_non_finite_floor(self, floor):
+        # an infinite floor used to fail the first step as a non-finite intensity member
+        with pytest.raises(ValueError, match="positivity_floor must be positive and finite"):
+            FilterConfig(0, positivity_floor=floor)
+
     def test_node_ensemble_validation(self):
         # a node's arrays are checked on the board that holds them
         for shape in ((1, 1, 3), (1, 4, 2), (0, 4, 3)):
@@ -851,3 +866,60 @@ class TestConfigValidation:
         for nodes in ([0], [0.0, 1.0], [[0, 1]]):
             with pytest.raises(ValueError, match="one integer node index per row"):
                 Ensemble(np.ones((2, 4)), np.ones((2, 4, 4)), nodes=nodes)
+
+
+INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
+CURVE_KEYS = ("baseline_error", "decay_error", "excitation_error", "frobenius",
+              "baseline_var_ratio", "decay_var_ratio", "excitation_var_ratio")
+# any float64, the special values drawn often
+ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e308]) | st.floats()
+# an ensemble member: finite and non-negative; small enough that the moments do not overflow
+MEMBER = st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1.0, 1e150]) | st.floats(0.0, 1e150)
+
+
+def result_tables(save, result: FilterResult, report: dict | None) -> dict[str, bytes]:
+    """The bytes of every CSV file and metrics.json that ``save`` writes for ``result``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save(result, Path(tmp), report)
+        return {path.name: path.read_bytes() for path in Path(tmp).iterdir()
+                if path.suffix == ".csv" or path.name == "metrics.json"}
+
+
+def drawn_result(data, m: int, n_steps: int, history: bool) -> FilterResult:
+    M = data.draw(st.integers(2, 4))
+    board = Ensemble(data.draw(arrays(np.float64, (m, M), elements=MEMBER)),
+                     data.draw(arrays(np.float64, (m, M, m + 2), elements=MEMBER)))
+    recorded = None
+    if history:
+        recorded = FilterHistory(**{key: data.draw(arrays(np.float64, (n_steps, m), elements=ANY_FLOAT))
+                                    for key in INTENSITY_KEYS})
+    return FilterResult(board, FilterConfig(0), n_steps, 0.1, recorded)
+
+
+class TestTableBytes:
+    """save_filter_result's CSV tables and metrics.json against the np.savetxt writers they replaced, byte
+    for byte."""
+
+    @given(data=st.data(), m=st.integers(1, 5), n_steps=st.integers(0, 5), history=st.booleans(),
+           truth=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_result_tables(self, data, m, n_steps, history, truth):
+        result = drawn_result(data, m, n_steps, history)
+        report = None
+        if truth:
+            report = {key: data.draw(arrays(np.float64, (n_steps + 1,) if key == "frobenius" else (n_steps + 1, m),
+                                            elements=ANY_FLOAT)) for key in CURVE_KEYS}
+            report["final"] = {key: data.draw(st.lists(ANY_FLOAT, min_size=m, max_size=m))
+                               for key in ("baseline_error", "decay_error", "excitation_error")}
+            report["final"]["frobenius"] = data.draw(ANY_FLOAT)
+        tables = result_tables(save_filter_result, result, report)
+        assert tables == result_tables(oracles.save_filter_tables, result, report)
+        assert len(tables) == 1 + history + 8 * truth
+
+    def test_zero_steps_give_a_header_only_diagnostics_file(self):
+        board = init_ensemble(1, 3, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.1, 0.01), seed=0).draw()
+        history = FilterHistory(**{key: np.empty((0, 1)) for key in INTENSITY_KEYS})
+        result = FilterResult(board, FilterConfig(0), 0, 0.1, history)
+        tables = result_tables(save_filter_result, result, None)
+        assert tables == result_tables(oracles.save_filter_tables, result, None)
+        assert tables["diagnostics.csv"] == ",".join(("step", "node") + INTENSITY_KEYS).encode() + b"\r\n"

@@ -173,6 +173,23 @@ class TestContainers:
         with pytest.raises(ValueError, match="node label 'a' is repeated"):
             CountSeries(np.zeros((3, 3), dtype=np.uint64), 0.1, node_labels=["a", "b", "a"])
 
+    @pytest.mark.parametrize("big", [2.0**64, 1e300])
+    def test_count_series_refuses_float_counts_beyond_uint64(self, big):
+        # these used to wrap in the uint64 cast, to 0
+        with pytest.raises(ValueError, match=re.escape("counts must lie in 0 .. 2**64 - 1")):
+            CountSeries(np.array([[big]]), 0.1)
+
+    def test_count_series_keeps_a_uint64_array(self):
+        counts = np.zeros((3, 2), dtype=np.uint64)
+        assert CountSeries(counts, 0.1).counts is counts
+        largest = np.nextafter(2.0**64, 0.0)  # the largest float count that fits
+        assert CountSeries(np.array([[largest]]), 0.1).counts[0, 0] == int(largest)
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_count_series_refuses_a_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            CountSeries(np.zeros((2, 2), dtype=int), dt)
+
     @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, -1.0])
     def test_count_series_rejects_non_counts(self, bad):
         # inf used to pass and be cast to an arbitrary uint64

@@ -66,6 +66,16 @@ class TestAggregate:
 
 
 class TestClean:
+    def test_input_log_unchanged(self):
+        log = EventLog([1.0, 2.0, 3.0, 4.0, 30.0, 31.0, 40.0, 60.0], [0, 0, 0, 1, 1, 2, 1, 0], 0.0, 72.0,
+                       ["a", "b", "c"])
+        times, nodes = log.times.copy(), log.nodes.copy()
+        cleaned, report = clean(log, min_node_total=2, dead_day_threshold=1)
+        assert (report.removed_nodes, report.removed_days) == (["c"], [2])
+        assert np.array_equal(log.times, times) and np.array_equal(log.nodes, nodes)
+        assert (log.t0, log.t1, log.labels) == (0.0, 72.0, ["a", "b", "c"])
+        assert cleaned.n_events == 6
+
     def test_node_threshold(self):
         times = np.arange(50) * 0.5
         codes = [0] * 45 + [1] * 5
@@ -232,6 +242,12 @@ class TestEventLogValidation:
     def test_non_finite_times_and_window_rejected(self, times, t0, t1):
         with pytest.raises(ValueError, match="must be finite"):
             EventLog(np.array(times), [0] * len(times), t0, t1, ["a"])
+
+    @pytest.mark.parametrize("nodes", [[0.5], [0.0], [np.nan], [True]])
+    def test_non_integer_node_codes_rejected(self, nodes):
+        # a code of 0.5 used to be cut to node 0
+        with pytest.raises(ValueError, match="event node codes must be integers"):
+            EventLog([0.0], nodes, 0.0, 1.0, ["a"])
 
 
 # ------------------------------------------------ against the name-based oracle

@@ -224,6 +224,31 @@ class TestSharedBoard:
         assert own - before <= 1.1 * history + 1.2 * board
 
 
+# Loads the counts CSV argv[1]; prints the counts' bytes, then VmHWM before and after the load, in KiB.
+LOAD_MEMORY = """
+import sys
+from countnet.hawkes import load_count_series
+
+def status_kib(key):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
+
+before = status_kib("VmHWM")
+series, _ = load_count_series(sys.argv[1])
+print(series.counts.nbytes // 1024, before, status_kib("VmHWM"))
+"""
+
+
+class TestLoadMemory:
+    def test_peak_memory_of_a_counts_load(self, tmp_path):
+        # 50,000 x 100 counts, a 38 MiB board: the rows go into one board grown
+        # in place, and CountSeries keeps that uint64 board instead of copying it
+        counts = np.random.default_rng(0).poisson(1.0, size=(50_000, 100)).astype(np.uint64)
+        save_count_series(CountSeries(counts, 0.1), tmp_path / "counts.csv")
+        board, before, peak = map(int, run_script(LOAD_MEMORY, tmp_path / "counts.csv").split())
+        assert peak - before <= 1.5 * board
+
+
 class TestCliEdges:
     def test_aggregate_with_cleaning(self, tmp_path):
         events = tmp_path / "events.csv"
