@@ -22,6 +22,12 @@ stays quiet while its rare events light up its targets.
 
 Dynamics are exchangeable over agents at the same location, so the state
 keeps per-location agent counts rather than individual agents.
+
+``simulate_abm`` runs one step kernel, ``_step``: a few vector passes over
+B(t) (``_fields``) give every event and movement probability and B's
+diffused, decayed part; then each location makes only its own draws, on its
+own stream. ``step_agents``, ``attractiveness_update`` and
+``movement_probabilities`` are thin wrappers over these pieces.
 """
 
 from __future__ import annotations
@@ -39,9 +45,13 @@ SPAWN_POISSON = "poisson"
 SPAWN_FIXED = "fixed"  # deterministic round(spawn_rate * dt) per location per step
 
 
-@dataclass
+@dataclass(frozen=True)
 class ABMConfig:
-    """Static model parameters; ``excitation`` is the m x m matrix W."""
+    """Static model parameters; ``excitation`` is the m x m matrix W.
+
+    Frozen, with read-only copies of its arrays, so the step kernel's tables
+    built here cannot go stale.
+    """
 
     baseline: np.ndarray
     decay: float
@@ -52,18 +62,17 @@ class ABMConfig:
     spawn_law: str = SPAWN_POISSON
 
     def __post_init__(self) -> None:
-        self.baseline = np.asarray(self.baseline, dtype=np.float64)
-        # an own read-only copy, so the neighbourhoods derived from it cannot go stale
-        self.excitation = np.array(self.excitation, dtype=np.float64)
-        self.excitation.flags.writeable = False
-        if self.baseline.ndim != 1:
+        baseline = np.array(self.baseline, dtype=np.float64)
+        excitation = np.array(self.excitation, dtype=np.float64)
+        baseline.flags.writeable = excitation.flags.writeable = False
+        if baseline.ndim != 1:
             raise ValueError("baseline must be a vector")
-        m = self.baseline.shape[0]
-        if self.excitation.shape != (m, m):
+        m = baseline.shape[0]
+        if excitation.shape != (m, m):
             raise ValueError(f"excitation must be {m}x{m}")
-        if not ((self.baseline >= 0) & (self.baseline < np.inf)).all():
+        if not ((baseline >= 0) & (baseline < np.inf)).all():
             raise ValueError("baseline attractiveness must be non-negative and finite")
-        if not ((self.excitation >= 0) & (self.excitation < np.inf)).all():
+        if not ((excitation >= 0) & (excitation < np.inf)).all():
             raise ValueError("excitation weights must be non-negative and finite")
         if not (0 < self.decay < np.inf and 0 < self.spawn_rate < np.inf):
             raise ValueError("decay and spawn_rate must be positive and finite")
@@ -75,9 +84,23 @@ class ABMConfig:
             raise ValueError("decay * dt must be below 1")
         if self.spawn_law not in (SPAWN_POISSON, SPAWN_FIXED):
             raise ValueError(f"unknown spawn_law {self.spawn_law!r}")
-        self._neighbourhoods = [
-            np.flatnonzero((self.excitation[:, s] > 0) & (np.arange(m) != s)) for s in range(m)
-        ]
+        hoods = [np.flatnonzero((excitation[:, s] > 0) & (np.arange(m) != s)) for s in range(m)]
+        # the locations that diffuse, by neighbourhood size; the neighbourhoods of one size k
+        # form a group: a slice of them, and a (2, rows, k) index into [A, B]
+        sizes = np.array([hood.size for hood in hoods])
+        diffusing = np.flatnonzero(sizes)[np.argsort(sizes[sizes > 0], kind="stable")]
+        groups, moves_at = [], [None] * m
+        for g, k in enumerate(np.unique(sizes[diffusing]).tolist()):
+            rows = np.flatnonzero(sizes[diffusing] == k)
+            index = np.array([hoods[s] for s in diffusing[rows]])
+            groups.append((k, slice(rows[0], rows[-1] + 1), np.stack((index, index + m))))
+            for r, s in enumerate(diffusing[rows].tolist()):
+                moves_at[s] = (hoods[s].tolist(), g, r)
+        for name, value in (("baseline", baseline), ("excitation", excitation), ("_neighbourhoods", hoods),
+                            ("_diffusing", diffusing), ("_sizes", sizes[diffusing].astype(np.float64)),
+                            ("_groups", groups), ("_moves_at", moves_at), ("_keep", 1.0 - self.decay * self.dt),
+                            ("_spawn_mean", self.spawn_rate * self.dt)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -144,8 +167,43 @@ def initial_state(cfg: ABMConfig) -> ABMState:
     return ABMState(np.zeros(cfg.m), np.zeros(cfg.m, dtype=np.int64))
 
 
-def attractiveness(state: ABMState, cfg: ABMConfig) -> np.ndarray:
-    return cfg.baseline + state.B
+def _fields(cfg: ABMConfig, B: np.ndarray) -> tuple[list[float], list[np.ndarray], np.ndarray]:
+    """From B(t): the event probabilities, each group's movement probabilities (row r of group
+    g for the location whose ``cfg._moves_at`` names g, r) and B's diffused, decayed part."""
+    A = cfg.baseline + B
+    p = [1.0 - e for e in np.exp(A * -cfg.dt).tolist()]
+    AB, at = np.concatenate((A, B)), cfg._diffusing
+    totals, moves = np.empty((2, at.size)), []
+    for k, span, index in cfg._groups:
+        hoods = AB[index]  # C-contiguous: each row's np.add.reduce has the bits of its .sum()
+        total = np.add.reduce(hoods, axis=-1, out=totals[:, span])[0, :, None]
+        # an agent moves in proportion to attractiveness; uniformly when its neighbourhood has none
+        if np.minimum.reduce(total, axis=None) > 0:
+            moves.append(hoods[0] / total)
+        else:
+            moves.append(np.divide(hoods[0], total, out=np.full(hoods[0].shape, 1.0 / k), where=total > 0))
+    mixed = B.copy()  # a location with no neighbours has nothing to exchange
+    mixed[at] = (1.0 - cfg.diffusion) * B[at] + cfg.diffusion * (totals[1] / cfg._sizes)
+    return p, moves, mixed * cfg._keep
+
+
+def _step(cfg: ABMConfig, B: np.ndarray, agents: list[int], streams) -> tuple[list[int], list[int], np.ndarray]:
+    """The step kernel: (events, next step's agents, next B) from B(t) and the agents, as lists of ints."""
+    p, moves, decayed = _fields(cfg, B)
+    poisson, fixed = cfg.spawn_law == SPAWN_POISSON, round(cfg._spawn_mean)
+    events, arrivals = [], [0] * cfg.m
+    for s, (n, hood) in enumerate(zip(agents, cfg._moves_at)):
+        gen = streams[s]
+        ev = int(gen.binomial(n, p[s])) if n > 0 else 0
+        events.append(ev)
+        if n > ev and hood is None:
+            arrivals[s] += n - ev  # no neighbours: the agents stay
+        elif n > ev:
+            dests, g, r = hood
+            for d, c in zip(dests, gen.multinomial(n - ev, moves[g][r]).tolist()):
+                arrivals[d] += c
+        arrivals[s] += int(gen.poisson(cfg._spawn_mean)) if poisson else fixed
+    return events, arrivals, decayed + cfg.excitation @ np.array(events, dtype=np.float64)
 
 
 def attractiveness_update(state: ABMState, events, cfg: ABMConfig) -> np.ndarray:
@@ -159,14 +217,7 @@ def attractiveness_update(state: ABMState, events, cfg: ABMConfig) -> np.ndarray
         raise ValueError("events must have one entry per location")
     if (events < 0).any():
         raise ValueError("event counts must be non-negative")
-    B = state.B
-    mixed = np.empty(cfg.m)
-    for s, hood in enumerate(cfg.neighbourhoods()):
-        if hood.size == 0:
-            mixed[s] = B[s]  # nothing to exchange with
-        else:
-            mixed[s] = (1.0 - cfg.diffusion) * B[s] + cfg.diffusion * B[hood].mean()
-    return mixed * (1.0 - cfg.decay * cfg.dt) + cfg.excitation @ events
+    return _fields(cfg, state.B)[2] + cfg.excitation @ events
 
 
 def movement_probabilities(
@@ -181,11 +232,8 @@ def movement_probabilities(
     hood = cfg.neighbourhoods()[location]
     if hood.size == 0:
         return hood, np.empty(0)
-    weights = attractiveness(state, cfg)[hood]
-    total = weights.sum()
-    if total > 0:
-        return hood, weights / total
-    return hood, np.full(hood.size, 1.0 / hood.size)
+    _, g, r = cfg._moves_at[location]
+    return hood, _fields(cfg, state.B)[1][g][r]
 
 
 def step_agents(
@@ -199,28 +247,8 @@ def step_agents(
     neighbours stays put). New agents spawn per location at spawn_rate.
     Each location draws from its own stream.
     """
-    m = cfg.m
-    p = 1.0 - np.exp(-attractiveness(state, cfg) * cfg.dt)
-    events = np.zeros(m, dtype=np.int64)
-    arrivals = np.zeros(m, dtype=np.int64)
-    for s in range(m):
-        gen = streams[s]
-        n = int(state.agents[s])
-        ev = int(gen.binomial(n, p[s])) if n > 0 else 0
-        events[s] = ev
-        movers = n - ev
-        if movers > 0:
-            hood, probs = movement_probabilities(state, cfg, s)
-            if hood.size == 0:
-                arrivals[s] += movers
-            else:
-                np.add.at(arrivals, hood, gen.multinomial(movers, probs))
-        if cfg.spawn_law == SPAWN_POISSON:
-            arrivals[s] += int(gen.poisson(cfg.spawn_rate * cfg.dt))
-        else:
-            arrivals[s] += int(round(cfg.spawn_rate * cfg.dt))
-    new_state = ABMState(state.B.copy(), arrivals)
-    return events, new_state
+    events, arrivals, _ = _step(cfg, state.B, state.agents.tolist(), streams)
+    return np.array(events, dtype=np.int64), ABMState(state.B.copy(), arrivals)
 
 
 def simulate_abm(
@@ -246,16 +274,13 @@ def simulate_abm(
     if len(node_indices) != m:
         raise ValueError("node_indices must name every location")
     streams = rng.node_streams(seed, rng.ABM_AGENTS, node_indices)
-    state = initial_state(cfg)
+    B, agents = np.zeros(m), [0] * m  # the empty start of initial_state
     out = np.zeros((n_steps, m), dtype=np.uint64)
     trace = np.zeros((n_steps, m), dtype=np.int64) if return_agent_trace else None
     for k in range(n_steps):
-        if return_agent_trace:
-            trace[k] = state.agents
-        events, state = step_agents(state, cfg, streams)
-        out[k] = events
-        # state.B still holds B(t); the update consumes it with this bin's events
-        state.B = attractiveness_update(state, events, cfg)
+        if trace is not None:
+            trace[k] = agents
+        out[k], agents, B = _step(cfg, B, agents, streams)
     series = CountSeries(out, cfg.dt)
     if return_agent_trace:
         return series, trace

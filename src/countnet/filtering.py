@@ -473,10 +473,12 @@ class Filter:
 
         ``counts_next`` is the full m-node count vector for the next bin.
         """
+        unsigned = np.asarray(counts_next).dtype.kind == "u"  # its type meets the counts rule (CountSeries rows)
         counts_next = np.asarray(counts_next, dtype=np.float64)
         if counts_next.shape != (self.m,):
             raise ValueError("counts_next must hold the full m-node count vector")
-        check_counts(counts_next)
+        if not unsigned:
+            check_counts(counts_next)
         cfg = self.cfg
         floor = cfg.positivity_floor
         own_counts = counts_next[self.nodes]

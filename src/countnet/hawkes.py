@@ -43,8 +43,9 @@ def json_floats(value, ndim: int = 0):
 
 def check_counts(counts: np.ndarray) -> None:
     """Raise ValueError unless every count is a finite, non-negative integer."""
-    # among finite x, floor(x) == |x| holds for exactly the non-negative integers
-    if not (np.isfinite(counts).all() and (np.floor(counts) == np.abs(counts)).all()):
+    # among finite x, floor(x) == |x| holds for exactly the non-negative integers; object
+    # (ints past 64 bits), string and complex arrays have no such test, so fail on their kind
+    if counts.dtype.kind not in "biuf" or not (np.isfinite(counts) & (np.floor(counts) == np.abs(counts))).all():
         raise ValueError("counts must be finite, non-negative integers")
 
 
@@ -64,7 +65,9 @@ def check_labels(labels: list[str] | None, m: int) -> None:
         raise ValueError(f"node label {repeated!r} is repeated")
 
 
-# cells per ``%`` pass of ``write_rows``, and per block of ``csv.reader`` rows in ``csv_blocks``
+# cells per ``%`` pass of ``write_rows``, which holds about 50 bytes of Python objects per cell
+WRITE_CHUNK_CELLS = 1 << 12
+# cells per block of ``csv.reader`` rows in ``csv_blocks``
 ROW_CHUNK_CELLS = 1 << 16
 # characters of a CSV file read per block of lines that numpy splits; a block's
 # scratch arrays stay near this size, which keeps the readers' peak memory low
@@ -85,7 +88,7 @@ def write_rows(fh, row_format: str, *columns: np.ndarray) -> None:
     """
     widths = [1 if c.ndim == 1 else c.shape[1] for c in columns]
     n, width = len(columns[0]), sum(widths)
-    step = max(1, ROW_CHUNK_CELLS // width)
+    step = max(1, WRITE_CHUNK_CELLS // width)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         block = np.empty((hi - lo, width), dtype=object)

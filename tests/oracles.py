@@ -40,6 +40,12 @@ CSV with its sidecar.
 references for ``alpha_mean.csv``, ``diagnostics.csv``, the error curves,
 ``metrics.json``, ``agents.csv`` and ``sweep.csv``.
 
+``attractiveness``, ``attractiveness_update``, ``movement_probabilities``,
+``step_agents`` and ``simulate_abm`` are the per-location agent model that
+``countnet.abm`` replaced with one step kernel: a few vector passes per step
+and a loop that keeps only each location's draws. They are the bit-level
+reference for the counts, the agent trace and B at every step.
+
 ``read_event_csv`` and ``load_count_series`` are the per-row ``csv.reader``
 readers that ``countnet.ingest`` and ``countnet.hawkes`` replaced with
 block passes (``hawkes.csv_blocks``): the exact references for the event
@@ -58,6 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from countnet import filtering, ingest, rng
+from countnet.abm import SPAWN_POISSON, ABMConfig, ABMState, initial_state
 from countnet.filtering import AnalysisDiagnostics, Ensemble, FilterResult
 from countnet.hawkes import CountSeries, HawkesParams, labels_or_default
 from countnet.ingest import HOURS_PER_DAY, CleaningReport
@@ -506,3 +513,121 @@ def save_sweep(path: Path, rows: list[dict]) -> None:
         writer.writerow(["s1", "s2", "frobenius_mean"])
         for row in rows:
             writer.writerow([row["s1"], row["s2"], f"{row['frobenius_mean']:.10g}"])
+
+
+def attractiveness(state: ABMState, cfg: ABMConfig) -> np.ndarray:
+    return cfg.baseline + state.B
+
+
+def attractiveness_update(state: ABMState, events, cfg: ABMConfig) -> np.ndarray:
+    """Next dynamic component B given this bin's per-location event counts.
+
+    Diffusion exchanges mass only between distinct neighbouring locations;
+    self-excitation enters through the W @ events term.
+    """
+    events = np.asarray(events, dtype=np.float64)
+    if events.shape != (cfg.m,):
+        raise ValueError("events must have one entry per location")
+    if (events < 0).any():
+        raise ValueError("event counts must be non-negative")
+    B = state.B
+    mixed = np.empty(cfg.m)
+    for s, hood in enumerate(cfg.neighbourhoods()):
+        if hood.size == 0:
+            mixed[s] = B[s]  # nothing to exchange with
+        else:
+            mixed[s] = (1.0 - cfg.diffusion) * B[s] + cfg.diffusion * B[hood].mean()
+    return mixed * (1.0 - cfg.decay * cfg.dt) + cfg.excitation @ events
+
+
+def movement_probabilities(
+    state: ABMState, cfg: ABMConfig, location: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Destinations D(s) and their probabilities for an agent leaving ``location``.
+
+    Movement is biased toward attractive neighbours; the probability of
+    each destination is its attractiveness over the neighbourhood total.
+    Empty neighbourhood means the agent stays (empty arrays returned).
+    """
+    hood = cfg.neighbourhoods()[location]
+    if hood.size == 0:
+        return hood, np.empty(0)
+    weights = attractiveness(state, cfg)[hood]
+    total = weights.sum()
+    if total > 0:
+        return hood, weights / total
+    return hood, np.full(hood.size, 1.0 / hood.size)
+
+
+def step_agents(
+    state: ABMState, cfg: ABMConfig, streams: list[np.random.Generator]
+) -> tuple[np.ndarray, ABMState]:
+    """One agent step: events, biased movement, spawning.
+
+    Per location s: each agent generates an event with probability p_s and
+    is removed; the rest move to a neighbour in D(s) with probability
+    proportional to the neighbour's attractiveness (an agent with no
+    neighbours stays put). New agents spawn per location at spawn_rate.
+    Each location draws from its own stream.
+    """
+    m = cfg.m
+    p = 1.0 - np.exp(-attractiveness(state, cfg) * cfg.dt)
+    events = np.zeros(m, dtype=np.int64)
+    arrivals = np.zeros(m, dtype=np.int64)
+    for s in range(m):
+        gen = streams[s]
+        n = int(state.agents[s])
+        ev = int(gen.binomial(n, p[s])) if n > 0 else 0
+        events[s] = ev
+        movers = n - ev
+        if movers > 0:
+            hood, probs = movement_probabilities(state, cfg, s)
+            if hood.size == 0:
+                arrivals[s] += movers
+            else:
+                np.add.at(arrivals, hood, gen.multinomial(movers, probs))
+        if cfg.spawn_law == SPAWN_POISSON:
+            arrivals[s] += int(gen.poisson(cfg.spawn_rate * cfg.dt))
+        else:
+            arrivals[s] += int(round(cfg.spawn_rate * cfg.dt))
+    new_state = ABMState(state.B.copy(), arrivals)
+    return events, new_state
+
+
+def simulate_abm(
+    cfg: ABMConfig,
+    n_steps: int,
+    seed: int,
+    node_indices: list[int] | None = None,
+    return_agent_trace: bool = False,
+):
+    """Run the model and emit per-step per-location event counts.
+
+    ``node_indices`` names the stream key of each location (defaults to
+    0..m-1); a sub-model run with the original indices reproduces the same
+    per-location draws, which is what makes decoupled configurations
+    separable. With ``return_agent_trace`` the per-step agent counts are
+    returned alongside the CountSeries.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    m = cfg.m
+    if node_indices is None:
+        node_indices = list(range(m))
+    if len(node_indices) != m:
+        raise ValueError("node_indices must name every location")
+    streams = rng.node_streams(seed, rng.ABM_AGENTS, node_indices)
+    state = initial_state(cfg)
+    out = np.zeros((n_steps, m), dtype=np.uint64)
+    trace = np.zeros((n_steps, m), dtype=np.int64) if return_agent_trace else None
+    for k in range(n_steps):
+        if return_agent_trace:
+            trace[k] = state.agents
+        events, state = step_agents(state, cfg, streams)
+        out[k] = events
+        # state.B still holds B(t); the update consumes it with this bin's events
+        state.B = attractiveness_update(state, events, cfg)
+    series = CountSeries(out, cfg.dt)
+    if return_agent_trace:
+        return series, trace
+    return series

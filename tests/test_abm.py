@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from countnet import rng
+from countnet import abm, rng
 from countnet.abm import (
     ABMConfig,
     ABMState,
@@ -12,6 +16,7 @@ from countnet.abm import (
     step_agents,
 )
 from countnet.experiments import abm_test_config
+import oracles
 
 
 def two_node_config(**kw):
@@ -254,3 +259,73 @@ class TestSimulateABM:
     def test_config_refuses_non_finite_numbers(self, key, value):
         with pytest.raises(ValueError, match="finite"):
             two_node_config(**{key: value})
+
+
+@st.composite
+def abm_cases(draw):
+    """A config over m = 1..24 locations, its stream keys and a step count.
+
+    Neighbourhoods run from empty (a zero column of W) to all m - 1 other
+    locations; baselines may be zero, which leaves a neighbourhood with no
+    attractiveness until an event nearby.
+    """
+    m = draw(st.integers(1, 24))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.15, 0.5, 1.0]))
+    excitation = np.where(gen.random((m, m)) < density, gen.uniform(0.05, 6.0, (m, m)), 0.0)
+    zero_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    baseline = np.where(gen.random(m) < zero_share, 0.0, gen.uniform(0.05, 4.0, m))
+    law = draw(st.sampled_from([abm.SPAWN_POISSON, abm.SPAWN_FIXED]))
+    cfg = ABMConfig(
+        baseline=baseline,
+        decay=draw(st.floats(0.5, 9.5)),
+        diffusion=draw(st.sampled_from([0.0, 1.0, 0.25]) | st.floats(0.0, 1.0)),
+        spawn_rate=draw(st.floats(2.0, 40.0)),  # fixed spawns: round(spawn_rate * dt) = 0 .. 4
+        excitation=excitation,
+        dt=0.1,
+        spawn_law=law,
+    )
+    nodes = draw(st.none() | st.lists(st.integers(0, 63), min_size=m, max_size=m, unique=True))
+    return cfg, nodes, draw(st.integers(0, 2**20)), draw(st.integers(1, 40))
+
+
+class TestStepKernel:
+    """The step kernel against the per-location loop it replaced (``tests/oracles.py``)."""
+
+    @given(abm_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_the_loop_at_every_step(self, case):
+        cfg, nodes, seed, n_steps = case
+        keys = range(cfg.m) if nodes is None else nodes
+        kernel, wrappers, loop = (rng.node_streams(seed, rng.ABM_AGENTS, keys) for _ in range(3))
+        B, agents, state = np.zeros(cfg.m), [0] * cfg.m, initial_state(cfg)
+        for _ in range(n_steps):
+            for s in range(cfg.m):
+                got, want = movement_probabilities(state, cfg, s), oracles.movement_probabilities(state, cfg, s)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            events, agents, B = abm._step(cfg, B, agents, kernel)
+            wrapped_events, wrapped = step_agents(state, cfg, wrappers)
+            want_events, state_next = oracles.step_agents(state, cfg, loop)
+            want_B = oracles.attractiveness_update(state_next, want_events, cfg)
+            assert attractiveness_update(state_next, want_events, cfg).tobytes() == want_B.tobytes()
+            state, state.B = state_next, want_B
+            assert events == wrapped_events.tolist() == want_events.tolist()
+            assert agents == wrapped.agents.tolist() == state.agents.tolist()
+            assert B.tobytes() == want_B.tobytes()
+        got, want = (f(cfg, n_steps, seed, nodes, return_agent_trace=True)
+                     for f in (simulate_abm, oracles.simulate_abm))
+        assert got[0].counts.tobytes() == want[0].counts.tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_reference_config_matches_the_loop(self):
+        cfg = abm_test_config()
+        got, want = (f(cfg, 2000, 7, return_agent_trace=True) for f in (simulate_abm, oracles.simulate_abm))
+        assert got[0].counts.tobytes() == want[0].counts.tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_config_is_frozen_with_read_only_arrays(self):
+        cfg = abm_test_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.decay = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.baseline[0] = 0.0

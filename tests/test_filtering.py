@@ -254,6 +254,20 @@ class TestCountValidation:
         Filter(init, DT, cfg).assimilate_step(np.array([0.0, 3.0, 1e4]))
         pg_analysis(np.array([1.0, 2.0, 3.0]), np.float64(4.0), 0.1, gen(0))
 
+    def test_unsigned_rows_skip_the_check_with_the_same_bits(self, monkeypatch):
+        _, data, init, cfg = toy_filter_setup(n_steps=20)
+        checked = Filter(init, DT, cfg)
+        want = [vars(checked.assimilate_step(row.astype(float))) for row in data.counts]
+        # a uint64 row meets the counts rule by its type, so the step does not check it again
+        monkeypatch.setattr(filtering, "check_counts", None)
+        unchecked = Filter(init, DT, cfg)
+        for row, diag in zip(data.counts, want):
+            assert row.dtype == np.uint64
+            got = vars(unchecked.assimilate_step(row))
+            assert all(np.array_equal(got[key], value) for key, value in diag.items())
+        for a, b in zip(vars(unchecked.ensembles()).values(), vars(checked.ensembles()).values()):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
 
 class TestEnkfRegress:
     def test_hand_example(self):

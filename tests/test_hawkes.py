@@ -196,21 +196,29 @@ class TestContainers:
         with pytest.raises(ValueError, match="finite, non-negative integers"):
             CountSeries(np.array([[0.0, 1.0], [2.0, bad]]), 0.1)
 
+    # object (an int past 64 bits), string and complex arrays have no order to check
+    @pytest.mark.parametrize("counts", [np.array([[2**64]]), np.array([["1"]]), np.array([[1 + 0j]])])
+    def test_count_series_rejects_arrays_of_other_kinds(self, counts):
+        with pytest.raises(ValueError, match="finite, non-negative integers"):
+            CountSeries(counts, 0.1)
+
     @given(
         data=st.data(),
         n=st.integers(0, 20),
         m=st.integers(0, 8),
         dt=st.sampled_from([0.1, 0.25, 1.0, 1e-300, 3e9]) | st.floats(1e-12, 1e12),
+        chunk=st.sampled_from([1, 7, hawkes.WRITE_CHUNK_CELLS]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_counts_csv_bytes_match_csv_writer(self, data, n, m, dt):
+    def test_counts_csv_bytes_match_csv_writer(self, data, n, m, dt, chunk):
         counts = data.draw(arrays(np.uint64, (n, m), elements=st.integers(0, 2**64 - 1)))
         labels = data.draw(st.none() | st.lists(LABEL_TEXT, min_size=m, max_size=m, unique=True))
         series = CountSeries(counts, dt, node_labels=labels)
         params = scalar_params()
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
-            save_count_series(series, new, seed=3, params=params)
+            with patch.object(hawkes, "WRITE_CHUNK_CELLS", chunk):  # rows split across chunks too
+                save_count_series(series, new, seed=3, params=params)
             oracles.save_count_series(series, old, seed=3, params=params)
             for suffix in (".csv", ".json"):
                 assert new.with_suffix(suffix).read_bytes() == old.with_suffix(suffix).read_bytes()
