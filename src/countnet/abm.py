@@ -264,7 +264,8 @@ def simulate_abm(
     0..m-1); a sub-model run with the original indices reproduces the same
     per-location draws, which is what makes decoupled configurations
     separable. With ``return_agent_trace`` the per-step agent counts are
-    returned alongside the CountSeries.
+    returned alongside the CountSeries. Raises ValueError, naming the step,
+    if B overflows.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -277,10 +278,16 @@ def simulate_abm(
     B, agents = np.zeros(m), [0] * m  # the empty start of initial_state
     out = np.zeros((n_steps, m), dtype=np.uint64)
     trace = np.zeros((n_steps, m), dtype=np.int64) if return_agent_trace else None
-    for k in range(n_steps):
-        if trace is not None:
-            trace[k] = agents
-        out[k], agents, B = _step(cfg, B, agents, streams)
+    try:
+        # excitation weights can be finite and still overflow B: that is a model error, not numpy's
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(n_steps):
+                if trace is not None:
+                    trace[k] = agents
+                out[k], agents, B = _step(cfg, B, agents, streams)
+    except FloatingPointError:
+        raise ValueError(f"the dynamic attractiveness B overflowed at step {k}; "
+                         "the excitation weights are too large") from None
     series = CountSeries(out, cfg.dt)
     if return_agent_trace:
         return series, trace

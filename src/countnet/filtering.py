@@ -11,7 +11,13 @@ Per node and per time bin the filter runs four stages:
 3. parameter regression: update each member's parameter vector by
    regressing it on the member-wise intensity innovation (a stochastic
    ensemble-Kalman step whose observation space is scalar);
-4. roll the state forward to the next bin.
+4. roll the state forward to the next bin: the analysis writes the
+   analysed intensities straight into the board, so this is that write.
+
+``Filter`` runs each stage over all its rows at once, in a few (rows, M)
+work arrays allocated when the filter is made; the regression and the
+parameter moments go over the (rows, M, m+2) parameter board in blocks
+of rows with one block of scratch.
 
 Nodes never read each other's ensembles; they couple only through the
 shared observed counts. A node's index is its data column, and every
@@ -32,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .hawkes import CountSeries, advance_intensity, check_counts, write_table
+from .hawkes import CountSeries, check_counts, write_table
 
 SNAPSHOT_ARCHIVE = "ensembles.npz"
 # batched passes work in blocks of about this many elements: the regression's
@@ -44,7 +50,11 @@ _INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "
 
 
 class FilterDivergence(RuntimeError):
-    """A non-finite ensemble member (``what``: intensity or parameter) was detected mid-run."""
+    """A non-finite ensemble member (``what``: intensity or parameter) was detected mid-run.
+
+    A ``Filter`` that raised it holds an invalid board: the failed step's
+    analysed intensities are written, its parameters are not regressed.
+    """
 
     def __init__(self, step: int, node: int, what: str = "intensity"):
         super().__init__(f"non-finite {what} member at step {step}, node {node}")
@@ -229,9 +239,10 @@ def analytic_posterior(
     return post_mean, post_rel_var
 
 
-def _perturbed_rows(counts, M: int, streams) -> tuple[np.ndarray, np.ndarray]:
-    """A (rows, M) board of gamma(count, 1) draws, row r from ``streams[r]``, and its row means."""
-    t = np.empty((len(counts), M))
+def _perturbed_rows(counts: list[float], M: int, streams, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(count, 1) draws, row r of ``out`` (a new (rows, M) board if None) from ``streams[r]``,
+    and their row means."""
+    t = np.empty((len(counts), M)) if out is None else out
     for r, (count, gen) in enumerate(zip(counts, streams)):
         gen.standard_gamma(count, out=t[r])
     return t, np.add.reduce(t, axis=1) / M
@@ -255,35 +266,62 @@ def perturbed_observations(
     return draws[0], float(mean[0])
 
 
-def _analyze_rows(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, AnalysisDiagnostics]:
+def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
+                  work=None) -> tuple[np.ndarray, AnalysisDiagnostics]:
     """Intensity analysis for a board of rows; one stream per row.
 
-    Only a row with a count of at least 1 and some forecast spread draws from its stream.
+    Writes the analysed members into ``out`` and uses ``work``, two boards of
+    ``lam_f``'s shape, as scratch (new arrays for either if None). The
+    diagnostics' ``prior_mean`` is the forecast's row means. Only a row with
+    a count of at least 1 and some forecast spread draws from its stream.
     """
     n_rows, M = lam_f.shape
+    out = np.empty_like(lam_f) if out is None else out
+    u, t = np.empty((2, n_rows, M)) if work is None else work
     mean_f = np.add.reduce(lam_f, axis=1) / M
-    u = lam_f / mean_f[:, None] - 1.0
+    np.divide(lam_f, mean_f[:, None], out=u)
+    u -= 1.0
     prior_rv = np.einsum("im,im->i", u, u) / (M - 1)
     degenerate = prior_rv == 0.0
-    inv_prior = np.divide(1.0, prior_rv, out=np.full(n_rows, np.inf), where=~degenerate)
+    drawing = counts >= 1
+    if degenerate.any():
+        inv_prior = np.divide(1.0, prior_rv, out=np.full(n_rows, np.inf), where=~degenerate)
+        drawing &= ~degenerate
+    else:
+        inv_prior = 1.0 / prior_rv
 
-    innovation = counts - mean_f * dt
-    gain = mean_f / (inv_prior + mean_f * dt)  # degenerate rows get gain 0
+    expected = mean_f * dt
+    innovation = counts - expected
+    gain = mean_f / (inv_prior + expected)  # degenerate rows get gain 0
     post_mean = mean_f + gain * innovation
 
-    # redistribute relative deviations; the other rows keep theirs
-    act = np.flatnonzero((counts >= 1) & ~degenerate)
+    # redistribute relative deviations, u + c * (t / mean(t) - 1 - u); the other rows keep
+    # theirs. When every row draws, u is updated in place, not through the index.
+    act = drawing.nonzero()[0]
     if act.size:
-        t, t_mean = _perturbed_rows(counts[act], M, [streams[i] for i in act])
-        c = prior_rv[act] / (prior_rv[act] + 1.0 / counts[act])
-        u_act = u[act]
-        u[act] = u_act + c[:, None] * (t / t_mean[:, None] - 1.0 - u_act)
-    lam_a = post_mean[:, None] * (1.0 + u)
-    np.maximum(lam_a, floor, out=lam_a)
+        every = act.size == n_rows
+        rows = slice(None) if every else act
+        draws = streams if every else [streams[i] for i in act.tolist()]
+        t, t_mean = _perturbed_rows(counts[rows].tolist(), M, draws, t[: act.size])
+        c = prior_rv[rows] / (prior_rv[rows] + 1.0 / counts[rows])
+        u_act = u if every else u[act]
+        t /= t_mean[:, None]
+        t -= 1.0
+        t -= u_act
+        t *= c[:, None]
+        if every:
+            u += t
+        else:
+            u[act] = u_act + t
+    u += 1.0
+    np.multiply(post_mean[:, None], u, out=out)
+    np.maximum(out, floor, out=out)
 
-    post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
+    post_rv = 1.0 / (inv_prior + counts)
+    if act.size < n_rows:  # a row with a zero count keeps its prior relative variance
+        post_rv = np.where(counts == 0, prior_rv, post_rv)
     diag = AnalysisDiagnostics(mean_f, post_mean, prior_rv, post_rv, innovation, degenerate)
-    return lam_a, diag
+    return out, diag
 
 
 def pg_analysis(
@@ -312,29 +350,44 @@ def pg_analysis(
     return board[0], AnalysisDiagnostics(**{k: v[0].item() for k, v in vars(diag).items()})
 
 
-def _regress_rows(q, lam_f, lam_a, floor, tmp) -> None:
+def _regression_rows(lam_f, mean_f, lam_a, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The regression's inputs for a board of rows, whose forecast has row means ``mean_f``.
+
+    Returns the forecast deviations and lam_a - lam_f, written into ``work``
+    (two boards of ``lam_f``'s shape), and each row's scale: one over the sum
+    of the forecast and analysis intensity variances, or 0 for a row without
+    intensity spread.
+    """
+    ydev, innov = work
+    M = lam_f.shape[1]
+    np.subtract(lam_f, mean_f[:, None], out=ydev)
+    yadev = np.subtract(lam_a, (np.add.reduce(lam_a, axis=1) / M)[:, None], out=innov)
+    denom = (np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)) / (M - 1)
+    if denom.min() > 0:
+        scale = 1.0 / denom
+    else:
+        scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
+    np.subtract(lam_a, lam_f, out=innov)
+    return ydev, innov, scale
+
+
+def _regress_rows(q, ydev, innov, scale, floor, tmp) -> None:
     """Parameter regression for a board of rows, in place.
 
     ``q`` is (n_rows, M, p), each row's members by parameters, and ``tmp``
-    is scratch of the same shape. A row's gain is the cross-covariance
+    is scratch of the same shape; ``ydev``, ``innov`` and ``scale`` are the
+    rows' ``_regression_rows``. A row's gain is the cross-covariance
     between its parameter members and the forecast-intensity deviations,
-    divided by the sum of the forecast and analysis intensity variances;
-    each member moves by gain * (lam_a - lam_f) and is clamped at
-    ``floor``. A row without intensity spread gets gain 0. Each row's
-    arithmetic is its own, so any split into blocks of rows gives the same bits.
+    times its scale; each member moves by gain * (lam_a - lam_f) and is
+    clamped at ``floor``. Each row's arithmetic is its own, so any split
+    into blocks of rows gives the same bits.
     """
     M = q.shape[1]
-    ydev = lam_f - (np.add.reduce(lam_f, axis=1) / M)[:, None]
-    yadev = lam_a - (np.add.reduce(lam_a, axis=1) / M)[:, None]
-    denom = (np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)) / (M - 1)
-    safe = denom > 0
-    scale = np.zeros_like(denom)
-    scale[safe] = 1.0 / denom[safe]
     # ydev has zero member mean, so cov(q, y) = sum_m q_m * ydev_m / (M-1)
     # and the parameter members need no centring pass
     gain = np.einsum("imj,im->ij", q, ydev) / (M - 1) * scale[:, None]
     # per-row outer products; einsum writes them faster than a broadcast
-    np.einsum("im,ij->imj", lam_a - lam_f, gain, out=tmp)
+    np.einsum("im,ij->imj", innov, gain, out=tmp)
     q += tmp
     np.maximum(q, floor, out=q)
 
@@ -368,8 +421,9 @@ def enkf_regress(
     M = q.shape[0]
     if lam_f.shape != (M,) or lam_a.shape != (M,):
         raise ValueError("q, lam_f and lam_a must share the member count")
-    board = q[None].copy()
-    _regress_rows(board, lam_f[None], lam_a[None], floor, np.empty_like(board))
+    board, lam_f = q[None].copy(), lam_f[None]
+    rows = _regression_rows(lam_f, np.add.reduce(lam_f, axis=1) / M, lam_a[None], np.empty((2, 1, M)))
+    _regress_rows(board, *rows, floor, np.empty_like(board))
     return board[0]
 
 
@@ -412,7 +466,7 @@ def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scratch, and each row gets the bits of its own np.mean and np.var.
     """
     n, M, p = params.shape
-    rows = min(n, max(1, BLOCK_ELEMENTS // (M * p)))
+    rows = _block_rows(params)
     mean, var = np.empty((n, p)), np.empty((n, p))
     scratch = np.empty((rows, M, p))
     for lo in range(0, n, rows):
@@ -423,6 +477,12 @@ def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(block, mu[:, None, :], out=dev)
         var[lo : lo + rows] = np.einsum("imj,imj->ij", dev, dev) / (M - 1)
     return mean, var
+
+
+def _block_rows(params: np.ndarray) -> int:
+    """Rows per block of an (n, M, p) board: about BLOCK_ELEMENTS elements, at least one row, at most n."""
+    n, M, p = params.shape
+    return min(n, max(1, BLOCK_ELEMENTS // (M * p)))
 
 
 def ensemble_moments(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -442,6 +502,15 @@ class Filter:
     column ``nodes[r]``, and its stream is keyed by that index, so a sub-filter
     over any subset of nodes, in any order (see ``Ensemble.take``), reproduces
     those nodes' results bit for bit.
+
+    The step's working memory is allocated here, once: five (rows, M) boards
+    (the forecast, the relative deviations, the perturbed draws, the
+    regression deviations and the excitation product) and the regression's
+    scratch, one block of rows of the parameter board. A step allocates only
+    vectors of one value per row. Each step reads the board afresh, so writes
+    made to it between steps are honoured.
+    The analysis writes into the board before the divergence check, so after
+    a ``FilterDivergence`` the board is invalid and the filter must not step on.
     """
 
     def __init__(self, source, dt: float, cfg: FilterConfig, out=None, rows=slice(None)):
@@ -461,8 +530,8 @@ class Filter:
         self._prev = np.zeros(self.m)
         self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.nodes.tolist())
         self.k = 0
-        # the regression's scratch: one block of rows, sized as param_moments sizes its blocks
-        self._tmp = np.empty((min(len(params), max(1, BLOCK_ELEMENTS // params[0].size)), *params.shape[1:]))
+        self._lam_f, self._u, self._t, self._ydev, self._excite = np.empty((5, *lam.shape))
+        self._tmp = np.empty((_block_rows(params), *params.shape[1:]))
 
     def param_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Current per-node parameter means and variances (ddof=1), (n_nodes, m+2) each."""
@@ -474,38 +543,44 @@ class Filter:
         ``counts_next`` is the full m-node count vector for the next bin.
         """
         unsigned = np.asarray(counts_next).dtype.kind == "u"  # its type meets the counts rule (CountSeries rows)
-        counts_next = np.asarray(counts_next, dtype=np.float64)
-        if counts_next.shape != (self.m,):
+        counts = np.array(counts_next, dtype=np.float64)  # the filter's own copy, kept as _prev
+        if counts.shape != (self.m,):
             raise ValueError("counts_next must hold the full m-node count vector")
         if not unsigned:
-            check_counts(counts_next)
-        cfg = self.cfg
-        floor = cfg.positivity_floor
-        own_counts = counts_next[self.nodes]
+            check_counts(counts)
+        floor, dt = self.cfg.positivity_floor, self.dt
+        lam, params, lam_f = self._lam, self._params, self._lam_f
+        base = params[:, :, 0]
 
-        # Stage 1: member-specific forecast from the previous bin's counts
-        params = self._params
-        excite = params[:, :, 2:] @ self._prev
-        lam_f = advance_intensity(self._lam, params[:, :, 0], params[:, :, 1], excite, self.dt)
+        # Stage 1: member-specific forecast from the previous bin's counts, in the
+        # order of advance_intensity: base + (lam - base) * (1 - decay * dt) + excite
+        np.matmul(params[:, :, 2:], self._prev, out=self._excite)
+        np.multiply(params[:, :, 1], dt, out=lam_f)
+        np.subtract(1.0, lam_f, out=lam_f)
+        lam_f *= np.subtract(lam, base, out=self._u)
+        np.add(base, lam_f, out=lam_f)
+        lam_f += self._excite
         np.maximum(lam_f, floor, out=lam_f)
 
-        # Stage 2: conjugate intensity analysis; overflow surfaces as the
-        # explicit divergence error right below, not as numpy warnings
+        # Stage 2: conjugate intensity analysis, written into the board (Stage 4, the roll
+        # forward, is this write); overflow surfaces as the explicit divergence error right
+        # below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            lam_a, diag = _analyze_rows(lam_f, own_counts, self.dt, floor, self._streams)
-        if not np.isfinite(lam_a).all():
+            lam_a, diag = _analyze_rows(lam_f, counts[self.nodes], dt, floor, self._streams,
+                                        lam, (self._u, self._t))
+        if not lam_a.max() < np.inf:  # NaN fails too; every other member is at least the floor
             bad = int(np.argwhere(~np.isfinite(lam_a))[0][0])
             raise FilterDivergence(self.k, int(self.nodes[bad]))
 
         # Stage 3: regress parameter members on the intensity innovations, by blocks of rows
+        ydev, innov, scale = _regression_rows(lam_f, diag.prior_mean, lam_a, (self._ydev, self._t))
         rows = len(self._tmp)
         for lo in range(0, len(self.nodes), rows):
-            q = params[lo : lo + rows]
-            _regress_rows(q, lam_f[lo : lo + rows], lam_a[lo : lo + rows], floor, self._tmp[: len(q)])
+            hi = lo + rows
+            q = params[lo:hi]
+            _regress_rows(q, ydev[lo:hi], innov[lo:hi], scale[lo:hi], floor, self._tmp[: len(q)])
 
-        # Stage 4: roll forward
-        self._lam[...] = lam_a
-        self._prev = counts_next.copy()
+        self._prev = counts
         self.k += 1
         return diag
 

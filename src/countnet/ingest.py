@@ -114,18 +114,20 @@ def clean(
         if times.size == 0:
             break  # nothing left for the day pass; handled below
         n_days = max(1, int(np.ceil((t1 - t0) / HOURS_PER_DAY))) if t1 > t0 else 1
-        day_of = np.minimum(
-            np.floor((times - t0) / HOURS_PER_DAY).astype(np.int64), n_days - 1
-        )
+        # the day index and the shift are built in place: at most two event-length temporaries at once
+        day_of = np.subtract(times, t0)
+        day_of /= HOURS_PER_DAY
+        day_of = np.floor(day_of, out=day_of).astype(np.int64)
+        np.minimum(day_of, n_days - 1, out=day_of)
         dead = np.bincount(day_of, minlength=n_days) <= dead_day_threshold
         if dead.any():
             changed = True
             dead_days = np.flatnonzero(dead)
             removed_days.extend(dead_days.tolist())
-            keep = ~dead[day_of]
-            shift = np.cumsum(dead)  # days removed so far
-            times = times[keep] - HOURS_PER_DAY * shift[day_of[keep]]
-            nodes = nodes[keep]
+            keep = (~dead)[day_of]
+            day_of = day_of[keep]
+            times, nodes = times[keep], nodes[keep]
+            times -= (HOURS_PER_DAY * np.cumsum(dead))[day_of]  # the hours of the days removed so far
             # the final day may be partial; only its width inside the window
             # leaves t1 (no events can sit beyond it, so shifts stay whole days)
             widths = np.minimum(HOURS_PER_DAY, t1 - (t0 + HOURS_PER_DAY * dead_days))

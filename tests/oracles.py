@@ -16,6 +16,16 @@ each observed row draws its perturbed observations with ``gamma(dN, 1)``
 and is updated on its own. It is the bit-level reference for the batched
 kernel, draws and stream states included.
 
+``filter_step`` is one step of ``countnet.filtering.Filter.assimilate_step``
+as it ran before the filter kept its work arrays: the forecast through
+``advance_intensity``, the whole-board analysis ``board_analysis`` (new arrays
+for every pass, the perturbed observations drawn row by row into a new board,
+the observed rows updated through fancy indexing), the regression
+``board_regression`` (its row vectors computed inside it) and a copy of the
+analysed intensity into the board. With ``param_moments`` below for the
+history, it is the bit-level per-step reference for the board, the
+diagnostics, the history and every analysis stream's state.
+
 ``param_moments`` is the per-row ``np.mean``/``np.std`` reduction that
 ``countnet.filtering.param_moments`` replaced with one blocked kernel: the
 bit-level reference for the history, ``result.json`` and the network.
@@ -66,7 +76,7 @@ import numpy as np
 from countnet import filtering, ingest, rng
 from countnet.abm import SPAWN_POISSON, ABMConfig, ABMState, initial_state
 from countnet.filtering import AnalysisDiagnostics, Ensemble, FilterResult
-from countnet.hawkes import CountSeries, HawkesParams, labels_or_default
+from countnet.hawkes import CountSeries, HawkesParams, advance_intensity, labels_or_default
 from countnet.ingest import HOURS_PER_DAY, CleaningReport
 from countnet.network import BETWEENNESS_WEIGHT_FLOOR, InfluenceNetwork, RankDistribution
 
@@ -103,6 +113,75 @@ def analyze_rows(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analysi
 
     post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
     return lam_a, AnalysisDiagnostics(mean_f, post_mean, prior_rv, post_rv, innovation, degenerate)
+
+
+def _perturbed_rows(counts, M: int, streams) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, M) board of gamma(count, 1) draws, row r from ``streams[r]``, and its row means."""
+    t = np.empty((len(counts), M))
+    for r, (count, gen) in enumerate(zip(counts, streams)):
+        gen.standard_gamma(count, out=t[r])
+    return t, np.add.reduce(t, axis=1) / M
+
+
+def board_analysis(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, AnalysisDiagnostics]:
+    """Intensity analysis for a board of rows; one stream per row."""
+    n_rows, M = lam_f.shape
+    mean_f = np.add.reduce(lam_f, axis=1) / M
+    u = lam_f / mean_f[:, None] - 1.0
+    prior_rv = np.einsum("im,im->i", u, u) / (M - 1)
+    degenerate = prior_rv == 0.0
+    inv_prior = np.divide(1.0, prior_rv, out=np.full(n_rows, np.inf), where=~degenerate)
+
+    innovation = counts - mean_f * dt
+    gain = mean_f / (inv_prior + mean_f * dt)  # degenerate rows get gain 0
+    post_mean = mean_f + gain * innovation
+
+    # redistribute relative deviations; the other rows keep theirs
+    act = np.flatnonzero((counts >= 1) & ~degenerate)
+    if act.size:
+        t, t_mean = _perturbed_rows(counts[act], M, [streams[i] for i in act])
+        c = prior_rv[act] / (prior_rv[act] + 1.0 / counts[act])
+        u_act = u[act]
+        u[act] = u_act + c[:, None] * (t / t_mean[:, None] - 1.0 - u_act)
+    lam_a = post_mean[:, None] * (1.0 + u)
+    np.maximum(lam_a, floor, out=lam_a)
+
+    post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
+    diag = AnalysisDiagnostics(mean_f, post_mean, prior_rv, post_rv, innovation, degenerate)
+    return lam_a, diag
+
+
+def board_regression(q, lam_f, lam_a, floor, tmp) -> None:
+    """Parameter regression for a board of rows, in place; ``tmp`` is scratch of ``q``'s shape."""
+    M = q.shape[1]
+    ydev = lam_f - (np.add.reduce(lam_f, axis=1) / M)[:, None]
+    yadev = lam_a - (np.add.reduce(lam_a, axis=1) / M)[:, None]
+    denom = (np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)) / (M - 1)
+    safe = denom > 0
+    scale = np.zeros_like(denom)
+    scale[safe] = 1.0 / denom[safe]
+    gain = np.einsum("imj,im->ij", q, ydev) / (M - 1) * scale[:, None]
+    np.einsum("im,ij->imj", lam_a - lam_f, gain, out=tmp)
+    q += tmp
+    np.maximum(q, floor, out=q)
+
+
+def filter_step(lam, params, prev, counts_next, nodes, dt, floor, streams) -> AnalysisDiagnostics:
+    """One filter step on the board ``lam`` (n, M), ``params`` (n, M, m+2), in place.
+
+    ``prev`` is the previous bin's full count vector and ``counts_next`` the
+    new one; row r assimilates column ``nodes[r]`` with ``streams[r]``.
+    """
+    counts_next = np.asarray(counts_next, dtype=np.float64)
+    own_counts = counts_next[nodes]
+    excite = params[:, :, 2:] @ prev
+    lam_f = advance_intensity(lam, params[:, :, 0], params[:, :, 1], excite, dt)
+    np.maximum(lam_f, floor, out=lam_f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_a, diag = board_analysis(lam_f, own_counts, dt, floor, streams)
+    board_regression(params, lam_f, lam_a, floor, np.empty_like(params))  # one block: any split has its bits
+    lam[...] = lam_a
+    return diag
 
 
 def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

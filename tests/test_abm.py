@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,16 @@ class TestSimulateABM:
             two_node_config(spawn_rate=0.0)
         with pytest.raises(ValueError):
             two_node_config(excitation=np.array([[0.0, -1.0], [0.0, 0.0]]))
+
+    def test_overflowing_attractiveness_is_a_model_error(self):
+        # finite weights whose events overflow B in the third step's update
+        cfg = two_node_config(baseline=np.full(2, 2.0), decay=5.0, spawn_rate=30.0,
+                              excitation=np.full((2, 2), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            simulate_abm(cfg, 2, seed=0)
+            with pytest.raises(ValueError, match="B overflowed at step 2;"):
+                simulate_abm(cfg, 50, seed=0, return_agent_trace=True)
 
     @pytest.mark.parametrize("key, value", [
         ("baseline", np.array([np.nan, 3.0])),

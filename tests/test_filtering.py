@@ -848,6 +848,122 @@ class TestRunFilter:
         assert (tmp_path / "a" / archive).read_bytes() == (tmp_path / "b" / archive).read_bytes()
 
 
+DEGENERATE_ROW = 2
+
+
+def lean_step_setup(m=5, M=16, n_steps=12, seed=4):
+    """A board and counts that take the analysis through each of its paths.
+
+    Row DEGENERATE_ROW has identical members with lam = baseline = 2.0 and no
+    excitation, so its forecast has no spread; every bin gives every row a
+    count but bins 1 and 2, which give some rows a zero count.
+    """
+    g = gen(seed)
+    lam = g.gamma(2.0, size=(m, M)) + 0.5
+    params = g.gamma(2.0, 0.5, size=(m, M, m + 2))
+    params[:, :, 2:] *= 0.1
+    make_degenerate(lam, params)
+    counts = g.poisson(2.0, size=(n_steps, m)) + 1
+    counts[1, [0, 3]] = counts[2, 1] = 0
+    return Ensemble(lam, params), CountSeries(counts.astype(np.uint64), DT)
+
+
+def make_degenerate(lam, params):
+    lam[DEGENERATE_ROW] = params[DEGENERATE_ROW, :, 0] = 2.0
+    params[DEGENERATE_ROW, :, 1] = 3.0
+    params[DEGENERATE_ROW, :, 2:] = 0.0
+
+
+def oracle_run(init, data, cfg):
+    """The per-step oracle over ``data``: the final board, its parameter moments and diagnostics."""
+    lam = np.maximum(init.intensity, cfg.positivity_floor)
+    params, prev = init.params.copy(), np.zeros(data.m)
+    streams = rng.node_streams(cfg.seed, rng.ANALYSIS, init.nodes.tolist())
+    moments, diags = [oracles.param_moments(params)[:2]], []
+    for row in data.counts:
+        diags.append(oracles.filter_step(lam, params, prev, row, init.nodes, data.dt, cfg.positivity_floor, streams))
+        prev = row.astype(np.float64)
+        moments.append(oracles.param_moments(params)[:2])
+    return lam, params, moments, diags
+
+
+class TestLeanStep:
+    """Filter.assimilate_step against the per-step oracle: board, diagnostics, history and stream states."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_steps_match_the_oracle(self, monkeypatch, dtype, rows):
+        init, data = lean_step_setup()
+        cfg = FilterConfig(seed=9)
+        monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", rows * init.params[0].size)
+        filt = Filter(init, DT, cfg)
+        lam, params = np.maximum(init.intensity, cfg.positivity_floor), init.params.copy()
+        prev, streams = np.zeros(data.m), rng.node_streams(cfg.seed, rng.ANALYSIS, range(data.m))
+        drawn = set()
+        spread = gen(5).gamma(2.0, 0.5, size=(init.M, data.m + 2))
+        for k, row in enumerate(data.counts):
+            # writes between steps are read by the next one: row DEGENERATE_ROW gets a spread, then none
+            for board in ((lam, params), (filt._lam, filt._params)):
+                if k == 3:
+                    board[0][DEGENERATE_ROW], board[1][DEGENERATE_ROW] = spread[:, 0], spread
+                elif k == 6:
+                    make_degenerate(*board)
+            want = oracles.filter_step(lam, params, prev, row, init.nodes, DT, cfg.positivity_floor, streams)
+            got = filt.assimilate_step(row.astype(dtype))
+            prev = row.astype(np.float64)
+            assert filt._lam.tobytes() == lam.tobytes() and filt._params.tobytes() == params.tobytes()
+            for key, value in vars(want).items():
+                assert getattr(got, key).tobytes() == value.tobytes(), (k, key)
+            assert [stream_state(g) for g in filt._streams] == [stream_state(g) for g in streams]
+            mean, var = filt.param_moments()
+            want_mean, want_var, _ = oracles.param_moments(params)
+            assert mean.tobytes() == want_mean.tobytes() and var.tobytes() == want_var.tobytes()
+            drawn.add(int(((row >= 1) & ~got.degenerate).sum()))
+            assert got.degenerate.tolist() == [r == DEGENERATE_ROW and not 3 <= k < 6 for r in range(data.m)]
+        # rows drew through the index (steps 0-2 and from 6) and all together (steps 3-5)
+        assert {data.m - 1, data.m - 2, data.m - 3, data.m} <= drawn
+
+    @pytest.mark.parametrize("history", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_runs_match_the_oracle(self, monkeypatch, history, workers, rows):
+        init, data = lean_step_setup()
+        cfg = FilterConfig(seed=9, record_param_history=history, record_intensity_history=history)
+        monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", rows * init.params[0].size)
+        lam, params, moments, diags = oracle_run(init, data, cfg)
+        res = run_filter(data, init, cfg, workers=workers)
+        assert res.ensembles.intensity.tobytes() == lam.tobytes()
+        assert res.ensembles.params.tobytes() == params.tobytes()
+        if history:
+            h = res.history
+            assert h.param_mean.tobytes() == np.array([mu for mu, _ in moments]).tobytes()
+            assert h.param_var.tobytes() == np.array([v for _, v in moments]).tobytes()
+            for key in INTENSITY_KEYS:
+                assert getattr(h, key).tobytes() == np.array([getattr(d, key) for d in diags]).tobytes(), key
+
+    def test_a_count_row_changed_after_its_step_leaves_the_next_step(self):
+        # the filter keeps each bin's counts for the next forecast, but a float64 row, a view
+        # of the caller's counts, or an array-like that hands out its own buffer stays the
+        # caller's to change
+        class Wrapped:
+            def __init__(self, buf):
+                self.buf = buf
+
+            def __array__(self, dtype=None, copy=None):
+                return self.buf.copy() if copy else self.buf
+
+        init, data = lean_step_setup()
+        plain, mutated = Filter(init, DT, FilterConfig(seed=9)), Filter(init, DT, FilterConfig(seed=9))
+        rows = data.counts.astype(np.float64)
+        for k, row in enumerate(data.counts):
+            plain.assimilate_step(row)
+            own = (rows[k].copy(), rows[k], Wrapped(rows[k].copy()))[k % 3]
+            mutated.assimilate_step(own)
+            np.asarray(own)[:] = 1e6
+        assert plain._lam.tobytes() == mutated._lam.tobytes()
+        assert plain._params.tobytes() == mutated._params.tobytes()
+
+
 class TestConfigValidation:
     def test_bad_configs(self):
         with pytest.raises(ValueError):

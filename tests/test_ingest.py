@@ -98,6 +98,13 @@ class TestClean:
         assert sorted(report.removed_nodes) == [f"n{k}" for k in range(5)]
         assert len(log.labels) == 5
 
+    def test_event_at_the_window_end_belongs_to_the_last_day(self):
+        # a 2-day window: the event at t1 = 48 is day 1's, so day 1 holds two events and stays
+        times = [1.0, 5.0, 30.0, 48.0]
+        log, report = clean(log_of(times, t1=48.0), min_node_total=0, dead_day_threshold=1)
+        assert report.removed_days == []
+        assert (log.t1, log.times.tolist()) == (48.0, times)
+
     def test_dead_day_splicing(self):
         # 3-day log with an empty middle day: output spans 2 days
         times = [1.0, 5.0, 49.0, 60.0]

@@ -147,10 +147,12 @@ class TestFilterEdges:
 TESTS = Path(__file__).resolve().parent
 
 
-def run_script(script: str, *args) -> str:
-    """Run ``script`` in a fresh interpreter with the package and the tests importable; its stdout."""
+def run_script(script: str, *args, blas_threads: int = 1) -> str:
+    """Run ``script`` in a fresh interpreter with the package and the tests importable and
+    ``blas_threads`` BLAS threads; its stdout."""
+    threads = str(blas_threads)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
     done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -222,6 +224,26 @@ class TestSharedBoard:
         board, history, before, own, _ = map(int, run_script(MEMORY, 2, 60, 16, 400, 1, tmp_path / "r").split())
         assert history > 40 * board
         assert own - before <= 1.1 * history + 1.2 * board
+
+
+# A net100-sized filter run (m=100, M=128, 30 bins); prints the sha256 of the final board.
+BOARD_HASH = """
+import hashlib
+import numpy as np
+from countnet.filtering import FilterConfig, GammaSpec, init_ensemble, run_filter
+from countnet.hawkes import CountSeries
+
+data = CountSeries(np.random.default_rng(0).poisson(0.5, size=(30, 100)).astype(np.uint64), 0.1)
+init = init_ensemble(100, 128, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.01, 0.0001), seed=0)
+board = run_filter(data, init, FilterConfig(seed=0)).ensembles
+print(hashlib.sha256(board.intensity.tobytes() + board.params.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_the_board_does_not_depend_on_blas_threads(self):
+        # the forecast is a BLAS product, which a BLAS library may split over its threads
+        assert run_script(BOARD_HASH, blas_threads=1) == run_script(BOARD_HASH, blas_threads=2)
 
 
 # Loads the counts CSV argv[1]; prints the counts' bytes, then VmHWM before and after the load, in KiB.
