@@ -188,14 +188,13 @@ def _run_aggregate(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
 
 def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     data, _meta = load_count_series(a.counts_path)
-    # only the error curves against a truth read the parameter history
-    record_param = a.record_param_history and a.truth_path is not None
-    fcfg = FilterConfig(a.seed, a.positivity_floor, record_param, a.record_intensity_history)
+    # read before the first step, so that a truth that does not fit fails the run at once
+    truth = None if a.truth_path is None else HawkesParams.load(a.truth_path)
+    fcfg = FilterConfig(a.seed, a.positivity_floor, a.record_intensity_history)
     result = run_filter(data, init_ensemble(data.m, a.ensemble_size, *a.priors, a.seed), fcfg, workers,
-                        progress=lambda step, total: print(f"filter: step {step}/{total}", file=sys.stderr))
-    report = None
-    if record_param:
-        report = error_metrics(result.history, HawkesParams.load(a.truth_path), a.excitation_scale)
+                        progress=lambda step, total: print(f"filter: step {step}/{total}", file=sys.stderr),
+                        truth=truth)
+    report = None if truth is None else error_metrics(result.history, a.excitation_scale)
     save_filter_result(result, out_dir, report)
 
 
@@ -279,7 +278,6 @@ SCHEMA = {
         "ensemble_size": (_ENSEMBLE, _REQUIRED),
         "priors": (_object(_priors), _REQUIRED),
         "positivity_floor": (_positive, POSITIVITY_FLOOR),
-        "record_param_history": (_flag, False),
         "record_intensity_history": (_flag, False),
         "truth_path": (_path, None),
         "excitation_scale": (_positive, 1.0),
@@ -310,9 +308,8 @@ SCHEMA = {
     }),
 }
 MODES = (*SCHEMA, "validate")
-# filter keys that are only read when another key is set
-_READ_ONLY_WITH = {"truth_path": "record_param_history", "record_param_history": "truth_path",
-                   "excitation_scale": "truth_path"}
+# filter keys that are only read when another key is given
+_READ_ONLY_WITH = {"excitation_scale": "truth_path"}
 
 
 def parse_config(mode: str, cfg: dict, seed: int | None) -> tuple[SimpleNamespace, list[str]]:
@@ -348,9 +345,8 @@ def unknown_keys(mode: str, cfg: dict) -> list[str]:
         needs = _READ_ONLY_WITH.get(key)
         if key not in keys and key not in ("mode", "seed"):
             warnings.append(f"unknown key '{key}' for mode {mode}")
-        elif needs in keys and (needs not in cfg or cfg[needs] is False):
-            state = "true" if keys[needs][0] is _flag else "given"
-            warnings.append(f"key '{key}' is not read unless {needs} is {state}")
+        elif needs is not None and needs not in cfg:
+            warnings.append(f"key '{key}' is not read unless {needs} is given")
     return warnings
 
 

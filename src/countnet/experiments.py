@@ -135,9 +135,9 @@ def run_perfect_model(
     truth = toy_truth(s1, s2)
     data = simulate(truth, TOY_DT, n_steps, seed)
     init = init_ensemble(TOY_M, ensemble_size, *toy_priors(s1, s2), seed)
-    cfg = FilterConfig(seed, record_param_history=True, record_intensity_history=record_intensity)
-    result = run_filter(data, init, cfg, workers=workers)
-    report = error_metrics(result.history, truth, excitation_scale=s2)
+    cfg = FilterConfig(seed, record_intensity_history=record_intensity)
+    result = run_filter(data, init, cfg, workers=workers, truth=truth)
+    report = error_metrics(result.history, excitation_scale=s2)
     return PerfectModelRun(truth, data, result, report)
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .hawkes import CountSeries, check_counts, write_table
+from .hawkes import CountSeries, HawkesParams, check_counts, write_table
 
 SNAPSHOT_ARCHIVE = "ensembles.npz"
 # batched passes work in blocks of about this many elements: the regression's
@@ -47,6 +47,8 @@ BLOCK_ELEMENTS = 1 << 16
 # default lower clamp for intensity and parameter members
 POSITIVITY_FLOOR = 1e-8
 _INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
+_CURVE_KEYS = ("baseline_abs_error", "decay_abs_error", "excitation_abs_error", "excitation_sq_error",
+               "baseline_var", "decay_var", "excitation_var")
 
 
 class FilterDivergence(RuntimeError):
@@ -209,7 +211,6 @@ class FilterConfig:
 
     seed: int
     positivity_floor: float = POSITIVITY_FLOOR
-    record_param_history: bool = False
     record_intensity_history: bool = False
 
     def __post_init__(self) -> None:
@@ -429,15 +430,23 @@ def enkf_regress(
 
 @dataclass
 class FilterHistory:
-    """Per-step diagnostics kept when the config flags request them.
+    """Per-step records: the truth curves of a run given a truth, the intensity
+    diagnostics of a run with ``record_intensity_history``.
 
-    ``param_mean``/``param_var`` have shape (n_steps + 1, m, m + 2): row 0 is
-    the initial ensemble, row k the state after assimilating bin k - 1.
+    The truth curves are (n_steps + 1, m): row 0 is the initial ensemble, row k the state
+    after assimilating bin k - 1, column i node i. From node i's parameter moments:
+    |mean - truth| of its baseline and decay, the mean of |mean - truth| over its excitation
+    row and the sum of its squares, and the baseline, decay and mean excitation variances.
     Intensity arrays have shape (n_steps, m).
     """
 
-    param_mean: np.ndarray | None = None
-    param_var: np.ndarray | None = None
+    baseline_abs_error: np.ndarray | None = None
+    decay_abs_error: np.ndarray | None = None
+    excitation_abs_error: np.ndarray | None = None
+    excitation_sq_error: np.ndarray | None = None
+    baseline_var: np.ndarray | None = None
+    decay_var: np.ndarray | None = None
+    excitation_var: np.ndarray | None = None
     prior_mean: np.ndarray | None = None
     post_mean: np.ndarray | None = None
     prior_rel_var: np.ndarray | None = None
@@ -641,19 +650,27 @@ def _shared(shape: tuple) -> np.ndarray:
 
 
 def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, history: FilterHistory | None,
-               rows: slice, progress=None) -> None:
-    """Fill ``rows`` of the shared board from ``source``, assimilate them there and write their history."""
+               target: np.ndarray | None, rows: slice, progress=None) -> None:
+    """Fill ``rows`` of the shared board from ``source``, assimilate them there and write their
+    history, with the truth curves against the truth's rows ``target[rows]`` if a target is given."""
     filt = Filter(source, data.dt, cfg, (board[0][rows], board[1][rows]), rows)
-    record_p, record_i = cfg.record_param_history, cfg.record_intensity_history
-    if record_p:
-        history.param_mean[0, rows], history.param_var[0, rows] = filt.param_moments()
+
+    def score(k: int) -> None:  # the truth curves of the state after k steps
+        if target is not None:
+            mean, var = filt.param_moments()
+            dev = np.abs(mean - target[rows])
+            for key, curve in zip(_CURVE_KEYS, (dev[:, 0], dev[:, 1], np.add.reduce(dev[:, 2:], axis=1) / filt.m,
+                                                np.add.reduce(dev[:, 2:] ** 2, axis=1), var[:, 0], var[:, 1],
+                                                np.add.reduce(var[:, 2:], axis=1) / filt.m)):
+                getattr(history, key)[k, rows] = curve
+
+    score(0)
     n_steps = data.n_steps
     report_every = max(1, n_steps // 20)
     for k in range(n_steps):
         diag = filt.assimilate_step(data.counts[k])
-        if record_p:
-            history.param_mean[k + 1, rows], history.param_var[k + 1, rows] = filt.param_moments()
-        if record_i:
+        score(k + 1)
+        if cfg.record_intensity_history:
             for key in _INTENSITY_KEYS:
                 getattr(history, key)[k, rows] = getattr(diag, key)
         if progress is not None and (k + 1) % report_every == 0:
@@ -673,20 +690,22 @@ def _range_worker(conn, *args) -> None:
         conn.send(err)
 
 
-def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, progress=None) -> FilterResult:
+def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, progress=None,
+               truth: HawkesParams | None = None) -> FilterResult:
     """Assimilate every bin of ``data`` from the board source ``init``: ``init_ensemble``'s
     prior, whose rows are drawn, or an ``Ensemble``, whose rows are copied.
 
-    Row i of ``init`` is node i's ensemble over the data's m columns, for each
-    i (``check_complete``). The result board and the recorded history are
-    allocated once, in anonymous shared mmaps (``FilterResult``). The nodes
-    split into ``workers`` contiguous ranges (at most one per node); ranges
-    1.. run in processes from ``multiprocessing.get_context("fork")``, which
-    inherit the maps and send back only an error, and range 0 runs here and
-    calls ``progress(step, n_steps)``, if given. Each range fills its rows
-    of the board from ``init``, assimilates there and writes its history
-    columns in place, so no process holds a second board, and the per-node
-    streams give any worker count the same bits.
+    Row i of ``init`` is node i's ensemble over the data's m columns, for each i
+    (``check_complete``). Given a ``truth`` over the same m nodes, checked before the first
+    step, the history holds the truth curves of every state (``FilterHistory``), which
+    ``network.error_metrics`` normalises. The result board and the recorded history are
+    allocated once, in anonymous shared mmaps (``FilterResult``). The nodes split into
+    ``workers`` contiguous ranges (at most one per node); ranges 1.. run in processes from
+    ``multiprocessing.get_context("fork")``, which inherit the maps and send back only an
+    error, and range 0 runs here and calls ``progress(step, n_steps)``, if given. Each range
+    fills its rows of the board from ``init``, assimilates there and writes its history
+    columns in place, so no process holds a second board, and the per-node streams give any
+    worker count the same bits.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
@@ -694,13 +713,16 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
         raise ValueError("the counts have no node columns to filter")
     if init.m != data.m:
         raise ValueError(f"the ensembles are over {init.m} nodes, the counts over {data.m}")
+    if truth is not None and truth.m != data.m:
+        raise ValueError(f"the truth is over {truth.m} nodes, the counts over {data.m}")
     init.check_complete()
     m, n_steps = data.m, data.n_steps
     board = _shared((m, init.M)), _shared((m, init.M, m + 2))
-    shapes = dict.fromkeys(("param_mean", "param_var") * cfg.record_param_history, (n_steps + 1, m, m + 2))
+    shapes = dict.fromkeys(_CURVE_KEYS * (truth is not None), (n_steps + 1, m))
     shapes.update(dict.fromkeys(_INTENSITY_KEYS * cfg.record_intensity_history, (n_steps, m)))
     history = FilterHistory(**{key: _shared(shape) for key, shape in shapes.items()}) if shapes else None
-    args = data, init, cfg, board, history
+    target = None if truth is None else np.column_stack((truth.baseline, truth.decay, truth.excitation))
+    args = data, init, cfg, board, history, target
     ranges = [slice(part[0], part[-1] + 1) for part in np.array_split(range(m), min(workers, m))]
     conns, procs = [], []
     try:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import BLOCK_ELEMENTS, Ensemble, FilterHistory, ensemble_moments
-from .hawkes import HawkesParams, check_labels, csv_field, labels_or_default, write_table
+from .hawkes import check_labels, csv_field, labels_or_default, write_table
 
 OUT_DEGREE = "out_degree"
 IN_DEGREE = "in_degree"
@@ -239,53 +239,35 @@ def rank_distribution(
     return RankDistribution(tally.reshape(m, m), node_labels)
 
 
-def error_metrics(
-    history: FilterHistory, truth: HawkesParams, excitation_scale: float = 1.0
-) -> dict:
-    """Normalized-error and variance-reduction curves against a known truth.
+def error_metrics(history: FilterHistory, excitation_scale: float = 1.0) -> dict:
+    """Normalized-error and variance-reduction curves from the truth curves of a run given a truth.
 
     Per node and step: baseline/decay error is the absolute deviation of
     the ensemble mean from truth divided by the initial deviation;
     excitation error averages the absolute deviations over source nodes
-    before normalizing. The whole-matrix error is the Frobenius norm of
-    the excitation deviation divided by ``excitation_scale``. Variance
-    ratios divide each step's ensemble variance by the initial one. An
-    exact initial mean makes the normalization undefined; those entries
-    are reported as NaN.
+    before normalizing. The whole-matrix error, the Frobenius norm of the
+    excitation deviation (the root of the sum of the nodes' row sums of
+    squares), is divided by ``excitation_scale``. Variance ratios divide
+    each step's ensemble variance by the initial one. An exact initial
+    mean makes the normalization undefined; those entries are NaN.
     """
-    if history is None or history.param_mean is None:
-        raise ValueError("error_metrics needs a run with record_param_history")
-    mean = history.param_mean  # (n+1, m, m+2)
-    var = history.param_var
-    m = truth.m
-    if mean.shape[1] != m or mean.shape[2] != m + 2:
-        raise ValueError("history and truth dimensions disagree")
-
-    dev_mu = np.abs(mean[:, :, 0] - truth.baseline)
-    dev_beta = np.abs(mean[:, :, 1] - truth.decay)
-    dev_alpha = np.abs(mean[:, :, 2:] - truth.excitation).mean(axis=2)
-    frob = np.linalg.norm(mean[:, :, 2:] - truth.excitation, axis=(1, 2))
-
+    if history is None or history.baseline_abs_error is None:
+        raise ValueError("error_metrics needs the history of a run given a truth")
+    h = history
     with np.errstate(divide="ignore", invalid="ignore"):
         out = {
-            "baseline_error": dev_mu / dev_mu[0],
-            "decay_error": dev_beta / dev_beta[0],
-            "excitation_error": dev_alpha / dev_alpha[0],
-            "frobenius": frob / excitation_scale,
-            "baseline_var_ratio": var[:, :, 0] / var[0, :, 0],
-            "decay_var_ratio": var[:, :, 1] / var[0, :, 1],
-            "excitation_var_ratio": var[:, :, 2:].mean(axis=2) / var[0, :, 2:].mean(axis=1),
+            "baseline_error": h.baseline_abs_error / h.baseline_abs_error[0],
+            "decay_error": h.decay_abs_error / h.decay_abs_error[0],
+            "excitation_error": h.excitation_abs_error / h.excitation_abs_error[0],
+            "frobenius": np.sqrt(np.add.reduce(h.excitation_sq_error, axis=1)) / excitation_scale,
+            "baseline_var_ratio": h.baseline_var / h.baseline_var[0],
+            "decay_var_ratio": h.decay_var / h.decay_var[0],
+            "excitation_var_ratio": h.excitation_var / h.excitation_var[0],
         }
-    for key in ("baseline_error", "decay_error", "excitation_error"):
-        # a zero initial deviation gives 0/0 at step 0 and x/0 after it
-        zero_start = np.isnan(out[key][0])
-        out[key][:, zero_start] = np.nan
-    out["final"] = {
-        "baseline_error": out["baseline_error"][-1].tolist(),
-        "decay_error": out["decay_error"][-1].tolist(),
-        "excitation_error": out["excitation_error"][-1].tolist(),
-        "frobenius": float(out["frobenius"][-1]),
-    }
+    errors = ("baseline_error", "decay_error", "excitation_error")
+    for key in errors:  # a zero initial deviation gives 0/0 at step 0 and x/0 after it
+        out[key][:, np.isnan(out[key][0])] = np.nan
+    out["final"] = {key: out[key][-1].tolist() for key in (*errors, "frobenius")}
     return out
 
 

@@ -28,7 +28,14 @@ diagnostics, the history and every analysis stream's state.
 
 ``param_moments`` is the per-row ``np.mean``/``np.std`` reduction that
 ``countnet.filtering.param_moments`` replaced with one blocked kernel: the
-bit-level reference for the history, ``result.json`` and the network.
+bit-level reference for the truth curves, ``result.json`` and the network.
+
+``error_metrics`` is ``countnet.network.error_metrics`` as it ran over a
+recorded (n_steps + 1, m, m + 2) history of parameter means and variances,
+before ``run_filter`` scored each step against the truth and kept only the
+per-node curves: the byte-level reference for the six per-node curves, and
+within a few ulps for ``frobenius`` (its sum then went over the whole matrix
+at once, now over the rows' sums).
 
 ``save_snapshot_archive`` is the ``np.savez`` call that
 ``countnet.filtering.save_filter_result`` replaced with a writer that sends
@@ -189,6 +196,34 @@ def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     mean = np.stack([p.mean(axis=0) for p in params])
     var = np.stack([p.var(axis=0, ddof=1) for p in params])
     return mean, var, np.stack([p.std(axis=0, ddof=1) for p in params])
+
+
+def error_metrics(mean: np.ndarray, var: np.ndarray, truth: HawkesParams, excitation_scale: float = 1.0) -> dict:
+    """The error and variance curves over every step's (m, m + 2) parameter means and variances."""
+    dev_mu = np.abs(mean[:, :, 0] - truth.baseline)
+    dev_beta = np.abs(mean[:, :, 1] - truth.decay)
+    dev_alpha = np.abs(mean[:, :, 2:] - truth.excitation).mean(axis=2)
+    frob = np.linalg.norm(mean[:, :, 2:] - truth.excitation, axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = {
+            "baseline_error": dev_mu / dev_mu[0],
+            "decay_error": dev_beta / dev_beta[0],
+            "excitation_error": dev_alpha / dev_alpha[0],
+            "frobenius": frob / excitation_scale,
+            "baseline_var_ratio": var[:, :, 0] / var[0, :, 0],
+            "decay_var_ratio": var[:, :, 1] / var[0, :, 1],
+            "excitation_var_ratio": var[:, :, 2:].mean(axis=2) / var[0, :, 2:].mean(axis=1),
+        }
+    for key in ("baseline_error", "decay_error", "excitation_error"):
+        zero_start = np.isnan(out[key][0])
+        out[key][:, zero_start] = np.nan
+    out["final"] = {
+        "baseline_error": out["baseline_error"][-1].tolist(),
+        "decay_error": out["decay_error"][-1].tolist(),
+        "excitation_error": out["excitation_error"][-1].tolist(),
+        "frobenius": float(out["frobenius"][-1]),
+    }
+    return out
 
 
 def save_snapshot_archive(path, intensity: np.ndarray, params: np.ndarray) -> None:

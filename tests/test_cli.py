@@ -18,7 +18,7 @@ import oracles
 from countnet import cli, experiments
 from countnet.cli import main
 from countnet.experiments import abm_test_config
-from countnet.filtering import ensemble_moments, load_ensemble_snapshots, run_filter, save_filter_result
+from countnet.filtering import Filter, ensemble_moments, load_ensemble_snapshots, run_filter, save_filter_result
 from countnet.hawkes import CountSeries, HawkesParams
 from countnet.network import error_metrics
 from test_filtering import ANY_FLOAT, toy_filter_setup
@@ -68,7 +68,7 @@ GOOD = {
 # (mode, keys that spoil GOOD[mode], the key the issue must name)
 BAD = [
     ("filter", {"ensemble_size": 8.7}, "ensemble_size"),
-    ("filter", {"record_param_history": "no"}, "record_param_history"),
+    ("filter", {"record_intensity_history": "no"}, "record_intensity_history"),
     ("filter", {"ensemble_size": "abc"}, "ensemble_size"),
     ("simulate-hawkes", {"n_steps": "abc"}, "n_steps"),
     ("simulate-abm", {"abm": [1, 2]}, "abm"),
@@ -130,11 +130,11 @@ class TestValidate:
                      "--seed", "0", "--out-dir", str(tmp_path)]) == 0
         truth = write_config(tmp_path, "truth.json", hawkes_config()["params"])
         flt = {"counts_path": str(counts), "ensemble_size": 8, "priors": PRIORS}
-        # a misspelt key, and three keys that the filter reads only when another key is set
+        # a misspelt key, a key of older configs (a truth alone now asks for the curves) and a key
+        # that the filter reads only when another key is given
         cases = (
-            ({"record_param_hstory": True}, "unknown key 'record_param_hstory' for mode filter"),
-            ({"truth_path": str(truth)}, "key 'truth_path' is not read unless record_param_history is true"),
-            ({"record_param_history": True}, "key 'record_param_history' is not read unless truth_path is given"),
+            ({"record_intensity_hstory": True}, "unknown key 'record_intensity_hstory' for mode filter"),
+            ({"record_param_history": True}, "unknown key 'record_param_history' for mode filter"),
             ({"excitation_scale": 2.0}, "key 'excitation_scale' is not read unless truth_path is given"),
         )
         for k, (extra, warning) in enumerate(cases):
@@ -149,8 +149,15 @@ class TestValidate:
             assert f"warning: {warning}" in capsys.readouterr().err
             assert not (out / "diagnostics.csv").exists()
             assert not (out / "metrics.json").exists()
-            # a history no error curve reads is not recorded
-            assert json.loads((out / "result.json").read_text())["config"]["record_param_history"] is False
+            config = json.loads((out / "result.json").read_text())["config"]
+            assert list(config) == ["seed", "positivity_floor", "record_intensity_history"]
+        # with the truth, its key of older configs is still only a warning
+        cfg = write_config(tmp_path, "truth_run.json", {**flt, "record_param_history": True, "truth_path": str(truth),
+                                                        "mode": "filter", "seed": 0})
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert "ok: 0 issue(s), 1 warning(s)" in capsys.readouterr().err
+        assert main(["filter", "--config", str(cfg), "--out-dir", str(tmp_path / "truth_run")]) == 0
+        assert (tmp_path / "truth_run" / "metrics.json").exists()
 
     def test_bad_threshold_rules_rejected(self, tmp_path, capsys):
         sim = write_config(tmp_path, "sim.json", hawkes_config())
@@ -310,7 +317,7 @@ class TestPipelines:
         assert "filter: step 60/60" in done.stderr.splitlines()
 
     def test_history_ends_at_the_written_moments(self, tmp_path, monkeypatch):
-        # one moments kernel reduces the history and the result: same bits
+        # one moments kernel reduces the truth curves and the result: same bits
         params = {"mu": [2.0, 1.0, 1.5], "beta": [5.0, 5.0, 5.0],
                   "alpha": [[0.5, 0.2, 0.0], [0.0, 1.0, 0.3], [0.2, 0.0, 0.8]]}
         truth = write_config(tmp_path, "truth.json", params)
@@ -318,17 +325,40 @@ class TestPipelines:
         assert main(["simulate-hawkes", "--config", str(sim), "--seed", "4", "--out-dir", str(tmp_path / "sim")]) == 0
         flt = write_config(tmp_path, "flt.json", {
             "counts_path": str(tmp_path / "sim" / "counts.csv"), "ensemble_size": 9, "priors": PRIORS,
-            "record_param_history": True, "truth_path": str(truth),
+            "truth_path": str(truth),
         })
         histories = []
         monkeypatch.setattr(cli, "error_metrics", lambda h, *args: histories.append(h) or error_metrics(h, *args))
         out = tmp_path / "flt"
         assert main(["filter", "--config", str(flt), "--seed", "4", "--workers", "2", "--out-dir", str(out)]) == 0
-        mean, var = histories[0].param_mean[-1], histories[0].param_var[-1]
+        h, truth = histories[0], HawkesParams.from_json(params)
         nodes = json.loads((out / "result.json").read_text())["nodes"]
-        assert mean[:, :2].tolist() == [[n["baseline_mean"], n["decay_mean"]] for n in nodes]
-        assert np.sqrt(var[:, :2]).tolist() == [[n["baseline_sd"], n["decay_sd"]] for n in nodes]
-        assert np.array_equal(mean[:, 2:], np.loadtxt(out / "alpha_mean.csv", delimiter=","))
+        mean = np.array([[n["baseline_mean"], n["decay_mean"]] for n in nodes])
+        assert h.baseline_abs_error[-1].tolist() == np.abs(mean[:, 0] - truth.baseline).tolist()
+        assert h.decay_abs_error[-1].tolist() == np.abs(mean[:, 1] - truth.decay).tolist()
+        assert np.sqrt(h.baseline_var[-1]).tolist() == [n["baseline_sd"] for n in nodes]
+        assert np.sqrt(h.decay_var[-1]).tolist() == [n["decay_sd"] for n in nodes]
+        dev = np.abs(np.loadtxt(out / "alpha_mean.csv", delimiter=",") - truth.excitation)
+        assert h.excitation_abs_error[-1].tobytes() == dev.mean(axis=1).tobytes()
+        assert h.excitation_sq_error[-1].tobytes() == np.add.reduce(dev * dev, axis=1).tobytes()
+
+    def test_a_truth_that_does_not_fit_fails_before_the_first_step(self, tmp_path, capsys, monkeypatch):
+        sim = write_config(tmp_path, "sim.json", hawkes_config())
+        assert main(["simulate-hawkes", "--config", str(sim), "--seed", "0", "--out-dir", str(tmp_path / "sim")]) == 0
+        three = write_config(tmp_path, "truth3.json", {"mu": [2.0, 1.0, 1.0], "beta": [5.0] * 3,
+                                                       "alpha": [[0.1] * 3] * 3})
+        steps, step = [], Filter.assimilate_step
+        monkeypatch.setattr(Filter, "assimilate_step", lambda filt, row: steps.append(1) or step(filt, row))
+        cases = ((three, "the truth is over 3 nodes, the counts over 2"), (tmp_path / "none.json", "none.json"))
+        for k, (truth, message) in enumerate(cases):
+            flt = write_config(tmp_path, f"flt{k}.json", {
+                **GOOD["filter"], "counts_path": str(tmp_path / "sim" / "counts.csv"), "truth_path": str(truth)})
+            out = tmp_path / f"flt{k}"
+            capsys.readouterr()
+            assert main(["filter", "--config", str(flt), "--seed", "0", "--out-dir", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not (out / "result.json").exists()
+            assert steps == []
 
     def test_analyze_uses_the_counts_labels(self, tmp_path):
         events = tmp_path / "events.csv"
@@ -398,12 +428,12 @@ class TestPipelines:
         assert header.endswith("innovation")
 
     def test_truth_run_writes_each_curve_once(self, tmp_path):
-        truth, data, init, cfg = toy_filter_setup(m=3, M=20, n_steps=30, record_param_history=True)
-        result = run_filter(data, init, cfg)
+        truth, data, init, cfg = toy_filter_setup(m=3, M=20, n_steps=30)
         # a truth at node 0's initial mean baseline leaves that node's curve undefined
         baseline = truth.baseline.copy()
-        baseline[0] = result.history.param_mean[0, 0, 0]
-        report = error_metrics(result.history, HawkesParams(baseline, truth.decay, truth.excitation))
+        baseline[0] = Filter(init, data.dt, cfg).param_moments()[0][0, 0]
+        result = run_filter(data, init, cfg, truth=HawkesParams(baseline, truth.decay, truth.excitation))
+        report = error_metrics(result.history)
         save_filter_result(result, tmp_path, report)
         curves = [key for key in report if key != "final"]
         assert len(curves) == 7

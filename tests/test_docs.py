@@ -37,7 +37,7 @@ def run_filter_with_truth(tmp_path: Path) -> Path:
     priors = {group: {"mean": 1.0, "variance": 0.5} for group in ("baseline", "decay", "excitation")}
     (tmp_path / "flt.json").write_text(json.dumps({
         "counts_path": str(tmp_path / "sim" / "counts.csv"), "ensemble_size": 8, "priors": priors,
-        "record_param_history": True, "record_intensity_history": True,
+        "record_intensity_history": True,
         "truth_path": str(tmp_path / "truth.json"),
     }))
     out = tmp_path / "flt"

@@ -29,7 +29,8 @@ from countnet.filtering import (
     run_filter,
     save_filter_result,
 )
-from countnet.hawkes import CountSeries
+from countnet.hawkes import CountSeries, HawkesParams
+from countnet.network import error_metrics
 import oracles
 from oracles import analyze_rows
 
@@ -413,17 +414,15 @@ class TestPriorSource:
                 assert a.ensembles().params.tobytes() == b.ensembles().params.tobytes()
 
     def test_run_filter_from_either_source(self):
-        _, data, _, cfg = toy_filter_setup(m=5, M=16, n_steps=12, record_param_history=True,
-                                           record_intensity_history=True)
+        truth, data, _, cfg = toy_filter_setup(m=5, M=16, n_steps=12, record_intensity_history=True)
         source = init_ensemble(5, 16, *self.PRIORS, seed=2)
-        reference = run_filter(data, source.draw(), cfg)
+        reference = run_filter(data, source.draw(), cfg, truth=truth)
         for init in (source, source.draw()):
             for workers in (1, 2, 3):
-                res = run_filter(data, init, cfg, workers=workers)
+                res = run_filter(data, init, cfg, workers=workers, truth=truth)
                 assert res.ensembles.intensity.tobytes() == reference.ensembles.intensity.tobytes()
                 assert res.ensembles.params.tobytes() == reference.ensembles.params.tobytes()
-                for key in ("param_mean", "param_var", "prior_mean", "post_mean", "prior_rel_var",
-                            "post_rel_var", "innovation"):
+                for key in HISTORY_KEYS:
                     assert getattr(res.history, key).tobytes() == getattr(reference.history, key).tobytes()
 
 
@@ -463,13 +462,15 @@ class TestEnsemble:
 DT = 0.1  # bin width of the toy runs
 
 
+def toy_truth(m):
+    return HawkesParams(np.full(m, 2.0), np.full(m, 5.0), 0.4 * np.eye(m) + 0.2)
+
+
 def toy_filter_setup(m=3, M=60, n_steps=40, seed=2, **cfg_kw):
     from countnet.experiments import toy_priors
-    from countnet.hawkes import HawkesParams, simulate
+    from countnet.hawkes import simulate
 
-    base = np.full(m, 2.0)
-    alpha = 0.4 * np.eye(m) + 0.2
-    truth = HawkesParams(base, np.full(m, 5.0), alpha)
+    truth = toy_truth(m)
     data = simulate(truth, DT, n_steps, seed)
     init = init_ensemble(m, M, *toy_priors(1.0, 1.0), seed=seed).draw()
     cfg = FilterConfig(seed=seed, **cfg_kw)
@@ -560,15 +561,16 @@ class TestRunFilter:
             assert np.array_equal(before.params, after.params)
 
     def test_zero_length_data_history(self):
-        _, _, init, cfg = toy_filter_setup(
-            record_param_history=True, record_intensity_history=True
-        )
+        truth, _, init, cfg = toy_filter_setup(record_intensity_history=True)
         data = CountSeries(np.zeros((0, 3), dtype=np.uint64), 0.1)
         mean, var = Filter(init, DT, cfg).param_moments()
+        want = oracles.error_metrics(mean[None], var[None], truth)
         for workers in (1, 2, 3):
-            h = run_filter(data, init, cfg, workers=workers).history
-            assert np.array_equal(h.param_mean, mean[None])
-            assert np.array_equal(h.param_var, var[None])
+            h = run_filter(data, init, cfg, workers=workers, truth=truth).history
+            got = error_metrics(h)
+            for key in PER_NODE_CURVES:
+                assert got[key].shape == (1, 3) and got[key].tobytes() == want[key].tobytes(), key
+            assert got["frobenius"].shape == (1,) and got["final"].keys() == want["final"].keys()
             for key in ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation"):
                 assert getattr(h, key).shape == (0, 3)
 
@@ -590,15 +592,22 @@ class TestRunFilter:
                 assert np.array_equal(x.intensity, y.intensity)
 
     def test_history_parallel_matches_serial(self):
-        _, data, init, cfg = toy_filter_setup(
-            m=4, M=30, n_steps=15,
-            record_param_history=True, record_intensity_history=True,
-        )
-        serial = run_filter(data, init, cfg, workers=1)
-        parallel = run_filter(data, init, cfg, workers=2)
-        assert np.array_equal(serial.history.param_mean, parallel.history.param_mean)
-        assert np.array_equal(serial.history.param_var, parallel.history.param_var)
-        assert np.array_equal(serial.history.prior_rel_var, parallel.history.prior_rel_var)
+        truth, data, init, cfg = toy_filter_setup(m=4, M=30, n_steps=15, record_intensity_history=True)
+        serial = run_filter(data, init, cfg, workers=1, truth=truth)
+        parallel = run_filter(data, init, cfg, workers=2, truth=truth)
+        for key in HISTORY_KEYS:
+            assert getattr(serial.history, key).tobytes() == getattr(parallel.history, key).tobytes(), key
+
+    def test_a_truth_of_another_size_is_refused_before_the_run(self, monkeypatch):
+        truth, data, init, cfg = toy_filter_setup(m=3, M=10, n_steps=5)
+
+        def no_board(shape):
+            raise AssertionError("allocated a board")
+
+        monkeypatch.setattr(filtering, "_shared", no_board)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="the truth is over 4 nodes, the counts over 3"):
+                run_filter(data, init, cfg, workers=workers, truth=toy_truth(4))
 
     def test_param_moments_match_numpy(self):
         _, data, init, cfg = toy_filter_setup(m=4, M=30, n_steps=10)
@@ -620,9 +629,9 @@ class TestRunFilter:
         mean, var, sd = oracles.param_moments(init.params)
         got_mean, got_sd = ensemble_moments(init)
         assert np.array_equal(got_mean, mean) and np.array_equal(got_sd, sd)
-        # history: the moments of the board after each step, also split across workers
+        # truth curves: from the moments of the board after each step, also split across workers
         data = CountSeries(g.poisson(1.0, size=(3, m)).astype(np.uint64), DT)
-        cfg = FilterConfig(seed=m, record_param_history=True)
+        cfg, truth = FilterConfig(seed=m), toy_truth(m)
         filt, means, variances = Filter(init, DT, cfg), [], []
         for row in [None, *data.counts]:
             if row is not None:
@@ -632,15 +641,16 @@ class TestRunFilter:
             assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
             means.append(mean)
             variances.append(var)
+        want = oracles.error_metrics(np.array(means), np.array(variances), truth)
         for workers in (1, 2):
-            h = run_filter(data, init, cfg, workers=workers).history
-            assert np.array_equal(h.param_mean, means) and np.array_equal(h.param_var, variances)
+            got = error_metrics(run_filter(data, init, cfg, workers=workers, truth=truth).history)
+            for key in PER_NODE_CURVES:
+                assert got[key].tobytes() == want[key].tobytes(), key
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_regression_block_size_leaves_the_bits(self, monkeypatch, workers):
         # blocks of 1, 3 and all 5 rows, the last block of 3 one row short
-        _, data, init, cfg = toy_filter_setup(
-            m=5, M=20, n_steps=15, record_param_history=True, record_intensity_history=True)
+        truth, data, init, cfg = toy_filter_setup(m=5, M=20, n_steps=15, record_intensity_history=True)
         regress, calls = filtering._regress_rows, []
 
         def counted(q, *args):
@@ -652,14 +662,13 @@ class TestRunFilter:
         for rows in (1, 3, 5):
             monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", rows * init.params[0].size)
             calls.clear()
-            runs.append(run_filter(data, init, cfg, workers=workers))
+            runs.append(run_filter(data, init, cfg, workers=workers, truth=truth))
             if workers == 1:  # forked workers count in their own processes
                 assert calls == [min(rows, 5 - lo) for lo in range(0, 5, rows)] * data.n_steps
         for run in runs[1:]:
             assert np.array_equal(run.ensembles.params, runs[0].ensembles.params)
             assert np.array_equal(run.ensembles.intensity, runs[0].ensembles.intensity)
-            for key in ("param_mean", "param_var", "prior_mean", "post_mean", "prior_rel_var",
-                        "post_rel_var", "innovation"):
+            for key in HISTORY_KEYS:
                 assert np.array_equal(getattr(run.history, key), getattr(runs[0].history, key))
 
     def test_param_moments_leave_the_run_unchanged(self):
@@ -740,10 +749,9 @@ class TestRunFilter:
 
     def test_error_metrics_over_run_history(self):
         from countnet.experiments import run_perfect_model
-        from countnet.network import error_metrics
 
         run = run_perfect_model(1.5, 1.5, 0, n_steps=80, ensemble_size=30)
-        report = error_metrics(run.result.history, run.truth, excitation_scale=1.5)
+        report = error_metrics(run.result.history, excitation_scale=1.5)
         assert np.array_equal(report["frobenius"], run.report["frobenius"])
         assert report["baseline_error"].shape == (81, 6)
 
@@ -928,16 +936,21 @@ class TestLeanStep:
     @pytest.mark.parametrize("rows", [1, 3, 5])
     def test_runs_match_the_oracle(self, monkeypatch, history, workers, rows):
         init, data = lean_step_setup()
-        cfg = FilterConfig(seed=9, record_param_history=history, record_intensity_history=history)
+        cfg = FilterConfig(seed=9, record_intensity_history=history)
         monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", rows * init.params[0].size)
         lam, params, moments, diags = oracle_run(init, data, cfg)
-        res = run_filter(data, init, cfg, workers=workers)
+        # the degenerate row's baseline members equal the truth's: a zero start
+        truth = toy_truth(data.m) if history else None
+        res = run_filter(data, init, cfg, workers=workers, truth=truth)
         assert res.ensembles.intensity.tobytes() == lam.tobytes()
         assert res.ensembles.params.tobytes() == params.tobytes()
         if history:
             h = res.history
-            assert h.param_mean.tobytes() == np.array([mu for mu, _ in moments]).tobytes()
-            assert h.param_var.tobytes() == np.array([v for _, v in moments]).tobytes()
+            want = oracles.error_metrics(*map(np.array, zip(*moments)), truth)
+            got = error_metrics(h)
+            for key in PER_NODE_CURVES:
+                assert got[key].tobytes() == want[key].tobytes(), key
+            assert np.isnan(got["baseline_error"][:, DEGENERATE_ROW]).all()
             for key in INTENSITY_KEYS:
                 assert getattr(h, key).tobytes() == np.array([getattr(d, key) for d in diags]).tobytes(), key
 
@@ -962,6 +975,33 @@ class TestLeanStep:
             np.asarray(own)[:] = 1e6
         assert plain._lam.tobytes() == mutated._lam.tobytes()
         assert plain._params.tobytes() == mutated._params.tobytes()
+
+
+class TestTruthCurves:
+    """run_filter's truth curves against error_metrics over a recorded moment history (the oracle)."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_curves_match_the_oracle(self, monkeypatch, workers, rows):
+        truth, data, init, cfg = toy_filter_setup(m=5, M=20, n_steps=15)
+        monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", rows * init.params[0].size)
+        means, variances = map(np.array, zip(*oracle_run(init, data, cfg)[2]))
+        want = oracles.error_metrics(means, variances, truth, 1.5)
+        got = error_metrics(run_filter(data, init, cfg, workers=workers, truth=truth).history, 1.5)
+        assert got.keys() == want.keys()
+        for key in PER_NODE_CURVES:
+            assert got[key].tobytes() == want[key].tobytes(), key
+        # the norm is the root of the sum of the nodes' row sums of squares, a few ulps from one sum
+        row_ss = np.add.reduce((means[:, :, 2:] - truth.excitation) ** 2, axis=2)
+        assert got["frobenius"].tobytes() == (np.sqrt(np.add.reduce(row_ss, axis=1)) / 1.5).tobytes()
+        assert (np.abs(got["frobenius"] - want["frobenius"]) <= 4 * np.spacing(want["frobenius"])).all()
+        assert got["final"] == {**want["final"], "frobenius": float(got["frobenius"][-1])}
+
+    def test_a_history_without_curves_is_refused(self):
+        _, data, init, cfg = toy_filter_setup(m=2, M=8, n_steps=3, record_intensity_history=True)
+        for history in (None, run_filter(data, init, cfg).history):
+            with pytest.raises(ValueError, match="needs the history of a run given a truth"):
+                error_metrics(history)
 
 
 class TestConfigValidation:
@@ -1001,6 +1041,8 @@ class TestConfigValidation:
 INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
 CURVE_KEYS = ("baseline_error", "decay_error", "excitation_error", "frobenius",
               "baseline_var_ratio", "decay_var_ratio", "excitation_var_ratio")
+PER_NODE_CURVES = tuple(key for key in CURVE_KEYS if key != "frobenius")
+HISTORY_KEYS = (*filtering._CURVE_KEYS, *INTENSITY_KEYS)
 # any float64, the special values drawn often
 ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e308]) | st.floats()
 # an ensemble member: finite and non-negative; small enough that the moments do not overflow

@@ -345,19 +345,21 @@ class TestBatchedBetweenness:
 
 
 class TestErrorMetrics:
-    def make_history(self, mean_path, var_path):
+    def make_history(self, mean_path, var_path, truth):
+        """The truth curves of a run whose parameter moments take these (n+1, m, m+2) paths."""
         from countnet.filtering import FilterHistory
 
-        return FilterHistory(param_mean=np.asarray(mean_path), param_var=np.asarray(var_path))
+        mean, var = np.asarray(mean_path), np.asarray(var_path)
+        dev = np.abs(mean - np.column_stack((truth.baseline, truth.decay, truth.excitation)))
+        return FilterHistory(dev[:, :, 0], dev[:, :, 1], dev[:, :, 2:].mean(axis=2), (dev[:, :, 2:] ** 2).sum(axis=2),
+                             var[:, :, 0], var[:, :, 1], var[:, :, 2:].mean(axis=2))
 
     def test_perfect_estimate_zero_error(self):
         truth = HawkesParams([2.0], [5.0], [[1.5]])
         start = np.array([[[3.0, 6.0, 1.0]]])
         end = np.array([[[2.0, 5.0, 1.5]]])
-        history = self.make_history(
-            np.concatenate([start, end]), np.ones((2, 1, 3))
-        )
-        report = error_metrics(history, truth, excitation_scale=1.5)
+        history = self.make_history(np.concatenate([start, end]), np.ones((2, 1, 3)), truth)
+        report = error_metrics(history, excitation_scale=1.5)
         assert report["baseline_error"][-1, 0] == 0.0
         assert report["decay_error"][-1, 0] == 0.0
         assert report["excitation_error"][-1, 0] == 0.0
@@ -366,8 +368,8 @@ class TestErrorMetrics:
     def test_initial_estimate_normalizes_to_one(self):
         truth = HawkesParams([2.0], [5.0], [[1.5]])
         start = np.array([[[3.0, 6.0, 1.0]]])
-        history = self.make_history(np.concatenate([start, start]), np.ones((2, 1, 3)))
-        report = error_metrics(history, truth)
+        history = self.make_history(np.concatenate([start, start]), np.ones((2, 1, 3)), truth)
+        report = error_metrics(history)
         for key in ("baseline_error", "decay_error", "excitation_error"):
             assert report[key][0, 0] == 1.0
             assert report[key][-1, 0] == 1.0
@@ -378,19 +380,19 @@ class TestErrorMetrics:
         mean[:, :, 0] = 3.0
         mean[:, :, 1] = 6.0
         mean[0, 0, 2] = 0.3  # single excitation deviation of 0.3
-        history = self.make_history(mean, np.ones((1, 2, 4)))
-        report = error_metrics(history, truth, excitation_scale=1.5)
+        history = self.make_history(mean, np.ones((1, 2, 4)), truth)
+        report = error_metrics(history, excitation_scale=1.5)
         assert report["frobenius"][0] == pytest.approx(0.2, rel=1e-12)
 
     def test_zero_initial_error_reported_missing(self):
         truth = HawkesParams([2.0], [5.0], [[1.5]])
         exact = np.array([[[2.0, 5.0, 1.5]]])
-        history = self.make_history(np.concatenate([exact, exact]), np.ones((2, 1, 3)))
-        report = error_metrics(history, truth)
+        history = self.make_history(np.concatenate([exact, exact]), np.ones((2, 1, 3)), truth)
+        report = error_metrics(history)
         assert np.isnan(report["baseline_error"]).all()
         # the mean moving off an exact start does not make the error infinite
-        history = self.make_history(np.concatenate([exact, exact + 0.5]), np.ones((2, 1, 3)))
-        report = error_metrics(history, truth)
+        history = self.make_history(np.concatenate([exact, exact + 0.5]), np.ones((2, 1, 3)), truth)
+        report = error_metrics(history)
         for key in ("baseline_error", "decay_error", "excitation_error"):
             assert np.isnan(report[key]).all()
 
@@ -398,7 +400,7 @@ class TestErrorMetrics:
         truth = HawkesParams([2.0], [5.0], [[1.5]])
         mean = np.ones((3, 1, 3))
         var = np.stack([np.full((1, 3), 4.0), np.full((1, 3), 2.0), np.full((1, 3), 1.0)])
-        report = error_metrics(self.make_history(mean, var), truth)
+        report = error_metrics(self.make_history(mean, var, truth))
         assert np.allclose(report["baseline_var_ratio"][:, 0], [1.0, 0.5, 0.25])
         assert np.allclose(report["excitation_var_ratio"][:, 0], [1.0, 0.5, 0.25])
 

@@ -172,35 +172,38 @@ assert parallel.params.tobytes() == serial.params.tobytes()
 """
 
 # A run as the CLI makes it: the prior source straight into run_filter, then
-# the save. argv: workers, m, M, n_steps, record the parameter history (0/1),
-# result directory. Prints the board's and the history's bytes, the RSS before
+# the save. argv: workers, m, M, n_steps, score against a truth (0/1), result
+# directory. Prints the board's and the truth curves' bytes, the RSS before
 # init_ensemble, and the peak RSS of this process and of its workers after the
-# save (and, with a history, a pass that reads all of it), in KiB. This
+# save (with a truth, of the error curves and metrics.json too), in KiB. This
 # process's peak is VmHWM: its ru_maxrss also holds the peak of the process it
 # was started from, before the exec.
 MEMORY = """
 import resource, sys
 import numpy as np
-from countnet.filtering import FilterConfig, GammaSpec, init_ensemble, run_filter, save_filter_result
-from countnet.hawkes import CountSeries
+from countnet.filtering import _CURVE_KEYS, FilterConfig, GammaSpec, init_ensemble, run_filter, save_filter_result
+from countnet.hawkes import CountSeries, HawkesParams
+from countnet.network import error_metrics
 
 def status_kib(key):
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
 
-workers, m, M, n_steps, record = map(int, sys.argv[1:6])
+workers, m, M, n_steps, scored = map(int, sys.argv[1:6])
 data = CountSeries(np.random.default_rng(0).poisson(1.0, size=(n_steps, m)).astype(np.uint64), 0.1)
+truth = HawkesParams(np.ones(m), np.full(m, 5.0), np.full((m, m), 0.01)) if scored else None
 before = status_kib("VmRSS")
 init = init_ensemble(m, M, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.01, 0.0001), seed=0)
-result = run_filter(data, init, FilterConfig(seed=0, record_param_history=bool(record)), workers=workers)
-save_filter_result(result, sys.argv[6])
-history = 0
-if record:
-    assert np.isfinite(result.history.param_mean.sum() + result.history.param_var.sum())
-    history = result.history.param_mean.nbytes + result.history.param_var.nbytes
+result = run_filter(data, init, FilterConfig(seed=0), workers=workers, truth=truth)
+report = error_metrics(result.history) if scored else None
+save_filter_result(result, sys.argv[6], report)
+curves = 0
+if scored:
+    assert np.isfinite(report["frobenius"]).all()
+    curves = sum(getattr(result.history, key).nbytes for key in _CURVE_KEYS)
 board = result.ensembles.intensity.nbytes + result.ensembles.params.nbytes
 workers_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-print(board // 1024, history // 1024, before, status_kib("VmHWM"), workers_peak)
+print(board // 1024, curves // 1024, before, status_kib("VmHWM"), workers_peak)
 """
 
 
@@ -218,12 +221,15 @@ class TestSharedBoard:
         assert own - before <= 1.2 * board
         assert children - before <= 0.75 * board
 
-    def test_peak_memory_with_a_parameter_history(self, tmp_path):
-        # m=60, M=16, 400 steps: a 24 MB history against a 0.5 MB board; the
-        # workers write their columns of the history in the shared map
-        board, history, before, own, _ = map(int, run_script(MEMORY, 2, 60, 16, 400, 1, tmp_path / "r").split())
-        assert history > 40 * board
-        assert own - before <= 1.1 * history + 1.2 * board
+    def test_peak_memory_of_a_truth_scored_run(self, tmp_path):
+        # m=60, M=16, 400 steps: seven (401, 60) curves, 1.3 MB, against a 0.5 MB board; the
+        # workers write their columns of the curves in the shared map. The error curves are
+        # a second set, and a run without a truth grows by about 2 MiB (the workers' pipes and
+        # modules). Two (401, 60, 62) boards of parameter means and variances, 24 MB, would not fit.
+        board, curves, before, own, _ = map(int, run_script(MEMORY, 2, 60, 16, 400, 1, tmp_path / "r").split())
+        bound = 1.2 * board + 2 * curves + 2048
+        assert curves == 7 * 401 * 60 * 8 // 1024 and bound < 2 * 401 * 60 * 62 * 8 // 1024 / 4
+        assert own - before <= bound
 
 
 # A net100-sized filter run (m=100, M=128, 30 bins); prints the sha256 of the final board.
