@@ -39,10 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .hawkes import CountSeries, json_floats
+from .hawkes import CountSeries, json_floats, require_keys
 
-SPAWN_POISSON = "poisson"
-SPAWN_FIXED = "fixed"  # deterministic round(spawn_rate * dt) per location per step
+# retired keys, with the one value the model now has: files saved with that value still load
+_RETIRED = {"event_prob_form": "rate", "spawn_law": "poisson"}
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class ABMConfig:
     spawn_rate: float
     excitation: np.ndarray
     dt: float
-    spawn_law: str = SPAWN_POISSON
 
     def __post_init__(self) -> None:
         baseline = np.array(self.baseline, dtype=np.float64)
@@ -82,8 +81,6 @@ class ABMConfig:
             raise ValueError("dt must be positive")
         if self.decay * self.dt >= 1.0:
             raise ValueError("decay * dt must be below 1")
-        if self.spawn_law not in (SPAWN_POISSON, SPAWN_FIXED):
-            raise ValueError(f"unknown spawn_law {self.spawn_law!r}")
         hoods = [np.flatnonzero((excitation[:, s] > 0) & (np.arange(m) != s)) for s in range(m)]
         # the locations that diffuse, by neighbourhood size; the neighbourhoods of one size k
         # form a group: a slice of them, and a (2, rows, k) index into [A, B]
@@ -118,14 +115,14 @@ class ABMConfig:
             "spawn_rate": self.spawn_rate,
             "excitation": self.excitation.tolist(),
             "dt": self.dt,
-            "spawn_law": self.spawn_law,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ABMConfig":
-        # retired key: files saved with the only event-probability form still load
-        if obj.get("event_prob_form", "rate") != "rate":
-            raise ValueError(f"event_prob_form {obj['event_prob_form']!r} is not supported; only 'rate' is")
+        require_keys(obj, ("baseline", "decay", "diffusion", "spawn_rate", "excitation", "dt"))
+        for key, value in _RETIRED.items():
+            if obj.get(key, value) != value:
+                raise ValueError(f"{key} {obj[key]!r} is not supported; only {value!r} is")
         return cls(
             json_floats(obj["baseline"], 1),
             json_floats(obj["decay"]),
@@ -133,7 +130,6 @@ class ABMConfig:
             json_floats(obj["spawn_rate"]),
             json_floats(obj["excitation"], 2),
             json_floats(obj["dt"]),
-            obj.get("spawn_law", SPAWN_POISSON),
         )
 
     def save(self, path: str | Path) -> None:
@@ -190,7 +186,6 @@ def _fields(cfg: ABMConfig, B: np.ndarray) -> tuple[list[float], list[np.ndarray
 def _step(cfg: ABMConfig, B: np.ndarray, agents: list[int], streams) -> tuple[list[int], list[int], np.ndarray]:
     """The step kernel: (events, next step's agents, next B) from B(t) and the agents, as lists of ints."""
     p, moves, decayed = _fields(cfg, B)
-    poisson, fixed = cfg.spawn_law == SPAWN_POISSON, round(cfg._spawn_mean)
     events, arrivals = [], [0] * cfg.m
     for s, (n, hood) in enumerate(zip(agents, cfg._moves_at)):
         gen = streams[s]
@@ -202,7 +197,7 @@ def _step(cfg: ABMConfig, B: np.ndarray, agents: list[int], streams) -> tuple[li
             dests, g, r = hood
             for d, c in zip(dests, gen.multinomial(n - ev, moves[g][r]).tolist()):
                 arrivals[d] += c
-        arrivals[s] += int(gen.poisson(cfg._spawn_mean)) if poisson else fixed
+        arrivals[s] += int(gen.poisson(cfg._spawn_mean))
     return events, arrivals, decayed + cfg.excitation @ np.array(events, dtype=np.float64)
 
 
@@ -244,7 +239,7 @@ def step_agents(
     Per location s: each agent generates an event with probability p_s and
     is removed; the rest move to a neighbour in D(s) with probability
     proportional to the neighbour's attractiveness (an agent with no
-    neighbours stays put). New agents spawn per location at spawn_rate.
+    neighbours stays put). New agents spawn, Poisson(spawn_rate * dt) per location.
     Each location draws from its own stream.
     """
     events, arrivals, _ = _step(cfg, state.B, state.agents.tolist(), streams)

@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .abm import ABMConfig, simulate_abm
 from .filtering import (
-    POSITIVITY_FLOOR,
     FilterConfig,
     GammaSpec,
     init_ensemble,
@@ -163,7 +162,7 @@ def _write_manifest(out_dir: Path, mode: str, cfg: dict, seed: int) -> None:
 # the library functions up on this module when it runs, so a tracer can swap them.
 
 def _run_simulate_hawkes(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
-    series = simulate(a.params, a.dt, a.n_steps, a.seed, burn_in=a.burn_in)
+    series = simulate(a.params, a.dt, a.n_steps, a.seed)
     save_count_series(series, out_dir / "counts.csv", seed=a.seed, params=a.params)
 
 
@@ -190,7 +189,7 @@ def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     data, _meta = load_count_series(a.counts_path)
     # read before the first step, so that a truth that does not fit fails the run at once
     truth = None if a.truth_path is None else HawkesParams.load(a.truth_path)
-    fcfg = FilterConfig(a.seed, a.positivity_floor, a.record_intensity_history)
+    fcfg = FilterConfig(a.seed, a.record_intensity_history)
     result = run_filter(data, init_ensemble(data.m, a.ensemble_size, *a.priors, a.seed), fcfg, workers,
                         progress=lambda step, total: print(f"filter: step {step}/{total}", file=sys.stderr),
                         truth=truth)
@@ -257,7 +256,6 @@ SCHEMA = {
         "params": (_object(HawkesParams.from_json), _REQUIRED),
         "dt": (_positive, _REQUIRED),
         "n_steps": (_integer(1), _REQUIRED),
-        "burn_in": (_integer(0), 0),
     }),
     "simulate-abm": (_run_simulate_abm, {
         "abm": (_object(ABMConfig.from_json), _REQUIRED),
@@ -277,7 +275,6 @@ SCHEMA = {
         "counts_path": (_path, _REQUIRED),
         "ensemble_size": (_ENSEMBLE, _REQUIRED),
         "priors": (_object(_priors), _REQUIRED),
-        "positivity_floor": (_positive, POSITIVITY_FLOOR),
         "record_intensity_history": (_flag, False),
         "truth_path": (_path, None),
         "excitation_scale": (_positive, 1.0),

@@ -38,13 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .hawkes import CountSeries, HawkesParams, check_counts, write_table
+from .hawkes import CountSeries, HawkesParams, advance_intensity, check_counts, write_table
 
 SNAPSHOT_ARCHIVE = "ensembles.npz"
 # batched passes work in blocks of about this many elements: the regression's
 # and the moments' rows of a parameter board and rank_distribution's member batches
 BLOCK_ELEMENTS = 1 << 16
-# default lower clamp for intensity and parameter members
+# the lower clamp of every intensity and parameter member the filter holds
 POSITIVITY_FLOOR = 1e-8
 _INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
 _CURVE_KEYS = ("baseline_abs_error", "decay_abs_error", "excitation_abs_error", "excitation_sq_error",
@@ -207,15 +207,13 @@ class AnalysisDiagnostics:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Run settings; the member count M comes from the ensembles and dt from the counts."""
+    """Run settings; the member count M comes from the ensembles and dt from the counts, and
+    every member is clamped at ``POSITIVITY_FLOOR``."""
 
     seed: int
-    positivity_floor: float = POSITIVITY_FLOOR
     record_intensity_history: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.positivity_floor < np.inf:
-            raise ValueError("positivity_floor must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -330,13 +328,13 @@ def pg_analysis(
     dN: int,
     dt: float,
     gen: np.random.Generator,
-    floor: float = POSITIVITY_FLOOR,
 ) -> tuple[np.ndarray, AnalysisDiagnostics]:
     """Poisson-Gamma analysis of one node's forecast intensity ensemble.
 
-    Returns the analysed members and diagnostics holding the prior and
-    posterior (mean, relative variance); the posterior pair follows
-    ``analytic_posterior`` applied to the empirical prior.
+    Returns the analysed members, clamped at ``POSITIVITY_FLOOR``, and
+    diagnostics holding the prior and posterior (mean, relative variance);
+    the posterior pair follows ``analytic_posterior`` applied to the
+    empirical prior.
     """
     lam_f = np.asarray(lam_f, dtype=np.float64)
     if lam_f.ndim != 1 or lam_f.shape[0] < 2:
@@ -346,7 +344,7 @@ def pg_analysis(
     check_counts(np.asarray(dN, dtype=np.float64))
     if not dt > 0:
         raise ValueError("dt must be positive")
-    board, diag = _analyze_rows(lam_f[None, :].copy(), np.array([float(dN)]), dt, floor, [gen])
+    board, diag = _analyze_rows(lam_f[None, :].copy(), np.array([float(dN)]), dt, POSITIVITY_FLOOR, [gen])
     # the board's one row, as Python floats and a bool
     return board[0], AnalysisDiagnostics(**{k: v[0].item() for k, v in vars(diag).items()})
 
@@ -397,7 +395,6 @@ def enkf_regress(
     q: np.ndarray,
     lam_f: np.ndarray,
     lam_a: np.ndarray,
-    floor: float = POSITIVITY_FLOOR,
 ) -> np.ndarray:
     """Regress one node's parameter members on its intensity innovation.
 
@@ -405,7 +402,7 @@ def enkf_regress(
     ``Filter`` runs, applied to one row: the gain is the cross-covariance
     between parameter members and forecast-intensity deviations divided by
     the sum of forecast and analysis intensity variances, each member
-    moves by gain * (lam_a - lam_f), and results are clamped at ``floor``.
+    moves by gain * (lam_a - lam_f), and results are clamped at ``POSITIVITY_FLOOR``.
     The parameter members are not centred: the covariance is taken against
     the forecast deviations, whose member sum is zero only up to round-off.
     So the update lies in the span of the parameter deviations, and a
@@ -424,7 +421,7 @@ def enkf_regress(
         raise ValueError("q, lam_f and lam_a must share the member count")
     board, lam_f = q[None].copy(), lam_f[None]
     rows = _regression_rows(lam_f, np.add.reduce(lam_f, axis=1) / M, lam_a[None], np.empty((2, 1, M)))
-    _regress_rows(board, *rows, floor, np.empty_like(board))
+    _regress_rows(board, *rows, POSITIVITY_FLOOR, np.empty_like(board))
     return board[0]
 
 
@@ -534,7 +531,7 @@ class Filter:
         self.dt = dt
         self.nodes, self.m = board.nodes, board.m
         # prior draws can legitimately fall below the floor (gamma shapes < 1)
-        self._lam = np.maximum(board.intensity, cfg.positivity_floor, out=lam)
+        self._lam = np.maximum(board.intensity, POSITIVITY_FLOOR, out=lam)
         self._params = params
         self._prev = np.zeros(self.m)
         self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.nodes.tolist())
@@ -557,25 +554,18 @@ class Filter:
             raise ValueError("counts_next must hold the full m-node count vector")
         if not unsigned:
             check_counts(counts)
-        floor, dt = self.cfg.positivity_floor, self.dt
         lam, params, lam_f = self._lam, self._params, self._lam_f
-        base = params[:, :, 0]
 
-        # Stage 1: member-specific forecast from the previous bin's counts, in the
-        # order of advance_intensity: base + (lam - base) * (1 - decay * dt) + excite
+        # Stage 1: member-specific forecast from the previous bin's counts
         np.matmul(params[:, :, 2:], self._prev, out=self._excite)
-        np.multiply(params[:, :, 1], dt, out=lam_f)
-        np.subtract(1.0, lam_f, out=lam_f)
-        lam_f *= np.subtract(lam, base, out=self._u)
-        np.add(base, lam_f, out=lam_f)
-        lam_f += self._excite
-        np.maximum(lam_f, floor, out=lam_f)
+        advance_intensity(lam, params[:, :, 0], params[:, :, 1], self._excite, self.dt, lam_f, self._u)
+        np.maximum(lam_f, POSITIVITY_FLOOR, out=lam_f)
 
         # Stage 2: conjugate intensity analysis, written into the board (Stage 4, the roll
         # forward, is this write); overflow surfaces as the explicit divergence error right
         # below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            lam_a, diag = _analyze_rows(lam_f, counts[self.nodes], dt, floor, self._streams,
+            lam_a, diag = _analyze_rows(lam_f, counts[self.nodes], self.dt, POSITIVITY_FLOOR, self._streams,
                                         lam, (self._u, self._t))
         if not lam_a.max() < np.inf:  # NaN fails too; every other member is at least the floor
             bad = int(np.argwhere(~np.isfinite(lam_a))[0][0])
@@ -587,7 +577,7 @@ class Filter:
         for lo in range(0, len(self.nodes), rows):
             hi = lo + rows
             q = params[lo:hi]
-            _regress_rows(q, ydev[lo:hi], innov[lo:hi], scale[lo:hi], floor, self._tmp[: len(q)])
+            _regress_rows(q, ydev[lo:hi], innov[lo:hi], scale[lo:hi], POSITIVITY_FLOOR, self._tmp[: len(q)])
 
         self._prev = counts
         self.k += 1

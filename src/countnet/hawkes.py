@@ -41,6 +41,15 @@ def json_floats(value, ndim: int = 0):
     return cells.astype(np.float64) if ndim else float(cells)
 
 
+def require_keys(obj: dict, keys: tuple[str, ...]) -> None:
+    """Raise ValueError, naming the first missing key, unless ``obj`` is a dict holding every one of ``keys``."""
+    if type(obj) is not dict:
+        raise ValueError("must be a JSON object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"must hold {', '.join(keys)}; {missing[0]!r} is missing")
+
+
 def check_counts(counts: np.ndarray) -> None:
     """Raise ValueError unless every count is a finite, non-negative integer."""
     # among finite x, floor(x) == |x| holds for exactly the non-negative integers; object
@@ -316,6 +325,7 @@ class HawkesParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HawkesParams":
+        require_keys(obj, ("mu", "beta", "alpha"))
         return cls(json_floats(obj["mu"], 1), json_floats(obj["beta"], 1), json_floats(obj["alpha"], 2))
 
     def save(self, path: str | Path) -> None:
@@ -323,7 +333,10 @@ class HawkesParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "HawkesParams":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_json(json.loads(Path(path).read_text()))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
 
 
 @dataclass
@@ -364,32 +377,34 @@ class CountSeries:
         return labels_or_default(self.node_labels, self.m)
 
 
-def advance_intensity(lam, baseline, decay, excite, dt):
-    """One step of the intensity recursion; broadcasts over any shape.
+def advance_intensity(lam, baseline, decay, excite, dt, out=None, work=None):
+    """One step of the intensity recursion, baseline + (lam - baseline) * (1 - decay * dt)
+    + excite; broadcasts over any shape.
 
     ``excite`` is the already-summed excitation input, i.e. alpha @ counts.
+    The result is written into ``out`` and lam - baseline into ``work``
+    (new arrays for either if None); ``out`` may be ``lam``.
     """
-    return baseline + (lam - baseline) * (1.0 - decay * dt) + excite
+    dev = np.subtract(lam, baseline, out=work)
+    out = np.empty(np.broadcast(dev, decay, excite).shape) if out is None else out
+    np.multiply(decay, dt, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= dev
+    np.add(baseline, out, out=out)
+    out += excite
+    return out
 
 
-def simulate(
-    params: HawkesParams,
-    dt: float,
-    n_steps: int,
-    seed: int,
-    burn_in: int = 0,
-) -> CountSeries:
+def simulate(params: HawkesParams, dt: float, n_steps: int, seed: int) -> CountSeries:
     """Generate a CountSeries from the process, starting at lam = baseline.
 
     Draws each node's bin counts from its own named stream, so results are
-    reproducible and independent of evaluation order. ``burn_in`` extra steps
-    are simulated and discarded before recording starts (default keeps the
-    lam_0 = baseline convention untouched).
+    reproducible and independent of evaluation order. Raises ValueError,
+    naming the step and node, if an intensity grows past what a Poisson
+    draw takes.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
     if not dt > 0:
         raise ValueError("dt must be positive")
     if (params.decay * dt >= 1.0).any():
@@ -401,14 +416,15 @@ def simulate(
     streams = rng.node_streams(seed, rng.SIM_COUNTS, range(m))
     lam = params.baseline.copy()
     out = np.zeros((n_steps, m), dtype=np.uint64)
-    row = np.zeros(m, dtype=np.int64)
-    for k in range(burn_in + n_steps):
-        for i in range(m):
-            row[i] = streams[i].poisson(lam[i] * dt)
-        if k >= burn_in:
-            out[k - burn_in] = row
-        excite = params.excitation @ row.astype(np.float64)
-        lam = advance_intensity(lam, params.baseline, params.decay, excite, dt)
+    try:
+        for k, row in enumerate(out):
+            for i in range(m):
+                row[i] = streams[i].poisson(lam[i] * dt)
+            excite = params.excitation @ row.astype(np.float64)
+            advance_intensity(lam, params.baseline, params.decay, excite, dt, out=lam)
+    except ValueError:  # numpy's "lam value too large", or NaN once the intensity overflowed
+        raise ValueError(f"the intensity of node {i} at step {k} is too large for a Poisson draw; "
+                         "the excitation is too strong") from None
     return CountSeries(out, dt)
 
 

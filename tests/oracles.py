@@ -17,8 +17,8 @@ and is updated on its own. It is the bit-level reference for the batched
 kernel, draws and stream states included.
 
 ``filter_step`` is one step of ``countnet.filtering.Filter.assimilate_step``
-as it ran before the filter kept its work arrays: the forecast through
-``advance_intensity``, the whole-board analysis ``board_analysis`` (new arrays
+as it ran before the filter kept its work arrays: the forecast written out as
+one expression, the whole-board analysis ``board_analysis`` (new arrays
 for every pass, the perturbed observations drawn row by row into a new board,
 the observed rows updated through fancy indexing), the regression
 ``board_regression`` (its row vectors computed inside it) and a copy of the
@@ -81,9 +81,9 @@ from pathlib import Path
 import numpy as np
 
 from countnet import filtering, ingest, rng
-from countnet.abm import SPAWN_POISSON, ABMConfig, ABMState, initial_state
+from countnet.abm import ABMConfig, ABMState, initial_state
 from countnet.filtering import AnalysisDiagnostics, Ensemble, FilterResult
-from countnet.hawkes import CountSeries, HawkesParams, advance_intensity, labels_or_default
+from countnet.hawkes import CountSeries, HawkesParams, labels_or_default
 from countnet.ingest import HOURS_PER_DAY, CleaningReport
 from countnet.network import BETWEENNESS_WEIGHT_FLOOR, InfluenceNetwork, RankDistribution
 
@@ -182,7 +182,8 @@ def filter_step(lam, params, prev, counts_next, nodes, dt, floor, streams) -> An
     counts_next = np.asarray(counts_next, dtype=np.float64)
     own_counts = counts_next[nodes]
     excite = params[:, :, 2:] @ prev
-    lam_f = advance_intensity(lam, params[:, :, 0], params[:, :, 1], excite, dt)
+    base, decay = params[:, :, 0], params[:, :, 1]
+    lam_f = base + (lam - base) * (1.0 - decay * dt) + excite
     np.maximum(lam_f, floor, out=lam_f)
     with np.errstate(over="ignore", invalid="ignore"):
         lam_a, diag = board_analysis(lam_f, own_counts, dt, floor, streams)
@@ -700,10 +701,7 @@ def step_agents(
                 arrivals[s] += movers
             else:
                 np.add.at(arrivals, hood, gen.multinomial(movers, probs))
-        if cfg.spawn_law == SPAWN_POISSON:
-            arrivals[s] += int(gen.poisson(cfg.spawn_rate * cfg.dt))
-        else:
-            arrivals[s] += int(round(cfg.spawn_rate * cfg.dt))
+        arrivals[s] += int(gen.poisson(cfg.spawn_rate * cfg.dt))
     new_state = ABMState(state.B.copy(), arrivals)
     return events, new_state
 

@@ -118,16 +118,15 @@ class TestMovement:
 
 class TestConservationAndSpawning:
     def test_agents_conserved_exactly_with_fixed_spawning(self):
-        # round(spawn_rate * dt) = 0: agents only leave via events
+        # Poisson spawns of mean 1e-7, none of which this seed draws: agents only leave via events
         cfg = abm_test_config()
         cfg = ABMConfig(
             baseline=cfg.baseline,
             decay=cfg.decay,
             diffusion=cfg.diffusion,
-            spawn_rate=0.1,
+            spawn_rate=1e-6,
             excitation=cfg.excitation,
             dt=0.1,
-            spawn_law="fixed",
         )
         state = ABMState(np.zeros(6), np.full(6, 40, dtype=np.int64))
         streams = rng.node_streams(5, rng.ABM_AGENTS, range(6))
@@ -224,15 +223,17 @@ class TestSimulateABM:
         assert np.array_equal(loaded.excitation, cfg.excitation)
         assert np.array_equal(loaded.baseline, cfg.baseline)
         assert loaded.decay == cfg.decay
-        assert loaded.spawn_law == cfg.spawn_law
+        assert loaded.to_json() == cfg.to_json()
 
     def test_retired_event_prob_form_key(self):
+        # and spawn_law: files saved with the one value the model has still load
         saved = abm_test_config().to_json()
-        assert "event_prob_form" not in saved
-        loaded = ABMConfig.from_json({**saved, "event_prob_form": "rate"})
-        assert loaded.to_json() == saved
-        with pytest.raises(ValueError, match="event_prob_form"):
-            ABMConfig.from_json({**saved, "event_prob_form": "scaled"})
+        for key, kept, other in (("event_prob_form", "rate", "scaled"), ("spawn_law", "poisson", "fixed")):
+            assert key not in saved
+            loaded = ABMConfig.from_json({**saved, key: kept})
+            assert loaded.to_json() == saved
+            with pytest.raises(ValueError, match=f"{key} '{other}' is not supported; only '{kept}' is"):
+                ABMConfig.from_json({**saved, key: other})
 
     def test_excitation_is_a_read_only_copy(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -286,15 +287,13 @@ def abm_cases(draw):
     excitation = np.where(gen.random((m, m)) < density, gen.uniform(0.05, 6.0, (m, m)), 0.0)
     zero_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
     baseline = np.where(gen.random(m) < zero_share, 0.0, gen.uniform(0.05, 4.0, m))
-    law = draw(st.sampled_from([abm.SPAWN_POISSON, abm.SPAWN_FIXED]))
     cfg = ABMConfig(
         baseline=baseline,
         decay=draw(st.floats(0.5, 9.5)),
         diffusion=draw(st.sampled_from([0.0, 1.0, 0.25]) | st.floats(0.0, 1.0)),
-        spawn_rate=draw(st.floats(2.0, 40.0)),  # fixed spawns: round(spawn_rate * dt) = 0 .. 4
+        spawn_rate=draw(st.floats(2.0, 40.0)),
         excitation=excitation,
         dt=0.1,
-        spawn_law=law,
     )
     nodes = draw(st.none() | st.lists(st.integers(0, 63), min_size=m, max_size=m, unique=True))
     return cfg, nodes, draw(st.integers(0, 2**20)), draw(st.integers(1, 40))

@@ -72,10 +72,8 @@ BAD = [
     ("filter", {"ensemble_size": "abc"}, "ensemble_size"),
     ("simulate-hawkes", {"n_steps": "abc"}, "n_steps"),
     ("simulate-abm", {"abm": [1, 2]}, "abm"),
-    ("filter", {"positivity_floor": 0.0}, "positivity_floor"),
     ("aggregate", {"dt": 0}, "dt"),
     ("aggregate", {"min_node_total": -1}, "min_node_total"),
-    ("simulate-hawkes", {"burn_in": -3}, "burn_in"),
     ("experiment-1", {"s1": "abc"}, "s1"),
     ("experiment-2", {"n_steps": 0}, "n_steps"),
     ("sweep", {"s1_values": 1.5}, "s1_values"),
@@ -85,6 +83,8 @@ BAD = [
     ("simulate-hawkes", {"params": {**hawkes_config()["params"], "mu": ["2.0", "1"]}}, "params"),
     ("simulate-abm", {"abm": {**abm_test_config().to_json(), "decay": "5"}}, "abm"),
     ("aggregate", {"dt": 10**400}, "dt"),
+    ("simulate-hawkes", {"params": {k: v for k, v in hawkes_config()["params"].items() if k != "mu"}}, "params"),
+    ("simulate-abm", {"abm": {k: v for k, v in abm_test_config().to_json().items() if k != "baseline"}}, "abm"),
 ]
 
 
@@ -130,11 +130,12 @@ class TestValidate:
                      "--seed", "0", "--out-dir", str(tmp_path)]) == 0
         truth = write_config(tmp_path, "truth.json", hawkes_config()["params"])
         flt = {"counts_path": str(counts), "ensemble_size": 8, "priors": PRIORS}
-        # a misspelt key, a key of older configs (a truth alone now asks for the curves) and a key
-        # that the filter reads only when another key is given
+        # a misspelt key, keys of older configs (a truth alone now asks for the curves, the floor is
+        # fixed) and a key that the filter reads only when another key is given
         cases = (
             ({"record_intensity_hstory": True}, "unknown key 'record_intensity_hstory' for mode filter"),
             ({"record_param_history": True}, "unknown key 'record_param_history' for mode filter"),
+            ({"positivity_floor": 0.5}, "unknown key 'positivity_floor' for mode filter"),
             ({"excitation_scale": 2.0}, "key 'excitation_scale' is not read unless truth_path is given"),
         )
         for k, (extra, warning) in enumerate(cases):
@@ -150,7 +151,7 @@ class TestValidate:
             assert not (out / "diagnostics.csv").exists()
             assert not (out / "metrics.json").exists()
             config = json.loads((out / "result.json").read_text())["config"]
-            assert list(config) == ["seed", "positivity_floor", "record_intensity_history"]
+            assert list(config) == ["seed", "record_intensity_history"]
         # with the truth, its key of older configs is still only a warning
         cfg = write_config(tmp_path, "truth_run.json", {**flt, "record_param_history": True, "truth_path": str(truth),
                                                         "mode": "filter", "seed": 0})
@@ -158,6 +159,16 @@ class TestValidate:
         assert "ok: 0 issue(s), 1 warning(s)" in capsys.readouterr().err
         assert main(["filter", "--config", str(cfg), "--out-dir", str(tmp_path / "truth_run")]) == 0
         assert (tmp_path / "truth_run" / "metrics.json").exists()
+        # the simulator's burn-in, a key of older configs, is a warning too; the run starts at the baseline
+        cfg = write_config(tmp_path, "burn.json", {**hawkes_config(), "burn_in": 50, "mode": "simulate-hawkes"})
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg), "--seed", "0"]) == 0
+        err = capsys.readouterr().err
+        assert "warning: unknown key 'burn_in' for mode simulate-hawkes" in err
+        assert "ok: 0 issue(s), 1 warning(s)" in err
+        assert main(["simulate-hawkes", "--config", str(cfg), "--seed", "0", "--out-dir", str(tmp_path / "burn")]) == 0
+        assert "warning: unknown key 'burn_in' for mode simulate-hawkes" in capsys.readouterr().err
+        assert (tmp_path / "burn" / "counts.csv").read_bytes() == counts.read_bytes()
 
     def test_bad_threshold_rules_rejected(self, tmp_path, capsys):
         sim = write_config(tmp_path, "sim.json", hawkes_config())
@@ -191,12 +202,22 @@ class TestValidate:
             assert not out.exists()
 
     def test_scaled_event_prob_form_rejected(self, tmp_path, capsys):
-        abm = {"abm": {**abm_test_config().to_json(), "event_prob_form": "scaled"}, "n_steps": 20}
-        cfg = write_config(tmp_path, "abm.json", abm)
-        out = tmp_path / "abm"
-        assert main(["simulate-abm", "--config", str(cfg), "--seed", "0", "--out-dir", str(out)]) == 1
-        assert "event_prob_form" in capsys.readouterr().err
-        assert not out.exists()
+        # and fixed spawning: a retired key loads with the model's one value and no other
+        saved = abm_test_config().to_json()
+        for key, kept, other in (("event_prob_form", "rate", "scaled"), ("spawn_law", "poisson", "fixed")):
+            cfg = write_config(tmp_path, "abm.json", {"abm": {**saved, key: other}, "n_steps": 20,
+                                                      "mode": "simulate-abm", "seed": 0})
+            capsys.readouterr()
+            assert main(["validate", "--config", str(cfg)]) == 1
+            assert f"abm: {key} '{other}' is not supported" in capsys.readouterr().err
+            out = tmp_path / f"abm-{other}"
+            assert main(["simulate-abm", "--config", str(cfg), "--out-dir", str(out)]) == 1
+            assert f"abm: {key} '{other}' is not supported" in capsys.readouterr().err
+            assert not out.exists()
+            cfg = write_config(tmp_path, "abm.json", {"abm": {**saved, key: kept}, "n_steps": 20, "seed": 0})
+            out = tmp_path / f"abm-{kept}"
+            assert main(["simulate-abm", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            assert json.loads((out / "abm_config.json").read_text()) == saved
 
     def test_missing_seed_flagged(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {**hawkes_config(), "mode": "simulate-hawkes"})
@@ -349,7 +370,11 @@ class TestPipelines:
                                                        "alpha": [[0.1] * 3] * 3})
         steps, step = [], Filter.assimilate_step
         monkeypatch.setattr(Filter, "assimilate_step", lambda filt, row: steps.append(1) or step(filt, row))
-        cases = ((three, "the truth is over 3 nodes, the counts over 2"), (tmp_path / "none.json", "none.json"))
+        no_mu = write_config(tmp_path, "no_mu.json", {"beta": [5.0] * 2, "alpha": [[0.1] * 2] * 2})
+        number = write_config(tmp_path, "number.json", 5)
+        cases = ((three, "the truth is over 3 nodes, the counts over 2"), (tmp_path / "none.json", "none.json"),
+                 (no_mu, f"failed: {no_mu}: must hold mu, beta, alpha; 'mu' is missing"),
+                 (number, f"failed: {number}: must be a JSON object"))
         for k, (truth, message) in enumerate(cases):
             flt = write_config(tmp_path, f"flt{k}.json", {
                 **GOOD["filter"], "counts_path": str(tmp_path / "sim" / "counts.csv"), "truth_path": str(truth)})

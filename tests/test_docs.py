@@ -1,9 +1,11 @@
-"""The README's code runs as written, and its data formats name every output."""
+"""The README's code runs as written, its data formats name every output, its config key tables
+name each mode's keys, and its minimal configs validate."""
 
 import json
 import re
 from pathlib import Path
 
+from countnet import cli
 from countnet.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -18,10 +20,14 @@ def test_library_quick_start_runs(capsys):
     assert printed.count("[[") == 2  # the adjacency and the edge sds
 
 
-def data_formats() -> str:
+def readme_section(start: str, end: str) -> str:
     text = README.read_text()
-    section = text[text.index("## Data formats"):]
-    return section[:section.index("\n## ", 1)]
+    section = text[text.index(start):]
+    return section[:section.index(end, len(start))]
+
+
+def data_formats() -> str:
+    return readme_section("## Data formats", "\n## ")
 
 
 def written_files(out: Path) -> list[str]:
@@ -60,3 +66,27 @@ def test_data_formats_name_every_analyze_output(tmp_path):
     written = written_files(out)
     assert len(written) == 6
     assert [name for name in written if f"`{name}`" not in data_formats()] == []
+
+
+def test_config_key_tables_name_each_mode_s_keys():
+    section = readme_section("### Config keys", "\n## ")
+    tables = re.findall(r"^`([a-z0-9-]+)`\n\n\| key \|.*\n\|[-|]+\|\n((?:\|.*\n)+)", section, re.MULTILINE)
+    named = {mode: sorted(key for row in rows.splitlines() for key in re.findall(r"`([^`]+)`", row.split("|")[1]))
+             for mode, rows in tables}
+    assert named == {mode: sorted(keys) for mode, (_, keys) in cli.SCHEMA.items()}
+
+
+def test_minimal_configs_validate(tmp_path, capsys):
+    section = readme_section("## CLI", "### Config keys")
+    # the usage lines give each config file's mode
+    modes = {name: mode for mode, name in re.findall(r"^countnet (\S+) +--config (\S+)", section, re.MULTILINE)
+             if mode != "validate"}
+    block = re.search(r"Minimal configs:\n\n```jsonc\n(.*?)```", section, re.DOTALL).group(1)
+    parts = re.split(r"^// (\S+) - .*\n", block, flags=re.MULTILINE)[1:]
+    assert len(parts) == 10
+    for name, body in zip(parts[::2], parts[1::2]):
+        path = tmp_path / name
+        path.write_text(json.dumps({**json.loads(body), "mode": modes[name]}))
+        capsys.readouterr()
+        assert main(["validate", "--config", str(path), "--seed", "0"]) == 0, name
+        assert "ok: 0 issue(s), 0 warning(s)" in capsys.readouterr().err, name

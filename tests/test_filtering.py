@@ -158,8 +158,8 @@ class TestPgAnalysis:
 
     def test_members_respect_floor(self):
         lam_f = np.array([1e-6, 1e-6, 5.0, 5.0])
-        lam_a, _ = pg_analysis(lam_f, 2, 0.5, gen(3), floor=1e-8)
-        assert (lam_a >= 1e-8).all()
+        lam_a, _ = pg_analysis(lam_f, 2, 0.5, gen(3))
+        assert (lam_a >= filtering.POSITIVITY_FLOOR).all()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -485,13 +485,13 @@ def one_step(init, counts, cfg):
 
 def public_op_step(e, count, cfg):
     """One node's first step from the public single-node ops (zero previous counts)."""
-    lam_0 = np.maximum(e.intensity, cfg.positivity_floor)
+    lam_0 = np.maximum(e.intensity, filtering.POSITIVITY_FLOOR)
     prev = np.zeros(e.excitation.shape[1])
     lam_f = e.baseline + (lam_0 - e.baseline) * (1.0 - e.decay * DT) + e.excitation @ prev
-    lam_f = np.maximum(lam_f, cfg.positivity_floor)
+    lam_f = np.maximum(lam_f, filtering.POSITIVITY_FLOOR)
     stream = rng.node_stream(cfg.seed, rng.ANALYSIS, e.node_index)
-    lam_a, d = pg_analysis(lam_f, count, DT, stream, cfg.positivity_floor)
-    return lam_a, enkf_regress(e.params, lam_f, lam_a, cfg.positivity_floor), d
+    lam_a, d = pg_analysis(lam_f, count, DT, stream)
+    return lam_a, enkf_regress(e.params, lam_f, lam_a), d
 
 
 class TestAssimilateStep:
@@ -513,8 +513,12 @@ class TestAssimilateStep:
             assert d.post_mean == pytest.approx(float(diag.post_mean[i]), rel=1e-15)
 
     def test_wrapper_matches_board_row_with_raised_floor(self):
-        # a floor above many prior draws, so the clamp is active in the step
-        _, data, init, cfg = toy_filter_setup(m=3, positivity_floor=0.5)
+        # priors of gamma shape far below 1 draw most excitation members under the floor,
+        # so the clamp is active in the step
+        _, data, _, cfg = toy_filter_setup(m=3)
+        init = init_ensemble(3, 60, GammaSpec(1.0, 8.0), GammaSpec(1.0, 8.0), GammaSpec(1e-3, 1.0),
+                             seed=cfg.seed).draw()
+        assert (init.params < filtering.POSITIVITY_FLOOR).sum() > 500
         counts = data.counts[0].astype(float)
         ens_out, _ = one_step(init, counts, cfg)
         clamped = 0
@@ -522,8 +526,8 @@ class TestAssimilateStep:
             lam_a, q_a, _ = public_op_step(e, int(counts[i]), cfg)
             assert np.array_equal(ens_out[i].intensity, lam_a)
             assert np.array_equal(ens_out[i].params, q_a)
-            clamped += int((q_a == cfg.positivity_floor).sum())
-        assert clamped > 0
+            clamped += int((q_a == filtering.POSITIVITY_FLOOR).sum())
+        assert clamped > 500
 
     def test_single_node_least_squares_oracle(self):
         # posterior parameter mean equals the augmented least-squares estimate
@@ -533,10 +537,10 @@ class TestAssimilateStep:
         e = init[0]
         lam_f = np.maximum(
             e.baseline + (e.intensity - e.baseline) * (1.0 - e.decay * DT),
-            cfg.positivity_floor,
+            filtering.POSITIVITY_FLOOR,
         )
         stream = rng.node_stream(cfg.seed, rng.ANALYSIS, 0)
-        lam_a, _ = pg_analysis(lam_f, 2, DT, stream, cfg.positivity_floor)
+        lam_a, _ = pg_analysis(lam_f, 2, DT, stream)
         ens_out, _ = one_step(init, np.array([2.0]), cfg)
         design = np.concatenate([lam_f - lam_f.mean(), lam_a - lam_a.mean()])[:, None]
         for j in range(3):
@@ -884,12 +888,13 @@ def make_degenerate(lam, params):
 
 def oracle_run(init, data, cfg):
     """The per-step oracle over ``data``: the final board, its parameter moments and diagnostics."""
-    lam = np.maximum(init.intensity, cfg.positivity_floor)
+    lam = np.maximum(init.intensity, filtering.POSITIVITY_FLOOR)
     params, prev = init.params.copy(), np.zeros(data.m)
     streams = rng.node_streams(cfg.seed, rng.ANALYSIS, init.nodes.tolist())
     moments, diags = [oracles.param_moments(params)[:2]], []
     for row in data.counts:
-        diags.append(oracles.filter_step(lam, params, prev, row, init.nodes, data.dt, cfg.positivity_floor, streams))
+        diags.append(oracles.filter_step(lam, params, prev, row, init.nodes, data.dt, filtering.POSITIVITY_FLOOR,
+                                         streams))
         prev = row.astype(np.float64)
         moments.append(oracles.param_moments(params)[:2])
     return lam, params, moments, diags
@@ -905,7 +910,7 @@ class TestLeanStep:
         cfg = FilterConfig(seed=9)
         monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", rows * init.params[0].size)
         filt = Filter(init, DT, cfg)
-        lam, params = np.maximum(init.intensity, cfg.positivity_floor), init.params.copy()
+        lam, params = np.maximum(init.intensity, filtering.POSITIVITY_FLOOR), init.params.copy()
         prev, streams = np.zeros(data.m), rng.node_streams(cfg.seed, rng.ANALYSIS, range(data.m))
         drawn = set()
         spread = gen(5).gamma(2.0, 0.5, size=(init.M, data.m + 2))
@@ -916,7 +921,7 @@ class TestLeanStep:
                     board[0][DEGENERATE_ROW], board[1][DEGENERATE_ROW] = spread[:, 0], spread
                 elif k == 6:
                     make_degenerate(*board)
-            want = oracles.filter_step(lam, params, prev, row, init.nodes, DT, cfg.positivity_floor, streams)
+            want = oracles.filter_step(lam, params, prev, row, init.nodes, DT, filtering.POSITIVITY_FLOOR, streams)
             got = filt.assimilate_step(row.astype(dtype))
             prev = row.astype(np.float64)
             assert filt._lam.tobytes() == lam.tobytes() and filt._params.tobytes() == params.tobytes()
@@ -1008,8 +1013,6 @@ class TestConfigValidation:
     def test_bad_configs(self):
         with pytest.raises(ValueError):
             FilterConfig(seed=-1)
-        with pytest.raises(ValueError):
-            FilterConfig(seed=0, positivity_floor=0.0)
 
     def test_gamma_spec_validation(self):
         with pytest.raises(ValueError):
@@ -1021,12 +1024,6 @@ class TestConfigValidation:
     def test_gamma_spec_refuses_non_finite_numbers(self, mean, variance):
         with pytest.raises(ValueError, match="GammaSpec .* finite"):
             GammaSpec(mean, variance)
-
-    @pytest.mark.parametrize("floor", [math.inf, math.nan])
-    def test_filter_config_refuses_a_non_finite_floor(self, floor):
-        # an infinite floor used to fail the first step as a non-finite intensity member
-        with pytest.raises(ValueError, match="positivity_floor must be positive and finite"):
-            FilterConfig(0, positivity_floor=floor)
 
     def test_node_ensemble_validation(self):
         # a node's arrays are checked on the board that holds them

@@ -66,6 +66,19 @@ class TestStepIntensity:
 
         assert step(a + b) - step(a) == pytest.approx(step(b) - step(0), abs=1e-9)
 
+    def test_written_in_place_with_the_bits_of_the_expression(self):
+        lam, base, decay, excite = np.random.default_rng(0).gamma(2.0, 1.0, (4, 3, 5))
+        want = base + (lam - base) * (1.0 - decay * 0.1) + excite
+        assert advance_intensity(lam, base, decay, excite, 0.1).tobytes() == want.tobytes()
+        # a node's baseline and decay broadcast over its members
+        row = base[0] + (lam - base[0]) * (1.0 - decay[0] * 0.1) + excite
+        assert advance_intensity(lam, base[0], decay[0], excite, 0.1).tobytes() == row.tobytes()
+        out, work = np.empty_like(lam), np.empty_like(lam)
+        assert advance_intensity(lam, base, decay, excite, 0.1, out, work) is out
+        assert out.tobytes() == want.tobytes()
+        assert advance_intensity(lam, base, decay, excite, 0.1, out=lam) is lam
+        assert lam.tobytes() == want.tobytes()
+
 
 class TestSimulate:
     def test_decoupled_poisson_rate(self):
@@ -107,12 +120,12 @@ class TestSimulate:
             excite = params.excitation @ row.astype(float)
             lam = advance_intensity(lam, params.baseline, params.decay, excite, 0.1)
 
-    def test_burn_in_changes_start_only(self):
-        params = scalar_params(mu=2.0, beta=4.0, alpha=1.0)
-        plain = simulate(params, 0.1, 200, seed=9)
-        burned = simulate(params, 0.1, 150, seed=9, burn_in=50)
-        # same stream: burned run reproduces the tail of the plain run
-        assert np.array_equal(plain.counts[50:], burned.counts)
+    def test_supercritical_intensity_names_its_step_and_node(self):
+        # the intensity outgrows numpy's Poisson draw, which used to end the run with "lam value too large"
+        params = HawkesParams([1.0, 1.0], [1.0, 1.0], [[5.0, 5.0], [5.0, 5.0]])
+        with pytest.raises(ValueError, match=r"intensity of node 0 at step 79 is too large for a Poisson draw; "
+                                             "the excitation is too strong"):
+            simulate(params, 0.1, 2000, seed=0)
 
 
 class TestStationaryRate:

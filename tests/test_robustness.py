@@ -141,7 +141,7 @@ class TestFilterEdges:
         cfg = FilterConfig(seed=3)
         data = CountSeries(np.ones((5, 1), dtype=np.uint64), 0.1)
         result = run_filter(data, init, cfg)
-        assert (result.ensembles[0].intensity >= cfg.positivity_floor).all()
+        assert (result.ensembles[0].intensity >= filtering.POSITIVITY_FLOOR).all()
 
 
 TESTS = Path(__file__).resolve().parent
