@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .hawkes import CountSeries, json_floats, require_keys
+from .hawkes import CountSeries, json_floats, read_json, require_keys
 
 # retired keys, with the one value the model now has: files saved with that value still load
 _RETIRED = {"event_prob_form": "rate", "spawn_law": "poisson"}
@@ -137,7 +137,7 @@ class ABMConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ABMConfig":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return read_json(path, cls.from_json)
 
 
 @dataclass

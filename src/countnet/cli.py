@@ -34,7 +34,8 @@ from .filtering import (
     run_filter,
     save_filter_result,
 )
-from .hawkes import HawkesParams, json_floats, load_count_series, save_count_series, simulate, write_table
+from .hawkes import (HawkesParams, json_floats, load_count_series, read_json, save_count_series, simulate,
+                     write_table)
 from .ingest import aggregate, clean, read_event_csv, save_cleaning_report
 from .network import (
     MEASURES,
@@ -200,7 +201,7 @@ def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
 def _run_analyze_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     ensembles = load_ensemble_snapshots(a.result_dir)
     # a result.json without node_labels (older result directories) gives the default names
-    labels = json.loads((a.result_dir / "result.json").read_text()).get("node_labels")
+    labels = read_json(a.result_dir / "result.json").get("node_labels")
     net = mean_network(ensembles, labels)
     save_network(net, out_dir / "edges.csv", out_dir / "network.json")
     if a.threshold is not None:

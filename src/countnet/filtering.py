@@ -7,7 +7,11 @@ Per node and per time bin the filter runs four stages:
 2. intensity analysis: move the intensity members so that their mean and
    relative variance follow the exact gamma-conjugate posterior for the
    observed count (Poisson likelihood, gamma prior), using independently
-   drawn perturbed observations to keep the member spread consistent;
+   drawn perturbed observations to keep the member spread consistent. Each
+   member's relative deviation moves toward its draw's by the conjugate
+   weight prior_rv / (prior_rv + 1 / count), which is 0 for a zero count
+   and for a flat row (no spread): such a row draws nothing and keeps its
+   deviations, in the same whole-board pass as every other row;
 3. parameter regression: update each member's parameter vector by
    regressing it on the member-wise intensity innovation (a stochastic
    ensemble-Kalman step whose observation space is scalar);
@@ -214,6 +218,7 @@ class FilterConfig:
     record_intensity_history: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", operator.index(self.seed))  # a float would alias an integer's streams
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -238,15 +243,6 @@ def analytic_posterior(
     return post_mean, post_rel_var
 
 
-def _perturbed_rows(counts: list[float], M: int, streams, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma(count, 1) draws, row r of ``out`` (a new (rows, M) board if None) from ``streams[r]``,
-    and their row means."""
-    t = np.empty((len(counts), M)) if out is None else out
-    for r, (count, gen) in enumerate(zip(counts, streams)):
-        gen.standard_gamma(count, out=t[r])
-    return t, np.add.reduce(t, axis=1) / M
-
-
 def perturbed_observations(
     dN: int, M: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, float]:
@@ -261,8 +257,8 @@ def perturbed_observations(
         raise ValueError("perturbed observations are only drawn for dN >= 1")
     if M < 2:
         raise ValueError("need at least two draws")
-    draws, mean = _perturbed_rows([float(dN)], M, [gen])
-    return draws[0], float(mean[0])
+    draws = gen.standard_gamma(float(dN), size=M)
+    return draws, float(np.add.reduce(draws) / M)
 
 
 def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
@@ -272,7 +268,8 @@ def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
     Writes the analysed members into ``out`` and uses ``work``, two boards of
     ``lam_f``'s shape, as scratch (new arrays for either if None). The
     diagnostics' ``prior_mean`` is the forecast's row means. Only a row with
-    a count of at least 1 and some forecast spread draws from its stream.
+    a count of at least 1 and some forecast spread draws from its stream;
+    every other row has conjugate weight 0 and keeps its relative deviations.
     """
     n_rows, M = lam_f.shape
     out = np.empty_like(lam_f) if out is None else out
@@ -282,43 +279,31 @@ def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
     u -= 1.0
     prior_rv = np.einsum("im,im->i", u, u) / (M - 1)
     degenerate = prior_rv == 0.0
-    drawing = counts >= 1
-    if degenerate.any():
-        inv_prior = np.divide(1.0, prior_rv, out=np.full(n_rows, np.inf), where=~degenerate)
-        drawing &= ~degenerate
-    else:
+    with np.errstate(divide="ignore"):  # inf for a flat row and a zero count: weight c = 0
         inv_prior = 1.0 / prior_rv
+        c = prior_rv / (prior_rv + 1.0 / counts)
 
     expected = mean_f * dt
     innovation = counts - expected
-    gain = mean_f / (inv_prior + expected)  # degenerate rows get gain 0
+    gain = mean_f / (inv_prior + expected)  # flat rows get gain 0
     post_mean = mean_f + gain * innovation
 
-    # redistribute relative deviations, u + c * (t / mean(t) - 1 - u); the other rows keep
-    # theirs. When every row draws, u is updated in place, not through the index.
-    act = drawing.nonzero()[0]
-    if act.size:
-        every = act.size == n_rows
-        rows = slice(None) if every else act
-        draws = streams if every else [streams[i] for i in act.tolist()]
-        t, t_mean = _perturbed_rows(counts[rows].tolist(), M, draws, t[: act.size])
-        c = prior_rv[rows] / (prior_rv[rows] + 1.0 / counts[rows])
-        u_act = u if every else u[act]
-        t /= t_mean[:, None]
-        t -= 1.0
-        t -= u_act
-        t *= c[:, None]
-        if every:
-            u += t
-        else:
-            u[act] = u_act + t
+    # redistribute relative deviations, u + c * (t / mean(t) - 1 - u); a row that does
+    # not draw has t = 1 and c = 0, so it keeps its own
+    t.fill(1.0)
+    for r in np.flatnonzero((counts >= 1) & ~degenerate).tolist():
+        streams[r].standard_gamma(counts[r], out=t[r])
+    t /= (np.add.reduce(t, axis=1) / M)[:, None]
+    t -= 1.0
+    t -= u
+    t *= c[:, None]
+    u += t
     u += 1.0
     np.multiply(post_mean[:, None], u, out=out)
     np.maximum(out, floor, out=out)
 
-    post_rv = 1.0 / (inv_prior + counts)
-    if act.size < n_rows:  # a row with a zero count keeps its prior relative variance
-        post_rv = np.where(counts == 0, prior_rv, post_rv)
+    # a row with a zero count keeps its prior relative variance
+    post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
     diag = AnalysisDiagnostics(mean_f, post_mean, prior_rv, post_rv, innovation, degenerate)
     return out, diag
 
@@ -362,10 +347,7 @@ def _regression_rows(lam_f, mean_f, lam_a, work) -> tuple[np.ndarray, np.ndarray
     np.subtract(lam_f, mean_f[:, None], out=ydev)
     yadev = np.subtract(lam_a, (np.add.reduce(lam_a, axis=1) / M)[:, None], out=innov)
     denom = (np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)) / (M - 1)
-    if denom.min() > 0:
-        scale = 1.0 / denom
-    else:
-        scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
+    scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
     np.subtract(lam_a, lam_f, out=innov)
     return ydev, innov, scale
 
@@ -663,7 +645,7 @@ def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, histo
         if cfg.record_intensity_history:
             for key in _INTENSITY_KEYS:
                 getattr(history, key)[k, rows] = getattr(diag, key)
-        if progress is not None and (k + 1) % report_every == 0:
+        if progress is not None and ((k + 1) % report_every == 0 or k + 1 == n_steps):
             progress(k + 1, n_steps)
     # an earlier step's non-finite parameter fails the next forecast's check;
     # caught here, before run_filter wraps the board and checks it again

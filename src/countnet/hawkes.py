@@ -41,6 +41,15 @@ def json_floats(value, ndim: int = 0):
     return cells.astype(np.float64) if ndim else float(cells)
 
 
+def read_json(path: str | Path, build=lambda value: value):
+    """``build`` of the JSON value in the file ``path``; a ValueError, a file that does not
+    parse included, names the file."""
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def require_keys(obj: dict, keys: tuple[str, ...]) -> None:
     """Raise ValueError, naming the first missing key, unless ``obj`` is a dict holding every one of ``keys``."""
     if type(obj) is not dict:
@@ -333,10 +342,7 @@ class HawkesParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "HawkesParams":
-        try:
-            return cls.from_json(json.loads(Path(path).read_text()))
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from err
+        return read_json(path, cls.from_json)
 
 
 @dataclass
@@ -515,7 +521,7 @@ def load_count_series(csv_path: str | Path) -> tuple[CountSeries, dict]:
     """
     csv_path = Path(csv_path)
     sidecar = csv_path.with_suffix(".json")
-    meta = json.loads(sidecar.read_text())
+    meta = read_json(sidecar)
     try:
         dt = json_floats(meta["dt"])
     except (LookupError, TypeError, ValueError) as err:

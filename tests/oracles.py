@@ -14,7 +14,10 @@ are the exact reference for the coded path.
 ``countnet.filtering._analyze_rows`` replaced with whole-board operations:
 each observed row draws its perturbed observations with ``gamma(dN, 1)``
 and is updated on its own. It is the bit-level reference for the batched
-kernel, draws and stream states included.
+kernel, draws and stream states included. ``_analyze_rows`` is now
+``board_analysis`` below done in place in the filter's work boards, in one
+pass over every row: a row without a draw has weight 0 where
+``board_analysis`` leaves it out through its index.
 
 ``filter_step`` is one step of ``countnet.filtering.Filter.assimilate_step``
 as it ran before the filter kept its work arrays: the forecast written out as

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -210,6 +211,16 @@ class TestSimulateABM:
             solo = simulate_abm(solo_cfg, 400, seed=8, node_indices=[s])
             assert np.array_equal(joint.counts[:, s], solo.counts[:, 0])
 
+    def test_stream_keys_are_whole_and_distinct(self):
+        # six locations on one stream, or seed 3.9 run as seed 3, are refused
+        cfg = abm_test_config()
+        with pytest.raises(ValueError, match="node 0 has more than one stream"):
+            simulate_abm(cfg, 10, seed=1, node_indices=[0] * 6)
+        with pytest.raises(TypeError):
+            simulate_abm(cfg, 10, seed=3.9)
+        with pytest.raises(TypeError):
+            simulate_abm(cfg, 10, seed=3, node_indices=[0.0, 1, 2, 3, 4, 5])
+
     def test_agent_trace(self):
         series, trace = simulate_abm(abm_test_config(), 100, seed=1, return_agent_trace=True)
         assert trace.shape == (100, 6)
@@ -224,6 +235,13 @@ class TestSimulateABM:
         assert np.array_equal(loaded.baseline, cfg.baseline)
         assert loaded.decay == cfg.decay
         assert loaded.to_json() == cfg.to_json()
+
+    def test_a_file_that_does_not_load_is_named(self, tmp_path):
+        path = tmp_path / "abm.json"
+        for text, why in (("not json", "Expecting value"), ("{}", "must hold")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {why}"):
+                ABMConfig.load(path)
 
     def test_retired_event_prob_form_key(self):
         # and spawn_law: files saved with the one value the model has still load

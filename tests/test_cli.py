@@ -265,6 +265,22 @@ class TestExitCodes:
         assert main(["filter", "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
         assert f"failed: {counts}: line 3: counts must lie in 0 .. 2**64 - 1" in capsys.readouterr().err
 
+    def test_a_sidecar_that_does_not_parse_is_named(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("t,a,b\n0,1,2\n")
+        counts.with_suffix(".json").write_text("not json")
+        cfg = write_config(tmp_path, "c.json", {"counts_path": str(counts), "ensemble_size": 8, "priors": PRIORS})
+        assert main(["filter", "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"failed: {counts.with_suffix('.json')}: Expecting value" in capsys.readouterr().err
+
+    def test_a_result_json_that_does_not_parse_is_named(self, tmp_path, capsys):
+        _, data, init, cfg = toy_filter_setup(n_steps=5)
+        save_filter_result(run_filter(data, init, cfg), tmp_path / "flt")
+        (tmp_path / "flt" / "result.json").write_text("not json")
+        ana = write_config(tmp_path, "ana.json", {"result_dir": str(tmp_path / "flt")})
+        assert main(["analyze", "--config", str(ana), "--seed", "1", "--out-dir", str(tmp_path / "ana")]) == 2
+        assert f"failed: {tmp_path / 'flt' / 'result.json'}: Expecting value" in capsys.readouterr().err
+
     def test_counts_without_node_columns_refused(self, tmp_path, capsys):
         # a header of "t" alone used to reach numpy's "number sections must be larger than 0."
         counts = tmp_path / "counts.csv"

@@ -232,6 +232,50 @@ class TestAnalyzeRowsOracle:
         kernel_against_oracle(gamma_board(1, 50, seed=4), [3])
 
 
+@st.composite
+def analysis_calls(draw):
+    """A board shape, a stream seed and 1-3 kernel calls on it: forecast rows of gamma members,
+    some of them flat, and counts that mix zeros, ones and values up to 1e4."""
+    n_rows, M = draw(st.integers(1, 30)), draw(st.integers(2, 80))
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shape = draw(st.sampled_from([0.2, 2.0, 50.0]))
+        lam_f = np.maximum(gen.gamma(shape, 1.5, size=(n_rows, M)), filtering.POSITIVITY_FLOOR)
+        flat = draw(arrays(np.bool_, n_rows))
+        lam_f[flat] = gen.uniform(1e-8, 10.0, size=(flat.sum(), 1))
+        count = st.sampled_from([0.0, 1.0, 1e4]) | st.integers(0, 10_000).map(float)
+        calls.append((lam_f, draw(arrays(np.float64, n_rows, elements=count))))
+    return draw(st.integers(0, 2**32 - 1)), calls
+
+
+class TestAnalyzeRowsProperty:
+    @given(analysis_calls(), st.sampled_from([filtering.POSITIVITY_FLOOR, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_reused_boards_match_both_oracles(self, case, floor):
+        # as in Filter, every call writes the same out board and works in the same two boards,
+        # which start out holding NaN
+        seed, calls = case
+        n_rows, M = calls[0][0].shape
+        kernel, per_row, board = (rng.node_streams(seed, rng.ANALYSIS, range(n_rows)) for _ in range(3))
+        lam_f, out, work = np.empty((n_rows, M)), np.full((n_rows, M), np.nan), np.full((2, n_rows, M), np.nan)
+        for values, counts in calls:
+            lam_f[...] = values
+            before = [stream_state(g) for g in kernel]
+            got, got_diag = filtering._analyze_rows(lam_f, counts, 0.1, floor, kernel, out, work)
+            assert got is out
+            for want, want_diag in (analyze_rows(values, counts, 0.1, floor, per_row),
+                                    oracles.board_analysis(values, counts, 0.1, floor, board)):
+                assert got.tobytes() == want.tobytes()
+                for key, value in vars(got_diag).items():
+                    assert value.tobytes() == getattr(want_diag, key).tobytes(), key
+            after = [stream_state(g) for g in kernel]
+            assert after == [stream_state(g) for g in per_row] == [stream_state(g) for g in board]
+            # a row draws if and only if it has a count and some spread
+            drew = (counts >= 1) & ~got_diag.degenerate
+            assert [a != b for a, b in zip(before, after)] == drew.tolist()
+
+
 class TestCountValidation:
     """Counts must be finite, non-negative integers for the analysis and the step."""
 
@@ -577,6 +621,16 @@ class TestRunFilter:
             assert got["frobenius"].shape == (1,) and got["final"].keys() == want["final"].keys()
             for key in ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation"):
                 assert getattr(h, key).shape == (0, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_steps", [45, 0])
+    def test_progress_reports_the_last_step(self, workers, n_steps):
+        # every second step of 45 (45 // 20 = 2), then step 45, which that rule misses
+        _, data, init, cfg = toy_filter_setup(n_steps=45)
+        data = CountSeries(data.counts[:n_steps], DT)
+        calls = []
+        run_filter(data, init, cfg, workers=workers, progress=lambda k, total: calls.append((k, total)))
+        assert calls == [(k, n_steps) for k in (*range(2, n_steps, 2), n_steps) if k]
 
     def test_seed_determinism(self):
         _, data, init, cfg = toy_filter_setup()
