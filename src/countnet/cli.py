@@ -34,8 +34,8 @@ from .filtering import (
     run_filter,
     save_filter_result,
 )
-from .hawkes import (HawkesParams, json_floats, load_count_series, read_json, save_count_series, simulate,
-                     write_table)
+from .hawkes import (HawkesParams, check_labels, json_floats, load_count_series, read_json, require_keys,
+                     save_count_series, simulate, write_table)
 from .ingest import aggregate, clean, read_event_csv, save_cleaning_report
 from .network import (
     MEASURES,
@@ -126,9 +126,13 @@ def _priors(obj: dict) -> list[GammaSpec]:
     specs = []
     for group in ("baseline", "decay", "excitation"):
         try:
-            specs.append(GammaSpec(json_floats(obj[group]["mean"]), json_floats(obj[group]["variance"])))
+            mean, variance = json_floats(obj[group]["mean"]), json_floats(obj[group]["variance"])
         except (LookupError, TypeError, ValueError) as err:
-            raise ConfigError(f"priors.{group}: needs a finite mean > 0 and variance >= 0") from err
+            raise ConfigError(f"priors.{group}: must hold a finite mean and variance") from err
+        try:
+            specs.append(GammaSpec(mean, variance))
+        except ValueError as err:
+            raise ConfigError(f"priors.{group}: must be a valid gamma prior: {err}") from err
     return specs
 
 
@@ -198,10 +202,20 @@ def _run_filter_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     save_filter_result(result, out_dir, report)
 
 
+def _node_labels(obj, m: int) -> list[str] | None:
+    """A ``result.json``'s node labels: null, or m distinct strings."""
+    require_keys(obj, ("node_labels",))
+    labels = obj["node_labels"]
+    if labels is not None and (type(labels) is not list or not all(type(x) is str for x in labels)):
+        raise ValueError("node_labels must be null or a list of strings")
+    check_labels(labels, m)
+    return labels
+
+
 def _run_analyze_mode(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     ensembles = load_ensemble_snapshots(a.result_dir)
-    # a result.json without node_labels (older result directories) gives the default names
-    labels = read_json(a.result_dir / "result.json").get("node_labels")
+    ensembles.check_complete()  # an archive that misses a node fails before its result.json is read
+    labels = read_json(a.result_dir / "result.json", lambda obj: _node_labels(obj, ensembles.m))
     net = mean_network(ensembles, labels)
     save_network(net, out_dir / "edges.csv", out_dir / "network.json")
     if a.threshold is not None:

@@ -87,6 +87,13 @@ class GammaSpec:
             raise ValueError("GammaSpec mean must be positive and finite")
         if not 0 <= self.variance < np.inf:
             raise ValueError("GammaSpec variance must be non-negative and finite")
+        if self.variance:
+            # draw's shape and scale; past the float range a product or quotient is inf or 0, where ** raises
+            mean = float(self.mean)
+            shape, scale = mean * mean / self.variance, self.variance / mean
+            if not (0 < shape < np.inf and 0 < scale < np.inf):
+                raise ValueError(f"GammaSpec shape mean**2 / variance ({shape:g}) and scale variance / mean "
+                                 f"({scale:g}) must be positive and finite")
 
     def draw(self, gen: np.random.Generator, size) -> np.ndarray:
         if self.variance == 0.0:

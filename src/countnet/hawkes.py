@@ -13,7 +13,7 @@ network (column j = influence exerted by j).
 This module provides the parameter/count containers, the forward simulator
 used as a data generator, the one-step intensity propagation reused as the
 filter's forecast model, CSV/JSON serialization for both, and the CSV
-table writer and field splitter that the other file formats share.
+table writer, block reader and row growth that the other file formats share.
 """
 
 from __future__ import annotations
@@ -206,18 +206,25 @@ def _rows_block(rows: list[list[str]], lines: list[int], width: int) -> CsvBlock
 def csv_blocks(fh, width: int | None = None) -> Iterator:
     """Yield a CSV file's header row, then its data rows in CsvBlocks.
 
-    ``fh`` is a text file opened with ``newline=""``. Each row keeps its
-    first ``width`` fields, or as many as the header has (at least one)
-    when ``width`` is None. The header is None for an empty file, and no
-    block follows it. Fields, field counts and line numbers are those of
-    ``csv.reader`` (default dialect): blocks of about ``READ_CHUNK_CHARS``
-    are split on commas with numpy, until a block holds a quote character,
-    a bare carriage return or a line longer than ``csv.field_size_limit()``,
-    or fails to decode; from there ``csv.reader`` reads the rest. Its
-    ValueErrors (a decoding error) read "line N: ..." as the readers'
-    messages do; rows before the error come first, in their own block.
+    ``fh`` is a text file opened with ``newline=""``. The header is
+    ``csv.reader``'s first row, None for an empty file (no block follows).
+    Each data row keeps its first ``width`` fields, or as many as the
+    header has (at least one) when ``width`` is None. Fields, field counts
+    and line numbers are those of ``csv.reader`` (default dialect): blocks
+    of about ``READ_CHUNK_CHARS`` are split on commas with numpy, until a
+    block holds a quote character, a bare carriage return or a line longer
+    than ``csv.field_size_limit()``, or fails to decode; from there
+    ``csv.reader`` reads the rest. Its ValueErrors (a decoding error) read
+    "line N: ..." as the readers' messages do; rows before the error come
+    first, in their own block.
     """
-    header, done, text = None, 0, ""  # done: lines already yielded, the header's included
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    yield header
+    if header is None:
+        return
+    width = width or max(len(header), 1)
+    done, text = reader.line_num, ""  # done: lines already yielded, the header's included
     limit = csv.field_size_limit()
     while True:
         try:
@@ -229,28 +236,13 @@ def csv_blocks(fh, width: int | None = None) -> Iterator:
         if chunk and not cut:
             continue  # no whole line yet
         lines, text = text[:cut], text[cut:]
-        body, first_line = lines, done + 1
-        if lines and done == 0:
-            head = lines.find("\n") + 1 or len(lines)
-            body, first_line = lines[head:], 2
-            header_line = lines[:head].removesuffix("\n")
-            header_line = header_line[:-1] if lines[:head].endswith("\r\n") else header_line
-            if '"' in header_line or "\r" in header_line or len(header_line) > limit:
+        if lines:
+            block = _split_lines(lines, width, done + 1, limit)
+            if block is None:
                 break
-            header = header_line.split(",") if header_line else []
-            width = width or max(len(header), 1)
-        block = _split_lines(body, width, first_line, limit) if body else None
-        if body and block is None:
-            break
-        if lines and done == 0:
-            yield header
-            done = 1
-        if block is not None:
             yield block
             done += len(block.lines)
         if not chunk:
-            if done == 0:
-                yield None  # an empty file
             return
 
     fh.seek(0)
@@ -258,16 +250,8 @@ def csv_blocks(fh, width: int | None = None) -> Iterator:
         try:
             next(fh)
         except ValueError as err:  # a line that fails to decode, as csv.reader would have met it
-            if k == 0:
-                raise
             raise ValueError(f"line {k}: {err}") from err
     reader = csv.reader(fh)
-    if done == 0:
-        header = next(reader, None)
-        yield header
-        if header is None:
-            return
-        width = width or max(len(header), 1)
     rows, row_lines = [], []
     per_block = max(1, ROW_CHUNK_CELLS // width)
     try:
@@ -285,6 +269,21 @@ def csv_blocks(fh, width: int | None = None) -> Iterator:
         raise
     if rows:
         yield _rows_block(rows, row_lines, width)
+
+
+def append_rows(board: np.ndarray, n: int, values: np.ndarray) -> int:
+    """Write ``values`` into ``board`` after its first ``n`` rows; returns the rows it then holds.
+
+    The board grows in place along its first axis, by at least an eighth as
+    Python lists do, so no piece of the result is left between a reader's
+    scratch arrays: the memory those take returns to the heap in whole runs
+    that later allocations reuse, instead of raising the process's peak.
+    """
+    end = n + len(values)
+    if end > len(board):
+        board.resize((max(end, len(board) * 9 // 8), *board.shape[1:]), refcheck=False)
+    board[n:end] = values
+    return end
 
 
 @dataclass
@@ -532,15 +531,10 @@ def load_count_series(csv_path: str | Path) -> tuple[CountSeries, dict]:
         if header is None:
             raise ValueError(f"{csv_path}: empty file, no header row")
         labels = header[1:]
-        # one board for the rows, grown in place by an eighth, so no second copy is held
-        counts, n = np.empty((0, len(labels)), dtype=np.uint64), 0
+        counts, n = np.empty((0, len(labels)), dtype=np.uint64), 0  # one board, so no second copy is held
         try:
             for block in blocks:
-                values = _block_counts(block, len(labels))
-                if n + len(values) > len(counts):
-                    counts.resize((max(n + len(values), len(counts) * 9 // 8), len(labels)), refcheck=False)
-                counts[n:n + len(values)] = values
-                n += len(values)
+                n = append_rows(counts, n, _block_counts(block, len(labels)))
         except ValueError as err:
             raise ValueError(f"{csv_path}: {err}") from err
     counts.resize((n, len(labels)), refcheck=False)

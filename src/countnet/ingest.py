@@ -164,47 +164,24 @@ def _origin(first: str) -> datetime | None:
 # A stamp of at most this many printable ASCII bytes without outer spaces is
 # read in bulk; any other is stripped and read per element.
 STAMP_BYTES = 32
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_DAYS_IN_MONTH[:-1])))
 _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 
 
-def _microseconds(when: datetime) -> int:
-    """Microseconds from 0001-01-01T00:00 to a naive datetime."""
-    seconds = ((when.toordinal() * 24 + when.hour) * 60 + when.minute) * 60 + when.second
-    return seconds * 10**6 + when.microsecond
-
-
-def _iso_microseconds(raw: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_microseconds`` of the stamps in ``raw`` that are laid out YYYY-MM-DD[T ]HH:MM:SS[.fff[fff]]
-    with valid fields, and which those are: exactly the stamps ``datetime.fromisoformat`` reads so."""
+def _iso_microseconds(raw: np.ndarray, length: np.ndarray, origin: datetime) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds after a naive ``origin`` of the stamps in ``raw`` laid out YYYY-MM-DD[T ]HH:MM:SS[.fff[fff]]
+    from year 0001 on, and which those are; numpy's ValueError if one has a field out of range. Of these
+    stamps, numpy reads exactly those that ``datetime.fromisoformat`` reads, and to the same instant."""
     r = np.zeros((26, len(raw)), dtype=np.uint8)  # one stamp per column, so each position is contiguous
     r[:min(26, raw.shape[1])] = raw[:, :26].T
-    d = r - np.uint8(48)  # digits to 0 .. 9, any other byte to 10 or more
-    digit = d < 10
-    ok = np.isin(length, (19, 23, 26)) & digit[_ISO_DIGITS].all(axis=0)
+    digit = r - np.uint8(48) < 10
+    ok = np.isin(length, (19, 23, 26)) & digit[_ISO_DIGITS].all(axis=0) & (r[:4] != 48).any(axis=0)
     ok &= (r[4] == 45) & (r[7] == 45) & ((r[10] == 84) | (r[10] == 32)) & (r[13] == 58) & (r[16] == 58)
     fraction_ok = (r[19] == 46) & digit[20:23].all(axis=0) & ((length == 23) | digit[23:26].all(axis=0))
     ok &= (length == 19) | fraction_ok
-    d[20:] *= digit[20:]  # a fraction's missing digits read as zeros
-
-    def number(first: int, last: int) -> np.ndarray:
-        out = d[first].astype(np.int64)
-        for row in d[first + 1:last + 1]:
-            out = out * 10 + row
-        return out
-
-    year, month, day = number(0, 3), number(5, 6), number(8, 9)
-    hour, minute, second, micro = number(11, 12), number(14, 15), number(17, 18), number(20, 25)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_at = np.clip(month, 1, 12)
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-    ok &= day <= _DAYS_IN_MONTH[month_at] + (leap & (month_at == 2))
-    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
-    y = year - 1
-    ordinal = y * 365 + y // 4 - y // 100 + y // 400
-    ordinal += _DAYS_BEFORE_MONTH[month_at] + (leap & (month_at > 2)) + day
-    return (((ordinal * 24 + hour) * 60 + minute) * 60 + second) * 10**6 + micro, ok
+    micro = np.zeros(len(raw), dtype=np.int64)
+    stamps = raw[ok].view(f"S{raw.shape[1]}").ravel().astype("datetime64[us]")
+    micro[ok] = (stamps - np.datetime64(origin, "us")).astype(np.int64)
+    return micro, ok
 
 
 class _EventRows:
@@ -212,9 +189,12 @@ class _EventRows:
 
     Rows without a stamp are skipped, the first row with one fixes the
     format, and the first bad row raises its error and line. Stamps read
-    in bulk where that gives ``_stamp_hours``'s value: numpy's string cast,
-    which calls ``float``, and ``_iso_microseconds``. Senders are coded per
-    distinct byte string, and each is stripped once.
+    in bulk where that gives ``_stamp_hours``'s value: hours with numpy's
+    string cast, which calls ``float``, and naive ISO stamps with numpy's
+    ``datetime64`` parser once ``_iso_microseconds`` has checked their
+    layout. A block where numpy raises is read per stamp. Senders are coded
+    per distinct byte string, and each is stripped once. ``times`` and
+    ``codes`` grow by ``hawkes.append_rows``.
     """
 
     def __init__(self) -> None:
@@ -261,42 +241,25 @@ class _EventRows:
                 raise ValueError(f"line {block.lines[rows[k]]}: {err}") from err
         if first < rows.size:
             raise ValueError(f"line {block.lines[rows[first]]}: row has a timestamp but no sender")
-        self._store(hours, self._sender_codes(block, rows))
-
-    def _store(self, hours: np.ndarray, codes: np.ndarray) -> None:
-        """Append a block's events to ``times`` and ``codes``.
-
-        Both grow in place by an eighth, as Python lists do, so no piece of
-        the result is left between the blocks' scratch arrays: the memory
-        those take returns to the heap in whole runs that later allocations
-        reuse, instead of raising the process's peak.
-        """
-        end = self.n + len(hours)
-        if end > len(self.times):
-            size = max(end, len(self.times) * 9 // 8)
-            self.times.resize(size, refcheck=False)
-            self.codes.resize(size, refcheck=False)
-        self.times[self.n:end] = hours
-        self.codes[self.n:end] = codes
-        self.n = end
+        hawkes.append_rows(self.times, self.n, hours)
+        self.n = hawkes.append_rows(self.codes, self.n, self._sender_codes(block, rows))
 
     def _bulk_hours(self, raw: np.ndarray, length: np.ndarray,
                     plain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hours of the plain stamps that read in bulk, and which those are."""
         hours, fast = np.empty(len(raw)), plain.copy()
-        if self.origin is None:
-            try:
+        try:
+            if self.origin is None:
                 hours[fast] = raw[fast].view(f"S{raw.shape[1]}").ravel().astype(np.float64)
-            except ValueError:
+                fast &= np.isfinite(hours)
+            elif self.origin.tzinfo is None:
+                delta, ok = _iso_microseconds(raw[fast], length[fast], self.origin)
+                ok &= np.abs(delta) < 2**53  # exact in float64, as timedelta.total_seconds divides
+                fast[fast] = ok
+                hours[fast] = delta[ok] / 1e6 / 3600.0
+            else:
                 fast[:] = False
-            fast &= np.isfinite(hours)
-        elif self.origin.tzinfo is None:
-            micro, ok = _iso_microseconds(raw[fast], length[fast])
-            delta = micro - _microseconds(self.origin)
-            ok &= np.abs(delta) < 2**53  # exact in float64, as timedelta.total_seconds divides
-            fast[fast] = ok
-            hours[fast] = delta[ok] / 1e6 / 3600.0
-        else:
+        except ValueError:  # a stamp numpy does not read: _stamp_hours reads each, and names a bad one's line
             fast[:] = False
         return hours, fast
 

@@ -85,10 +85,20 @@ BAD = [
     ("aggregate", {"dt": 10**400}, "dt"),
     ("simulate-hawkes", {"params": {k: v for k, v in hawkes_config()["params"].items() if k != "mu"}}, "params"),
     ("simulate-abm", {"abm": {k: v for k, v in abm_test_config().to_json().items() if k != "baseline"}}, "abm"),
+    # a gamma shape mean**2 / variance or scale variance / mean past the float range
+    ("filter", {"priors": {**PRIORS, "baseline": {"mean": 1e200, "variance": 1e-200}}}, "priors.baseline"),
+    ("filter", {"priors": {**PRIORS, "baseline": {"mean": 1e-200, "variance": 1e200}}}, "priors.baseline"),
 ]
 
 
-@pytest.mark.parametrize("mode, bad, key", BAD, ids=[f"{m}-{k}-{str(b[k])[:24]}" for m, b, k in BAD])
+def value_at(obj, key):
+    """The value under a dotted key such as ``priors.baseline``."""
+    for part in key.split("."):
+        obj = obj[part]
+    return obj
+
+
+@pytest.mark.parametrize("mode, bad, key", BAD, ids=[f"{m}-{k}-{str(value_at(b, k))[:24]}" for m, b, k in BAD])
 def test_bad_config_exits_1_before_writing(tmp_path, capsys, mode, bad, key):
     good = write_config(tmp_path, "good.json", {**GOOD[mode], "seed": 0, "mode": mode})
     assert main(["validate", "--config", str(good)]) == 0
@@ -281,6 +291,21 @@ class TestExitCodes:
         assert main(["analyze", "--config", str(ana), "--seed", "1", "--out-dir", str(tmp_path / "ana")]) == 2
         assert f"failed: {tmp_path / 'flt' / 'result.json'}: Expecting value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest, message", [
+        ([1, 2], "must be a JSON object"),
+        ({"node_labels": 5}, "node_labels must be null or a list of strings"),
+        ({"node_labels": ["a", "b", 3]}, "node_labels must be null or a list of strings"),
+        ({"node_labels": ["a"]}, "node_labels length must match the node count"),
+        ({"node_labels": ["a", "b", "a"]}, "node label 'a' is repeated"),
+    ])
+    def test_a_malformed_result_json_is_named(self, tmp_path, capsys, manifest, message):
+        _, data, init, cfg = toy_filter_setup(n_steps=5)
+        save_filter_result(run_filter(data, init, cfg), tmp_path / "flt")
+        (tmp_path / "flt" / "result.json").write_text(json.dumps(manifest))
+        ana = write_config(tmp_path, "ana.json", {"result_dir": str(tmp_path / "flt")})
+        assert main(["analyze", "--config", str(ana), "--seed", "1", "--out-dir", str(tmp_path / "ana")]) == 2
+        assert f"failed: {tmp_path / 'flt' / 'result.json'}: {message}" in capsys.readouterr().err
+
     def test_counts_without_node_columns_refused(self, tmp_path, capsys):
         # a header of "t" alone used to reach numpy's "number sections must be larger than 0."
         counts = tmp_path / "counts.csv"
@@ -401,7 +426,7 @@ class TestPipelines:
             assert not (out / "result.json").exists()
             assert steps == []
 
-    def test_analyze_uses_the_counts_labels(self, tmp_path):
+    def test_analyze_uses_the_counts_labels(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
         rows = ["timestamp,sender"]
         for h in range(40):
@@ -428,13 +453,12 @@ class TestPipelines:
         assert network["edge_sd"] == sd[:, 2:].tolist()
         assert (out / "rank_out_degree.csv").read_text().splitlines()[0] == "rank,alice,bob,carol"
 
-        # a result.json without node_labels, as older result directories have, gives the default names
+        # a result.json without node_labels fails the run, naming the file
         del manifest["node_labels"]
         (result_dir / "result.json").write_text(json.dumps(manifest))
-        assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(tmp_path / "old")]) == 0
-        old = json.loads((tmp_path / "old" / "network.json").read_text())
-        assert old["node_labels"] == ["node_1", "node_2", "node_3"]
-        assert old["adjacency"] == network["adjacency"]
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(tmp_path / "old")]) == 2
+        assert f"failed: {result_dir / 'result.json'}: must hold node_labels" in capsys.readouterr().err
 
     def test_aggregate_mode(self, tmp_path):
         events = tmp_path / "events.csv"

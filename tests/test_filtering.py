@@ -1074,7 +1074,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GammaSpec(1.0, -1.0)
 
-    @pytest.mark.parametrize("mean, variance", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    # the last four: a gamma shape mean**2 / variance or scale variance / mean past the float range,
+    # which passed, and then draw raised OverflowError or drew NaN
+    @pytest.mark.parametrize("mean, variance", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1e200, 1e-200),
+                                                (1e-200, 1e200), (1e200, 1e250), (1e-170, 1e-170)])
     def test_gamma_spec_refuses_non_finite_numbers(self, mean, variance):
         with pytest.raises(ValueError, match="GammaSpec .* finite"):
             GammaSpec(mean, variance)

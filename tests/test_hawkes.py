@@ -252,6 +252,16 @@ class TestContainers:
         header = path.read_text().splitlines()[0]
         assert header == "t,node_1"
 
+    def test_a_quoted_header_leaves_the_rows_to_numpy(self, tmp_path):
+        # labels that csv.writer quotes: csv.reader reads the header, and only the header
+        labels = ["Doe, John", 'say "hi"', "two\nlines", "cr\r\nlf"]
+        series = CountSeries(np.arange(40).reshape(10, 4), 0.5, node_labels=labels)
+        path = tmp_path / "counts.csv"
+        save_count_series(series, path)
+        with patch.object(hawkes, "_rows_block", side_effect=AssertionError("csv.reader read the rows")):
+            loaded, _ = load_count_series(path)
+        assert loaded.node_labels == labels and np.array_equal(loaded.counts, series.counts)
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty file, no header row"),
         ("t,a,a\n0,1,2\n", "node label 'a' is repeated"),

@@ -433,3 +433,13 @@ def test_read_event_csv_edge_files_match_oracle(tmp_path, data, chunk):
         except Exception as err:  # noqa: BLE001 - the errors must match too
             out.append((type(err), str(err)))
     assert got == want
+
+
+@pytest.mark.parametrize("odd", ODD_STAMPS)
+@pytest.mark.parametrize("first", ["1.5", "2024-03-01T09:30:00", "0001-01-01T00:00:00"])
+@pytest.mark.parametrize("chunk", [7, 1 << 17])
+def test_every_odd_stamp_reads_as_the_oracle_reads_it(tmp_path, odd, first, chunk):
+    # the hypothesis test above draws these only now and then; a stamp within 2**53 us of the
+    # first one (year 0001) keeps a bad year-0000 check on the bulk path, where it would show
+    rows = [["timestamp", "sender"], [first, "a"], [odd, "b"], [first, "c"]]
+    test_read_event_csv_edge_files_match_oracle(tmp_path, csv_text(rows, "\n", True).encode(), chunk)
