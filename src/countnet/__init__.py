@@ -28,7 +28,6 @@ from .filtering import (  # noqa: F401
     enkf_regress,
     ensemble_moments,
     init_ensemble,
-    perturbed_observations,
     pg_analysis,
     run_filter,
 )

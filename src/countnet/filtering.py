@@ -21,7 +21,9 @@ Per node and per time bin the filter runs four stages:
 ``Filter`` runs each stage over all its rows at once, in a few (rows, M)
 work arrays allocated when the filter is made; the regression and the
 parameter moments go over the (rows, M, m+2) parameter board in blocks
-of rows with one block of scratch.
+of rows with one block of scratch. ``run_filter`` runs every bin and keeps a
+history, a mapping from key to one (steps, nodes) array, which its recorders
+fill: each writes its keys' rows after the fill and after every step.
 
 Nodes never read each other's ensembles; they couple only through the
 shared observed counts. A node's index is its data column, and every
@@ -36,7 +38,7 @@ import math
 import mmap
 import multiprocessing
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -250,24 +252,6 @@ def analytic_posterior(
     return post_mean, post_rel_var
 
 
-def perturbed_observations(
-    dN: int, M: int, gen: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """M independent gamma draws with mean dN and variance dN, plus their mean.
-
-    Shape dN and rate 1 give relative variance 1/dN, the observation-noise
-    scale of a Poisson count of size dN; the redistribution step needs
-    exactly that scale for the updated ensemble's relative variance to land
-    on the conjugate posterior. This is the analysis kernel's draw for one row.
-    """
-    if dN < 1:
-        raise ValueError("perturbed observations are only drawn for dN >= 1")
-    if M < 2:
-        raise ValueError("need at least two draws")
-    draws = gen.standard_gamma(float(dN), size=M)
-    return draws, float(np.add.reduce(draws) / M)
-
-
 def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
                   work=None) -> tuple[np.ndarray, AnalysisDiagnostics]:
     """Intensity analysis for a board of rows; one stream per row.
@@ -415,42 +399,18 @@ def enkf_regress(
 
 
 @dataclass
-class FilterHistory:
-    """Per-step records: the truth curves of a run given a truth, the intensity
-    diagnostics of a run with ``record_intensity_history``.
-
-    The truth curves are (n_steps + 1, m): row 0 is the initial ensemble, row k the state
-    after assimilating bin k - 1, column i node i. From node i's parameter moments:
-    |mean - truth| of its baseline and decay, the mean of |mean - truth| over its excitation
-    row and the sum of its squares, and the baseline, decay and mean excitation variances.
-    Intensity arrays have shape (n_steps, m).
-    """
-
-    baseline_abs_error: np.ndarray | None = None
-    decay_abs_error: np.ndarray | None = None
-    excitation_abs_error: np.ndarray | None = None
-    excitation_sq_error: np.ndarray | None = None
-    baseline_var: np.ndarray | None = None
-    decay_var: np.ndarray | None = None
-    excitation_var: np.ndarray | None = None
-    prior_mean: np.ndarray | None = None
-    post_mean: np.ndarray | None = None
-    prior_rel_var: np.ndarray | None = None
-    post_rel_var: np.ndarray | None = None
-    innovation: np.ndarray | None = None
-
-
-@dataclass
 class FilterResult:
-    """Final ensembles, the assimilated bins' count and width, the data's node labels (None:
-    the default names) and optional recorded history. From ``run_filter``, the board and the
-    history live in anonymous shared mmaps: copy them to keep them past the result."""
+    """Final ensembles, the assimilated bins' count and width, the recorded history and the
+    data's node labels (None: the default names). The history maps each recorded key to its
+    per-step (steps, m) array, whose rows ``run_filter`` gives, and is empty when nothing was
+    recorded. From ``run_filter``, the board and the history live in anonymous shared mmaps:
+    copy them to keep them past the result."""
 
     ensembles: Ensemble
     config: FilterConfig
     n_steps: int
     dt: float
-    history: FilterHistory | None = None
+    history: dict[str, np.ndarray] = field(default_factory=dict)
     node_labels: list[str] | None = None
 
 
@@ -545,15 +505,15 @@ class Filter:
             check_counts(counts)
         lam, params, lam_f = self._lam, self._params, self._lam_f
 
-        # Stage 1: member-specific forecast from the previous bin's counts
-        np.matmul(params[:, :, 2:], self._prev, out=self._excite)
-        advance_intensity(lam, params[:, :, 0], params[:, :, 1], self._excite, self.dt, lam_f, self._u)
-        np.maximum(lam_f, POSITIVITY_FLOOR, out=lam_f)
-
-        # Stage 2: conjugate intensity analysis, written into the board (Stage 4, the roll
-        # forward, is this write); overflow surfaces as the explicit divergence error right
-        # below, not as numpy warnings
+        # overflow in Stages 1 and 2 surfaces as the explicit divergence error right below,
+        # not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
+            # Stage 1: member-specific forecast from the previous bin's counts
+            np.matmul(params[:, :, 2:], self._prev, out=self._excite)
+            advance_intensity(lam, params[:, :, 0], params[:, :, 1], self._excite, self.dt, lam_f, self._u)
+            np.maximum(lam_f, POSITIVITY_FLOOR, out=lam_f)
+            # Stage 2: conjugate intensity analysis, written into the board (Stage 4, the roll
+            # forward, is this write)
             lam_a, diag = _analyze_rows(lam_f, counts[self.nodes], self.dt, POSITIVITY_FLOOR, self._streams,
                                         lam, (self._u, self._t))
         if not lam_a.max() < np.inf:  # NaN fails too; every other member is at least the floor
@@ -628,32 +588,40 @@ def _shared(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * size)).reshape(shape) if size else np.empty(shape)
 
 
-def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, history: FilterHistory | None,
-               target: np.ndarray | None, rows: slice, progress=None) -> None:
+def _truth_curves(filt: Filter, target: np.ndarray) -> tuple:
+    """The truth curves of the filter's state against the truth's (m, m+2) parameter rows ``target``.
+
+    From each row's parameter moments: |mean - truth| of its baseline and decay, the mean of
+    |mean - truth| over its excitation row and the sum of its squares, and its baseline, decay
+    and mean excitation variances. A diverging board's inf or NaN moments and squares past the
+    float range are the curves' values, not numpy warnings; the run's divergence check reports them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = filt.param_moments()
+        dev = np.abs(mean - target[filt.nodes])
+        return (dev[:, 0], dev[:, 1], np.add.reduce(dev[:, 2:], axis=1) / filt.m,
+                np.add.reduce(dev[:, 2:] ** 2, axis=1), var[:, 0], var[:, 1],
+                np.add.reduce(var[:, 2:], axis=1) / filt.m)
+
+
+def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, history: dict, recorders: list,
+               rows: slice, progress=None) -> None:
     """Fill ``rows`` of the shared board from ``source``, assimilate them there and write their
-    history, with the truth curves against the truth's rows ``target[rows]`` if a target is given."""
+    columns of the history: after k steps (k = 0: the fill), each recorder ``(keys, first, columns)``
+    with k >= first writes ``columns(filt, diag)``, one column per key, at row k - first."""
     filt = Filter(source, data.dt, cfg, (board[0][rows], board[1][rows]), rows)
-
-    def score(k: int) -> None:  # the truth curves of the state after k steps
-        if target is not None:
-            mean, var = filt.param_moments()
-            dev = np.abs(mean - target[rows])
-            for key, curve in zip(_CURVE_KEYS, (dev[:, 0], dev[:, 1], np.add.reduce(dev[:, 2:], axis=1) / filt.m,
-                                                np.add.reduce(dev[:, 2:] ** 2, axis=1), var[:, 0], var[:, 1],
-                                                np.add.reduce(var[:, 2:], axis=1) / filt.m)):
-                getattr(history, key)[k, rows] = curve
-
-    score(0)
     n_steps = data.n_steps
     report_every = max(1, n_steps // 20)
-    for k in range(n_steps):
-        diag = filt.assimilate_step(data.counts[k])
-        score(k + 1)
-        if cfg.record_intensity_history:
-            for key in _INTENSITY_KEYS:
-                getattr(history, key)[k, rows] = getattr(diag, key)
-        if progress is not None and ((k + 1) % report_every == 0 or k + 1 == n_steps):
-            progress(k + 1, n_steps)
+    diag = None
+    for k in range(n_steps + 1):
+        if k:
+            diag = filt.assimilate_step(data.counts[k - 1])
+        for keys, first, columns in recorders:
+            if k >= first:
+                for key, column in zip(keys, columns(filt, diag)):
+                    history[key][k - first, rows] = column
+        if k and progress is not None and (k % report_every == 0 or k == n_steps):
+            progress(k, n_steps)
     # an earlier step's non-finite parameter fails the next forecast's check;
     # caught here, before run_filter wraps the board and checks it again
     if not filt._params.max() < np.inf:  # NaN fails too; every other member is at least the floor
@@ -675,9 +643,13 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
     prior, whose rows are drawn, or an ``Ensemble``, whose rows are copied.
 
     Row i of ``init`` is node i's ensemble over the data's m columns, for each i
-    (``check_complete``). Given a ``truth`` over the same m nodes, checked before the first
-    step, the history holds the truth curves of every state (``FilterHistory``), which
-    ``network.error_metrics`` normalises. The result board and the recorded history are
+    (``check_complete``). The history maps each recorded key to an (n_steps + 1 - first, m)
+    array, column i node i, whose row r is the state after r + first steps. A ``truth`` over
+    the same m nodes, checked before the first step, records the truth curves ``_CURVE_KEYS``
+    (``_truth_curves``) from first = 0, row 0 the initial ensemble, which
+    ``network.error_metrics`` normalises; ``cfg.record_intensity_history`` records the
+    intensity diagnostics ``_INTENSITY_KEYS`` of each step's ``AnalysisDiagnostics`` from
+    first = 1. With neither the history is empty. The result board and the history are
     allocated once, in anonymous shared mmaps (``FilterResult``). The nodes split into
     ``workers`` contiguous ranges (at most one per node); ranges 1.. run in processes from
     ``multiprocessing.get_context("fork")``, which inherit the maps and send back only an
@@ -697,11 +669,14 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
     init.check_complete()
     m, n_steps = data.m, data.n_steps
     board = _shared((m, init.M)), _shared((m, init.M, m + 2))
-    shapes = dict.fromkeys(_CURVE_KEYS * (truth is not None), (n_steps + 1, m))
-    shapes.update(dict.fromkeys(_INTENSITY_KEYS * cfg.record_intensity_history, (n_steps, m)))
-    history = FilterHistory(**{key: _shared(shape) for key, shape in shapes.items()}) if shapes else None
-    target = None if truth is None else np.column_stack((truth.baseline, truth.decay, truth.excitation))
-    args = data, init, cfg, board, history, target
+    recorders = []
+    if truth is not None:
+        target = np.column_stack((truth.baseline, truth.decay, truth.excitation))
+        recorders.append((_CURVE_KEYS, 0, lambda filt, diag: _truth_curves(filt, target)))
+    if cfg.record_intensity_history:
+        recorders.append((_INTENSITY_KEYS, 1, lambda filt, diag: [getattr(diag, key) for key in _INTENSITY_KEYS]))
+    history = {key: _shared((n_steps + 1 - first, m)) for keys, first, _ in recorders for key in keys}
+    args = data, init, cfg, board, history, recorders
     ranges = [slice(part[0], part[-1] + 1) for part in np.array_split(range(m), min(workers, m))]
     conns, procs = [], []
     try:
@@ -757,13 +732,13 @@ def save_filter_result(result: FilterResult, out_dir: str | Path, report: dict |
     (out_dir / "result.json").write_text(json.dumps(manifest, indent=2) + "\n")
     # every float at the precision that reads back bit for bit
     write_table(out_dir / "alpha_mean.csv", None, ",".join(["%.17g"] * ens.m) + "\n", mean[:, 2:])
-    if result.history is not None and result.history.prior_mean is not None:
-        h = result.history
-        n_steps, m = h.prior_mean.shape
+    h = result.history
+    if "prior_mean" in h:
+        n_steps, m = h["prior_mean"].shape
         write_table(out_dir / "diagnostics.csv", ["step", "node", *_INTENSITY_KEYS],
                     "%d,%d" + ",%.17g" * len(_INTENSITY_KEYS) + "\r\n",
                     np.repeat(np.arange(n_steps), m), np.tile(np.arange(m), n_steps),
-                    *(getattr(h, key).ravel() for key in _INTENSITY_KEYS))
+                    *(h[key].ravel() for key in _INTENSITY_KEYS))
     if report is not None:
         for key, curve in report.items():
             if key != "final":

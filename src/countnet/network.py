@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtering import BLOCK_ELEMENTS, Ensemble, FilterHistory, ensemble_moments
+from .filtering import BLOCK_ELEMENTS, Ensemble, ensemble_moments
 from .hawkes import check_labels, csv_field, labels_or_default, write_table
 
 OUT_DEGREE = "out_degree"
@@ -239,7 +239,7 @@ def rank_distribution(
     return RankDistribution(tally.reshape(m, m), node_labels)
 
 
-def error_metrics(history: FilterHistory, excitation_scale: float = 1.0) -> dict:
+def error_metrics(history: dict[str, np.ndarray], excitation_scale: float = 1.0) -> dict:
     """Normalized-error and variance-reduction curves from the truth curves of a run given a truth.
 
     Per node and step: baseline/decay error is the absolute deviation of
@@ -251,18 +251,18 @@ def error_metrics(history: FilterHistory, excitation_scale: float = 1.0) -> dict
     each step's ensemble variance by the initial one. An exact initial
     mean makes the normalization undefined; those entries are NaN.
     """
-    if history is None or history.baseline_abs_error is None:
+    if not history or "baseline_abs_error" not in history:
         raise ValueError("error_metrics needs the history of a run given a truth")
     h = history
     with np.errstate(divide="ignore", invalid="ignore"):
         out = {
-            "baseline_error": h.baseline_abs_error / h.baseline_abs_error[0],
-            "decay_error": h.decay_abs_error / h.decay_abs_error[0],
-            "excitation_error": h.excitation_abs_error / h.excitation_abs_error[0],
-            "frobenius": np.sqrt(np.add.reduce(h.excitation_sq_error, axis=1)) / excitation_scale,
-            "baseline_var_ratio": h.baseline_var / h.baseline_var[0],
-            "decay_var_ratio": h.decay_var / h.decay_var[0],
-            "excitation_var_ratio": h.excitation_var / h.excitation_var[0],
+            "baseline_error": h["baseline_abs_error"] / h["baseline_abs_error"][0],
+            "decay_error": h["decay_abs_error"] / h["decay_abs_error"][0],
+            "excitation_error": h["excitation_abs_error"] / h["excitation_abs_error"][0],
+            "frobenius": np.sqrt(np.add.reduce(h["excitation_sq_error"], axis=1)) / excitation_scale,
+            "baseline_var_ratio": h["baseline_var"] / h["baseline_var"][0],
+            "decay_var_ratio": h["decay_var"] / h["decay_var"][0],
+            "excitation_var_ratio": h["excitation_var"] / h["excitation_var"][0],
         }
     errors = ("baseline_error", "decay_error", "excitation_error")
     for key in errors:  # a zero initial deviation gives 0/0 at step 0 and x/0 after it

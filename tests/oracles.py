@@ -589,12 +589,12 @@ def save_filter_tables(result: FilterResult, out_dir: Path, report: dict | None 
     """``alpha_mean.csv``, ``diagnostics.csv``, the error curves and ``metrics.json`` of a result directory."""
     mean, _ = filtering.ensemble_moments(result.ensembles)
     np.savetxt(out_dir / "alpha_mean.csv", mean[:, 2:], delimiter=",", fmt="%.17g")
-    if result.history is not None and result.history.prior_mean is not None:
+    if "prior_mean" in result.history:
         h = result.history
-        n_steps, m = h.prior_mean.shape
+        n_steps, m = h["prior_mean"].shape
         keys = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
         columns = [np.repeat(np.arange(n_steps), m), np.tile(np.arange(m), n_steps)]
-        columns += [getattr(h, key).ravel() for key in keys]
+        columns += [h[key].ravel() for key in keys]
         np.savetxt(
             out_dir / "diagnostics.csv",
             np.column_stack(columns),

@@ -193,10 +193,10 @@ class TestAC5ZeroCountMonotonicity:
             zero_steps += int(zero.sum())
             # zero-count bins leave the relative variance exactly unchanged
             violations += int(
-                (h.post_rel_var[zero] != h.prior_rel_var[zero]).sum()
+                (h["post_rel_var"][zero] != h["prior_rel_var"][zero]).sum()
             )
             # any observed event strictly increases the inverse relative variance
-            violations += int((h.post_rel_var[~zero] >= h.prior_rel_var[~zero]).sum())
+            violations += int((h["post_rel_var"][~zero] >= h["prior_rel_var"][~zero]).sum())
         ok = violations == 0
         assert verdict(
             "AC-5 (zero-count monotonicity)",

@@ -396,13 +396,13 @@ class TestPipelines:
         h, truth = histories[0], HawkesParams.from_json(params)
         nodes = json.loads((out / "result.json").read_text())["nodes"]
         mean = np.array([[n["baseline_mean"], n["decay_mean"]] for n in nodes])
-        assert h.baseline_abs_error[-1].tolist() == np.abs(mean[:, 0] - truth.baseline).tolist()
-        assert h.decay_abs_error[-1].tolist() == np.abs(mean[:, 1] - truth.decay).tolist()
-        assert np.sqrt(h.baseline_var[-1]).tolist() == [n["baseline_sd"] for n in nodes]
-        assert np.sqrt(h.decay_var[-1]).tolist() == [n["decay_sd"] for n in nodes]
+        assert h["baseline_abs_error"][-1].tolist() == np.abs(mean[:, 0] - truth.baseline).tolist()
+        assert h["decay_abs_error"][-1].tolist() == np.abs(mean[:, 1] - truth.decay).tolist()
+        assert np.sqrt(h["baseline_var"][-1]).tolist() == [n["baseline_sd"] for n in nodes]
+        assert np.sqrt(h["decay_var"][-1]).tolist() == [n["decay_sd"] for n in nodes]
         dev = np.abs(np.loadtxt(out / "alpha_mean.csv", delimiter=",") - truth.excitation)
-        assert h.excitation_abs_error[-1].tobytes() == dev.mean(axis=1).tobytes()
-        assert h.excitation_sq_error[-1].tobytes() == np.add.reduce(dev * dev, axis=1).tobytes()
+        assert h["excitation_abs_error"][-1].tobytes() == dev.mean(axis=1).tobytes()
+        assert h["excitation_sq_error"][-1].tobytes() == np.add.reduce(dev * dev, axis=1).tobytes()
 
     def test_a_truth_that_does_not_fit_fails_before_the_first_step(self, tmp_path, capsys, monkeypatch):
         sim = write_config(tmp_path, "sim.json", hawkes_config())

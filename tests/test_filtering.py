@@ -16,7 +16,6 @@ from countnet.filtering import (
     Filter,
     FilterConfig,
     FilterDivergence,
-    FilterHistory,
     FilterResult,
     GammaSpec,
     analytic_posterior,
@@ -24,7 +23,6 @@ from countnet.filtering import (
     ensemble_moments,
     init_ensemble,
     load_ensemble_snapshots,
-    perturbed_observations,
     pg_analysis,
     run_filter,
     save_filter_result,
@@ -84,32 +82,6 @@ class TestAnalyticPosterior:
             assert post_rv == rel_var
         else:
             assert 1.0 / post_rv > 1.0 / rel_var
-
-
-class TestPerturbedObservations:
-    def test_unit_exponential_mean(self):
-        M = 100_000
-        draws, mean = perturbed_observations(1, M, gen(1))
-        assert abs(mean - 1.0) < 3.0 / np.sqrt(M)
-
-    def test_poisson_scale_variance_for_larger_counts(self):
-        # mean 4 and variance 4: relative variance 1/4, the Poisson noise scale
-        M = 100_000
-        draws, _ = perturbed_observations(4, M, gen(2))
-        assert abs(draws.mean() - 4.0) < 3.0 * 2.0 / np.sqrt(M)
-        assert abs(draws.var(ddof=1) - 4.0) / 4.0 < 0.05
-        assert abs(draws.var(ddof=1) / draws.mean() ** 2 - 0.25) < 0.0125
-
-    def test_determinism(self):
-        a, _ = perturbed_observations(3, 64, gen(7))
-        b, _ = perturbed_observations(3, 64, gen(7))
-        assert np.array_equal(a, b)
-
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            perturbed_observations(0, 10, gen(0))
-        with pytest.raises(ValueError):
-            perturbed_observations(-2, 10, gen(0))
 
 
 class TestPgAnalysis:
@@ -467,7 +439,7 @@ class TestPriorSource:
                 assert res.ensembles.intensity.tobytes() == reference.ensembles.intensity.tobytes()
                 assert res.ensembles.params.tobytes() == reference.ensembles.params.tobytes()
                 for key in HISTORY_KEYS:
-                    assert getattr(res.history, key).tobytes() == getattr(reference.history, key).tobytes()
+                    assert res.history[key].tobytes() == reference.history[key].tobytes()
 
 
 class TestEnsemble:
@@ -620,7 +592,7 @@ class TestRunFilter:
                 assert got[key].shape == (1, 3) and got[key].tobytes() == want[key].tobytes(), key
             assert got["frobenius"].shape == (1,) and got["final"].keys() == want["final"].keys()
             for key in ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation"):
-                assert getattr(h, key).shape == (0, 3)
+                assert h[key].shape == (0, 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n_steps", [45, 0])
@@ -654,7 +626,30 @@ class TestRunFilter:
         serial = run_filter(data, init, cfg, workers=1, truth=truth)
         parallel = run_filter(data, init, cfg, workers=2, truth=truth)
         for key in HISTORY_KEYS:
-            assert getattr(serial.history, key).tobytes() == getattr(parallel.history, key).tobytes(), key
+            assert serial.history[key].tobytes() == parallel.history[key].tobytes(), key
+
+    @pytest.mark.parametrize("intensity", [False, True])
+    @pytest.mark.parametrize("scored", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_records_what_it_is_asked_for(self, monkeypatch, workers, scored, intensity):
+        truth, data, init, cfg = toy_filter_setup(m=3, M=10, n_steps=7, record_intensity_history=intensity)
+        shared, shapes = filtering._shared, []
+
+        def recorded_shared(shape):
+            shapes.append(shape)
+            return shared(shape)
+
+        def no_moments(self):
+            raise AssertionError("took the parameter moments of a run without a truth")
+
+        monkeypatch.setattr(filtering, "_shared", recorded_shared)
+        if not scored:  # forked workers inherit the patch and send back its error
+            monkeypatch.setattr(Filter, "param_moments", no_moments)
+        history = run_filter(data, init, cfg, workers=workers, truth=truth if scored else None).history
+        want = {**dict.fromkeys(filtering._CURVE_KEYS * scored, (8, 3)),
+                **dict.fromkeys(filtering._INTENSITY_KEYS * intensity, (7, 3))}
+        assert type(history) is dict and {key: curve.shape for key, curve in history.items()} == want
+        assert shapes == [(3, 10), (3, 10, 5), *want.values()]
 
     def test_a_truth_of_another_size_is_refused_before_the_run(self, monkeypatch):
         truth, data, init, cfg = toy_filter_setup(m=3, M=10, n_steps=5)
@@ -727,7 +722,7 @@ class TestRunFilter:
             assert np.array_equal(run.ensembles.params, runs[0].ensembles.params)
             assert np.array_equal(run.ensembles.intensity, runs[0].ensembles.intensity)
             for key in HISTORY_KEYS:
-                assert np.array_equal(getattr(run.history, key), getattr(runs[0].history, key))
+                assert np.array_equal(run.history[key], runs[0].history[key])
 
     def test_param_moments_leave_the_run_unchanged(self):
         # the moments share a scratch buffer with the update
@@ -786,6 +781,23 @@ class TestRunFilter:
         assert err.value.node == 1
         assert err.value.step == 0
 
+    @pytest.mark.parametrize("scored", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_diverging_run_raises_without_a_warning(self, workers, scored):
+        # excitation members near 1e150 square past the float range in the truth curves, and
+        # the regression then leaves non-finite members that the next forecast multiplies; warnings
+        # are errors here, so the run must end in the divergence error alone
+        from countnet.experiments import TOY_DT, toy_priors
+        from countnet.experiments import toy_truth as six_node_truth
+        from countnet.hawkes import simulate
+
+        truth = six_node_truth(1.5, 1.5)
+        data = simulate(truth, TOY_DT, 1000, 1)
+        init = init_ensemble(6, 20, *toy_priors(1.5, 1.5)[:2], GammaSpec(1e150, 1e150), seed=1)
+        with pytest.raises(FilterDivergence) as err:
+            run_filter(data, init, FilterConfig(seed=1), workers=workers, truth=truth if scored else None)
+        assert (err.value.step, err.value.node, err.value.what) == (5, 0, "intensity")
+
     def test_final_step_parameter_divergence(self, monkeypatch):
         # only the last regression can leave a non-finite parameter unseen
         # by the next forecast's intensity check
@@ -817,13 +829,13 @@ class TestRunFilter:
         _, data, init, cfg = toy_filter_setup(m=2, M=12, n_steps=6, record_intensity_history=True)
         res = run_filter(data, init, cfg)
         h = res.history
-        h.post_mean[1, 0], h.innovation[2, 1], h.prior_rel_var[3, 0] = np.nan, -0.0, np.inf
+        h["post_mean"][1, 0], h["innovation"][2, 1], h["prior_rel_var"][3, 0] = np.nan, -0.0, np.inf
         save_filter_result(res, tmp_path)
         text = (tmp_path / "diagnostics.csv").read_bytes().decode()
         lines = text.split("\r\n")
         assert lines.pop() == ""
         keys = ["prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation"]
-        columns = [getattr(h, key) for key in keys]
+        columns = [h[key] for key in keys]
         assert lines[0] == ",".join(["step", "node"] + keys)
         assert len(lines) == 1 + 6 * 2
         for row, line in enumerate(lines[1:]):
@@ -1011,7 +1023,7 @@ class TestLeanStep:
                 assert got[key].tobytes() == want[key].tobytes(), key
             assert np.isnan(got["baseline_error"][:, DEGENERATE_ROW]).all()
             for key in INTENSITY_KEYS:
-                assert getattr(h, key).tobytes() == np.array([getattr(d, key) for d in diags]).tobytes(), key
+                assert h[key].tobytes() == np.array([getattr(d, key) for d in diags]).tobytes(), key
 
     def test_a_count_row_changed_after_its_step_leaves_the_next_step(self):
         # the filter keeps each bin's counts for the next forecast, but a float64 row, a view
@@ -1115,10 +1127,9 @@ def drawn_result(data, m: int, n_steps: int, history: bool) -> FilterResult:
     M = data.draw(st.integers(2, 4))
     board = Ensemble(data.draw(arrays(np.float64, (m, M), elements=MEMBER)),
                      data.draw(arrays(np.float64, (m, M, m + 2), elements=MEMBER)))
-    recorded = None
+    recorded = {}
     if history:
-        recorded = FilterHistory(**{key: data.draw(arrays(np.float64, (n_steps, m), elements=ANY_FLOAT))
-                                    for key in INTENSITY_KEYS})
+        recorded = {key: data.draw(arrays(np.float64, (n_steps, m), elements=ANY_FLOAT)) for key in INTENSITY_KEYS}
     return FilterResult(board, FilterConfig(0), n_steps, 0.1, recorded)
 
 
@@ -1144,7 +1155,7 @@ class TestTableBytes:
 
     def test_zero_steps_give_a_header_only_diagnostics_file(self):
         board = init_ensemble(1, 3, GammaSpec(1.0, 0.5), GammaSpec(5.0, 1.0), GammaSpec(0.1, 0.01), seed=0).draw()
-        history = FilterHistory(**{key: np.empty((0, 1)) for key in INTENSITY_KEYS})
+        history = {key: np.empty((0, 1)) for key in INTENSITY_KEYS}
         result = FilterResult(board, FilterConfig(0), 0, 0.1, history)
         tables = result_tables(save_filter_result, result, None)
         assert tables == result_tables(oracles.save_filter_tables, result, None)

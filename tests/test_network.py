@@ -347,12 +347,13 @@ class TestBatchedBetweenness:
 class TestErrorMetrics:
     def make_history(self, mean_path, var_path, truth):
         """The truth curves of a run whose parameter moments take these (n+1, m, m+2) paths."""
-        from countnet.filtering import FilterHistory
+        from countnet.filtering import _CURVE_KEYS
 
         mean, var = np.asarray(mean_path), np.asarray(var_path)
         dev = np.abs(mean - np.column_stack((truth.baseline, truth.decay, truth.excitation)))
-        return FilterHistory(dev[:, :, 0], dev[:, :, 1], dev[:, :, 2:].mean(axis=2), (dev[:, :, 2:] ** 2).sum(axis=2),
-                             var[:, :, 0], var[:, :, 1], var[:, :, 2:].mean(axis=2))
+        return dict(zip(_CURVE_KEYS, (dev[:, :, 0], dev[:, :, 1], dev[:, :, 2:].mean(axis=2),
+                                      (dev[:, :, 2:] ** 2).sum(axis=2), var[:, :, 0], var[:, :, 1],
+                                      var[:, :, 2:].mean(axis=2))))
 
     def test_perfect_estimate_zero_error(self):
         truth = HawkesParams([2.0], [5.0], [[1.5]])

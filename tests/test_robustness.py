@@ -200,7 +200,7 @@ save_filter_result(result, sys.argv[6], report)
 curves = 0
 if scored:
     assert np.isfinite(report["frobenius"]).all()
-    curves = sum(getattr(result.history, key).nbytes for key in _CURVE_KEYS)
+    curves = sum(result.history[key].nbytes for key in _CURVE_KEYS)
 board = result.ensembles.intensity.nbytes + result.ensembles.params.nbytes
 workers_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(board // 1024, curves // 1024, before, status_kib("VmHWM"), workers_peak)
