@@ -21,9 +21,12 @@ Per node and per time bin the filter runs four stages:
 ``Filter`` runs each stage over all its rows at once, in a few (rows, M)
 work arrays allocated when the filter is made; the regression and the
 parameter moments go over the (rows, M, m+2) parameter board in blocks
-of rows with one block of scratch. ``run_filter`` runs every bin and keeps a
-history, a mapping from key to one (steps, nodes) array, which its recorders
-fill: each writes its keys' rows after the fill and after every step.
+of rows with one block of scratch. Every row contraction (the gain, the
+sums of squares, the means' member sums) is one BLAS call per row, so a
+row's bits, fixed for a given numpy and BLAS build, do not depend on the
+other rows, its block or its alignment. ``run_filter`` runs every bin and
+keeps a history, a mapping from key to one (steps, nodes) array, which its
+recorders fill: each writes its keys' rows after the fill and after every step.
 
 Nodes never read each other's ensembles; they couple only through the
 shared observed counts. A node's index is its data column, and every
@@ -256,19 +259,19 @@ def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
                   work=None) -> tuple[np.ndarray, AnalysisDiagnostics]:
     """Intensity analysis for a board of rows; one stream per row.
 
-    Writes the analysed members into ``out`` and uses ``work``, two boards of
-    ``lam_f``'s shape, as scratch (new arrays for either if None). The
-    diagnostics' ``prior_mean`` is the forecast's row means. Only a row with
-    a count of at least 1 and some forecast spread draws from its stream;
-    every other row has conjugate weight 0 and keeps its relative deviations.
+    Writes the analysed members into ``out``, and the forecast deviations
+    (kept for ``_regress_board``) and the draws into ``work``, two boards of
+    ``lam_f``'s shape (new arrays for either if None). The diagnostics'
+    ``prior_mean`` is the forecast's row means. Only a row with a count of
+    at least 1 and some forecast spread draws from its stream; every other
+    row has conjugate weight 0 and keeps its relative deviations.
     """
     n_rows, M = lam_f.shape
     out = np.empty_like(lam_f) if out is None else out
-    u, t = np.empty((2, n_rows, M)) if work is None else work
+    ydev, t = np.empty((2, n_rows, M)) if work is None else work
     mean_f = np.add.reduce(lam_f, axis=1) / M
-    np.divide(lam_f, mean_f[:, None], out=u)
-    u -= 1.0
-    prior_rv = np.einsum("im,im->i", u, u) / (M - 1)
+    np.subtract(lam_f, mean_f[:, None], out=ydev)
+    prior_rv = np.vecdot(ydev, ydev) / ((M - 1) * mean_f * mean_f)
     degenerate = prior_rv == 0.0
     with np.errstate(divide="ignore"):  # inf for a flat row and a zero count: weight c = 0
         inv_prior = 1.0 / prior_rv
@@ -279,18 +282,15 @@ def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
     gain = mean_f / (inv_prior + expected)  # flat rows get gain 0
     post_mean = mean_f + gain * innovation
 
-    # redistribute relative deviations, u + c * (t / mean(t) - 1 - u); a row that does
-    # not draw has t = 1 and c = 0, so it keeps its own
+    # each relative deviation moves to (1 - c) of its own plus c of its draw's, so the members are
+    # post_mean * ((1 - c) * lam_f / mean_f + c * t / mean(t)); a row that does not draw has t = 1, c = 0
     t.fill(1.0)
     for r in np.flatnonzero((counts >= 1) & ~degenerate).tolist():
         streams[r].standard_gamma(counts[r], out=t[r])
-    t /= (np.add.reduce(t, axis=1) / M)[:, None]
-    t -= 1.0
-    t -= u
-    t *= c[:, None]
-    u += t
-    u += 1.0
-    np.multiply(post_mean[:, None], u, out=out)
+    b = post_mean * c / (np.add.reduce(t, axis=1) / M)
+    np.multiply(lam_f, (post_mean * (1.0 - c) / mean_f)[:, None], out=out)
+    t *= b[:, None]
+    out += t
     np.maximum(out, floor, out=out)
 
     # a row with a zero count keeps its prior relative variance
@@ -325,43 +325,42 @@ def pg_analysis(
     return board[0], AnalysisDiagnostics(**{k: v[0].item() for k, v in vars(diag).items()})
 
 
-def _regression_rows(lam_f, mean_f, lam_a, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The regression's inputs for a board of rows, whose forecast has row means ``mean_f``.
+def _regress_board(params, lam_f, ydev, lam_a, innov, tmp) -> None:
+    """Parameter regression for a board of rows with forecast deviations ``ydev``, in place.
 
-    Returns the forecast deviations and lam_a - lam_f, written into ``work``
-    (two boards of ``lam_f``'s shape), and each row's scale: one over the sum
-    of the forecast and analysis intensity variances, or 0 for a row without
-    intensity spread.
+    Writes lam_a - lam_f into ``innov``, a board of ``lam_f``'s shape, gives each row the scale one
+    over its forecast's plus analysis' squared deviations (0 without spread) and runs
+    ``_regress_rows`` over blocks of ``len(tmp)`` rows.
     """
-    ydev, innov = work
     M = lam_f.shape[1]
-    np.subtract(lam_f, mean_f[:, None], out=ydev)
     yadev = np.subtract(lam_a, (np.add.reduce(lam_a, axis=1) / M)[:, None], out=innov)
-    denom = (np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)) / (M - 1)
+    denom = np.vecdot(ydev, ydev) + np.vecdot(yadev, yadev)
     scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
     np.subtract(lam_a, lam_f, out=innov)
-    return ydev, innov, scale
+    for lo in range(0, len(params), len(tmp)):
+        rows = slice(lo, lo + len(tmp))
+        q = params[rows]
+        _regress_rows(q, ydev[rows], innov[rows], scale[rows], tmp[: len(q)])
 
 
-def _regress_rows(q, ydev, innov, scale, floor, tmp) -> None:
+def _regress_rows(q, ydev, innov, scale, tmp) -> None:
     """Parameter regression for a board of rows, in place.
 
     ``q`` is (n_rows, M, p), each row's members by parameters, and ``tmp``
-    is scratch of the same shape; ``ydev``, ``innov`` and ``scale`` are the
-    rows' ``_regression_rows``. A row's gain is the cross-covariance
-    between its parameter members and the forecast-intensity deviations,
-    times its scale; each member moves by gain * (lam_a - lam_f) and is
-    clamped at ``floor``. Each row's arithmetic is its own, so any split
-    into blocks of rows gives the same bits.
+    is scratch of the same shape; ``ydev`` is the rows' forecast deviations
+    and ``innov`` and ``scale`` those ``_regress_board`` gives. A row's gain is
+    the cross-covariance between its parameter members and ``ydev`` over
+    the forecast plus analysis intensity variance; each member moves by
+    gain * (lam_a - lam_f) and is clamped at ``POSITIVITY_FLOOR``. Each row's gain is
+    one BLAS call, so any split into blocks of rows gives the same bits.
     """
-    M = q.shape[1]
-    # ydev has zero member mean, so cov(q, y) = sum_m q_m * ydev_m / (M-1)
-    # and the parameter members need no centring pass
-    gain = np.einsum("imj,im->ij", q, ydev) / (M - 1) * scale[:, None]
-    # per-row outer products; einsum writes them faster than a broadcast
+    # ydev has zero member mean, so the parameter members need no centring pass; the (M-1)s cancel
+    gain = np.vecmat(ydev, q)
+    gain *= scale[:, None]
+    # per-row outer products; einsum writes them faster than a broadcast or a K=1 matmul
     np.einsum("im,ij->imj", innov, gain, out=tmp)
     q += tmp
-    np.maximum(q, floor, out=q)
+    np.maximum(q, POSITIVITY_FLOOR, out=q)
 
 
 def enkf_regress(
@@ -393,8 +392,8 @@ def enkf_regress(
     if lam_f.shape != (M,) or lam_a.shape != (M,):
         raise ValueError("q, lam_f and lam_a must share the member count")
     board, lam_f = q[None].copy(), lam_f[None]
-    rows = _regression_rows(lam_f, np.add.reduce(lam_f, axis=1) / M, lam_a[None], np.empty((2, 1, M)))
-    _regress_rows(board, *rows, POSITIVITY_FLOOR, np.empty_like(board))
+    ydev = lam_f - (np.add.reduce(lam_f, axis=1) / M)[:, None]
+    _regress_board(board, lam_f, ydev, lam_a[None], np.empty((1, M)), np.empty_like(board))
     return board[0]
 
 
@@ -418,17 +417,17 @@ def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row means and variances (ddof=1) over the members of an (n, M, p) board, (n, p) each.
 
     Rows go in blocks of about BLOCK_ELEMENTS elements with one block of
-    scratch, and each row gets the bits of its own np.mean and np.var.
+    scratch. Each row's member sum is one BLAS call of its own, so any split
+    into blocks gives the same bits.
     """
     n, M, p = params.shape
     rows = _block_rows(params)
     mean, var = np.empty((n, p)), np.empty((n, p))
-    scratch = np.empty((rows, M, p))
+    ones, scratch = np.ones(M), np.empty((rows, M, p))
     for lo in range(0, n, rows):
         block = params[lo : lo + rows]
         dev = scratch[: len(block)]
-        # einsum adds the members in order, several times faster than a middle-axis reduce
-        mu = mean[lo : lo + rows] = np.einsum("imj->ij", block) / M
+        mu = mean[lo : lo + rows] = np.vecmat(ones, block) / M
         np.subtract(block, mu[:, None, :], out=dev)
         var[lo : lo + rows] = np.einsum("imj,imj->ij", dev, dev) / (M - 1)
     return mean, var
@@ -458,11 +457,11 @@ class Filter:
     over any subset of nodes, in any order (see ``Ensemble.take``), reproduces
     those nodes' results bit for bit.
 
-    The step's working memory is allocated here, once: five (rows, M) boards
-    (the forecast, the relative deviations, the perturbed draws, the
-    regression deviations and the excitation product) and the regression's
-    scratch, one block of rows of the parameter board. A step allocates only
-    vectors of one value per row. Each step reads the board afresh, so writes
+    The step's working memory is allocated here, once: four (rows, M) boards
+    (the forecast, its deviations, the excitation product and one board for
+    the forecast's scratch, then the draws, then the innovations) and the
+    regression's scratch, one block of rows of the parameter board. A step
+    allocates only vectors of one value per row. Each step reads the board afresh, so writes
     made to it between steps are honoured.
     The analysis writes into the board before the divergence check, so after
     a ``FilterDivergence`` the board is invalid and the filter must not step on.
@@ -485,7 +484,7 @@ class Filter:
         self._prev = np.zeros(self.m)
         self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.nodes.tolist())
         self.k = 0
-        self._lam_f, self._u, self._t, self._ydev, self._excite = np.empty((5, *lam.shape))
+        self._lam_f, self._t, self._ydev, self._excite = np.empty((4, *lam.shape))
         self._tmp = np.empty((_block_rows(params), *params.shape[1:]))
 
     def param_moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -505,32 +504,33 @@ class Filter:
             check_counts(counts)
         lam, params, lam_f = self._lam, self._params, self._lam_f
 
-        # overflow in Stages 1 and 2 surfaces as the explicit divergence error right below,
-        # not as numpy warnings
+        # overflow surfaces as the explicit divergence error below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             # Stage 1: member-specific forecast from the previous bin's counts
             np.matmul(params[:, :, 2:], self._prev, out=self._excite)
-            advance_intensity(lam, params[:, :, 0], params[:, :, 1], self._excite, self.dt, lam_f, self._u)
+            advance_intensity(lam, params[:, :, 0], params[:, :, 1], self._excite, self.dt, lam_f, self._t)
             np.maximum(lam_f, POSITIVITY_FLOOR, out=lam_f)
             # Stage 2: conjugate intensity analysis, written into the board (Stage 4, the roll
             # forward, is this write)
             lam_a, diag = _analyze_rows(lam_f, counts[self.nodes], self.dt, POSITIVITY_FLOOR, self._streams,
-                                        lam, (self._u, self._t))
-        if not lam_a.max() < np.inf:  # NaN fails too; every other member is at least the floor
-            bad = int(np.argwhere(~np.isfinite(lam_a))[0][0])
-            raise FilterDivergence(self.k, int(self.nodes[bad]))
+                                        lam, (self._ydev, self._t))
+            if not lam_a.max() < np.inf:  # NaN fails too; every other member is at least the floor
+                # a non-finite parameter left by the last regression shows first in this forecast
+                self._check_finite("parameter", self.k - 1, params)
+                self._check_finite("intensity", self.k, lam_a)
 
-        # Stage 3: regress parameter members on the intensity innovations, by blocks of rows
-        ydev, innov, scale = _regression_rows(lam_f, diag.prior_mean, lam_a, (self._ydev, self._t))
-        rows = len(self._tmp)
-        for lo in range(0, len(self.nodes), rows):
-            hi = lo + rows
-            q = params[lo:hi]
-            _regress_rows(q, ydev[lo:hi], innov[lo:hi], scale[lo:hi], POSITIVITY_FLOOR, self._tmp[: len(q)])
+            # Stage 3: regress parameter members on the intensity innovations, by blocks of rows
+            _regress_board(params, lam_f, self._ydev, lam_a, self._t, self._tmp)
 
         self._prev = counts
         self.k += 1
         return diag
+
+    def _check_finite(self, what: str, step: int, board: np.ndarray) -> None:
+        """Raise FilterDivergence(step, node, what) for the first row of ``board`` with a non-finite member."""
+        bad = ~np.isfinite(board).reshape(len(board), -1).all(axis=1)
+        if bad.any():
+            raise FilterDivergence(step, int(self.nodes[np.argmax(bad)]), what)
 
     def ensembles(self) -> Ensemble:
         """The filter's board, as views without copies.
@@ -622,11 +622,9 @@ def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, histo
                     history[key][k - first, rows] = column
         if k and progress is not None and (k % report_every == 0 or k == n_steps):
             progress(k, n_steps)
-    # an earlier step's non-finite parameter fails the next forecast's check;
-    # caught here, before run_filter wraps the board and checks it again
+    # the next forecast finds an earlier step's non-finite parameter; the last step's is found here
     if not filt._params.max() < np.inf:  # NaN fails too; every other member is at least the floor
-        row = np.argmin(np.isfinite(filt._params).reshape(len(filt.nodes), -1).all(axis=1))
-        raise FilterDivergence(filt.k - 1, int(filt.nodes[row]), "parameter")
+        filt._check_finite("parameter", filt.k - 1, filt._params)
 
 
 def _range_worker(conn, *args) -> None:

@@ -19,6 +19,8 @@ table writer, block reader and row growth that the other file formats share.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import re
 import sys
@@ -211,12 +213,14 @@ def csv_blocks(fh, width: int | None = None) -> Iterator:
     Each data row keeps its first ``width`` fields, or as many as the
     header has (at least one) when ``width`` is None. Fields, field counts
     and line numbers are those of ``csv.reader`` (default dialect): blocks
-    of about ``READ_CHUNK_CHARS`` are split on commas with numpy, until a
-    block holds a quote character, a bare carriage return or a line longer
-    than ``csv.field_size_limit()``, or fails to decode; from there
-    ``csv.reader`` reads the rest. Its ValueErrors (a decoding error) read
-    "line N: ..." as the readers' messages do; rows before the error come
-    first, in their own block.
+    of whole lines (``READ_CHUNK_CHARS`` and the rest of the last line) are
+    split on commas with numpy, until a block holds a quote character, a
+    bare carriage return or a line longer than ``csv.field_size_limit()``,
+    or fails to decode; from there
+    ``csv.reader`` reads the rest, a refused block from memory, one that
+    fails to decode from the file's start. Its ValueErrors (a decoding
+    error) read "line N: ..." as the readers' messages do; rows before the
+    error come first, in their own block.
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -224,34 +228,29 @@ def csv_blocks(fh, width: int | None = None) -> Iterator:
     if header is None:
         return
     width = width or max(len(header), 1)
-    done, text = reader.line_num, ""  # done: lines already yielded, the header's included
+    done = reader.line_num  # lines already yielded, the header's included
     limit = csv.field_size_limit()
     while True:
         try:
-            chunk = fh.read(READ_CHUNK_CHARS)
-        except UnicodeDecodeError:
+            text = fh.read(READ_CHUNK_CHARS)
+            text += fh.readline()  # to the end of its last line
+        except UnicodeDecodeError:  # csv.reader meets the error on its line, reading from the start
+            fh.seek(0)
+            for k in range(done):
+                try:
+                    next(fh)
+                except ValueError as err:  # a line that fails to decode, as csv.reader would have met it
+                    raise ValueError(f"line {k}: {err}") from err
+            reader = csv.reader(fh)
             break
-        text += chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        if chunk and not cut:
-            continue  # no whole line yet
-        lines, text = text[:cut], text[cut:]
-        if lines:
-            block = _split_lines(lines, width, done + 1, limit)
-            if block is None:
-                break
-            yield block
-            done += len(block.lines)
-        if not chunk:
+        if not text:
             return
-
-    fh.seek(0)
-    for k in range(done):
-        try:
-            next(fh)
-        except ValueError as err:  # a line that fails to decode, as csv.reader would have met it
-            raise ValueError(f"line {k}: {err}") from err
-    reader = csv.reader(fh)
+        block = _split_lines(text, width, done + 1, limit)
+        if block is None:  # csv.reader reads the refused lines from memory, then the rest of the file
+            reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
+            break
+        yield block
+        done += len(block.lines)
     rows, row_lines = [], []
     per_block = max(1, ROW_CHUNK_CELLS // width)
     try:

@@ -13,25 +13,32 @@ are the exact reference for the coded path.
 ``analyze_rows`` is the per-row intensity analysis that
 ``countnet.filtering._analyze_rows`` replaced with whole-board operations:
 each observed row draws its perturbed observations with ``gamma(dN, 1)``
-and is updated on its own. It is the bit-level reference for the batched
-kernel, draws and stream states included. ``_analyze_rows`` is now
-``board_analysis`` below done in place in the filter's work boards, in one
-pass over every row: a row without a draw has weight 0 where
-``board_analysis`` leaves it out through its index.
+and is updated on its own, its deviations' sum of squares one ``np.vecdot``
+of that row. It is the bit-level reference for the batched kernel, draws
+and stream states included. ``_analyze_rows`` is now ``board_analysis``
+below done in place in the filter's work boards, in one pass over every
+row: a row without a draw has weight 0 where ``board_analysis`` leaves it
+out through its index. Both move the members in closed form,
+``a * lam_f + b * draws``.
 
 ``filter_step`` is one step of ``countnet.filtering.Filter.assimilate_step``
 as it ran before the filter kept its work arrays: the forecast written out as
 one expression, the whole-board analysis ``board_analysis`` (new arrays
 for every pass, the perturbed observations drawn row by row into a new board,
 the observed rows updated through fancy indexing), the regression
-``board_regression`` (its row vectors computed inside it) and a copy of the
-analysed intensity into the board. With ``param_moments`` below for the
-history, it is the bit-level per-step reference for the board, the
-diagnostics, the history and every analysis stream's state.
+``board_regression`` (one row at a time: its row vectors, a ``np.vecmat``
+gain and an outer product per row) and a copy of the analysed intensity
+into the board. With ``param_moments`` below for the history, it is the
+bit-level per-step reference for the board, the diagnostics, the history
+and every analysis stream's state.
 
-``param_moments`` is the per-row ``np.mean``/``np.std`` reduction that
-``countnet.filtering.param_moments`` replaced with one blocked kernel: the
-bit-level reference for the truth curves, ``result.json`` and the network.
+``param_moments`` is the per-row reduction that
+``countnet.filtering.param_moments`` replaced with one blocked kernel: each
+row's mean from its own ``np.vecmat`` with a vector of ones, the BLAS call
+the kernel makes per row, and its variance from an in-order sum of squares.
+It is the bit-level reference for the truth curves, ``result.json`` and the
+network. The batched kernels make one BLAS call per row, so these per-row
+calls give their bits for a given numpy and BLAS build.
 
 ``error_metrics`` is ``countnet.network.error_metrics`` as it ran over a
 recorded (n_steps + 1, m, m + 2) history of parameter means and variances,
@@ -98,31 +105,28 @@ def rank_nodes(scores: np.ndarray) -> np.ndarray:
 
 def analyze_rows(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, AnalysisDiagnostics]:
     """Intensity analysis of a board of rows, one row at a time; one stream per row."""
-    n_rows, M = lam_f.shape
-    mean_f = lam_f.mean(axis=1)
-    u = lam_f / mean_f[:, None] - 1.0
-    prior_rv = np.einsum("im,im->i", u, u) / (M - 1)
-    degenerate = prior_rv == 0.0
-    inv_prior = np.empty(n_rows)
-    inv_prior[degenerate] = np.inf
-    inv_prior[~degenerate] = 1.0 / prior_rv[~degenerate]
-
-    innovation = counts - mean_f * dt
-    gain = mean_f / (inv_prior + mean_f * dt)
-    post_mean = mean_f + gain * innovation
-
-    a = u
-    for i in range(n_rows):
-        if counts[i] >= 1 and not degenerate[i]:
-            draws = streams[i].gamma(float(int(counts[i])), 1.0, size=M)
-            t = draws / float(draws.mean()) - 1.0
-            c = prior_rv[i] / (prior_rv[i] + 1.0 / counts[i])
-            a[i] = u[i] + c * (t - u[i])
-    lam_a = post_mean[:, None] * (1.0 + a)
-    np.maximum(lam_a, floor, out=lam_a)
-
-    post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
-    return lam_a, AnalysisDiagnostics(mean_f, post_mean, prior_rv, post_rv, innovation, degenerate)
+    M = lam_f.shape[1]
+    lam_a = np.empty_like(lam_f)
+    diags = []
+    for i, (x, count) in enumerate(zip(lam_f, counts)):
+        mean_f = x.mean()
+        ydev = x - mean_f
+        prior_rv = np.vecdot(ydev, ydev) / ((M - 1) * mean_f * mean_f)
+        degenerate = prior_rv == 0.0
+        inv_prior = np.inf if degenerate else 1.0 / prior_rv
+        innovation = count - mean_f * dt
+        post_mean = mean_f + mean_f / (inv_prior + mean_f * dt) * innovation
+        # the draws' share c moves each relative deviation toward its draw's
+        if count >= 1 and not degenerate:
+            c = prior_rv / (prior_rv + 1.0 / count)
+            draws = streams[i].gamma(float(int(count)), 1.0, size=M)
+            row = x * (post_mean * (1.0 - c) / mean_f) + draws * (post_mean * c / draws.mean())
+        else:
+            row = x * (post_mean / mean_f)
+        lam_a[i] = np.maximum(row, floor)
+        post_rv = prior_rv if count == 0 else 1.0 / (inv_prior + count)
+        diags.append((mean_f, post_mean, prior_rv, post_rv, innovation, degenerate))
+    return lam_a, AnalysisDiagnostics(*map(np.array, zip(*diags)))
 
 
 def _perturbed_rows(counts, M: int, streams) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +141,8 @@ def board_analysis(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analy
     """Intensity analysis for a board of rows; one stream per row."""
     n_rows, M = lam_f.shape
     mean_f = np.add.reduce(lam_f, axis=1) / M
-    u = lam_f / mean_f[:, None] - 1.0
-    prior_rv = np.einsum("im,im->i", u, u) / (M - 1)
+    ydev = lam_f - mean_f[:, None]
+    prior_rv = np.vecdot(ydev, ydev) / ((M - 1) * mean_f * mean_f)
     degenerate = prior_rv == 0.0
     inv_prior = np.divide(1.0, prior_rv, out=np.full(n_rows, np.inf), where=~degenerate)
 
@@ -146,14 +150,14 @@ def board_analysis(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analy
     gain = mean_f / (inv_prior + mean_f * dt)  # degenerate rows get gain 0
     post_mean = mean_f + gain * innovation
 
-    # redistribute relative deviations; the other rows keep theirs
+    # move the drawing rows' relative deviations toward their draws'; the other rows keep theirs
     act = np.flatnonzero((counts >= 1) & ~degenerate)
+    c = np.zeros(n_rows)
+    c[act] = prior_rv[act] / (prior_rv[act] + 1.0 / counts[act])
+    lam_a = lam_f * (post_mean * (1.0 - c) / mean_f)[:, None]
     if act.size:
         t, t_mean = _perturbed_rows(counts[act], M, [streams[i] for i in act])
-        c = prior_rv[act] / (prior_rv[act] + 1.0 / counts[act])
-        u_act = u[act]
-        u[act] = u_act + c[:, None] * (t / t_mean[:, None] - 1.0 - u_act)
-    lam_a = post_mean[:, None] * (1.0 + u)
+        lam_a[act] += t * (post_mean[act] * c[act] / t_mean)[:, None]
     np.maximum(lam_a, floor, out=lam_a)
 
     post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
@@ -161,19 +165,14 @@ def board_analysis(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analy
     return lam_a, diag
 
 
-def board_regression(q, lam_f, lam_a, floor, tmp) -> None:
-    """Parameter regression for a board of rows, in place; ``tmp`` is scratch of ``q``'s shape."""
-    M = q.shape[1]
-    ydev = lam_f - (np.add.reduce(lam_f, axis=1) / M)[:, None]
-    yadev = lam_a - (np.add.reduce(lam_a, axis=1) / M)[:, None]
-    denom = (np.einsum("im,im->i", ydev, ydev) + np.einsum("im,im->i", yadev, yadev)) / (M - 1)
-    safe = denom > 0
-    scale = np.zeros_like(denom)
-    scale[safe] = 1.0 / denom[safe]
-    gain = np.einsum("imj,im->ij", q, ydev) / (M - 1) * scale[:, None]
-    np.einsum("im,ij->imj", lam_a - lam_f, gain, out=tmp)
-    q += tmp
-    np.maximum(q, floor, out=q)
+def board_regression(q, lam_f, lam_a, floor) -> None:
+    """Parameter regression for a board of rows, in place, one row at a time."""
+    for qi, yf, ya in zip(q, lam_f, lam_a):
+        ydev, yadev = yf - yf.mean(), ya - ya.mean()
+        denom = np.vecdot(ydev, ydev) + np.vecdot(yadev, yadev)
+        gain = np.vecmat(ydev, qi) * (1.0 / denom if denom > 0 else 0.0)
+        qi += np.multiply.outer(ya - yf, gain)
+        np.maximum(qi, floor, out=qi)
 
 
 def filter_step(lam, params, prev, counts_next, nodes, dt, floor, streams) -> AnalysisDiagnostics:
@@ -190,16 +189,20 @@ def filter_step(lam, params, prev, counts_next, nodes, dt, floor, streams) -> An
     np.maximum(lam_f, floor, out=lam_f)
     with np.errstate(over="ignore", invalid="ignore"):
         lam_a, diag = board_analysis(lam_f, own_counts, dt, floor, streams)
-    board_regression(params, lam_f, lam_a, floor, np.empty_like(params))  # one block: any split has its bits
+    board_regression(params, lam_f, lam_a, floor)
     lam[...] = lam_a
     return diag
 
 
 def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, variances and sds (ddof=1) over the members of an (n, M, p) board, one row at a time."""
-    mean = np.stack([p.mean(axis=0) for p in params])
-    var = np.stack([p.var(axis=0, ddof=1) for p in params])
-    return mean, var, np.stack([p.std(axis=0, ddof=1) for p in params])
+    n, M, p = params.shape
+    mean, var = np.empty((n, p)), np.empty((n, p))
+    for i, q in enumerate(params):
+        mean[i] = np.vecmat(np.ones(M), q) / M
+        dev = q - mean[i]
+        var[i] = np.add.reduce(dev * dev, axis=0) / (M - 1)
+    return mean, var, np.sqrt(var)
 
 
 def error_metrics(mean: np.ndarray, var: np.ndarray, truth: HawkesParams, excitation_scale: float = 1.0) -> dict:

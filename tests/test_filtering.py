@@ -773,6 +773,32 @@ class TestRunFilter:
         assert np.array_equal(solo.intensity, board.ensembles[1].intensity)
         assert np.array_equal(solo.params, board.ensembles[1].params)
 
+    @pytest.mark.parametrize("m, M", [(7, 33), (6, 500)])
+    def test_misaligned_sub_boards_reproduce_the_full_run(self, m, M):
+        # each row contraction is a BLAS call of its own: a sub-board whose rows start at each of
+        # the 8 float64 offsets in a 64-byte line, among them one float64 off the full board's
+        # rows, gives every row the full board's bits, its diagnostics and moments included
+        _, data, init, cfg = toy_filter_setup(m=m, M=M, n_steps=25)
+        full = Filter(init, DT, cfg)
+        diags = [full.assimilate_step(row) for row in data.counts]
+        rows, n = slice(1, m), m - 1
+        for shift in range(8):
+            boards = []
+            for shape in ((n, M), (n, M, m + 2)):
+                buf = np.empty(math.prod(shape) + 8)
+                start = (shift - buf.ctypes.data // 8) % 8
+                boards.append(buf[start:start + math.prod(shape)].reshape(shape))
+            sub = Filter(init, DT, cfg, tuple(boards), rows)
+            assert [board.ctypes.data % 64 for board in (sub._lam, sub._params)] == [8 * shift] * 2
+            for row, want in zip(data.counts, diags):
+                got = sub.assimilate_step(row)
+                for key, value in vars(want).items():
+                    assert getattr(got, key).tobytes() == value[rows].tobytes(), (shift, key)
+            assert sub._lam.tobytes() == full._lam[rows].tobytes()
+            assert sub._params.tobytes() == full._params[rows].tobytes()
+            for got, want in zip(sub.param_moments(), full.param_moments()):
+                assert got.tobytes() == want[rows].tobytes()
+
     def test_nonfinite_detection(self):
         _, data, init, cfg = toy_filter_setup()
         init[1].params[:, 0] = 1e308  # baseline overflow -> non-finite forecast
@@ -786,7 +812,8 @@ class TestRunFilter:
     def test_a_diverging_run_raises_without_a_warning(self, workers, scored):
         # excitation members near 1e150 square past the float range in the truth curves, and
         # the regression then leaves non-finite members that the next forecast multiplies; warnings
-        # are errors here, so the run must end in the divergence error alone
+        # are errors here, so the run must end in the divergence error alone, and it must name
+        # the first step that left a non-finite member, and that member's kind
         from countnet.experiments import TOY_DT, toy_priors
         from countnet.experiments import toy_truth as six_node_truth
         from countnet.hawkes import simulate
@@ -794,9 +821,21 @@ class TestRunFilter:
         truth = six_node_truth(1.5, 1.5)
         data = simulate(truth, TOY_DT, 1000, 1)
         init = init_ensemble(6, 20, *toy_priors(1.5, 1.5)[:2], GammaSpec(1e150, 1e150), seed=1)
+        # the first non-finite member, from the board after each step of a filter stepped by hand
+        filt, first = Filter(init, TOY_DT, FilterConfig(seed=1)), None
+        for step, row in enumerate(data.counts):
+            filt.assimilate_step(row)
+            for what, board in (("parameter", filt._params), ("intensity", filt._lam)):
+                bad = ~np.isfinite(board).reshape(len(board), -1).all(axis=1)
+                if bad.any():
+                    first = step, int(np.argmax(bad)), what
+                    break
+            if first:
+                break
+        assert first == (2, 1, "parameter")
         with pytest.raises(FilterDivergence) as err:
             run_filter(data, init, FilterConfig(seed=1), workers=workers, truth=truth if scored else None)
-        assert (err.value.step, err.value.node, err.value.what) == (5, 0, "intensity")
+        assert (err.value.step, err.value.node, err.value.what) == first
 
     def test_final_step_parameter_divergence(self, monkeypatch):
         # only the last regression can leave a non-finite parameter unseen

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import tempfile
@@ -261,6 +263,35 @@ class TestContainers:
         with patch.object(hawkes, "_rows_block", side_effect=AssertionError("csv.reader read the rows")):
             loaded, _ = load_count_series(path)
         assert loaded.node_labels == labels and np.array_equal(loaded.counts, series.counts)
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("chunk", [7, 64, 1 << 17])
+    def test_a_refused_block_is_read_from_memory(self, tmp_path, terminator, chunk):
+        # a quoted field in the last line refuses the last block (a bare CR refuses the first):
+        # csv.reader takes the refused lines from the text already read and the partial line
+        # and the rest from the file, which it never rewinds
+        class Counting(io.TextIOWrapper):
+            def seek(self, *args):
+                self.seeks += 1
+                return super().seek(*args)
+
+        rows = [["t", "a", "b"], *([f"{0.1 * k:.10g}", str(k), str(2 * k)] for k in range(300)),
+                ["30", "Doe, John", "7"]]
+        path = tmp_path / "quoted.csv"
+        path.write_text(csv_text(rows, terminator, True), newline="")
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            want = [(row, reader.line_num) for row in reader]
+        fh = Counting(path.open("rb"), encoding="utf-8", newline="")
+        fh.seeks = 0
+        with fh, patch.object(hawkes, "READ_CHUNK_CHARS", chunk), \
+                patch.object(hawkes, "_rows_block", wraps=hawkes._rows_block) as from_reader:
+            blocks = hawkes.csv_blocks(fh)
+            got = [(next(blocks), 1)]
+            for block in blocks:
+                got += [([block.text(r, j) for j in range(block.fields[r])], block.lines[r])
+                        for r in range(len(block.lines))]
+        assert got == want and from_reader.called and fh.seeks == 0
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty file, no header row"),
