@@ -10,8 +10,10 @@ Per node and per time bin the filter runs four stages:
    drawn perturbed observations to keep the member spread consistent. Each
    member's relative deviation moves toward its draw's by the conjugate
    weight prior_rv / (prior_rv + 1 / count), which is 0 for a zero count
-   and for a flat row (no spread): such a row draws nothing and keeps its
-   deviations, in the same whole-board pass as every other row;
+   and for a flat row (no spread), in the same whole-board pass. A row draws
+   if and only if its count is at least 1: the draws depend on the counts
+   alone, so ``run_filter`` draws a block of bins before its steps
+   (``_draw_block``);
 3. parameter regression: update each member's parameter vector by
    regressing it on the member-wise intensity innovation (a stochastic
    ensemble-Kalman step whose observation space is scalar);
@@ -31,7 +33,8 @@ recorders fill: each writes its keys' rows after the fill and after every step.
 Nodes never read each other's ensembles; they couple only through the
 shared observed counts. A node's index is its data column, and every
 random draw comes from a stream named by (seed, purpose, node index), so
-results are bitwise independent of node ordering and worker count.
+results are bitwise independent of node ordering, worker count and the
+draw block.
 """
 
 from __future__ import annotations
@@ -255,27 +258,53 @@ def analytic_posterior(
     return post_mean, post_rel_var
 
 
-def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
-                  work=None) -> tuple[np.ndarray, AnalysisDiagnostics]:
-    """Intensity analysis for a board of rows; one stream per row.
+def _draw_block(streams, counts, out) -> np.ndarray:
+    """The perturbed observations of a block of bins, written into ``out`` (bins, rows, M).
 
-    Writes the analysed members into ``out``, and the forecast deviations
-    (kept for ``_regress_board``) and the draws into ``work``, two boards of
-    ``lam_f``'s shape (new arrays for either if None). The diagnostics'
-    ``prior_mean`` is the forecast's row means. Only a row with a count of
-    at least 1 and some forecast spread draws from its stream; every other
-    row has conjugate weight 0 and keeps its relative deviations.
+    ``counts`` (bins, rows) holds the rows' counts as floats. Row r draws gamma(count, 1) members
+    from ``streams[r]`` for each bin where its count is at least 1, in bin order; a zero count
+    draws nothing and its slots hold 1.0. A row of many counted bins of few members draws them in
+    one call with an array of shapes, any other row in one call per bin. Either way each bin gets
+    the bits and stream state of a call of its own, so no blocking of the bins changes the draws.
     """
-    n_rows, M = lam_f.shape
-    out = np.empty_like(lam_f) if out is None else out
-    ydev, t = np.empty((2, n_rows, M)) if work is None else work
+    M = out.shape[2]
+    out.fill(1.0)
+    row, k = np.nonzero(counts.T >= 1)  # row by row, each row's counted bins in order
+    shapes, whole = counts[k, row], [False] * len(streams)
+
+    def one_call(n_bins):  # an array of shapes saves a call (about 1 us) per bin past the first,
+        return n_bins * (1000 - 5 * M) > 5000  # and costs about 5 us a call and 5 ns a member
+
+    if one_call(len(counts)):  # a row may have enough counted bins
+        ends = np.cumsum(np.bincount(row, minlength=len(streams))).tolist()
+        for r, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            if one_call(hi - lo):
+                whole[r] = True
+                out[k[lo:hi], r] = streams[r].standard_gamma(np.repeat(shapes[lo:hi], M)).reshape(-1, M)
+    for r, b, shape in zip(row.tolist(), k.tolist(), shapes.tolist()):
+        if not whole[r]:
+            streams[r].standard_gamma(shape, out=out[b, r])
+    return out
+
+
+def _analyze_rows(lam_f, counts, dt, floor, t, out,
+                  ydev) -> tuple[np.ndarray, AnalysisDiagnostics, np.ndarray]:
+    """Intensity analysis for a board of rows, given the bin's draws ``t`` from ``_draw_block``.
+
+    Writes the analysed members into ``out`` and the forecast deviations into ``ydev``, boards of
+    ``lam_f``'s shape, and scales ``t`` in place. Returns ``out``, the diagnostics (``prior_mean``
+    the forecast's row means) and the deviations' row sums of squares. A zero count or a flat row
+    has weight 0, from a 1 / 0 that the caller's ``np.errstate(divide="ignore")`` allows, and keeps
+    its relative deviations.
+    """
+    M = lam_f.shape[1]
     mean_f = np.add.reduce(lam_f, axis=1) / M
     np.subtract(lam_f, mean_f[:, None], out=ydev)
-    prior_rv = np.vecdot(ydev, ydev) / ((M - 1) * mean_f * mean_f)
+    ss_f = np.vecdot(ydev, ydev)
+    prior_rv = ss_f / ((M - 1) * mean_f * mean_f)
     degenerate = prior_rv == 0.0
-    with np.errstate(divide="ignore"):  # inf for a flat row and a zero count: weight c = 0
-        inv_prior = 1.0 / prior_rv
-        c = prior_rv / (prior_rv + 1.0 / counts)
+    inv_prior = 1.0 / prior_rv  # inf for a flat row, as 1 / counts for a zero count: weight c = 0
+    c = prior_rv / (prior_rv + 1.0 / counts)
 
     expected = mean_f * dt
     innovation = counts - expected
@@ -283,10 +312,8 @@ def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
     post_mean = mean_f + gain * innovation
 
     # each relative deviation moves to (1 - c) of its own plus c of its draw's, so the members are
-    # post_mean * ((1 - c) * lam_f / mean_f + c * t / mean(t)); a row that does not draw has t = 1, c = 0
-    t.fill(1.0)
-    for r in np.flatnonzero((counts >= 1) & ~degenerate).tolist():
-        streams[r].standard_gamma(counts[r], out=t[r])
+    # post_mean * ((1 - c) * lam_f / mean_f + c * t / mean(t)); a zero count has t = 1, and with c = 0
+    # a row moves by b * t = 0
     b = post_mean * c / (np.add.reduce(t, axis=1) / M)
     np.multiply(lam_f, (post_mean * (1.0 - c) / mean_f)[:, None], out=out)
     t *= b[:, None]
@@ -296,7 +323,7 @@ def _analyze_rows(lam_f, counts, dt, floor, streams, out=None,
     # a row with a zero count keeps its prior relative variance
     post_rv = np.where(counts == 0, prior_rv, 1.0 / (inv_prior + counts))
     diag = AnalysisDiagnostics(mean_f, post_mean, prior_rv, post_rv, innovation, degenerate)
-    return out, diag
+    return out, diag, ss_f
 
 
 def pg_analysis(
@@ -310,7 +337,7 @@ def pg_analysis(
     Returns the analysed members, clamped at ``POSITIVITY_FLOOR``, and
     diagnostics holding the prior and posterior (mean, relative variance);
     the posterior pair follows ``analytic_posterior`` applied to the
-    empirical prior.
+    empirical prior. ``gen`` draws a block of one bin for ``Filter``'s kernel.
     """
     lam_f = np.asarray(lam_f, dtype=np.float64)
     if lam_f.ndim != 1 or lam_f.shape[0] < 2:
@@ -320,21 +347,24 @@ def pg_analysis(
     check_counts(np.asarray(dN, dtype=np.float64))
     if not dt > 0:
         raise ValueError("dt must be positive")
-    board, diag = _analyze_rows(lam_f[None, :].copy(), np.array([float(dN)]), dt, POSITIVITY_FLOOR, [gen])
+    counts, (board, ydev, t) = np.array([[float(dN)]]), np.empty((3, 1, len(lam_f)))
+    _draw_block([gen], counts, t[None])
+    with np.errstate(divide="ignore"):
+        _, diag, _ = _analyze_rows(lam_f[None, :].copy(), counts[0], dt, POSITIVITY_FLOOR, t, board, ydev)
     # the board's one row, as Python floats and a bool
     return board[0], AnalysisDiagnostics(**{k: v[0].item() for k, v in vars(diag).items()})
 
 
-def _regress_board(params, lam_f, ydev, lam_a, innov, tmp) -> None:
+def _regress_board(params, lam_f, ydev, ss_f, lam_a, sum_a, innov, tmp) -> None:
     """Parameter regression for a board of rows with forecast deviations ``ydev``, in place.
 
-    Writes lam_a - lam_f into ``innov``, a board of ``lam_f``'s shape, gives each row the scale one
-    over its forecast's plus analysis' squared deviations (0 without spread) and runs
-    ``_regress_rows`` over blocks of ``len(tmp)`` rows.
+    ``ss_f`` and ``sum_a`` are its rows' sums of ``ydev**2`` and ``lam_a``. Writes lam_a - lam_f into
+    ``innov``, gives each row the scale one over its forecast's plus analysis' squared deviations (0
+    without spread) and runs ``_regress_rows`` over blocks of ``len(tmp)`` rows.
     """
     M = lam_f.shape[1]
-    yadev = np.subtract(lam_a, (np.add.reduce(lam_a, axis=1) / M)[:, None], out=innov)
-    denom = np.vecdot(ydev, ydev) + np.vecdot(yadev, yadev)
+    yadev = np.subtract(lam_a, (sum_a / M)[:, None], out=innov)
+    denom = ss_f + np.vecdot(yadev, yadev)
     scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
     np.subtract(lam_a, lam_f, out=innov)
     for lo in range(0, len(params), len(tmp)):
@@ -391,9 +421,10 @@ def enkf_regress(
     M = q.shape[0]
     if lam_f.shape != (M,) or lam_a.shape != (M,):
         raise ValueError("q, lam_f and lam_a must share the member count")
-    board, lam_f = q[None].copy(), lam_f[None]
+    board, lam_f, lam_a = q[None].copy(), lam_f[None], lam_a[None]
     ydev = lam_f - (np.add.reduce(lam_f, axis=1) / M)[:, None]
-    _regress_board(board, lam_f, ydev, lam_a[None], np.empty((1, M)), np.empty_like(board))
+    _regress_board(board, lam_f, ydev, np.vecdot(ydev, ydev), lam_a, np.add.reduce(lam_a, axis=1),
+                   np.empty((1, M)), np.empty_like(board))
     return board[0]
 
 
@@ -413,17 +444,15 @@ class FilterResult:
     node_labels: list[str] | None = None
 
 
-def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def param_moments(params: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row means and variances (ddof=1) over the members of an (n, M, p) board, (n, p) each.
 
-    Rows go in blocks of about BLOCK_ELEMENTS elements with one block of
-    scratch. Each row's member sum is one BLAS call of its own, so any split
-    into blocks gives the same bits.
+    Rows go in blocks of ``len(scratch)``, (rows, M, p) scratch, by default about BLOCK_ELEMENTS
+    elements. Each row's member sum is a BLAS call of its own, so any blocks give the same bits.
     """
     n, M, p = params.shape
-    rows = _block_rows(params)
-    mean, var = np.empty((n, p)), np.empty((n, p))
-    ones, scratch = np.ones(M), np.empty((rows, M, p))
+    scratch = np.empty((_block_rows(params), M, p)) if scratch is None else scratch
+    rows, mean, var, ones = len(scratch), np.empty((n, p)), np.empty((n, p)), np.ones(M)
     for lo in range(0, n, rows):
         block = params[lo : lo + rows]
         dev = scratch[: len(block)]
@@ -458,11 +487,11 @@ class Filter:
     those nodes' results bit for bit.
 
     The step's working memory is allocated here, once: four (rows, M) boards
-    (the forecast, its deviations, the excitation product and one board for
-    the forecast's scratch, then the draws, then the innovations) and the
-    regression's scratch, one block of rows of the parameter board. A step
-    allocates only vectors of one value per row. Each step reads the board afresh, so writes
-    made to it between steps are honoured.
+    (the forecast, its deviations, the excitation product then a step's own
+    draws, and the forecast's scratch then the innovations) and the scratch
+    of the regression and the moments, one block of rows of the parameter
+    board. A step allocates only vectors of one value per row. Each step
+    reads the board afresh, so writes made to it between steps are honoured.
     The analysis writes into the board before the divergence check, so after
     a ``FilterDivergence`` the board is invalid and the filter must not step on.
     """
@@ -489,12 +518,13 @@ class Filter:
 
     def param_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Current per-node parameter means and variances (ddof=1), (n_nodes, m+2) each."""
-        return param_moments(self._params)
+        return param_moments(self._params, self._tmp)
 
-    def assimilate_step(self, counts_next) -> AnalysisDiagnostics:
+    def assimilate_step(self, counts_next, draws=None) -> AnalysisDiagnostics:
         """Forecast with the held previous counts, then assimilate the new bin.
 
-        ``counts_next`` is the full m-node count vector for the next bin.
+        ``counts_next`` is the full m-node count vector for the next bin; ``draws``, the bin's
+        (rows, M) board of ``_draw_block`` from this filter's streams, or None: a block of one bin.
         """
         unsigned = np.asarray(counts_next).dtype.kind == "u"  # its type meets the counts rule (CountSeries rows)
         counts = np.array(counts_next, dtype=np.float64)  # the filter's own copy, kept as _prev
@@ -502,25 +532,28 @@ class Filter:
             raise ValueError("counts_next must hold the full m-node count vector")
         if not unsigned:
             check_counts(counts)
-        lam, params, lam_f = self._lam, self._params, self._lam_f
+        lam, params, lam_f, own = self._lam, self._params, self._lam_f, counts[self.nodes]
 
-        # overflow surfaces as the explicit divergence error below, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+        # overflow surfaces as the explicit divergence error below, not as numpy warnings; 1 / 0
+        # gives a zero count's and a flat row's analysis weight 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # Stage 1: member-specific forecast from the previous bin's counts
             np.matmul(params[:, :, 2:], self._prev, out=self._excite)
             advance_intensity(lam, params[:, :, 0], params[:, :, 1], self._excite, self.dt, lam_f, self._t)
             np.maximum(lam_f, POSITIVITY_FLOOR, out=lam_f)
+            if draws is None:
+                draws = _draw_block(self._streams, own[None], self._excite[None])[0]
             # Stage 2: conjugate intensity analysis, written into the board (Stage 4, the roll
             # forward, is this write)
-            lam_a, diag = _analyze_rows(lam_f, counts[self.nodes], self.dt, POSITIVITY_FLOOR, self._streams,
-                                        lam, (self._ydev, self._t))
-            if not lam_a.max() < np.inf:  # NaN fails too; every other member is at least the floor
+            lam_a, diag, ss_f = _analyze_rows(lam_f, own, self.dt, POSITIVITY_FLOOR, draws, lam, self._ydev)
+            sum_a = np.add.reduce(lam_a, axis=1)
+            if not sum_a.max() < np.inf:  # a non-finite member (NaN fails too) or a sum past the float range
                 # a non-finite parameter left by the last regression shows first in this forecast
                 self._check_finite("parameter", self.k - 1, params)
                 self._check_finite("intensity", self.k, lam_a)
 
             # Stage 3: regress parameter members on the intensity innovations, by blocks of rows
-            _regress_board(params, lam_f, self._ydev, lam_a, self._t, self._tmp)
+            _regress_board(params, lam_f, self._ydev, ss_f, lam_a, sum_a, self._t, self._tmp)
 
         self._prev = counts
         self.k += 1
@@ -608,14 +641,20 @@ def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, histo
                rows: slice, progress=None) -> None:
     """Fill ``rows`` of the shared board from ``source``, assimilate them there and write their
     columns of the history: after k steps (k = 0: the fill), each recorder ``(keys, first, columns)``
-    with k >= first writes ``columns(filt, diag)``, one column per key, at row k - first."""
+    with k >= first writes ``columns(filt, diag)``, one column per key, at row k - first. The bins'
+    perturbed observations are drawn by blocks of about BLOCK_ELEMENTS, the last cut at the end."""
     filt = Filter(source, data.dt, cfg, (board[0][rows], board[1][rows]), rows)
     n_steps = data.n_steps
     report_every = max(1, n_steps // 20)
-    diag = None
+    bins = max(1, min(n_steps, BLOCK_ELEMENTS // filt._lam.size))
+    draws, diag = np.empty((bins, *filt._lam.shape)), None
     for k in range(n_steps + 1):
         if k:
-            diag = filt.assimilate_step(data.counts[k - 1])
+            j = (k - 1) % bins
+            if j == 0:  # the next block: its count columns as floats, once, then its draws
+                counts = data.counts[k - 1 : k - 1 + bins, rows].astype(np.float64)
+                _draw_block(filt._streams, counts, draws[: len(counts)])
+            diag = filt.assimilate_step(data.counts[k - 1], draws[j])
         for keys, first, columns in recorders:
             if k >= first:
                 for key, column in zip(keys, columns(filt, diag)):

@@ -12,14 +12,15 @@ are the exact reference for the coded path.
 
 ``analyze_rows`` is the per-row intensity analysis that
 ``countnet.filtering._analyze_rows`` replaced with whole-board operations:
-each observed row draws its perturbed observations with ``gamma(dN, 1)``
-and is updated on its own, its deviations' sum of squares one ``np.vecdot``
-of that row. It is the bit-level reference for the batched kernel, draws
-and stream states included. ``_analyze_rows`` is now ``board_analysis``
-below done in place in the filter's work boards, in one pass over every
-row: a row without a draw has weight 0 where ``board_analysis`` leaves it
-out through its index. Both move the members in closed form,
-``a * lam_f + b * draws``.
+each row with a count of at least 1 draws its perturbed observations with
+``gamma(dN, 1)`` at its step, a flat row too, and is updated on its own,
+its deviations' sum of squares one ``np.vecdot`` of that row. It is the
+bit-level reference for the batched kernel, draws and stream states
+included. ``_analyze_rows`` is now ``board_analysis`` below done in place
+in the filter's work boards, in one pass over every row, and its draws come
+from ``_draw_block``, a block of bins at a time: a zero count has weight 0
+where ``board_analysis`` leaves it out through its index. Both move the
+members in closed form, ``a * lam_f + b * draws``.
 
 ``filter_step`` is one step of ``countnet.filtering.Filter.assimilate_step``
 as it ran before the filter kept its work arrays: the forecast written out as
@@ -116,8 +117,8 @@ def analyze_rows(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analysi
         inv_prior = np.inf if degenerate else 1.0 / prior_rv
         innovation = count - mean_f * dt
         post_mean = mean_f + mean_f / (inv_prior + mean_f * dt) * innovation
-        # the draws' share c moves each relative deviation toward its draw's
-        if count >= 1 and not degenerate:
+        # the draws' share c, 0 for a flat row, moves each relative deviation toward its draw's
+        if count >= 1:
             c = prior_rv / (prior_rv + 1.0 / count)
             draws = streams[i].gamma(float(int(count)), 1.0, size=M)
             row = x * (post_mean * (1.0 - c) / mean_f) + draws * (post_mean * c / draws.mean())
@@ -151,7 +152,7 @@ def board_analysis(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analy
     post_mean = mean_f + gain * innovation
 
     # move the drawing rows' relative deviations toward their draws'; the other rows keep theirs
-    act = np.flatnonzero((counts >= 1) & ~degenerate)
+    act = np.flatnonzero(counts >= 1)
     c = np.zeros(n_rows)
     c[act] = prior_rv[act] / (prior_rv[act] + 1.0 / counts[act])
     lam_a = lam_f * (post_mean * (1.0 - c) / mean_f)[:, None]

@@ -105,9 +105,11 @@ class TestPgAnalysis:
         assert diag.post_mean == pytest.approx(1.875, rel=1e-12)
 
     def test_degenerate_ensemble_is_fixed_point(self):
-        lam_f = np.full(16, 2.5)
-        lam_a, diag = pg_analysis(lam_f, 3, 0.1, gen(0))
+        # a flat row with a count draws, at weight 0
+        lam_f, g = np.full(16, 2.5), gen(0)
+        lam_a, diag = pg_analysis(lam_f, 3, 0.1, g)
         assert diag.degenerate
+        assert stream_state(g) != stream_state(gen(0))
         assert np.array_equal(lam_a, lam_f)
         assert diag.post_mean == diag.prior_mean
         assert diag.post_rel_var == 0.0
@@ -146,25 +148,32 @@ def stream_state(g):
     return json.dumps(g.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
 
+def kernel(lam_f, counts, floor, streams, out=None, work=None):
+    """The batched analysis of one bin as ``Filter`` runs it, into new boards if None: a block of
+    one bin's draws from ``streams`` into ``work[1]``, then ``_analyze_rows`` (``work[0]`` its ``ydev``)."""
+    out = np.empty_like(lam_f) if out is None else out
+    ydev, t = np.empty((2, *lam_f.shape)) if work is None else work
+    filtering._draw_block(streams, counts[None], t[None])
+    with np.errstate(divide="ignore"):
+        return filtering._analyze_rows(lam_f, counts, 0.1, floor, t, out, ydev)[:2]
+
+
 def kernel_against_oracle(lam_f, counts, floor=filtering.POSITIVITY_FLOOR, seed=5):
     """Run the batched analysis and the per-row oracle on fresh, equal streams; assert equal bits."""
     counts = np.asarray(counts, dtype=np.float64)
     rows = range(lam_f.shape[0])
     got_streams = rng.node_streams(seed, rng.ANALYSIS, rows)
     want_streams = rng.node_streams(seed, rng.ANALYSIS, rows)
-    got, got_diag = filtering._analyze_rows(lam_f.copy(), counts, 0.1, floor, got_streams)
+    got, got_diag = kernel(lam_f.copy(), counts, floor, got_streams)
     want, want_diag = analyze_rows(lam_f.copy(), counts, 0.1, floor, want_streams)
     assert got.tobytes() == want.tobytes()
     for key, value in vars(got_diag).items():
         assert value.tobytes() == getattr(want_diag, key).tobytes(), key
     assert [stream_state(g) for g in got_streams] == [stream_state(g) for g in want_streams]
-    # rows without a draw leave their stream untouched
+    # a row draws if and only if its count is at least 1, a flat row too
     fresh = rng.node_streams(seed, rng.ANALYSIS, rows)
-    silent = (counts < 1) | got_diag.degenerate
-    for i in np.flatnonzero(silent):
-        assert stream_state(got_streams[i]) == stream_state(fresh[i])
-    for i in np.flatnonzero(~silent):
-        assert stream_state(got_streams[i]) != stream_state(fresh[i])
+    for i, count in enumerate(counts):
+        assert (stream_state(got_streams[i]) != stream_state(fresh[i])) == (count >= 1)
     return got, got_diag
 
 
@@ -203,6 +212,32 @@ class TestAnalyzeRowsOracle:
     def test_single_row_board(self):
         kernel_against_oracle(gamma_board(1, 50, seed=4), [3])
 
+    def test_a_flat_row_with_a_count_draws_and_keeps_a_times_lam_f(self):
+        # its weight c is 0, so b = 0 and the members are a * lam_f, whatever the draws
+        lam_f = gamma_board(3, 20, seed=6)
+        lam_f[1] = 2.5
+        lam_a, diag = kernel_against_oracle(lam_f, [2, 4, 0])  # row 1's stream advances
+        assert diag.degenerate.tolist() == [False, True, False]
+        a = diag.post_mean[1] * (1.0 - 0.0) / diag.prior_mean[1]
+        assert lam_a[1].tobytes() == np.maximum(lam_f[1] * a, filtering.POSITIVITY_FLOOR).tobytes()
+
+    # one bin; rows of 12 counted bins of 9 members, one call with an array of shapes; of 300
+    # members, one scalar call per bin; and rows of a few counted bins among zeros
+    @pytest.mark.parametrize("bins, M, zeros", [(1, 9, 0.0), (12, 9, 0.0), (12, 300, 0.0), (12, 9, 0.6)])
+    def test_a_block_of_bins_draws_the_bits_of_its_bins(self, bins, M, zeros):
+        # each bin gets the bits of a generator call of its own; a zero count draws nothing and
+        # its slots hold 1.0
+        source = gen(bins)
+        counts = (source.poisson(3.0, size=(bins, 4)) + 1) * (source.random((bins, 4)) >= zeros)
+        counts[:, 2] = 0
+        block_streams, bin_streams = (rng.node_streams(3, rng.ANALYSIS, range(4)) for _ in range(2))
+        got = filtering._draw_block(block_streams, counts.astype(np.float64), np.full((bins, 4, M), np.nan))
+        for k, row in enumerate(counts):
+            for r, count in enumerate(row):
+                want = bin_streams[r].standard_gamma(count, size=M) if count >= 1 else np.ones(M)
+                assert got[k, r].tobytes() == want.tobytes()
+        assert [stream_state(g) for g in block_streams] == [stream_state(g) for g in bin_streams]
+
 
 @st.composite
 def analysis_calls(draw):
@@ -229,23 +264,22 @@ class TestAnalyzeRowsProperty:
         # which start out holding NaN
         seed, calls = case
         n_rows, M = calls[0][0].shape
-        kernel, per_row, board = (rng.node_streams(seed, rng.ANALYSIS, range(n_rows)) for _ in range(3))
+        streams, per_row, board = (rng.node_streams(seed, rng.ANALYSIS, range(n_rows)) for _ in range(3))
         lam_f, out, work = np.empty((n_rows, M)), np.full((n_rows, M), np.nan), np.full((2, n_rows, M), np.nan)
         for values, counts in calls:
             lam_f[...] = values
-            before = [stream_state(g) for g in kernel]
-            got, got_diag = filtering._analyze_rows(lam_f, counts, 0.1, floor, kernel, out, work)
+            before = [stream_state(g) for g in streams]
+            got, got_diag = kernel(lam_f, counts, floor, streams, out, work)
             assert got is out
             for want, want_diag in (analyze_rows(values, counts, 0.1, floor, per_row),
                                     oracles.board_analysis(values, counts, 0.1, floor, board)):
                 assert got.tobytes() == want.tobytes()
                 for key, value in vars(got_diag).items():
                     assert value.tobytes() == getattr(want_diag, key).tobytes(), key
-            after = [stream_state(g) for g in kernel]
+            after = [stream_state(g) for g in streams]
             assert after == [stream_state(g) for g in per_row] == [stream_state(g) for g in board]
-            # a row draws if and only if it has a count and some spread
-            drew = (counts >= 1) & ~got_diag.degenerate
-            assert [a != b for a, b in zip(before, after)] == drew.tolist()
+            # a row draws if and only if its count is at least 1, a flat row too
+            assert [a != b for a, b in zip(before, after)] == (counts >= 1).tolist()
 
 
 class TestCountValidation:
@@ -724,6 +758,51 @@ class TestRunFilter:
             for key in HISTORY_KEYS:
                 assert np.array_equal(run.history[key], runs[0].history[key])
 
+    @pytest.mark.parametrize("n_steps", [16, 0])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_draw_blocks_leave_the_bits(self, monkeypatch, workers, n_steps):
+        # draw blocks of 1 bin, 3 bins (the last of 16 one bin long) and the whole run give the
+        # board, the history and the stream states of a Filter stepped bin by bin, which draws a
+        # block of one bin at each step; row DEGENERATE_ROW starts flat and draws while flat
+        truth, data, init, cfg = toy_filter_setup(m=5, M=20, n_steps=16, record_intensity_history=True)
+        data = CountSeries(data.counts[:n_steps], DT)
+        make_degenerate(init.intensity, init.params)
+        target = np.column_stack((truth.baseline, truth.decay, truth.excitation))
+        hand = Filter(init, DT, cfg)
+        curves, diags = [filtering._truth_curves(hand, target)], []
+        for row in data.counts:
+            diags.append(hand.assimilate_step(row))
+            curves.append(filtering._truth_curves(hand, target))
+        assert n_steps == 0 or any(d.degenerate[DEGENERATE_ROW] and row[DEGENERATE_ROW] >= 1
+                                   for d, row in zip(diags, data.counts))
+        created, node_streams, draw_block, blocks = [], rng.node_streams, filtering._draw_block, []
+
+        def recorded(*args):
+            created.append(node_streams(*args))
+            return created[-1]
+
+        def counted(streams, counts, out):
+            blocks.append(len(out))
+            return draw_block(streams, counts, out)
+
+        monkeypatch.setattr(rng, "node_streams", recorded)
+        monkeypatch.setattr(filtering, "_draw_block", counted)
+        rows = -(-data.m // workers)  # range 0's, the range of this process
+        for bins in (1, 3, max(n_steps, 1)):
+            monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", bins * rows * init.M)
+            created.clear()
+            blocks.clear()
+            run = run_filter(data, init, cfg, workers=workers, truth=truth)
+            assert blocks == [min(bins, n_steps - lo) for lo in range(0, n_steps, bins)]
+            assert run.ensembles.intensity.tobytes() == hand._lam.tobytes()
+            assert run.ensembles.params.tobytes() == hand._params.tobytes()
+            for key in INTENSITY_KEYS:
+                assert run.history[key].tobytes() == np.array([getattr(d, key) for d in diags]).tobytes(), key
+            for i, key in enumerate(filtering._CURVE_KEYS):
+                assert run.history[key].tobytes() == np.array([c[i] for c in curves]).tobytes(), key
+            [streams] = created
+            assert [stream_state(g) for g in streams] == [stream_state(g) for g in hand._streams[:rows]]
+
     def test_param_moments_leave_the_run_unchanged(self):
         # the moments share a scratch buffer with the update
         _, data, init, cfg = toy_filter_setup(m=3, M=30, n_steps=10)
@@ -1027,19 +1106,23 @@ class TestLeanStep:
                 elif k == 6:
                     make_degenerate(*board)
             want = oracles.filter_step(lam, params, prev, row, init.nodes, DT, filtering.POSITIVITY_FLOOR, streams)
+            before = [stream_state(g) for g in filt._streams]
             got = filt.assimilate_step(row.astype(dtype))
             prev = row.astype(np.float64)
             assert filt._lam.tobytes() == lam.tobytes() and filt._params.tobytes() == params.tobytes()
             for key, value in vars(want).items():
                 assert getattr(got, key).tobytes() == value.tobytes(), (k, key)
-            assert [stream_state(g) for g in filt._streams] == [stream_state(g) for g in streams]
+            after = [stream_state(g) for g in filt._streams]
+            assert after == [stream_state(g) for g in streams]
             mean, var = filt.param_moments()
             want_mean, want_var, _ = oracles.param_moments(params)
             assert mean.tobytes() == want_mean.tobytes() and var.tobytes() == want_var.tobytes()
-            drawn.add(int(((row >= 1) & ~got.degenerate).sum()))
+            # a row draws if and only if its count is at least 1: the flat row at steps 0-2 and from 6 too
+            assert [a != b for a, b in zip(before, after)] == (row >= 1).tolist()
+            drawn.add(int((row >= 1).sum()))
             assert got.degenerate.tolist() == [r == DEGENERATE_ROW and not 3 <= k < 6 for r in range(data.m)]
-        # rows drew through the index (steps 0-2 and from 6) and all together (steps 3-5)
-        assert {data.m - 1, data.m - 2, data.m - 3, data.m} <= drawn
+        # every row drew but those with a zero count at steps 1 and 2
+        assert drawn == {data.m - 2, data.m - 1, data.m}
 
     @pytest.mark.parametrize("history", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
