@@ -26,27 +26,12 @@ import numpy as np
 
 from . import __version__
 from .abm import ABMConfig, simulate_abm
-from .filtering import (
-    FilterConfig,
-    GammaSpec,
-    init_ensemble,
-    load_ensemble_snapshots,
-    run_filter,
-    save_filter_result,
-)
+from .filtering import FilterConfig, GammaSpec, init_ensemble, load_ensemble_snapshots, run_filter, save_filter_result
 from .hawkes import (HawkesParams, check_labels, json_floats, load_count_series, read_json, require_keys,
                      save_count_series, simulate, write_table)
 from .ingest import aggregate, clean, read_event_csv, save_cleaning_report
-from .network import (
-    MEASURES,
-    OUT_DEGREE,
-    error_metrics,
-    mean_network,
-    rank_distribution,
-    save_network,
-    save_rank_distribution,
-    threshold_subnetwork,
-)
+from .network import (MEASURES, OUT_DEGREE, error_metrics, mean_network, rank_distribution, save_network,
+                      save_rank_distribution, threshold_subnetwork)
 from . import experiments
 
 
@@ -242,10 +227,7 @@ def _run_experiment_2(a: SimpleNamespace, workers: int, out_dir: Path) -> None:
     run.config.save(out_dir / "abm_config.json")
     save_count_series(run.data, out_dir / "counts.csv", seed=a.seed)
     save_filter_result(run.result, out_dir)
-    structure = {
-        "top_k": a.top_k,
-        "overlap_with_generator": run.structure_overlap,
-    }
+    structure = {"top_k": a.top_k, "overlap_with_generator": run.structure_overlap}
     (out_dir / "structure.json").write_text(json.dumps(structure, indent=2) + "\n")
 
 

@@ -11,9 +11,8 @@ Per node and per time bin the filter runs four stages:
    member's relative deviation moves toward its draw's by the conjugate
    weight prior_rv / (prior_rv + 1 / count), which is 0 for a zero count
    and for a flat row (no spread), in the same whole-board pass. A row draws
-   if and only if its count is at least 1: the draws depend on the counts
-   alone, so ``run_filter`` draws a block of bins before its steps
-   (``_draw_block``);
+   if and only if its count is at least 1, so ``run_filter`` draws a block
+   of bins before their steps (``_draw_block``);
 3. parameter regression: update each member's parameter vector by
    regressing it on the member-wise intensity innovation (a stochastic
    ensemble-Kalman step whose observation space is scalar);
@@ -72,9 +71,7 @@ class FilterDivergence(RuntimeError):
 
     def __init__(self, step: int, node: int, what: str = "intensity"):
         super().__init__(f"non-finite {what} member at step {step}, node {node}")
-        self.step = step
-        self.node = node
-        self.what = what
+        self.step, self.node, self.what = step, node, what
 
     def __reduce__(self):  # rebuilt from its fields when a worker raises it
         return type(self), (self.step, self.node, self.what)
@@ -106,9 +103,7 @@ class GammaSpec:
     def draw(self, gen: np.random.Generator, size) -> np.ndarray:
         if self.variance == 0.0:
             return np.full(size, self.mean, dtype=np.float64)
-        shape = self.mean**2 / self.variance
-        scale = self.variance / self.mean
-        return gen.gamma(shape, scale, size=size)
+        return gen.gamma(self.mean**2 / self.variance, self.variance / self.mean, size=size)
 
 
 @dataclass
@@ -262,27 +257,22 @@ def _draw_block(streams, counts, out) -> np.ndarray:
     """The perturbed observations of a block of bins, written into ``out`` (bins, rows, M).
 
     ``counts`` (bins, rows) holds the rows' counts as floats. Row r draws gamma(count, 1) members
-    from ``streams[r]`` for each bin where its count is at least 1, in bin order; a zero count
-    draws nothing and its slots hold 1.0. A row of many counted bins of few members draws them in
-    one call with an array of shapes, any other row in one call per bin. Either way each bin gets
-    the bits and stream state of a call of its own, so no blocking of the bins changes the draws.
+    from ``streams[r]`` for each bin where its count is at least 1, in bin order; a zero count's
+    slots hold 1.0. A block of many bins of few members makes one call per row with an array of
+    shapes, any other block one call per row and counted bin. Each bin gets the bits and stream
+    state of a call of its own either way, so no blocking of the bins changes the draws.
     """
     M = out.shape[2]
     out.fill(1.0)
     row, k = np.nonzero(counts.T >= 1)  # row by row, each row's counted bins in order
-    shapes, whole = counts[k, row], [False] * len(streams)
-
-    def one_call(n_bins):  # an array of shapes saves a call (about 1 us) per bin past the first,
-        return n_bins * (1000 - 5 * M) > 5000  # and costs about 5 us a call and 5 ns a member
-
-    if one_call(len(counts)):  # a row may have enough counted bins
+    shapes = counts[k, row]
+    # an array of shapes saves about 1 us a bin past the first, and costs about 5 us a call and 5 ns a member
+    if len(counts) * (1000 - 5 * M) > 5000:
         ends = np.cumsum(np.bincount(row, minlength=len(streams))).tolist()
-        for r, (lo, hi) in enumerate(zip([0, *ends], ends)):
-            if one_call(hi - lo):
-                whole[r] = True
-                out[k[lo:hi], r] = streams[r].standard_gamma(np.repeat(shapes[lo:hi], M)).reshape(-1, M)
-    for r, b, shape in zip(row.tolist(), k.tolist(), shapes.tolist()):
-        if not whole[r]:
+        for r, (lo, hi) in enumerate(zip([0, *ends], ends)):  # a row with no counted bin draws nothing
+            out[k[lo:hi], r] = streams[r].standard_gamma(np.repeat(shapes[lo:hi], M)).reshape(-1, M)
+    else:
+        for r, b, shape in zip(row.tolist(), k.tolist(), shapes.tolist()):
             streams[r].standard_gamma(shape, out=out[b, r])
     return out
 
@@ -294,9 +284,7 @@ def _analyze_rows(lam_f, counts, dt, floor, t, out,
     Writes the analysed members into ``out`` and the forecast deviations into ``ydev``, boards of
     ``lam_f``'s shape, and scales ``t`` in place. Returns ``out``, the diagnostics (``prior_mean``
     the forecast's row means) and the deviations' row sums of squares. A zero count or a flat row
-    has weight 0, from a 1 / 0 that the caller's ``np.errstate(divide="ignore")`` allows, and keeps
-    its relative deviations.
-    """
+    has weight 0, from a 1 / 0 the caller's ``np.errstate(divide="ignore")`` allows."""
     M = lam_f.shape[1]
     mean_f = np.add.reduce(lam_f, axis=1) / M
     np.subtract(lam_f, mean_f[:, None], out=ydev)
@@ -348,9 +336,9 @@ def pg_analysis(
     if not dt > 0:
         raise ValueError("dt must be positive")
     counts, (board, ydev, t) = np.array([[float(dN)]]), np.empty((3, 1, len(lam_f)))
-    _draw_block([gen], counts, t[None])
     with np.errstate(divide="ignore"):
-        _, diag, _ = _analyze_rows(lam_f[None, :].copy(), counts[0], dt, POSITIVITY_FLOOR, t, board, ydev)
+        _, diag, _ = _analyze_rows(lam_f[None, :].copy(), counts[0], dt, POSITIVITY_FLOOR,
+                                   _draw_block([gen], counts, t[None])[0], board, ydev)
     # the board's one row, as Python floats and a bool
     return board[0], AnalysisDiagnostics(**{k: v[0].item() for k, v in vars(diag).items()})
 
@@ -541,7 +529,7 @@ class Filter:
             np.matmul(params[:, :, 2:], self._prev, out=self._excite)
             advance_intensity(lam, params[:, :, 0], params[:, :, 1], self._excite, self.dt, lam_f, self._t)
             np.maximum(lam_f, POSITIVITY_FLOOR, out=lam_f)
-            if draws is None:
+            if draws is None:  # a block of one bin, in the excitation board the forecast is done with
                 draws = _draw_block(self._streams, own[None], self._excite[None])[0]
             # Stage 2: conjugate intensity analysis, written into the board (Stage 4, the roll
             # forward, is this write)
@@ -642,16 +630,17 @@ def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, histo
     """Fill ``rows`` of the shared board from ``source``, assimilate them there and write their
     columns of the history: after k steps (k = 0: the fill), each recorder ``(keys, first, columns)``
     with k >= first writes ``columns(filt, diag)``, one column per key, at row k - first. The bins'
-    perturbed observations are drawn by blocks of about BLOCK_ELEMENTS, the last cut at the end."""
+    perturbed observations are drawn by blocks of at most BLOCK_ELEMENTS, the last cut at the end;
+    a block of one bin is the step's own, which draws it into its own board."""
     filt = Filter(source, data.dt, cfg, (board[0][rows], board[1][rows]), rows)
     n_steps = data.n_steps
     report_every = max(1, n_steps // 20)
-    bins = max(1, min(n_steps, BLOCK_ELEMENTS // filt._lam.size))
-    draws, diag = np.empty((bins, *filt._lam.shape)), None
+    bins = min(n_steps, BLOCK_ELEMENTS // filt._lam.size)
+    draws, diag = np.empty((bins, *filt._lam.shape)) if bins > 1 else [None], None
     for k in range(n_steps + 1):
         if k:
-            j = (k - 1) % bins
-            if j == 0:  # the next block: its count columns as floats, once, then its draws
+            j = (k - 1) % len(draws)
+            if j == 0 and bins > 1:  # the next block: its count columns as floats, once, then its draws
                 counts = data.counts[k - 1 : k - 1 + bins, rows].astype(np.float64)
                 _draw_block(filt._streams, counts, draws[: len(counts)])
             diag = filt.assimilate_step(data.counts[k - 1], draws[j])
@@ -748,24 +737,10 @@ def save_filter_result(result: FilterResult, out_dir: str | Path, report: dict |
     ens.check_complete()
     out_dir.mkdir(parents=True, exist_ok=True)
     mean, sd = ensemble_moments(ens)
-    nodes = [
-        {
-            "index": i,
-            "baseline_mean": float(mu[0]),
-            "baseline_sd": float(s[0]),
-            "decay_mean": float(mu[1]),
-            "decay_sd": float(s[1]),
-        }
-        for i, (mu, s) in enumerate(zip(mean, sd))
-    ]
-    manifest = {
-        "config": asdict(result.config),
-        "n_steps": result.n_steps,
-        "dt": result.dt,
-        "ensemble_size": ens.params.shape[1],
-        "node_labels": result.node_labels,
-        "nodes": nodes,
-    }
+    nodes = [{"index": i, "baseline_mean": float(mu[0]), "baseline_sd": float(s[0]), "decay_mean": float(mu[1]),
+              "decay_sd": float(s[1])} for i, (mu, s) in enumerate(zip(mean, sd))]
+    manifest = {"config": asdict(result.config), "n_steps": result.n_steps, "dt": result.dt,
+                "ensemble_size": ens.M, "node_labels": result.node_labels, "nodes": nodes}
     (out_dir / "result.json").write_text(json.dumps(manifest, indent=2) + "\n")
     # every float at the precision that reads back bit for bit
     write_table(out_dir / "alpha_mean.csv", None, ",".join(["%.17g"] * ens.m) + "\n", mean[:, 2:])

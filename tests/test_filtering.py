@@ -221,8 +221,8 @@ class TestAnalyzeRowsOracle:
         a = diag.post_mean[1] * (1.0 - 0.0) / diag.prior_mean[1]
         assert lam_a[1].tobytes() == np.maximum(lam_f[1] * a, filtering.POSITIVITY_FLOOR).tobytes()
 
-    # one bin; rows of 12 counted bins of 9 members, one call with an array of shapes; of 300
-    # members, one scalar call per bin; and rows of a few counted bins among zeros
+    # one bin; a block of 12 bins of 9 members, one call per row with an array of shapes (row 2 has
+    # no counted bin), also with few counted bins among zeros; of 300 members, one call per bin
     @pytest.mark.parametrize("bins, M, zeros", [(1, 9, 0.0), (12, 9, 0.0), (12, 300, 0.0), (12, 9, 0.6)])
     def test_a_block_of_bins_draws_the_bits_of_its_bins(self, bins, M, zeros):
         # each bin gets the bits of a generator call of its own; a zero count draws nothing and
@@ -763,7 +763,8 @@ class TestRunFilter:
     def test_draw_blocks_leave_the_bits(self, monkeypatch, workers, n_steps):
         # draw blocks of 1 bin, 3 bins (the last of 16 one bin long) and the whole run give the
         # board, the history and the stream states of a Filter stepped bin by bin, which draws a
-        # block of one bin at each step; row DEGENERATE_ROW starts flat and draws while flat
+        # block of one bin at each step; row DEGENERATE_ROW starts flat and draws while flat. A run
+        # whose block is one bin long holds no block board: each step draws its own
         truth, data, init, cfg = toy_filter_setup(m=5, M=20, n_steps=16, record_intensity_history=True)
         data = CountSeries(data.counts[:n_steps], DT)
         make_degenerate(init.intensity, init.params)
@@ -776,6 +777,7 @@ class TestRunFilter:
         assert n_steps == 0 or any(d.degenerate[DEGENERATE_ROW] and row[DEGENERATE_ROW] >= 1
                                    for d, row in zip(diags, data.counts))
         created, node_streams, draw_block, blocks = [], rng.node_streams, filtering._draw_block, []
+        assimilate_step, own_draws = Filter.assimilate_step, []
 
         def recorded(*args):
             created.append(node_streams(*args))
@@ -785,15 +787,22 @@ class TestRunFilter:
             blocks.append(len(out))
             return draw_block(streams, counts, out)
 
+        def stepped(filt, counts_next, draws=None):
+            own_draws.append(draws is None)
+            return assimilate_step(filt, counts_next, draws)
+
         monkeypatch.setattr(rng, "node_streams", recorded)
         monkeypatch.setattr(filtering, "_draw_block", counted)
+        monkeypatch.setattr(Filter, "assimilate_step", stepped)
         rows = -(-data.m // workers)  # range 0's, the range of this process
         for bins in (1, 3, max(n_steps, 1)):
             monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", bins * rows * init.M)
             created.clear()
             blocks.clear()
+            own_draws.clear()
             run = run_filter(data, init, cfg, workers=workers, truth=truth)
             assert blocks == [min(bins, n_steps - lo) for lo in range(0, n_steps, bins)]
+            assert own_draws == [bins == 1] * n_steps
             assert run.ensembles.intensity.tobytes() == hand._lam.tobytes()
             assert run.ensembles.params.tobytes() == hand._params.tobytes()
             for key in INTENSITY_KEYS:
