@@ -12,7 +12,8 @@ Per node and per time bin the filter runs four stages:
    weight prior_rv / (prior_rv + 1 / count), which is 0 for a zero count
    and for a flat row (no spread), in the same whole-board pass. A row draws
    if and only if its count is at least 1, so ``run_filter`` draws a block
-   of bins before their steps (``_draw_block``);
+   of bins before their steps (``_draw_block``), in a forked draw helper on
+   a CPU of its own when the process may use two CPUs per node range;
 3. parameter regression: update each member's parameter vector by
    regressing it on the member-wise intensity innovation (a stochastic
    ensemble-Kalman step whose observation space is scalar);
@@ -38,11 +39,16 @@ draw block.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
 import multiprocessing
 import operator
+import os
+import signal
+import sys
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -57,6 +63,8 @@ SNAPSHOT_ARCHIVE = "ensembles.npz"
 BLOCK_ELEMENTS = 1 << 16
 # the lower clamp of every intensity and parameter member the filter holds
 POSITIVITY_FLOOR = 1e-8
+# how long a draw helper and its range sleep between looks at each other's counter, in seconds
+_POLL_S = 1e-4
 _INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
 _CURVE_KEYS = ("baseline_abs_error", "decay_abs_error", "excitation_abs_error", "excitation_sq_error",
                "baseline_var", "decay_var", "excitation_var")
@@ -264,16 +272,18 @@ def _draw_block(streams, counts, out) -> np.ndarray:
     """
     M = out.shape[2]
     out.fill(1.0)
-    row, k = np.nonzero(counts.T >= 1)  # row by row, each row's counted bins in order
-    shapes = counts[k, row]
     # an array of shapes saves about 1 us a bin past the first, and costs about 5 us a call and 5 ns a member
     if len(counts) * (1000 - 5 * M) > 5000:
+        row, k = np.nonzero(counts.T >= 1)  # row by row, each row's counted bins in order
+        shapes = counts[k, row]
         ends = np.cumsum(np.bincount(row, minlength=len(streams))).tolist()
         for r, (lo, hi) in enumerate(zip([0, *ends], ends)):  # a row with no counted bin draws nothing
             out[k[lo:hi], r] = streams[r].standard_gamma(np.repeat(shapes[lo:hi], M)).reshape(-1, M)
-    else:
-        for r, b, shape in zip(row.tolist(), k.tolist(), shapes.tolist()):
-            streams[r].standard_gamma(shape, out=out[b, r])
+    else:  # bin by bin, so a one-bin block pays no index pass
+        for board, shapes in zip(out, counts.tolist()):
+            for r, shape in enumerate(shapes):
+                if shape >= 1:
+                    streams[r].standard_gamma(shape, out=board[r])
     return out
 
 
@@ -625,38 +635,99 @@ def _truth_curves(filt: Filter, target: np.ndarray) -> tuple:
                 np.add.reduce(var[:, 2:], axis=1) / filt.m)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask's, or 1 where the platform has no mask
+    or no /proc/self/stat, which names the CPU a draw helper keeps off."""
+    if hasattr(os, "sched_getaffinity") and os.path.exists("/proc/self/stat"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _draw_helper(counts, streams, ring, bins, done, cpus, parent) -> None:
+    """A draw helper's body, on ``cpus``: draw block i of its range's ``counts`` (n_steps, rows) into
+    slot i % 2 of ``ring`` once the range has freed it, then count it in ``done[0]``; ``done[1]``
+    counts the blocks the range is done with. It stops when its range's process ``parent`` is gone."""
+    os.sched_setaffinity(0, cpus)
+    for i, lo in enumerate(range(0, len(counts), bins)):
+        while done[1] < i + 1 - len(ring):
+            if os.getppid() != parent:
+                return
+            time.sleep(_POLL_S)
+        block = counts[lo : lo + bins].astype(np.float64)
+        _draw_block(streams, block, ring[i % len(ring)][: len(block)])
+        done[0] = i + 1
+
+
+def _bin_draws(counts, streams, shape, ahead):
+    """Yield each bin's perturbed observations for a range's steps: its ``counts`` (n_steps, rows)
+    drawn from its ``streams`` by ``_draw_block``, by blocks of bins into a ring of (rows, M) boards
+    of ``shape`` in a shared map, the last block cut at the run's end, or None for every bin where a
+    block would be one bin long (each step draws its own). The ring holds at most BLOCK_ELEMENTS
+    values: one block drawn here, or with ``ahead`` two, which a forked draw helper fills one block
+    ahead of the steps. The helper takes the streams over and runs on the allowed CPUs but the one
+    this process is on; each side polls the other's counter, so neither wakes the other. Close the
+    generator to stop the helper."""
+    slots = 2 if ahead else 1
+    bins = min(len(counts), BLOCK_ELEMENTS // (slots * math.prod(shape)))
+    if slots * bins < 2:
+        yield from [None] * len(counts)
+        return
+    ring, helper = _shared((slots, bins, *shape)), None
+    try:
+        if ahead:
+            ctx = multiprocessing.get_context("fork")
+            done = ctx.Array("q", 2)  # its lock orders the ring's writes before the counters'
+            with open("/proc/self/stat", "rb") as stat:  # field 39: the CPU this process last ran on
+                cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+            cpus = os.sched_getaffinity(0) - {cpu} or os.sched_getaffinity(0)
+            helper = ctx.Process(target=_draw_helper, args=(counts, streams, ring, bins, done, cpus, os.getpid()))
+            helper.start()
+        for i, lo in enumerate(range(0, len(counts), bins)):
+            block = ring[i % slots][: len(counts) - lo]
+            if helper is None:
+                _draw_block(streams, counts[lo : lo + bins].astype(np.float64), block)
+            while helper is not None and done[0] <= i:
+                if helper.exitcode is not None and done[0] <= i:
+                    raise RuntimeError(f"the draw helper process ended with exit code {helper.exitcode}")
+                time.sleep(_POLL_S)
+            yield from block
+            if helper is not None:
+                done[1] = i + 1
+    finally:
+        if helper is not None:
+            helper.terminate()
+            helper.join()
+
+
 def _run_range(data: CountSeries, source, cfg: FilterConfig, board: tuple, history: dict, recorders: list,
-               rows: slice, progress=None) -> None:
+               rows: slice, ahead: bool, progress=None) -> None:
     """Fill ``rows`` of the shared board from ``source``, assimilate them there and write their
     columns of the history: after k steps (k = 0: the fill), each recorder ``(keys, first, columns)``
     with k >= first writes ``columns(filt, diag)``, one column per key, at row k - first. The bins'
-    perturbed observations are drawn by blocks of at most BLOCK_ELEMENTS, the last cut at the end;
-    a block of one bin is the step's own, which draws it into its own board."""
+    perturbed observations come from ``_bin_draws``, drawn a block ahead by a draw helper if ``ahead``."""
     filt = Filter(source, data.dt, cfg, (board[0][rows], board[1][rows]), rows)
     n_steps = data.n_steps
     report_every = max(1, n_steps // 20)
-    bins = min(n_steps, BLOCK_ELEMENTS // filt._lam.size)
-    draws, diag = np.empty((bins, *filt._lam.shape)) if bins > 1 else [None], None
-    for k in range(n_steps + 1):
-        if k:
-            j = (k - 1) % len(draws)
-            if j == 0 and bins > 1:  # the next block: its count columns as floats, once, then its draws
-                counts = data.counts[k - 1 : k - 1 + bins, rows].astype(np.float64)
-                _draw_block(filt._streams, counts, draws[: len(counts)])
-            diag = filt.assimilate_step(data.counts[k - 1], draws[j])
-        for keys, first, columns in recorders:
-            if k >= first:
-                for key, column in zip(keys, columns(filt, diag)):
-                    history[key][k - first, rows] = column
-        if k and progress is not None and (k % report_every == 0 or k == n_steps):
-            progress(k, n_steps)
+    draws, diag = _bin_draws(data.counts[:, rows], filt._streams, filt._lam.shape, ahead), None
+    with contextlib.closing(draws):
+        for k in range(n_steps + 1):
+            if k:
+                diag = filt.assimilate_step(data.counts[k - 1], next(draws))
+            for keys, first, columns in recorders:
+                if k >= first:
+                    for key, column in zip(keys, columns(filt, diag)):
+                        history[key][k - first, rows] = column
+            if k and progress is not None and (k % report_every == 0 or k == n_steps):
+                progress(k, n_steps)
     # the next forecast finds an earlier step's non-finite parameter; the last step's is found here
     if not filt._params.max() < np.inf:  # NaN fails too; every other member is at least the floor
         filt._check_finite("parameter", filt.k - 1, filt._params)
 
 
 def _range_worker(conn, *args) -> None:
-    """Run ``_run_range(*args)`` in a forked process; send back None, or the error it raised."""
+    """Run ``_run_range(*args)`` in a forked process; send back None, or the error it raised. A
+    SIGTERM from ``run_filter`` exits through the range's cleanup, which stops its draw helper."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         conn.send(_run_range(*args))
     except Exception as err:  # noqa: BLE001 - run_filter raises it again
@@ -682,7 +753,9 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
     error, and range 0 runs here and calls ``progress(step, n_steps)``, if given. Each range
     fills its rows of the board from ``init``, assimilates there and writes its history
     columns in place, so no process holds a second board, and the per-node streams give any
-    worker count the same bits.
+    worker count the same bits. When the CPUs this process may use number at least twice the
+    ranges, each range also forks a draw helper (``_bin_draws``), which draws its perturbed
+    observations a block ahead with the same bits; no helper outlives the run.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
@@ -702,18 +775,20 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
     if cfg.record_intensity_history:
         recorders.append((_INTENSITY_KEYS, 1, lambda filt, diag: [getattr(diag, key) for key in _INTENSITY_KEYS]))
     history = {key: _shared((n_steps + 1 - first, m)) for keys, first, _ in recorders for key in keys}
-    args = data, init, cfg, board, history, recorders
     ranges = [slice(part[0], part[-1] + 1) for part in np.array_split(range(m), min(workers, m))]
+    # each range and its draw helper get a CPU of their own; a daemonic process may not fork one
+    ahead = _usable_cpus() >= 2 * len(ranges) and not multiprocessing.current_process().daemon
+    args = data, init, cfg, board, history, recorders
     conns, procs = [], []
     try:
         for rows in ranges[1:]:
             conn, child_conn = multiprocessing.Pipe(duplex=False)
             procs.append(multiprocessing.get_context("fork").Process(target=_range_worker,
-                                                                     args=(child_conn, *args, rows)))
+                                                                     args=(child_conn, *args, rows, ahead)))
             procs[-1].start()
             child_conn.close()  # so a worker that dies without a result ends our recv
             conns.append(conn)
-        _run_range(*args, ranges[0], progress)
+        _run_range(*args, ranges[0], ahead, progress)
         for conn in conns:
             try:
                 error = conn.recv()

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import re
 import tempfile
 from pathlib import Path
@@ -662,11 +663,15 @@ class TestRunFilter:
         for key in HISTORY_KEYS:
             assert serial.history[key].tobytes() == parallel.history[key].tobytes(), key
 
+    @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("intensity", [False, True])
     @pytest.mark.parametrize("scored", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_run_records_what_it_is_asked_for(self, monkeypatch, workers, scored, intensity):
+    def test_a_run_records_what_it_is_asked_for(self, monkeypatch, workers, scored, intensity, cpus):
+        # besides the board and the history, this process maps only range 0's ring of draw blocks:
+        # one block of all 7 bins, or two with a draw helper (8 CPUs)
         truth, data, init, cfg = toy_filter_setup(m=3, M=10, n_steps=7, record_intensity_history=intensity)
+        monkeypatch.setattr(filtering, "_usable_cpus", lambda: cpus)
         shared, shapes = filtering._shared, []
 
         def recorded_shared(shape):
@@ -683,7 +688,7 @@ class TestRunFilter:
         want = {**dict.fromkeys(filtering._CURVE_KEYS * scored, (8, 3)),
                 **dict.fromkeys(filtering._INTENSITY_KEYS * intensity, (7, 3))}
         assert type(history) is dict and {key: curve.shape for key, curve in history.items()} == want
-        assert shapes == [(3, 10), (3, 10, 5), *want.values()]
+        assert shapes == [(3, 10), (3, 10, 5), *want.values(), (1 + (cpus == 8), 7, 3 - workers // 2, 10)]
 
     def test_a_truth_of_another_size_is_refused_before_the_run(self, monkeypatch):
         truth, data, init, cfg = toy_filter_setup(m=3, M=10, n_steps=5)
@@ -794,6 +799,7 @@ class TestRunFilter:
         monkeypatch.setattr(rng, "node_streams", recorded)
         monkeypatch.setattr(filtering, "_draw_block", counted)
         monkeypatch.setattr(Filter, "assimilate_step", stepped)
+        monkeypatch.setattr(filtering, "_usable_cpus", lambda: 1)  # draws here, where they are counted
         rows = -(-data.m // workers)  # range 0's, the range of this process
         for bins in (1, 3, max(n_steps, 1)):
             monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", bins * rows * init.M)
@@ -811,6 +817,45 @@ class TestRunFilter:
                 assert run.history[key].tobytes() == np.array([c[i] for c in curves]).tobytes(), key
             [streams] = created
             assert [stream_state(g) for g in streams] == [stream_state(g) for g in hand._streams[:rows]]
+
+    @pytest.mark.parametrize("data_case", ["short", "cut", "empty"])
+    @pytest.mark.parametrize("intensity", [False, True])
+    @pytest.mark.parametrize("scored", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_draw_helpers_leave_the_bits(self, monkeypatch, tmp_path, workers, scored, intensity, data_case):
+        # a run whose ranges draw their blocks a block ahead in helpers (8 usable CPUs) writes the
+        # bytes of one whose ranges draw them inline (1 CPU): 17 bins in one block ("short"), in
+        # blocks of 6 inline and 3 with helpers at 5 rows (of 10 and 5 at 3 rows, 15 and 7 at 2),
+        # the last cut at the run's end ("cut"), or no bins
+        truth, data, init, cfg = toy_filter_setup(m=5, M=20, n_steps=17, record_intensity_history=intensity)
+        data = CountSeries(data.counts[: 0 if data_case == "empty" else 17], DT)
+        if data_case == "cut":
+            monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", 6 * 5 * init.M)
+        start, helpers = multiprocessing.context.ForkProcess.start, []
+
+        def recorded_start(proc):
+            helpers.append(proc._target is filtering._draw_helper)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recorded_start)
+        written = {}
+        for cpus in (1, 8):
+            monkeypatch.setattr(filtering, "_usable_cpus", lambda: cpus)
+            helpers.clear()
+            run = run_filter(data, init, cfg, workers=workers, truth=truth if scored else None)
+            assert any(helpers) == (cpus == 8 and data.n_steps > 0)  # range 0's helper starts here
+            save_filter_result(run, tmp_path / str(cpus), error_metrics(run.history) if scored else None)
+            written[cpus] = run, {path.relative_to(tmp_path / str(cpus)): path.read_bytes()
+                                  for path in sorted((tmp_path / str(cpus)).rglob("*")) if path.is_file()}
+        (inline, inline_files), (ahead, ahead_files) = written[1], written[8]
+        assert ahead.ensembles.intensity.tobytes() == inline.ensembles.intensity.tobytes()
+        assert ahead.ensembles.params.tobytes() == inline.ensembles.params.tobytes()
+        assert ahead.history.keys() == inline.history.keys()
+        for key in inline.history:
+            assert ahead.history[key].tobytes() == inline.history[key].tobytes(), key
+        assert (Path("diagnostics.csv") in inline_files) == intensity
+        assert ahead_files == inline_files
+        assert multiprocessing.active_children() == []
 
     def test_param_moments_leave_the_run_unchanged(self):
         # the moments share a scratch buffer with the update

@@ -76,6 +76,67 @@ class TestFilterEdges:
         with pytest.raises(RuntimeError, match="a filter worker process ended without a result"):
             run_filter(data, init, cfg, workers=2)
 
+    @staticmethod
+    def recorded_helpers(monkeypatch, tmp_path) -> Path:
+        """Force draw helpers (8 usable CPUs) and have each write its pid to the returned file."""
+        pids, helper = tmp_path / "helper_pids", filtering._draw_helper
+
+        def recorded(*args):
+            with open(pids, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            helper(*args)
+
+        monkeypatch.setattr(filtering, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(filtering, "_draw_helper", recorded)
+        return pids
+
+    @staticmethod
+    def assert_no_process_left(pids: Path) -> None:
+        # no child of this process, and no helper of any range, forked ones too, still exists
+        assert multiprocessing.active_children() == []
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert started
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_diverging_run_leaves_no_draw_helper(self, monkeypatch, tmp_path, workers):
+        # the run of test_filtering's test_a_diverging_run_raises_without_a_warning fails at step 2,
+        # while each range's helper is drawing or waiting to draw
+        from countnet.experiments import TOY_DT, toy_priors, toy_truth
+        from countnet.hawkes import simulate
+
+        pids = self.recorded_helpers(monkeypatch, tmp_path)
+        truth = toy_truth(1.5, 1.5)
+        data = simulate(truth, TOY_DT, 1000, 1)
+        init = init_ensemble(6, 20, *toy_priors(1.5, 1.5)[:2], GammaSpec(1e150, 1e150), seed=1)
+        with pytest.raises(FilterDivergence):
+            run_filter(data, init, FilterConfig(seed=1), workers=workers, truth=truth)
+        self.assert_no_process_left(pids)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_draw_helper_that_dies_is_an_error(self, monkeypatch, tmp_path, workers):
+        # every helper exits with code 3 as it starts its second block of 2 to 6 bins; the range
+        # waiting for that block raises at once, without hanging
+        _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=20)
+        pids = self.recorded_helpers(monkeypatch, tmp_path)
+        monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", 2 * 2 * 3 * 12)
+        draw_block, blocks = filtering._draw_block, []
+
+        def dies_on_its_second_block(*args):
+            blocks.append(None)
+            if len(blocks) == 2:
+                os._exit(3)
+            return draw_block(*args)
+
+        monkeypatch.setattr(filtering, "_draw_block", dies_on_its_second_block)
+        begin = time.perf_counter()
+        with pytest.raises(RuntimeError, match="the draw helper process ended with exit code 3"):
+            run_filter(data, init, cfg, workers=workers)
+        assert time.perf_counter() - begin < 10
+        self.assert_no_process_left(pids)
+
     def test_failing_first_range_ends_the_forked_ranges(self, monkeypatch):
         # range 0 fails in this process while the forked ranges would run on; none is left running
         _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=3)
