@@ -686,10 +686,11 @@ def _bin_draws(counts, streams, shape, ahead):
             block = ring[i % slots][: len(counts) - lo]
             if helper is None:
                 _draw_block(streams, counts[lo : lo + bins].astype(np.float64), block)
-            while helper is not None and done[0] <= i:
-                if helper.exitcode is not None and done[0] <= i:
-                    raise RuntimeError(f"the draw helper process ended with exit code {helper.exitcode}")
-                time.sleep(_POLL_S)
+            else:
+                while done[0] <= i:
+                    if helper.exitcode is not None and done[0] <= i:  # it may have drawn the block, then ended
+                        raise RuntimeError(f"the draw helper process ended with exit code {helper.exitcode}")
+                    time.sleep(_POLL_S)
             yield from block
             if helper is not None:
                 done[1] = i + 1
@@ -775,10 +776,10 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
     if cfg.record_intensity_history:
         recorders.append((_INTENSITY_KEYS, 1, lambda filt, diag: [getattr(diag, key) for key in _INTENSITY_KEYS]))
     history = {key: _shared((n_steps + 1 - first, m)) for keys, first, _ in recorders for key in keys}
+    args = data, init, cfg, board, history, recorders
     ranges = [slice(part[0], part[-1] + 1) for part in np.array_split(range(m), min(workers, m))]
     # each range and its draw helper get a CPU of their own; a daemonic process may not fork one
     ahead = _usable_cpus() >= 2 * len(ranges) and not multiprocessing.current_process().daemon
-    args = data, init, cfg, board, history, recorders
     conns, procs = [], []
     try:
         for rows in ranges[1:]:

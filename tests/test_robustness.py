@@ -137,6 +137,20 @@ class TestFilterEdges:
         assert time.perf_counter() - begin < 10
         self.assert_no_process_left(pids)
 
+    def test_a_daemonic_process_runs_without_a_draw_helper(self, monkeypatch):
+        # a daemonic process may not fork a helper, so its range draws its own blocks, same bits
+        _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=10)
+        monkeypatch.setattr(filtering, "_usable_cpus", lambda: 8)
+        want = run_filter(data, init, cfg).ensembles.params.tobytes()
+        conn, child_conn = multiprocessing.Pipe(duplex=False)
+        proc = multiprocessing.get_context("fork").Process(
+            target=lambda: child_conn.send(run_filter(data, init, cfg).ensembles.params.tobytes()), daemon=True)
+        proc.start()
+        child_conn.close()
+        assert conn.recv() == want  # EOFError if the run failed there
+        proc.join(10)
+        assert proc.exitcode == 0
+
     def test_failing_first_range_ends_the_forked_ranges(self, monkeypatch):
         # range 0 fails in this process while the forked ranges would run on; none is left running
         _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=3)
