@@ -12,8 +12,9 @@ Per node and per time bin the filter runs four stages:
    weight prior_rv / (prior_rv + 1 / count), which is 0 for a zero count
    and for a flat row (no spread), in the same whole-board pass. A row draws
    if and only if its count is at least 1, so ``run_filter`` draws a block
-   of bins before their steps (``_draw_block``), in a forked draw helper on
-   a CPU of its own when the process may use two CPUs per node range;
+   of bins before their steps (``_draw_block``), from the second block on
+   in a forked draw helper on a CPU of its own when the process may use two
+   CPUs per node range;
 3. parameter regression: update each member's parameter vector by
    regressing it on the member-wise intensity innovation (a stochastic
    ensemble-Kalman step whose observation space is scalar);
@@ -47,8 +48,10 @@ import multiprocessing
 import operator
 import os
 import signal
+import struct
 import sys
 import time
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -68,6 +71,8 @@ _POLL_S = 1e-4
 _INTENSITY_KEYS = ("prior_mean", "post_mean", "prior_rel_var", "post_rel_var", "innovation")
 _CURVE_KEYS = ("baseline_abs_error", "decay_abs_error", "excitation_abs_error", "excitation_sq_error",
                "baseline_var", "decay_var", "excitation_var")
+# the .npy header readers of the format versions a snapshot entry may have
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
 
 class FilterDivergence(RuntimeError):
@@ -644,11 +649,12 @@ def _usable_cpus() -> int:
 
 
 def _draw_helper(counts, streams, ring, bins, done, cpus, parent) -> None:
-    """A draw helper's body, on ``cpus``: draw block i of its range's ``counts`` (n_steps, rows) into
-    slot i % 2 of ``ring`` once the range has freed it, then count it in ``done[0]``; ``done[1]``
-    counts the blocks the range is done with. It stops when its range's process ``parent`` is gone."""
+    """A draw helper's body, on ``cpus``: from block 1 on (the range drew block 0), draw block i of
+    its range's ``counts`` (n_steps, rows) into slot i % 2 of ``ring`` once the range has freed it,
+    then count it in ``done[0]``; ``done[1]`` counts the blocks the range is done with. It stops
+    when its range's process ``parent`` is gone."""
     os.sched_setaffinity(0, cpus)
-    for i, lo in enumerate(range(0, len(counts), bins)):
+    for i, lo in enumerate(range(bins, len(counts), bins), 1):
         while done[1] < i + 1 - len(ring):
             if os.getppid() != parent:
                 return
@@ -658,15 +664,29 @@ def _draw_helper(counts, streams, ring, bins, done, cpus, parent) -> None:
         done[0] = i + 1
 
 
+def _fork_draw_helper(counts, streams, ring, bins):
+    """Start ``_draw_helper`` for a range that has drawn its block 0; return the helper process and
+    its counters, the blocks drawn and the blocks the range is done with."""
+    ctx = multiprocessing.get_context("fork")
+    done = ctx.Array("q", [1, 0])  # its lock orders the ring's writes before the counters'
+    with open("/proc/self/stat", "rb") as stat:  # field 39: the CPU this process last ran on
+        cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+    cpus = os.sched_getaffinity(0) - {cpu} or os.sched_getaffinity(0)
+    helper = ctx.Process(target=_draw_helper, args=(counts, streams, ring, bins, done, cpus, os.getpid()))
+    helper.start()
+    return helper, done
+
+
 def _bin_draws(counts, streams, shape, ahead):
     """Yield each bin's perturbed observations for a range's steps: its ``counts`` (n_steps, rows)
     drawn from its ``streams`` by ``_draw_block``, by blocks of bins into a ring of (rows, M) boards
     of ``shape`` in a shared map, the last block cut at the run's end, or None for every bin where a
     block would be one bin long (each step draws its own). The ring holds at most BLOCK_ELEMENTS
-    values: one block drawn here, or with ``ahead`` two, which a forked draw helper fills one block
-    ahead of the steps. The helper takes the streams over and runs on the allowed CPUs but the one
-    this process is on; each side polls the other's counter, so neither wakes the other. Close the
-    generator to stop the helper."""
+    values: one block drawn here, or with ``ahead`` two. Then this process draws block 0 and, if a
+    second block exists, forks a draw helper, which takes the streams over and fills the ring from
+    block 1 on, one block ahead of the steps, on the allowed CPUs but the one this process is on;
+    each side polls the other's counter, so neither wakes the other. Close the generator to stop
+    the helper."""
     slots = 2 if ahead else 1
     bins = min(len(counts), BLOCK_ELEMENTS // (slots * math.prod(shape)))
     if slots * bins < 2:
@@ -674,18 +694,12 @@ def _bin_draws(counts, streams, shape, ahead):
         return
     ring, helper = _shared((slots, bins, *shape)), None
     try:
-        if ahead:
-            ctx = multiprocessing.get_context("fork")
-            done = ctx.Array("q", 2)  # its lock orders the ring's writes before the counters'
-            with open("/proc/self/stat", "rb") as stat:  # field 39: the CPU this process last ran on
-                cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
-            cpus = os.sched_getaffinity(0) - {cpu} or os.sched_getaffinity(0)
-            helper = ctx.Process(target=_draw_helper, args=(counts, streams, ring, bins, done, cpus, os.getpid()))
-            helper.start()
         for i, lo in enumerate(range(0, len(counts), bins)):
             block = ring[i % slots][: len(counts) - lo]
             if helper is None:
                 _draw_block(streams, counts[lo : lo + bins].astype(np.float64), block)
+                if ahead and lo + bins < len(counts):  # block 0 of several: a helper draws the others
+                    helper, done = _fork_draw_helper(counts, streams, ring, bins)
             else:
                 while done[0] <= i:
                     if helper.exitcode is not None and done[0] <= i:  # it may have drawn the block, then ended
@@ -807,7 +821,11 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
 def save_filter_result(result: FilterResult, out_dir: str | Path, report: dict | None = None) -> None:
     """Write a run's result directory: the manifest (baseline and decay moments), the mean
     excitation matrix, the diagnostics and the snapshots; given an ``error_metrics`` report, also
-    its curves and its ``final`` block as ``metrics.json``, with null for each non-finite value."""
+    its curves and its ``final`` block as ``metrics.json``, with null for each non-finite value.
+
+    The snapshot archive is written to a temporary file in ``ensembles/`` that then replaces it
+    (``os.replace``), so a map of the old archive (``load_ensemble_snapshots``), in this process
+    or another, keeps its bytes, and a save that fails leaves the old archive whole."""
     out_dir = Path(out_dir)
     ens = result.ensembles
     ens.check_complete()
@@ -836,24 +854,90 @@ def save_filter_result(result: FilterResult, out_dir: str | Path, report: dict |
     snap_dir = out_dir / "ensembles"
     snap_dir.mkdir(exist_ok=True)
     import zipfile  # here, as in np.savez: it adds about 4 ms to every start-up, and only a save needs it
-    # np.savez's bytes (stored zip64 entries, no clock), each board written from its own buffer
-    with zipfile.ZipFile(snap_dir / SNAPSHOT_ARCHIVE, "w", allowZip64=True) as archive:
-        for name, board in (("intensity", ens.intensity), ("params", ens.params)):
-            board = np.ascontiguousarray(board)
-            with archive.open(name + ".npy", "w", force_zip64=True) as entry:
-                np.lib.format.write_array_header_1_0(entry, np.lib.format.header_data_from_array_1_0(board))
-                entry.write(memoryview(board).cast("B"))
+    # np.savez's bytes (stored zip64 entries, no clock), each board written from its own buffer, which
+    # may be a map of the archive replaced here
+    path = snap_dir / SNAPSHOT_ARCHIVE
+    tmp = snap_dir / f".{SNAPSHOT_ARCHIVE}.{os.getpid()}.tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w", allowZip64=True) as archive:
+            for name, board in (("intensity", ens.intensity), ("params", ens.params)):
+                board = np.ascontiguousarray(board)
+                with archive.open(name + ".npy", "w", force_zip64=True) as entry:
+                    np.lib.format.write_array_header_1_0(entry, np.lib.format.header_data_from_array_1_0(board))
+                    entry.write(memoryview(board).cast("B"))
+        os.replace(tmp, path)
+    finally:  # a failed save leaves the old archive whole and no file of its own
+        tmp.unlink(missing_ok=True)
 
 
 def load_ensemble_snapshots(out_dir: str | Path) -> Ensemble:
-    """Rebuild the board from the snapshot archive, which holds ``intensity`` and ``params``."""
+    """The board of the snapshot archive, whose stored entries ``intensity.npy`` and ``params.npy``
+    it maps read-only where they lie in the file, with no copy.
+
+    Each entry must be stored, not compressed, hold no object data and match its CRC-32, which is
+    streamed from the file; the boards must pass ``Ensemble``'s checks. Every refusal is a
+    ValueError that names the archive (and the entry). The boards are read-only views of the file:
+    copy one to write to it. ``save_filter_result`` replaces the archive with a new file, so a map
+    keeps the bytes it was loaded with.
+    """
     path = Path(out_dir) / "ensembles" / SNAPSHOT_ARCHIVE
     if not path.is_file():
         raise FileNotFoundError(f"no ensemble snapshot archive {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        if sorted(archive.files) != ["intensity", "params"]:
-            raise ValueError(f"{path}: no intensity and params boards (a per-node archive?); re-run filter")
-        try:
-            return Ensemble(archive["intensity"], archive["params"])
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+    import zipfile  # as in save_filter_result
+
+    try:
+        with zipfile.ZipFile(path) as archive:
+            entries = archive.infolist()
+    except zipfile.BadZipFile as err:
+        raise ValueError(f"{path}: not a zip archive ({err}); re-run filter") from None
+    if sorted(info.filename for info in entries) != ["intensity.npy", "params.npy"]:
+        raise ValueError(f"{path}: no intensity and params boards (a per-node archive?); re-run filter")
+    boards = {}
+    with path.open("rb") as fh:
+        for info in entries:
+            where = f"{path}: entry {info.filename}"
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise ValueError(f"{where} is compressed; the entries must be stored (re-run filter)")
+            # the data follows the local header, whose name and extra field lengths are bytes 26-29;
+            # its extra field need not be the central directory's
+            fh.seek(info.header_offset)
+            local = fh.read(30)
+            if len(local) < 30 or local[:4] != b"PK\x03\x04":
+                raise ValueError(f"{where} has no local header at offset {info.header_offset}")
+            data = info.header_offset + 30 + sum(struct.unpack("<HH", local[26:]))
+            fh.seek(data)
+            try:
+                version = np.lib.format.read_magic(fh)
+                if version not in _NPY_HEADERS:
+                    raise ValueError(f"npy format version {version} is not 1.0 or 2.0")
+                shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            if dtype.hasobject:
+                raise ValueError(f"{where} holds object data, which is not read")
+            offset = fh.tell()
+            if offset - data + dtype.itemsize * math.prod(shape) != info.compress_size:
+                raise ValueError(f"{where} holds {info.compress_size} bytes, not those of the {dtype} "
+                                 f"{shape} board its header gives")
+            fh.seek(data)
+            if _crc32(fh, info.compress_size) != info.CRC:
+                raise ValueError(f"{where}: bad CRC-32; the archive is damaged, re-run filter")
+            # a map of the file whose bytes were just checked, which stays valid once fh is closed
+            boards[info.filename] = np.memmap(fh, dtype, "r", offset, shape, "F" if fortran_order else "C")
+    try:
+        return Ensemble(boards["intensity.npy"], boards["params.npy"])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _crc32(fh, size: int) -> int:
+    """The CRC-32 of the next ``size`` bytes of the file ``fh``, or of those before its end, read
+    by blocks of BLOCK_ELEMENTS float64s into one buffer."""
+    crc, buf = 0, memoryview(bytearray(min(size, 8 * BLOCK_ELEMENTS)))
+    while size:
+        n = fh.readinto(buf[: min(size, len(buf))])
+        if not n:
+            break
+        crc = zlib.crc32(buf[:n], crc)
+        size -= n
+    return crc

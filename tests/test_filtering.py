@@ -826,7 +826,8 @@ class TestRunFilter:
         # a run whose ranges draw their blocks a block ahead in helpers (8 usable CPUs) writes the
         # bytes of one whose ranges draw them inline (1 CPU): 17 bins in one block ("short"), in
         # blocks of 6 inline and 3 with helpers at 5 rows (of 10 and 5 at 3 rows, 15 and 7 at 2),
-        # the last cut at the run's end ("cut"), or no bins
+        # the last cut at the run's end ("cut"), or no bins. A range draws block 0 itself and
+        # forks a helper only for a second block
         truth, data, init, cfg = toy_filter_setup(m=5, M=20, n_steps=17, record_intensity_history=intensity)
         data = CountSeries(data.counts[: 0 if data_case == "empty" else 17], DT)
         if data_case == "cut":
@@ -843,7 +844,9 @@ class TestRunFilter:
             monkeypatch.setattr(filtering, "_usable_cpus", lambda: cpus)
             helpers.clear()
             run = run_filter(data, init, cfg, workers=workers, truth=truth if scored else None)
-            assert any(helpers) == (cpus == 8 and data.n_steps > 0)  # range 0's helper starts here
+            # range 0's helper starts here
+            bins = filtering.BLOCK_ELEMENTS // (2 * -(-5 // workers) * init.M)
+            assert any(helpers) == (cpus == 8 and data.n_steps > bins)
             save_filter_result(run, tmp_path / str(cpus), error_metrics(run.history) if scored else None)
             written[cpus] = run, {path.relative_to(tmp_path / str(cpus)): path.read_bytes()
                                   for path in sorted((tmp_path / str(cpus)).rglob("*")) if path.is_file()}
@@ -1027,6 +1030,8 @@ class TestRunFilter:
         for x, y in zip(res.ensembles, loaded):
             assert np.array_equal(x.intensity, y.intensity)
             assert np.array_equal(x.params, y.params)
+        # read-only maps of the archive
+        assert not loaded.intensity.flags.writeable and not loaded.params.flags.writeable
         assert (tmp_path / "result.json").exists()
         assert (tmp_path / "alpha_mean.csv").exists()
         with np.load(tmp_path / "ensembles" / "ensembles.npz") as archive:
@@ -1084,6 +1089,41 @@ class TestRunFilter:
         loaded = load_ensemble_snapshots(tmp_path / "res")
         assert loaded.intensity.tobytes() == board.intensity.tobytes()
         assert loaded.params.tobytes() == board.params.tobytes()
+
+    def test_a_loaded_board_saved_over_its_own_archive(self, tmp_path):
+        # the save replaces the archive with a new file, so the loaded maps keep their bytes
+        _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=10)
+        save_filter_result(run_filter(data, init, cfg), tmp_path)
+        archive = tmp_path / "ensembles" / "ensembles.npz"
+        written, loaded = archive.read_bytes(), load_ensemble_snapshots(tmp_path)
+        intensity, params = loaded.intensity.copy(), loaded.params.copy()
+        save_filter_result(FilterResult(loaded, cfg, 10, data.dt), tmp_path)
+        assert archive.read_bytes() == written
+        assert loaded.intensity.tobytes() == intensity.tobytes()
+        assert loaded.params.tobytes() == params.tobytes()
+        assert sorted(path.name for path in archive.parent.iterdir()) == ["ensembles.npz"]
+
+    def test_a_failed_save_leaves_the_old_archive(self, tmp_path, monkeypatch):
+        _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=10)
+        res = run_filter(data, init, cfg)
+        save_filter_result(res, tmp_path)
+        archive = tmp_path / "ensembles" / "ensembles.npz"
+        written, loaded = archive.read_bytes(), load_ensemble_snapshots(tmp_path)
+        header, calls = np.lib.format.write_array_header_1_0, []
+
+        def fails_on_the_second_entry(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return header(*args)
+
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fails_on_the_second_entry)
+        with pytest.raises(OSError, match="disk full"):
+            save_filter_result(res, tmp_path)
+        assert len(calls) == 2
+        assert archive.read_bytes() == written
+        assert sorted(path.name for path in archive.parent.iterdir()) == ["ensembles.npz"]
+        assert loaded.params.tobytes() == res.ensembles.params.tobytes()
 
     def test_snapshot_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
         import time

@@ -78,16 +78,20 @@ class TestFilterEdges:
 
     @staticmethod
     def recorded_helpers(monkeypatch, tmp_path) -> Path:
-        """Force draw helpers (8 usable CPUs) and have each write its pid to the returned file."""
-        pids, helper = tmp_path / "helper_pids", filtering._draw_helper
+        """Force draw helpers (8 usable CPUs) and have the range that starts each, forked ones too,
+        write its pid to the returned file: a range that fails at once may end its helper before
+        the helper runs a line of its own."""
+        pids, start = tmp_path / "helper_pids", multiprocessing.context.ForkProcess.start
 
-        def recorded(*args):
-            with open(pids, "a") as out:
-                out.write(f"{os.getpid()}\n")
-            helper(*args)
+        def recorded(proc):
+            helper = proc._target is filtering._draw_helper  # start deletes _target
+            start(proc)
+            if helper:
+                with open(pids, "a") as out:
+                    out.write(f"{proc.pid}\n")
 
         monkeypatch.setattr(filtering, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(filtering, "_draw_helper", recorded)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recorded)
         return pids
 
     @staticmethod
@@ -117,8 +121,8 @@ class TestFilterEdges:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_draw_helper_that_dies_is_an_error(self, monkeypatch, tmp_path, workers):
-        # every helper exits with code 3 as it starts its second block of 2 to 6 bins; the range
-        # waiting for that block raises at once, without hanging
+        # every helper exits with code 3 as it starts its first block, its range's second, of 2 to
+        # 6 bins; the range waiting for that block raises at once, without hanging
         _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=20)
         pids = self.recorded_helpers(monkeypatch, tmp_path)
         monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", 2 * 2 * 3 * 12)
@@ -342,6 +346,29 @@ print(series.counts.nbytes // 1024, before, status_kib("VmHWM"))
 """
 
 
+# Loads the snapshot archive of the result directory argv[1] and runs analyze's readers of the
+# board over it; prints the board's bytes, then RssAnon before the load and its largest value after
+# the load and after each reader, in KiB. A mapped board's pages are file pages, outside RssAnon.
+ANALYZE_MEMORY = """
+import sys
+from countnet.filtering import load_ensemble_snapshots
+from countnet.network import mean_network, rank_distribution
+
+def status_kib(key):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
+
+before = status_kib("RssAnon")
+ensembles = load_ensemble_snapshots(sys.argv[1])
+after = [status_kib("RssAnon")]
+mean_network(ensembles)
+after.append(status_kib("RssAnon"))
+rank_distribution(ensembles, "out_degree")
+after.append(status_kib("RssAnon"))
+print((ensembles.intensity.nbytes + ensembles.params.nbytes) // 1024, before, max(after))
+"""
+
+
 class TestLoadMemory:
     def test_peak_memory_of_a_counts_load(self, tmp_path):
         # 50,000 x 100 counts, a 38 MiB board: the rows go into one board grown
@@ -350,6 +377,16 @@ class TestLoadMemory:
         save_count_series(CountSeries(counts, 0.1), tmp_path / "counts.csv")
         board, before, peak = map(int, run_script(LOAD_MEMORY, tmp_path / "counts.csv").split())
         assert peak - before <= 1.5 * board
+
+    def test_analyze_reads_the_archive_in_place(self, tmp_path):
+        # m=160, M=128: a 25 MB board, which the load maps from the archive; the readers
+        # go over it in blocks, so no copy of it is made
+        g = np.random.default_rng(0)
+        board = Ensemble(g.gamma(2.0, size=(160, 128)), g.gamma(2.0, size=(160, 128, 162)))
+        save_filter_result(FilterResult(board, FilterConfig(seed=0), 0, 0.1), tmp_path / "res")
+        del board
+        board, before, anon = map(int, run_script(ANALYZE_MEMORY, tmp_path / "res").split())
+        assert anon - before < 0.25 * board
 
 
 class TestCliEdges:
@@ -426,6 +463,32 @@ class TestCliEdges:
         write_excitation_cell(np.nan)
         ana = tmp_path / "ana.json"
         ana.write_text(json.dumps({"result_dir": str(tmp_path / "res"), "measure": "betweenness"}))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "network.json").exists()
+
+    @pytest.mark.parametrize("damage", ["compressed", "not a zip", "flipped byte"])
+    def test_a_damaged_archive_is_not_analyzed(self, tmp_path, capsys, damage):
+        _, data, init, cfg = toy_filter_setup(m=3, M=20, n_steps=10)
+        res = run_filter(data, init, cfg)
+        save_filter_result(res, tmp_path / "res")
+        archive = tmp_path / "res" / "ensembles" / "ensembles.npz"
+        raw = bytearray(archive.read_bytes())
+        if damage == "compressed":
+            np.savez_compressed(archive, intensity=res.ensembles.intensity, params=res.ensembles.params)
+            message = f"{archive}: entry intensity.npy is compressed; the entries must be stored"
+        elif damage == "not a zip":  # np.load took it for a pickle, which it refused
+            archive.write_text("intensity,params\n1,2\n")
+            message = f"{archive}: not a zip archive"
+        else:
+            raw[raw.find(res.ensembles.params.tobytes()) + 17] ^= 0x10
+            archive.write_bytes(raw)
+            message = f"{archive}: entry params.npy: bad CRC-32"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_ensemble_snapshots(tmp_path / "res")
+        ana = tmp_path / "ana.json"
+        ana.write_text(json.dumps({"result_dir": str(tmp_path / "res")}))
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(ana), "--seed", "0", "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
