@@ -23,13 +23,16 @@ Per node and per time bin the filter runs four stages:
 
 ``Filter`` runs each stage over all its rows at once, in a few (rows, M)
 work arrays allocated when the filter is made; the regression and the
-parameter moments go over the (rows, M, m+2) parameter board in blocks
-of rows with one block of scratch. Every row contraction (the gain, the
-sums of squares, the means' member sums) is one BLAS call per row, so a
-row's bits, fixed for a given numpy and BLAS build, do not depend on the
-other rows, its block or its alignment. ``run_filter`` runs every bin and
-keeps a history, a mapping from key to one (steps, nodes) array, which its
-recorders fill: each writes its keys' rows after the fill and after every step.
+parameter moments go over the parameter board in blocks of rows with one
+block of scratch. The board is member-minor, (rows, m+2, M), so every pass
+runs along contiguous members; ``Ensemble.params`` shows it as (rows, M,
+m+2) views, and only this module knows the layout. Every row contraction
+is one call per row (BLAS products of two or more outputs, ``einsum`` sums
+of squares), so a row's bits, fixed for a given numpy and BLAS build, do
+not depend on the other rows, its block or its alignment. ``run_filter``
+runs every bin and keeps a history, a mapping from key to one (steps,
+nodes) array, which its recorders fill: each writes its keys' rows after
+the fill and after every step.
 
 Nodes never read each other's ensembles; they couple only through the
 shared observed counts. A node's index is its data column, and every
@@ -303,7 +306,7 @@ def _analyze_rows(lam_f, counts, dt, floor, t, out,
     M = lam_f.shape[1]
     mean_f = np.add.reduce(lam_f, axis=1) / M
     np.subtract(lam_f, mean_f[:, None], out=ydev)
-    ss_f = np.vecdot(ydev, ydev)
+    ss_f = np.einsum("ij,ij->i", ydev, ydev)
     prior_rv = ss_f / ((M - 1) * mean_f * mean_f)
     degenerate = prior_rv == 0.0
     inv_prior = 1.0 / prior_rv  # inf for a flat row, as 1 / counts for a zero count: weight c = 0
@@ -367,7 +370,7 @@ def _regress_board(params, lam_f, ydev, ss_f, lam_a, sum_a, innov, tmp) -> None:
     """
     M = lam_f.shape[1]
     yadev = np.subtract(lam_a, (sum_a / M)[:, None], out=innov)
-    denom = ss_f + np.vecdot(yadev, yadev)
+    denom = ss_f + np.einsum("ij,ij->i", yadev, yadev)
     scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
     np.subtract(lam_a, lam_f, out=innov)
     for lo in range(0, len(params), len(tmp)):
@@ -377,21 +380,21 @@ def _regress_board(params, lam_f, ydev, ss_f, lam_a, sum_a, innov, tmp) -> None:
 
 
 def _regress_rows(q, ydev, innov, scale, tmp) -> None:
-    """Parameter regression for a board of rows, in place.
+    """Parameter regression for a block of rows of the member-minor board, in place.
 
-    ``q`` is (n_rows, M, p), each row's members by parameters, and ``tmp``
+    ``q`` is (n_rows, p, M), each row's parameters by members, and ``tmp``
     is scratch of the same shape; ``ydev`` is the rows' forecast deviations
     and ``innov`` and ``scale`` those ``_regress_board`` gives. A row's gain is
     the cross-covariance between its parameter members and ``ydev`` over
     the forecast plus analysis intensity variance; each member moves by
     gain * (lam_a - lam_f) and is clamped at ``POSITIVITY_FLOOR``. Each row's gain is
-    one BLAS call, so any split into blocks of rows gives the same bits.
+    one BLAS call of p outputs, so any blocks of rows and any alignment give the same bits.
     """
     # ydev has zero member mean, so the parameter members need no centring pass; the (M-1)s cancel
-    gain = np.vecmat(ydev, q)
+    gain = np.matvec(q, ydev)
     gain *= scale[:, None]
-    # per-row outer products; einsum writes them faster than a broadcast or a K=1 matmul
-    np.einsum("im,ij->imj", innov, gain, out=tmp)
+    # per-row outer products; einsum writes them faster than a broadcast multiply
+    np.einsum("ij,im->ijm", gain, innov, out=tmp)
     q += tmp
     np.maximum(q, POSITIVITY_FLOOR, out=q)
 
@@ -424,11 +427,11 @@ def enkf_regress(
     M = q.shape[0]
     if lam_f.shape != (M,) or lam_a.shape != (M,):
         raise ValueError("q, lam_f and lam_a must share the member count")
-    board, lam_f, lam_a = q[None].copy(), lam_f[None], lam_a[None]
+    board, lam_f, lam_a = q.T[None].copy(), lam_f[None], lam_a[None]  # member-minor
     ydev = lam_f - (np.add.reduce(lam_f, axis=1) / M)[:, None]
-    _regress_board(board, lam_f, ydev, np.vecdot(ydev, ydev), lam_a, np.add.reduce(lam_a, axis=1),
+    _regress_board(board, lam_f, ydev, np.einsum("ij,ij->i", ydev, ydev), lam_a, np.add.reduce(lam_a, axis=1),
                    np.empty((1, M)), np.empty_like(board))
-    return board[0]
+    return board[0].T
 
 
 @dataclass
@@ -436,8 +439,8 @@ class FilterResult:
     """Final ensembles, the assimilated bins' count and width, the recorded history and the
     data's node labels (None: the default names). The history maps each recorded key to its
     per-step (steps, m) array, whose rows ``run_filter`` gives, and is empty when nothing was
-    recorded. From ``run_filter``, the board and the history live in anonymous shared mmaps:
-    copy them to keep them past the result."""
+    recorded. From ``run_filter``, the board (its ``params`` a view of the member-minor board) and
+    the history live in anonymous shared mmaps: copy them to keep them past the result."""
 
     ensembles: Ensemble
     config: FilterConfig
@@ -450,25 +453,30 @@ class FilterResult:
 def param_moments(params: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row means and variances (ddof=1) over the members of an (n, M, p) board, (n, p) each.
 
-    Rows go in blocks of ``len(scratch)``, (rows, M, p) scratch, by default about BLOCK_ELEMENTS
-    elements. Each row's member sum is a BLAS call of its own, so any blocks give the same bits.
+    Rows go in blocks of ``len(scratch)``, (rows, p, M) scratch, by default about BLOCK_ELEMENTS
+    elements. A block in any layout but member-minor (a loaded archive's) is first copied into the
+    scratch. A row's member sums are one BLAS call of p outputs and its sums of squares one
+    ``einsum``, so any layout, blocks and alignment give the same bits.
     """
     n, M, p = params.shape
-    scratch = np.empty((_block_rows(params), M, p)) if scratch is None else scratch
+    board = params.transpose(0, 2, 1)
+    scratch = np.empty((_block_rows(params), p, M)) if scratch is None else scratch
     rows, mean, var, ones = len(scratch), np.empty((n, p)), np.empty((n, p)), np.ones(M)
     for lo in range(0, n, rows):
-        block = params[lo : lo + rows]
+        block = board[lo : lo + rows]
         dev = scratch[: len(block)]
-        mu = mean[lo : lo + rows] = np.vecmat(ones, block) / M
-        np.subtract(block, mu[:, None, :], out=dev)
-        var[lo : lo + rows] = np.einsum("imj,imj->ij", dev, dev) / (M - 1)
+        if not block.flags.c_contiguous:
+            dev[...] = block
+            block = dev
+        mu = mean[lo : lo + rows] = np.matvec(block, ones) / M
+        np.subtract(block, mu[:, :, None], out=dev)
+        var[lo : lo + rows] = np.einsum("ijm,ijm->ij", dev, dev) / (M - 1)
     return mean, var
 
 
-def _block_rows(params: np.ndarray) -> int:
-    """Rows per block of an (n, M, p) board: about BLOCK_ELEMENTS elements, at least one row, at most n."""
-    n, M, p = params.shape
-    return min(n, max(1, BLOCK_ELEMENTS // (M * p)))
+def _block_rows(board: np.ndarray) -> int:
+    """Rows per block of a board of n rows: about BLOCK_ELEMENTS elements, at least one row, at most n."""
+    return min(len(board), max(1, BLOCK_ELEMENTS // math.prod(board.shape[1:])))
 
 
 def ensemble_moments(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -482,9 +490,10 @@ class Filter:
 
     Holds a board, updated in place: rows ``rows`` of a board source (an
     ``Ensemble`` copies them, ``init_ensemble``'s prior draws them) filled
-    into new arrays or ``out``, an (intensity, params) pair of their shapes;
-    the previous bin's full count vector (zero before the first bin); the
-    step index; and one analysis stream per node. Row r assimilates data
+    into new arrays or ``out``, an (intensity, params) pair of shapes (rows, M)
+    and (rows, m+2, M), the member-minor board that ``ensembles`` shows; the
+    previous bin's full count vector (zero before the first bin); the step
+    index; and one analysis stream per node. Row r assimilates data
     column ``nodes[r]``, and its stream is keyed by that index, so a sub-filter
     over any subset of nodes, in any order (see ``Ensemble.take``), reproduces
     those nodes' results bit for bit.
@@ -502,11 +511,11 @@ class Filter:
     def __init__(self, source, dt: float, cfg: FilterConfig, out=None, rows=slice(None)):
         if not dt > 0:
             raise ValueError("dt must be positive")
-        nodes, M = source.nodes[rows], source.M
-        lam, params = out or (np.empty((len(nodes), M)), np.empty((len(nodes), M, source.m + 2)))
-        source.fill(rows, lam, params)
+        nodes, M, p = source.nodes[rows], source.M, source.m + 2
+        lam, params = out or (np.empty((len(nodes), M)), np.empty((len(nodes), p, M)))
+        source.fill(rows, lam, params.transpose(0, 2, 1))
         # the filled rows are checked: a board's rows can be written in place after its own check
-        board = Ensemble(lam, params, nodes)
+        board = Ensemble(lam, params.transpose(0, 2, 1), nodes)
         self.cfg = cfg
         self.dt = dt
         self.nodes, self.m = board.nodes, board.m
@@ -517,11 +526,11 @@ class Filter:
         self._streams = rng.node_streams(cfg.seed, rng.ANALYSIS, self.nodes.tolist())
         self.k = 0
         self._lam_f, self._t, self._ydev, self._excite = np.empty((4, *lam.shape))
-        self._tmp = np.empty((_block_rows(params), *params.shape[1:]))
+        self._tmp = np.empty((_block_rows(params), p, M))
 
     def param_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Current per-node parameter means and variances (ddof=1), (n_nodes, m+2) each."""
-        return param_moments(self._params, self._tmp)
+        return param_moments(self._params.transpose(0, 2, 1), self._tmp)
 
     def assimilate_step(self, counts_next, draws=None) -> AnalysisDiagnostics:
         """Forecast with the held previous counts, then assimilate the new bin.
@@ -541,8 +550,8 @@ class Filter:
         # gives a zero count's and a flat row's analysis weight 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # Stage 1: member-specific forecast from the previous bin's counts
-            np.matmul(params[:, :, 2:], self._prev, out=self._excite)
-            advance_intensity(lam, params[:, :, 0], params[:, :, 1], self._excite, self.dt, lam_f, self._t)
+            np.matmul(self._prev, params[:, 2:], out=self._excite)
+            advance_intensity(lam, params[:, 0], params[:, 1], self._excite, self.dt, lam_f, self._t)
             np.maximum(lam_f, POSITIVITY_FLOOR, out=lam_f)
             if draws is None:  # a block of one bin, in the excitation board the forecast is done with
                 draws = _draw_block(self._streams, own[None], self._excite[None])[0]
@@ -569,11 +578,11 @@ class Filter:
             raise FilterDivergence(step, int(self.nodes[np.argmax(bad)]), what)
 
     def ensembles(self) -> Ensemble:
-        """The filter's board, as views without copies.
+        """The filter's board, as (rows, M) and (rows, M, m+2) views without copies.
 
         The next step updates it in place, so copy it to keep this state.
         """
-        return Ensemble(self._lam, self._params, self.nodes)
+        return Ensemble(self._lam, self._params.transpose(0, 2, 1), self.nodes)
 
 
 @dataclass(frozen=True)
@@ -782,7 +791,7 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
         raise ValueError(f"the truth is over {truth.m} nodes, the counts over {data.m}")
     init.check_complete()
     m, n_steps = data.m, data.n_steps
-    board = _shared((m, init.M)), _shared((m, init.M, m + 2))
+    board = _shared((m, init.M)), _shared((m, m + 2, init.M))
     recorders = []
     if truth is not None:
         target = np.column_stack((truth.baseline, truth.decay, truth.excitation))
@@ -815,7 +824,8 @@ def run_filter(data: CountSeries, init, cfg: FilterConfig, workers: int = 1, pro
         for proc in procs:  # every range is done, or the run failed
             proc.terminate()
             proc.join()
-    return FilterResult(Ensemble(*board), cfg, n_steps, data.dt, history, data.node_labels)
+    return FilterResult(Ensemble(board[0], board[1].transpose(0, 2, 1)), cfg, n_steps, data.dt, history,
+                        data.node_labels)
 
 
 def save_filter_result(result: FilterResult, out_dir: str | Path, report: dict | None = None) -> None:
@@ -854,17 +864,20 @@ def save_filter_result(result: FilterResult, out_dir: str | Path, report: dict |
     snap_dir = out_dir / "ensembles"
     snap_dir.mkdir(exist_ok=True)
     import zipfile  # here, as in np.savez: it adds about 4 ms to every start-up, and only a save needs it
-    # np.savez's bytes (stored zip64 entries, no clock), each board written from its own buffer, which
-    # may be a map of the archive replaced here
+    # np.savez's bytes (stored zip64 entries, no clock): each board's C-order bytes by blocks of rows,
+    # from its own buffer (which may map the archive replaced here) or a block's copy (member-minor)
     path = snap_dir / SNAPSHOT_ARCHIVE
     tmp = snap_dir / f".{SNAPSHOT_ARCHIVE}.{os.getpid()}.tmp"
     try:
         with zipfile.ZipFile(tmp, "w", allowZip64=True) as archive:
             for name, board in (("intensity", ens.intensity), ("params", ens.params)):
-                board = np.ascontiguousarray(board)
+                header = {"descr": np.lib.format.dtype_to_descr(board.dtype), "fortran_order": False,
+                          "shape": board.shape}
+                rows = _block_rows(board)
                 with archive.open(name + ".npy", "w", force_zip64=True) as entry:
-                    np.lib.format.write_array_header_1_0(entry, np.lib.format.header_data_from_array_1_0(board))
-                    entry.write(memoryview(board).cast("B"))
+                    np.lib.format.write_array_header_1_0(entry, header)
+                    for lo in range(0, len(board), rows):
+                        entry.write(memoryview(np.ascontiguousarray(board[lo : lo + rows])).cast("B"))
         os.replace(tmp, path)
     finally:  # a failed save leaves the old archive whole and no file of its own
         tmp.unlink(missing_ok=True)

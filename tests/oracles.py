@@ -14,7 +14,7 @@ are the exact reference for the coded path.
 ``countnet.filtering._analyze_rows`` replaced with whole-board operations:
 each row with a count of at least 1 draws its perturbed observations with
 ``gamma(dN, 1)`` at its step, a flat row too, and is updated on its own,
-its deviations' sum of squares one ``np.vecdot`` of that row. It is the
+its deviations' sum of squares one ``np.einsum`` of that row. It is the
 bit-level reference for the batched kernel, draws and stream states
 included. ``_analyze_rows`` is now ``board_analysis`` below done in place
 in the filter's work boards, in one pass over every row, and its draws come
@@ -23,11 +23,13 @@ where ``board_analysis`` leaves it out through its index. Both move the
 members in closed form, ``a * lam_f + b * draws``.
 
 ``filter_step`` is one step of ``countnet.filtering.Filter.assimilate_step``
-as it ran before the filter kept its work arrays: the forecast written out as
-one expression, the whole-board analysis ``board_analysis`` (new arrays
-for every pass, the perturbed observations drawn row by row into a new board,
-the observed rows updated through fancy indexing), the regression
-``board_regression`` (one row at a time: its row vectors, a ``np.vecmat``
+as it ran before the filter kept its work arrays, on an (n, M, m+2) board:
+each row's forecast written out as one expression over a member-minor
+(m+2, M) copy of the row, its excitation a ``prev @ row`` product, the
+whole-board analysis ``board_analysis`` (new arrays for every pass, the
+perturbed observations drawn row by row into a new board, the observed rows
+updated through fancy indexing), the regression ``board_regression`` (one
+row at a time on its member-minor copy: its row vectors, a ``np.matvec``
 gain and an outer product per row) and a copy of the analysed intensity
 into the board. With ``param_moments`` below for the history, it is the
 bit-level per-step reference for the board, the diagnostics, the history
@@ -35,11 +37,12 @@ and every analysis stream's state.
 
 ``param_moments`` is the per-row reduction that
 ``countnet.filtering.param_moments`` replaced with one blocked kernel: each
-row's mean from its own ``np.vecmat`` with a vector of ones, the BLAS call
-the kernel makes per row, and its variance from an in-order sum of squares.
-It is the bit-level reference for the truth curves, ``result.json`` and the
-network. The batched kernels make one BLAS call per row, so these per-row
-calls give their bits for a given numpy and BLAS build.
+row's mean from its own ``np.matvec`` of its member-minor copy with a vector
+of ones, the BLAS call the kernel makes per row, and its variance from an
+``einsum`` sum of squares of that row. It is the bit-level reference for the
+truth curves, ``result.json`` and the network. The batched kernels make one
+call per row, so these per-row calls give their bits for a given numpy and
+BLAS build.
 
 ``error_metrics`` is ``countnet.network.error_metrics`` as it ran over a
 recorded (n_steps + 1, m, m + 2) history of parameter means and variances,
@@ -112,7 +115,7 @@ def analyze_rows(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analysi
     for i, (x, count) in enumerate(zip(lam_f, counts)):
         mean_f = x.mean()
         ydev = x - mean_f
-        prior_rv = np.vecdot(ydev, ydev) / ((M - 1) * mean_f * mean_f)
+        prior_rv = np.einsum("j,j->", ydev, ydev) / ((M - 1) * mean_f * mean_f)
         degenerate = prior_rv == 0.0
         inv_prior = np.inf if degenerate else 1.0 / prior_rv
         innovation = count - mean_f * dt
@@ -143,7 +146,7 @@ def board_analysis(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analy
     n_rows, M = lam_f.shape
     mean_f = np.add.reduce(lam_f, axis=1) / M
     ydev = lam_f - mean_f[:, None]
-    prior_rv = np.vecdot(ydev, ydev) / ((M - 1) * mean_f * mean_f)
+    prior_rv = np.einsum("ij,ij->i", ydev, ydev) / ((M - 1) * mean_f * mean_f)
     degenerate = prior_rv == 0.0
     inv_prior = np.divide(1.0, prior_rv, out=np.full(n_rows, np.inf), where=~degenerate)
 
@@ -167,13 +170,14 @@ def board_analysis(lam_f, counts, dt, floor, streams) -> tuple[np.ndarray, Analy
 
 
 def board_regression(q, lam_f, lam_a, floor) -> None:
-    """Parameter regression for a board of rows, in place, one row at a time."""
+    """Parameter regression for an (n, M, p) board of rows, in place, one row at a time."""
     for qi, yf, ya in zip(q, lam_f, lam_a):
+        row = qi.T.copy()  # parameters by members
         ydev, yadev = yf - yf.mean(), ya - ya.mean()
-        denom = np.vecdot(ydev, ydev) + np.vecdot(yadev, yadev)
-        gain = np.vecmat(ydev, qi) * (1.0 / denom if denom > 0 else 0.0)
-        qi += np.multiply.outer(ya - yf, gain)
-        np.maximum(qi, floor, out=qi)
+        denom = np.einsum("j,j->", ydev, ydev) + np.einsum("j,j->", yadev, yadev)
+        gain = np.matvec(row, ydev) * (1.0 / denom if denom > 0 else 0.0)
+        row += np.multiply.outer(gain, ya - yf)
+        qi[...] = np.maximum(row, floor).T
 
 
 def filter_step(lam, params, prev, counts_next, nodes, dt, floor, streams) -> AnalysisDiagnostics:
@@ -184,9 +188,10 @@ def filter_step(lam, params, prev, counts_next, nodes, dt, floor, streams) -> An
     """
     counts_next = np.asarray(counts_next, dtype=np.float64)
     own_counts = counts_next[nodes]
-    excite = params[:, :, 2:] @ prev
-    base, decay = params[:, :, 0], params[:, :, 1]
-    lam_f = base + (lam - base) * (1.0 - decay * dt) + excite
+    lam_f = np.empty_like(lam)
+    for i, q in enumerate(params):
+        row = q.T.copy()  # parameters by members
+        lam_f[i] = row[0] + (lam[i] - row[0]) * (1.0 - row[1] * dt) + prev @ row[2:]
     np.maximum(lam_f, floor, out=lam_f)
     with np.errstate(over="ignore", invalid="ignore"):
         lam_a, diag = board_analysis(lam_f, own_counts, dt, floor, streams)
@@ -200,9 +205,10 @@ def param_moments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     n, M, p = params.shape
     mean, var = np.empty((n, p)), np.empty((n, p))
     for i, q in enumerate(params):
-        mean[i] = np.vecmat(np.ones(M), q) / M
-        dev = q - mean[i]
-        var[i] = np.add.reduce(dev * dev, axis=0) / (M - 1)
+        row = q.T.copy()  # parameters by members
+        mean[i] = np.matvec(row, np.ones(M)) / M
+        dev = row - mean[i][:, None]
+        var[i] = np.einsum("jm,jm->j", dev, dev) / (M - 1)
     return mean, var, np.sqrt(var)
 
 

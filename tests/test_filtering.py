@@ -688,7 +688,7 @@ class TestRunFilter:
         want = {**dict.fromkeys(filtering._CURVE_KEYS * scored, (8, 3)),
                 **dict.fromkeys(filtering._INTENSITY_KEYS * intensity, (7, 3))}
         assert type(history) is dict and {key: curve.shape for key, curve in history.items()} == want
-        assert shapes == [(3, 10), (3, 10, 5), *want.values(), (1 + (cpus == 8), 7, 3 - workers // 2, 10)]
+        assert shapes == [(3, 10), (3, 5, 10), *want.values(), (1 + (cpus == 8), 7, 3 - workers // 2, 10)]
 
     def test_a_truth_of_another_size_is_refused_before_the_run(self, monkeypatch):
         truth, data, init, cfg = toy_filter_setup(m=3, M=10, n_steps=5)
@@ -738,6 +738,48 @@ class TestRunFilter:
             got = error_metrics(run_filter(data, init, cfg, workers=workers, truth=truth).history)
             for key in PER_NODE_CURVES:
                 assert got[key].tobytes() == want[key].tobytes(), key
+
+    # M=2; one block, or blocks of 1 and 2 rows, the last block of 2 one row short
+    @pytest.mark.parametrize("block_rows", [None, 1, 2])
+    @pytest.mark.parametrize("m, M", [(3, 2), (5, 20)])
+    def test_moments_of_every_layout_are_the_same_bits(self, monkeypatch, tmp_path, m, M, block_rows):
+        # a run's board is member-minor; its C-order copy and the archive loaded back are read
+        # through a copy into the scratch, block by block, and must give the same bits
+        _, data, init, cfg = toy_filter_setup(m=m, M=M, n_steps=10)
+        if block_rows:
+            monkeypatch.setattr(filtering, "BLOCK_ELEMENTS", block_rows * M * (m + 2))
+        run = run_filter(data, init, cfg).ensembles
+        save_filter_result(FilterResult(run, cfg, 10, DT), tmp_path)
+        copy = Ensemble(run.intensity, np.ascontiguousarray(run.params))
+        loaded = load_ensemble_snapshots(tmp_path)
+        assert not run.params.flags.c_contiguous and copy.params.flags.c_contiguous and loaded.params.flags.c_contiguous
+        mean, sd = ensemble_moments(run)
+        want_mean, _, want_sd = oracles.param_moments(copy.params)
+        assert mean.tobytes() == want_mean.tobytes() and sd.tobytes() == want_sd.tobytes()
+        for board in (copy, loaded):
+            got_mean, got_sd = ensemble_moments(board)
+            assert got_mean.tobytes() == mean.tobytes() and got_sd.tobytes() == sd.tobytes()
+
+    def test_the_ensembles_are_views_of_the_board(self, monkeypatch):
+        # Filter's and run_filter's boards are member-minor, (n, m+2, M); their ensembles show
+        # them as (n, M, m+2) views with no copy
+        _, data, init, cfg = toy_filter_setup(m=3, M=12, n_steps=5)
+        shared, boards = filtering._shared, []
+
+        def recorded_shared(shape):
+            boards.append(shared(shape))
+            return boards[-1]
+
+        monkeypatch.setattr(filtering, "_shared", recorded_shared)
+        run = run_filter(data, init, cfg).ensembles
+        filt = Filter(init, DT, cfg)
+        for row in data.counts:
+            filt.assimilate_step(row)
+        for ens, board in ((run, boards[1]), (filt.ensembles(), filt._params)):
+            assert board.shape == (3, 5, 12) and board.flags.c_contiguous
+            assert ens.params.shape == (3, 12, 5) and np.shares_memory(ens.params, board)
+            assert np.shares_memory(ens.intensity, boards[0] if ens is run else filt._lam)
+        assert run.params.tobytes() == filt.ensembles().params.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_regression_block_size_leaves_the_bits(self, monkeypatch, workers):
@@ -810,7 +852,7 @@ class TestRunFilter:
             assert blocks == [min(bins, n_steps - lo) for lo in range(0, n_steps, bins)]
             assert own_draws == [bins == 1] * n_steps
             assert run.ensembles.intensity.tobytes() == hand._lam.tobytes()
-            assert run.ensembles.params.tobytes() == hand._params.tobytes()
+            assert run.ensembles.params.tobytes() == hand.ensembles().params.tobytes()
             for key in INTENSITY_KEYS:
                 assert run.history[key].tobytes() == np.array([getattr(d, key) for d in diags]).tobytes(), key
             for i, key in enumerate(filtering._CURVE_KEYS):
@@ -920,7 +962,7 @@ class TestRunFilter:
         rows, n = slice(1, m), m - 1
         for shift in range(8):
             boards = []
-            for shape in ((n, M), (n, M, m + 2)):
+            for shape in ((n, M), (n, m + 2, M)):
                 buf = np.empty(math.prod(shape) + 8)
                 start = (shift - buf.ctypes.data // 8) % 8
                 boards.append(buf[start:start + math.prod(shape)].reshape(shape))
@@ -1077,13 +1119,19 @@ class TestRunFilter:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: intensity \(3, 4\) and params \(3, 5, 5\)"):
             load_ensemble_snapshots(tmp_path)
 
-    # a one-row board, a board that fits one block and one a row past it
+    # a one-row board, a board that fits one block and one a row past it, each as a C-order
+    # board and as a view of run_filter's member-minor board, which is written a block at a time
+    @pytest.mark.parametrize("run", [False, True])
     @pytest.mark.parametrize("shape", [(1, 2, 3), (6, 500, 8), (31, 65, 33)])
-    def test_archive_bytes_match_savez(self, tmp_path, shape):
+    def test_archive_bytes_match_savez(self, tmp_path, shape, run):
         g = gen(shape[0])
         board = Ensemble(g.gamma(2.0, size=shape[:2]), g.gamma(2.0, size=shape))
+        if run:
+            data = CountSeries(g.poisson(1.0, size=(3, shape[0])).astype(np.uint64), DT)
+            board = run_filter(data, board, FilterConfig(seed=0)).ensembles
+            assert not board.params.flags.c_contiguous
         save_filter_result(FilterResult(board, FilterConfig(seed=0), 0, DT), tmp_path / "res")
-        oracles.save_snapshot_archive(tmp_path / "savez.npz", board.intensity, board.params)
+        oracles.save_snapshot_archive(tmp_path / "savez.npz", board.intensity, np.ascontiguousarray(board.params))
         archive = tmp_path / "res" / "ensembles" / "ensembles.npz"
         assert archive.read_bytes() == (tmp_path / "savez.npz").read_bytes()
         loaded = load_ensemble_snapshots(tmp_path / "res")
@@ -1194,7 +1242,7 @@ class TestLeanStep:
         spread = gen(5).gamma(2.0, 0.5, size=(init.M, data.m + 2))
         for k, row in enumerate(data.counts):
             # writes between steps are read by the next one: row DEGENERATE_ROW gets a spread, then none
-            for board in ((lam, params), (filt._lam, filt._params)):
+            for board in ((lam, params), (filt._lam, filt.ensembles().params)):
                 if k == 3:
                     board[0][DEGENERATE_ROW], board[1][DEGENERATE_ROW] = spread[:, 0], spread
                 elif k == 6:
@@ -1203,7 +1251,7 @@ class TestLeanStep:
             before = [stream_state(g) for g in filt._streams]
             got = filt.assimilate_step(row.astype(dtype))
             prev = row.astype(np.float64)
-            assert filt._lam.tobytes() == lam.tobytes() and filt._params.tobytes() == params.tobytes()
+            assert filt._lam.tobytes() == lam.tobytes() and filt.ensembles().params.tobytes() == params.tobytes()
             for key, value in vars(want).items():
                 assert getattr(got, key).tobytes() == value.tobytes(), (k, key)
             after = [stream_state(g) for g in filt._streams]
