@@ -25,14 +25,13 @@ Per node and per time bin the filter runs four stages:
 work arrays allocated when the filter is made; the regression and the
 parameter moments go over the parameter board in blocks of rows with one
 block of scratch. The board is member-minor, (rows, m+2, M), so every pass
-runs along contiguous members; ``Ensemble.params`` shows it as (rows, M,
-m+2) views, and only this module knows the layout. Every row contraction
-is one call per row (BLAS products of two or more outputs, ``einsum`` sums
-of squares), so a row's bits, fixed for a given numpy and BLAS build, do
-not depend on the other rows, its block or its alignment. ``run_filter``
-runs every bin and keeps a history, a mapping from key to one (steps,
-nodes) array, which its recorders fill: each writes its keys' rows after
-the fill and after every step.
+runs along contiguous members (``Ensemble.params`` shows (rows, M, m+2)
+views; only this module knows the layout). Each row contraction is one
+call (a BLAS product of two or more outputs, or an ``einsum``), so a row's
+bits, fixed for a given numpy and BLAS build, do not depend on the other
+rows, its block or its alignment. ``run_filter`` runs every bin and keeps
+a history, a mapping from key to one (steps, nodes) array, which its
+recorders fill: each writes its keys' rows after the fill and after every step.
 
 Nodes never read each other's ensembles; they couple only through the
 shared observed counts. A node's index is its data column, and every
@@ -459,11 +458,10 @@ def param_moments(params: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndar
     ``einsum``, so any layout, blocks and alignment give the same bits.
     """
     n, M, p = params.shape
-    board = params.transpose(0, 2, 1)
     scratch = np.empty((_block_rows(params), p, M)) if scratch is None else scratch
     rows, mean, var, ones = len(scratch), np.empty((n, p)), np.empty((n, p)), np.ones(M)
     for lo in range(0, n, rows):
-        block = board[lo : lo + rows]
+        block = params[lo : lo + rows].transpose(0, 2, 1)
         dev = scratch[: len(block)]
         if not block.flags.c_contiguous:
             dev[...] = block
